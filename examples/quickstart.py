@@ -240,53 +240,14 @@ def main() -> None:
     # contact, e.g. exactly colinear bisectors) are excluded — by the
     # brute-force oracle and all three algorithms alike.
 
-    print("=== Array-native kernels: --compute kernel ===")
-    # EngineConfig.compute selects the hot-loop implementation: "scalar"
-    # (pure Python, the oracle) or "kernel" (vectorised NumPy re-writes of
-    # bisector construction, nearest-first clipping and the SAT tests).
-    # The kernels are written for *bit-identical* floats, so pairs, every
-    # JoinStats/CellComputationStats/FilterStats counter and all page
-    # accounting are byte-equal between the modes — pinned by the
-    # differential suite in tests/engine/test_compute_equivalence.py.
-    # The CLI flag is --compute kernel; $REPRO_COMPUTE sets the default.
-    #
-    # Honest before/after, from benchmarks/results/fig7.txt (tiny scale):
-    #
-    #   algorithm     | total pages | JOIN CPU (s) | pairs | CPU ops
-    #   NM-CIJ        |          40 |        0.144 |   637 |   4,312
-    #   NM-CIJ/kernel |          40 |        0.186 |   637 |   4,312
-    #
-    # End to end the kernel mode is parity within measurement noise: the
-    # bit-identity contract pins the exact clip/prune sequence, so the
-    # kernels can only make each decision cheaper, never skip one — and on
-    # the ~6-vertex rings this workload produces, NumPy's per-call dispatch
-    # gives back most of what the batched arithmetic wins (isolated inner
-    # loops measure up to ~2x).  Use it as the foundation for genuinely
-    # batched work (bigger leaves, fatter groups), not as a free speedup.
-    workload = build_workload(WorkloadConfig(), points_p=restaurants, points_q=cinemas)
-    kernel_run = engine.run(
-        "nm",
-        workload.tree_p,
-        workload.tree_q,
-        EngineConfig(compute="kernel"),
-        domain=workload.domain,
-    )
-    print(f"kernel NM-CIJ pairs   : {len(kernel_run.pairs)} "
-          f"(identical to scalar: {kernel_run.pairs == result.pairs})")
-    print(f"Voronoi clip ops      : {kernel_run.cell_stats.refinements} "
-          f"(identical to scalar: "
-          f"{kernel_run.cell_stats.refinements == result.cell_stats.refinements})")
-    print()
-
-    # Numeric tolerance policy: every geometric predicate — scalar and
-    # kernel alike — reads its epsilon from repro.geometry.tolerance
-    # (BOUNDARY_EPS for clipping/SAT/containment, CONTAINMENT_EPS for the
-    # Φ distance test, TIE_SLACK for dynamic invalidation).  One shared
-    # set of constants is what makes "bit-identical" well-defined: a
-    # point near a clip boundary must get the same verdict from
-    # Halfplane.contains, polygon clipping and the SAT interior test,
-    # whichever implementation computed it.  See the module docstring of
-    # src/repro/geometry/tolerance.py for the full policy.
+    # Numeric tolerance policy: every geometric predicate reads its
+    # epsilon from repro.geometry.tolerance (BOUNDARY_EPS for
+    # clipping/SAT/containment, CONTAINMENT_EPS for the Φ distance test,
+    # TIE_SLACK for dynamic invalidation).  One shared set of constants
+    # means a point near a clip boundary gets the same verdict from
+    # Halfplane.contains, polygon clipping and the SAT interior test.  See
+    # the module docstring of src/repro/geometry/tolerance.py for the full
+    # policy.
 
     print("=== File-backed storage: pages live on a real disk ===")
     # The same join can run with every R-tree page serialized into a single

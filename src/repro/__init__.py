@@ -114,7 +114,6 @@ def common_influence_join(
     prefetch: str = "off",
     prefetch_depth: int = 2,
     fetch_latency: float = 0.0,
-    compute: Optional[str] = None,
 ) -> CIJResult:
     """Compute ``CIJ(P, Q)`` end to end from two plain pointsets.
 
@@ -175,12 +174,6 @@ def common_influence_join(
     fetch_latency:
         Simulated per-page disk service time in seconds (default 0); a
         positive value makes the latency hiding measurable.
-    compute:
-        Geometry inner-loop implementation: ``"scalar"`` (pure Python, the
-        oracle) or ``"kernel"`` (vectorised NumPy kernels).  Pairs,
-        statistics and I/O counters are byte-identical across modes.
-        ``None`` (default) honours ``$REPRO_COMPUTE`` and falls back to
-        scalar.
     """
     engine = default_engine()
     method_key = method.lower()
@@ -221,7 +214,6 @@ def common_influence_join(
             storage_path=storage_path,
             prefetch=config.prefetch,
             prefetch_depth=config.prefetch_depth,
-            compute=compute,
         )
     finally:
         # The result carries pairs and statistics only; backend resources

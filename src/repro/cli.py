@@ -223,14 +223,6 @@ def build_parser() -> argparse.ArgumentParser:
         help="simulated per-page disk service latency in milliseconds; "
         "the summary then reports stalled vs overlapped time",
     )
-    join.add_argument(
-        "--compute",
-        default=None,
-        choices=("scalar", "kernel"),
-        help="geometry inner loops: scalar (pure Python, the oracle) or "
-        "kernel (vectorised NumPy; identical pairs, stats and counters) "
-        "(default: $REPRO_COMPUTE or scalar)",
-    )
 
     serve = subparsers.add_parser(
         "serve",
@@ -446,7 +438,6 @@ def _cmd_join(
     prefetch: Optional[str] = None,
     prefetch_depth: Optional[int] = None,
     fetch_latency_ms: Optional[float] = None,
-    compute: Optional[str] = None,
     node_timeout: Optional[float] = None,
     node_retries: Optional[int] = None,
     fault_plan: Optional[str] = None,
@@ -472,7 +463,6 @@ def _cmd_join(
             prefetch=prefetch if prefetch is not None else "off",
             prefetch_depth=prefetch_depth if prefetch_depth is not None else 2,
             fetch_latency=(fetch_latency_ms or 0.0) / 1000.0,
-            compute=compute,
         )
     except ValueError as error:
         print(f"error: {error}", file=sys.stderr)
@@ -493,8 +483,6 @@ def _cmd_join(
     if storage is not None:
         where = f" at {storage_path}" if storage_path else ""
         print(f"storage         : {storage}{where}")
-    if compute is not None:
-        print(f"compute         : {compute}")
     print(f"result pairs    : {len(result.pairs)}")
     print(f"page accesses   : {stats.total_page_accesses} (MAT {stats.mat_page_accesses} + JOIN {stats.join_page_accesses})")
     print(f"CPU seconds     : {stats.total_cpu_seconds:.2f}")
@@ -673,7 +661,6 @@ def main(argv: Optional[List[str]] = None) -> int:
             args.prefetch,
             args.prefetch_depth,
             args.fetch_latency_ms,
-            args.compute,
             args.node_timeout,
             args.node_retries,
             args.fault_plan,

@@ -352,7 +352,6 @@ class NMJoin(JoinAlgorithm):
             reuse_cells=ctx.config.reuse_cells,
             use_phi_pruning=ctx.config.use_phi_pruning,
             initial_reuse=ctx.carry,
-            compute=ctx.config.compute or "scalar",
             cell_cache=ctx.cell_cache,
         )
         ctx.carry = final_buffer if ctx.config.reuse_cells else None
@@ -375,7 +374,6 @@ class PMJoin(JoinAlgorithm):
             ctx.domain,
             tag=f"{ctx.tree_p.tag}_vor",
             stats=ctx.cell_stats,
-            compute=ctx.config.compute or "scalar",
         )
         ctx.stats.cells_computed_p = count_p
         ctx.prepared["voronoi_p"] = voronoi_p
@@ -403,7 +401,6 @@ class PMJoin(JoinAlgorithm):
             ctx.stats,
             ctx.cell_stats,
             ctx.start_counters,
-            compute=ctx.config.compute or "scalar",
         )
 
 
@@ -425,20 +422,17 @@ class FMJoin(JoinAlgorithm):
     def prepare(self, ctx):
         from repro.join.materialize import materialize_voronoi_rtree
 
-        compute = ctx.config.compute or "scalar"
         voronoi_p, count_p = materialize_voronoi_rtree(
             ctx.tree_p,
             ctx.domain,
             tag=f"{ctx.tree_p.tag}_vor",
             stats=ctx.cell_stats,
-            compute=compute,
         )
         voronoi_q, count_q = materialize_voronoi_rtree(
             ctx.tree_q,
             ctx.domain,
             tag=f"{ctx.tree_q.tag}_vor",
             stats=ctx.cell_stats,
-            compute=compute,
         )
         ctx.stats.cells_computed_p = count_p
         ctx.stats.cells_computed_q = count_q

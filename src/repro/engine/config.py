@@ -14,7 +14,6 @@ import dataclasses
 from dataclasses import dataclass
 from typing import Optional
 
-from repro.geometry.kernels import COMPUTE_MODES
 from repro.geometry.rect import Rect
 from repro.storage.backends import canonical_backend
 
@@ -215,14 +214,6 @@ class EngineConfig:
     prefetch_depth:
         How many units ahead the ``next_batch``/``next_shard`` pipelines
         plan (also the number of opening units staged per shard).
-    compute:
-        Geometry inner-loop implementation: ``"scalar"`` (pure Python, the
-        oracle) or ``"kernel"`` (vectorised NumPy kernels from
-        :mod:`repro.geometry.kernels`; requires NumPy).  Pairs, join/filter
-        statistics and every I/O counter are byte-identical across modes —
-        only wall-clock CPU changes.  ``None`` (default) resolves at run
-        time from ``$REPRO_COMPUTE``, falling back to ``"scalar"``.
-        Dynamic maintenance (:mod:`repro.dynamic`) always runs scalar.
     cell_cache:
         Opt-in per-node cache of exact ``P`` Voronoi cells that outlives
         NM-CIJ's per-leaf REUSE buffer, deduping recomputation across the
@@ -252,7 +243,6 @@ class EngineConfig:
     delta_candidates: str = "filter"
     prefetch: str = "off"
     prefetch_depth: int = 2
-    compute: Optional[str] = None
     cell_cache: bool = False
 
     def __post_init__(self) -> None:
@@ -300,11 +290,6 @@ class EngineConfig:
             )
         if self.prefetch_depth < 1:
             raise ValueError("prefetch_depth must be at least 1")
-        if self.compute is not None and self.compute not in COMPUTE_MODES:
-            raise ValueError(
-                f"unknown compute mode {self.compute!r}; "
-                f"expected one of {COMPUTE_MODES}"
-            )
         if self.prefetch == "next_shard" and self.executor != "sharded":
             raise ValueError(
                 "prefetch='next_shard' overlaps shard boundaries and requires "

@@ -22,7 +22,6 @@ from __future__ import annotations
 import time
 from typing import Dict, List, Optional, Union
 
-from repro.geometry.kernels import resolve_compute_mode
 from repro.index.rtree import RTree
 from repro.storage.backends import canonical_backend
 from repro.join.conditional_filter import FilterStats
@@ -86,12 +85,6 @@ class JoinEngine:
         """
         algo = self._resolve(algorithm)
         effective = self._effective_config(config, overrides)
-        # Resolve the compute mode (None -> $REPRO_COMPUTE -> "scalar")
-        # before the context is built, so forked shard workers inherit a
-        # concrete mode rather than re-reading the environment.
-        resolved_compute = resolve_compute_mode(effective.compute)
-        if resolved_compute != effective.compute:
-            effective = effective.replace(compute=resolved_compute)
         if tree_p.disk is not tree_q.disk:
             raise ValueError("both input trees must share one DiskManager")
         if (

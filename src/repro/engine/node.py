@@ -214,7 +214,6 @@ def node_init_spec(
             "reuse_cells": ctx.config.reuse_cells,
             "use_phi_pruning": ctx.config.use_phi_pruning,
             "progress_interval": ctx.config.progress_interval,
-            "compute": ctx.config.compute or "scalar",
             "cell_cache": ctx.config.cell_cache,
             "stage_hints": stage_hints,
             "prefetch_depth": ctx.config.prefetch_depth,
@@ -546,7 +545,6 @@ def _bootstrap(spec: Dict[str, Any]):
         reuse_cells=knobs["reuse_cells"],
         use_phi_pruning=knobs["use_phi_pruning"],
         progress_interval=knobs["progress_interval"],
-        compute=knobs["compute"],
         cell_cache=knobs["cell_cache"],
         prefetch_depth=int(knobs.get("prefetch_depth", 2)),
     )

@@ -40,32 +40,30 @@ def fig7_cost_breakdown(scale: ExperimentScale) -> ExperimentResult:
         ],
     )
     points_p, points_q = uniform_pair(scale.base_cardinality, seed=7)
-    for compute in ("scalar", "kernel"):
-        for name in CIJ_ALGORITHMS:
-            run = run_cij(name, points_p, points_q, compute=compute)
-            # Deterministic CPU proxy: every heap pop, Lemma-1 clip and
-            # point examination of the Voronoi and filter phases.
-            # Wall-clock CPU is kept for information but is
-            # load-dependent, so the benchmark asserts the paper's "NM is
-            # the most CPU-intensive" claim on this counter instead.
-            cpu_ops = (
-                run.cell_stats.heap_pops
-                + run.cell_stats.refinements
-                + run.cell_stats.points_examined
-                + run.filter_stats.heap_pops
-                + run.filter_stats.points_examined
-            )
-            label = name if compute == "scalar" else f"{name}/kernel"
-            result.add_row(
-                label,
-                run.stats.mat_page_accesses,
-                run.stats.join_page_accesses,
-                run.stats.total_page_accesses,
-                run.stats.mat_cpu_seconds,
-                run.stats.join_cpu_seconds,
-                len(run.pairs),
-                cpu_ops,
-            )
+    for name in CIJ_ALGORITHMS:
+        run = run_cij(name, points_p, points_q)
+        # Deterministic CPU proxy: every heap pop, Lemma-1 clip and point
+        # examination of the Voronoi and filter phases.  Wall-clock CPU is
+        # kept for information but is load-dependent, so the benchmark
+        # asserts the paper's "NM is the most CPU-intensive" claim on this
+        # counter instead.
+        cpu_ops = (
+            run.cell_stats.heap_pops
+            + run.cell_stats.refinements
+            + run.cell_stats.points_examined
+            + run.filter_stats.heap_pops
+            + run.filter_stats.points_examined
+        )
+        result.add_row(
+            name,
+            run.stats.mat_page_accesses,
+            run.stats.join_page_accesses,
+            run.stats.total_page_accesses,
+            run.stats.mat_cpu_seconds,
+            run.stats.join_cpu_seconds,
+            len(run.pairs),
+            cpu_ops,
+        )
     result.add_note(
         "NM-CIJ pays no materialisation I/O; its total should be well below "
         "PM-CIJ, which in turn is below FM-CIJ (paper Figure 7a)."
@@ -75,18 +73,6 @@ def fig7_cost_breakdown(scale: ExperimentScale) -> ExperimentResult:
         "work); in this pure-Python implementation the wall-clock gap is "
         "larger than the paper's 10-20% because the filter arithmetic is "
         "interpreted."
-    )
-    result.add_note(
-        "The */kernel rows run compute='kernel' (NumPy inner loops): every "
-        "deterministic column — pages, pairs, CPU ops — must match the "
-        "scalar row exactly, because the kernels are bit-identical by "
-        "contract; only the wall-clock CPU columns may differ.  End to "
-        "end the kernel mode is parity within measurement noise on this "
-        "workload: the bit-identity contract pins the exact clip/prune "
-        "sequence, so the kernels can only make each decision cheaper, "
-        "not skip any — and on the ~6-vertex rings the sequence produces, "
-        "NumPy's per-call dispatch gives back most of what the batched "
-        "arithmetic wins (isolated inner loops measure up to ~2x)."
     )
     return result
 

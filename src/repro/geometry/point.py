@@ -40,10 +40,9 @@ class Point:
         """Euclidean distance to ``other``.
 
         Computed as ``sqrt(dx*dx + dy*dy)`` rather than ``math.hypot``:
-        multiply, add and sqrt are correctly rounded in both C and NumPy,
-        so the vectorised kernels reproduce this value bit-for-bit (hypot
-        may differ from it by one ulp, which would break the kernel-vs-
-        scalar byte-equality the differential tests pin).
+        the formula is pinned so pairs and counters stay byte-identical to
+        the committed baselines (hypot may differ from it by one ulp, which
+        can flip a distance tie and with it a clip or prune decision).
         """
         dx = self.x - other.x
         dy = self.y - other.y
@@ -70,8 +69,8 @@ class Point:
 
 def dist(a: Point, b: Point) -> float:
     """Euclidean distance between two points (same formula as
-    :meth:`Point.distance_to`; see there for the kernel bit-equality
-    constraint)."""
+    :meth:`Point.distance_to`; see there for why the formula is
+    pinned)."""
     dx = a.x - b.x
     dy = a.y - b.y
     return math.sqrt(dx * dx + dy * dy)

@@ -21,8 +21,7 @@ from repro.geometry.rect import Rect
 from repro.geometry.tolerance import BOUNDARY_EPS
 
 # Tolerance used by the clipping and intersection predicates; see
-# repro.geometry.tolerance for the policy shared with the other predicates
-# (and with the NumPy kernel path, which must agree bit-for-bit).
+# repro.geometry.tolerance for the policy shared with the other predicates.
 _EPS = BOUNDARY_EPS
 
 
@@ -234,9 +233,9 @@ class ConvexPolygon:
         # is the distance to the boundary line, so scaling the epsilon by the
         # normal's norm keeps the behaviour stable for both huge and tiny
         # halfplane coefficients (e.g. bisectors of nearly-coincident sites).
-        # sqrt(a*a + b*b) rather than math.hypot: multiply/add/sqrt are all
-        # correctly rounded in both C and NumPy, so the kernel path computes
-        # the identical float; hypot may differ from it by one ulp.
+        # sqrt(a*a + b*b) rather than math.hypot: the formula is pinned so
+        # pairs and counters stay byte-identical to the committed baselines;
+        # hypot may differ from it by one ulp.
         norm = math.sqrt(hp.a * hp.a + hp.b * hp.b)
         tol = _EPS * (norm if norm > 0.0 else max(1.0, abs(hp.c)))
         values = [hp.value(v) for v in verts]
@@ -366,8 +365,7 @@ def _separating_axis_exists(
             # Outward normal of edge v->w for a CCW ring.
             nx = w.y - v.y
             ny = v.x - w.x
-            # Same-formula constraint as clip_halfplane: the kernel SAT
-            # must reproduce this norm bit-for-bit.
+            # Same pinned formula as clip_halfplane.
             norm = math.sqrt(nx * nx + ny * ny)
             if norm < eps:
                 continue

@@ -162,9 +162,9 @@ class Rect:
         """
         dx = max(self.xmin - p.x, 0.0, p.x - self.xmax)
         dy = max(self.ymin - p.y, 0.0, p.y - self.ymax)
-        # sqrt(dx*dx + dy*dy) rather than hypot: the NumPy kernels replicate
-        # this exact expression, and all three operations are correctly
-        # rounded in both C and NumPy (hypot is not guaranteed to match).
+        # sqrt(dx*dx + dy*dy) rather than hypot: the formula is pinned so
+        # pairs and counters stay byte-identical to the committed baselines
+        # (hypot may differ from it by one ulp).
         return math.sqrt(dx * dx + dy * dy)
 
     def mindist_sq_point(self, p: Point) -> float:

@@ -41,11 +41,6 @@ truth; the constants are grouped by the *kind* of comparison they guard:
     deliberately the loosest of the three: missing a tie would silently
     corrupt the maintained answer, while a false positive merely costs one
     redundant recomputation.
-
-The NumPy kernel path (:mod:`repro.geometry.kernels`) imports the same
-constants: kernel-vs-scalar equality is asserted byte-for-byte by the
-differential test-suite, which is only meaningful when both implementations
-agree on what "equal" means near a boundary.
 """
 
 from __future__ import annotations

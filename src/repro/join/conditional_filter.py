@@ -60,7 +60,6 @@ def conditional_filter(
     domain: Rect,
     use_phi_pruning: bool = True,
     stats: Optional[FilterStats] = None,
-    compute: str = "scalar",
 ) -> List[Tuple[int, Point]]:
     """Candidate points of ``P`` whose cells may intersect ``target``."""
     return batch_conditional_filter(
@@ -69,7 +68,6 @@ def conditional_filter(
         domain,
         use_phi_pruning=use_phi_pruning,
         stats=stats,
-        compute=compute,
     )
 
 
@@ -79,7 +77,6 @@ def batch_conditional_filter(
     domain: Rect,
     use_phi_pruning: bool = True,
     stats: Optional[FilterStats] = None,
-    compute: str = "scalar",
 ) -> List[Tuple[int, Point]]:
     """Batch variant of Algorithm 5 for a group of target polygons.
 
@@ -98,10 +95,6 @@ def batch_conditional_filter(
         approximate-cell test) is unaffected, so the result set is the same.
     stats:
         Optional shared work counters.
-    compute:
-        ``"scalar"`` (the oracle) or ``"kernel"`` (vectorised candidate
-        ordering, Lemma-3 matrices and SAT tests; byte-identical result
-        list and counters).
 
     Returns
     -------
@@ -114,12 +107,6 @@ def batch_conditional_filter(
     if tree_p.is_empty():
         return []
     stats = stats if stats is not None else FilterStats()
-    if compute == "kernel":
-        return _batch_conditional_filter_kernel(
-            polygons, tree_p, domain, use_phi_pruning, stats
-        )
-    if compute != "scalar":
-        raise ValueError(f"unknown compute mode: {compute!r}")
 
     group_center = centroid([polygon.centroid() for polygon in polygons])
     target_mbrs = [polygon.bounding_rect() for polygon in polygons]
@@ -159,172 +146,6 @@ def batch_conditional_filter(
             if use_phi_pruning and _entry_pruned(entry.mbr, target_vertices, candidates):
                 stats.entries_pruned_phi += 1
                 continue
-            stats.entries_expanded += 1
-            push_node(tree_p.read_node(entry.child_page))
-    return candidates
-
-
-def _batch_conditional_filter_kernel(
-    polygons: Sequence[ConvexPolygon],
-    tree_p: RTree,
-    domain: Rect,
-    use_phi_pruning: bool,
-    stats: FilterStats,
-) -> List[Tuple[int, Point]]:
-    """Kernel twin of the scalar loop in :func:`batch_conditional_filter`.
-
-    Traversal, counters and the admitted candidate list are byte-identical;
-    the inner work is restructured onto the :mod:`repro.geometry.kernels`
-    primitives — one vectorised distance/sort pass per examined point, a
-    single candidate-by-vertex matrix for the Lemma-3 test, and array SAT
-    for the target-hit tests.
-    """
-    from repro.geometry import kernels as gk
-
-    gk.require_numpy()
-    np = gk.np
-
-    group_center = centroid([polygon.centroid() for polygon in polygons])
-    target_mbrs = [polygon.bounding_rect() for polygon in polygons]
-    targets_mbr = Rect.union_all(target_mbrs)
-    target_arrays = [gk.polygon_to_array(polygon) for polygon in polygons]
-    # Per-target MBR bounds as arrays: one vectorised Rect.intersects
-    # replaces the per-target Python test.
-    t_xmin = np.array([r.xmin for r in target_mbrs])
-    t_ymin = np.array([r.ymin for r in target_mbrs])
-    t_xmax = np.array([r.xmax for r in target_mbrs])
-    t_ymax = np.array([r.ymax for r in target_mbrs])
-    # All target vertices, flattened, for the Lemma-3 distance matrix.
-    tvx = np.array([v.x for polygon in polygons for v in polygon.vertices])
-    tvy = np.array([v.y for polygon in polygons for v in polygon.vertices])
-    domain_ring = gk.ring_of_rect(domain)
-
-    candidates: List[Tuple[int, Point]] = []
-    # Candidate coordinates both as growing Python lists (cheap append) and
-    # as arrays, rebuilt only when an admission invalidated them.
-    cand_xs: List[float] = []
-    cand_ys: List[float] = []
-    arrays_stale = True
-    cx = cy = None
-
-    counter = itertools.count()
-    heap: List[tuple] = []
-
-    def push_node(node) -> None:
-        kind = _POINT if node.is_leaf else _CHILD
-        for entry in node.entries:
-            key = entry.mbr.mindist_point(group_center)
-            heapq.heappush(heap, (key, next(counter), kind, entry))
-
-    def approximate_cell_ring(px: float, py: float):
-        """Kernel ``_approximate_cell``: vectorised candidate ordering, then
-        the nearest-first Lemma-1 ring walk."""
-        if candidates:
-            dx = cx - px
-            dy = cy - py
-            d = np.sqrt(dx * dx + dy * dy)
-            keep = (cx != px) | (cy != py)
-            idx = np.flatnonzero(keep)
-            order = idx[np.argsort(d[idx], kind="stable")]
-            oxs = cx[order]
-            oys = cy[order]
-            ds = d[order].tolist()
-        else:
-            oxs = oys = ds = []
-        vdist = gk.ring_distances(domain_ring, px, py)
-        reach = 2.0 * max(vdist)
-        ring, _, _, _ = gk.refine_ring_nearest_first(
-            domain_ring, px, py, oxs, oys, ds, vdist, reach
-        )
-        return ring
-
-    def ring_hits_any_target(ring) -> bool:
-        """Kernel ``_polygon_hits_any_target`` (union MBR, per-target MBR
-        mask, then array SAT in target order)."""
-        if len(ring) < 3:
-            return False
-        rxs = [p[0] for p in ring]
-        rys = [p[1] for p in ring]
-        xmin = min(rxs)
-        ymin = min(rys)
-        xmax = max(rxs)
-        ymax = max(rys)
-        if (
-            xmax < targets_mbr.xmin
-            or targets_mbr.xmax < xmin
-            or ymax < targets_mbr.ymin
-            or targets_mbr.ymax < ymin
-        ):
-            return False
-        mask = gk.rects_intersect_mask(
-            t_xmin, t_ymin, t_xmax, t_ymax, xmin, ymin, xmax, ymax
-        )
-        if not mask.any():
-            return False
-        ring_arr = np.array(ring, dtype=np.float64)
-        for t in np.flatnonzero(mask):
-            if gk.sat_intersects(ring_arr, target_arrays[t], True):
-                return True
-        return False
-
-    def entry_overlaps_targets(mbr: Rect) -> bool:
-        """Kernel ``_entry_overlaps_targets``."""
-        if not mbr.intersects(targets_mbr):
-            return False
-        mask = gk.rects_intersect_mask(
-            t_xmin, t_ymin, t_xmax, t_ymax, mbr.xmin, mbr.ymin, mbr.xmax, mbr.ymax
-        )
-        if not mask.any():
-            return False
-        for t in np.flatnonzero(mask):
-            if gk.sat_intersects_rect(target_arrays[t], mbr):
-                return True
-        return False
-
-    def entry_pruned(mbr: Rect) -> bool:
-        """Kernel ``_entry_pruned``: the whole candidate-by-vertex Lemma-3
-        comparison as one matrix expression."""
-        if not candidates:
-            return False
-        md = gk.rect_mindist_to_points(
-            mbr.xmin, mbr.ymin, mbr.xmax, mbr.ymax, tvx, tvy
-        )
-        cdx = cx[:, None] - tvx[None, :]
-        cdy = cy[:, None] - tvy[None, :]
-        cd = np.sqrt(cdx * cdx + cdy * cdy)
-        return bool(np.any(np.all(cd <= md[None, :], axis=1)))
-
-    push_node(tree_p.read_node(tree_p.root_page))
-    while heap:
-        _, _, kind, entry = heapq.heappop(heap)
-        stats.heap_pops += 1
-        if kind == _POINT:
-            stats.points_examined += 1
-            point: Point = entry.payload
-            if arrays_stale:
-                cx = np.array(cand_xs)
-                cy = np.array(cand_ys)
-                arrays_stale = False
-            ring = approximate_cell_ring(point.x, point.y)
-            if ring_hits_any_target(ring):
-                candidates.append((entry.oid, point))
-                cand_xs.append(point.x)
-                cand_ys.append(point.y)
-                arrays_stale = True
-                stats.points_admitted += 1
-        else:
-            if entry_overlaps_targets(entry.mbr):
-                stats.entries_expanded += 1
-                push_node(tree_p.read_node(entry.child_page))
-                continue
-            if use_phi_pruning:
-                if arrays_stale:
-                    cx = np.array(cand_xs)
-                    cy = np.array(cand_ys)
-                    arrays_stale = False
-                if entry_pruned(entry.mbr):
-                    stats.entries_pruned_phi += 1
-                    continue
             stats.entries_expanded += 1
             push_node(tree_p.read_node(entry.child_page))
     return candidates

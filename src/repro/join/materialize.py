@@ -25,7 +25,6 @@ def materialize_voronoi_rtree(
     tag: str,
     strategy: str = "batch",
     stats: Optional[CellComputationStats] = None,
-    compute: str = "scalar",
 ) -> Tuple[RTree, int]:
     """Compute the Voronoi diagram of ``source_tree`` and index it.
 
@@ -43,10 +42,6 @@ def materialize_voronoi_rtree(
         or ``"iter"`` (Algorithm 1 per point).
     stats:
         Optional cell-computation work counters.
-    compute:
-        ``"scalar"`` or ``"kernel"`` inner loops for the batch cell
-        computations (byte-identical cells either way); only the
-        ``"batch"`` strategy is affected.
 
     Returns
     -------
@@ -56,9 +51,7 @@ def materialize_voronoi_rtree(
     voronoi_tree = RTree(source_tree.disk, tag, page_size=source_tree.page_size)
     loader = StreamingBulkLoader(voronoi_tree)
     count = 0
-    for cell in iter_diagram_cells(
-        source_tree, domain, strategy=strategy, stats=stats, compute=compute
-    ):
+    for cell in iter_diagram_cells(source_tree, domain, strategy=strategy, stats=stats):
         loader.append(
             LeafEntry.for_cell(cell.oid, cell.mbr(), cell, cell.vertex_count())
         )

@@ -53,7 +53,6 @@ def process_q_leaves(
     reuse_cells: bool = True,
     use_phi_pruning: bool = True,
     initial_reuse: Optional[Dict[int, VoronoiCell]] = None,
-    compute: str = "scalar",
     cell_cache: Optional[Dict[int, VoronoiCell]] = None,
 ) -> Tuple[List[Tuple[int, int]], Dict[int, VoronoiCell]]:
     """Run the NM-CIJ per-leaf pipeline over a sequence of ``R_Q`` leaves.
@@ -65,9 +64,6 @@ def process_q_leaves(
     produced pairs depend only on the leaves themselves, never on buffer
     state or the REUSE carry-over, so concatenating shard outputs in leaf
     order reproduces the serial pair list exactly.
-
-    ``compute`` selects the scalar (oracle) or vectorised-kernel inner
-    loops; pairs, stats and counters are byte-identical either way.
 
     ``initial_reuse`` seeds the REUSE buffer for the first leaf: the
     sharded executor's boundary handoff passes shard *k*'s final buffer
@@ -99,7 +95,7 @@ def process_q_leaves(
     for leaf in leaves:
         # (1) Voronoi cells of the Q points in this leaf.
         cells_q = compute_cells_for_leaf(
-            tree_q, leaf.entries, domain, stats=cell_stats, compute=compute
+            tree_q, leaf.entries, domain, stats=cell_stats
         )
         stats.cells_computed_q += len(cells_q)
 
@@ -111,7 +107,6 @@ def process_q_leaves(
             domain,
             use_phi_pruning=use_phi_pruning,
             stats=filter_stats,
-            compute=compute,
         )
         stats.filter_candidates += len(candidates)
 
@@ -135,7 +130,7 @@ def process_q_leaves(
             missing = still_missing
         if missing:
             computed = compute_voronoi_cells(
-                tree_p, missing, domain, stats=cell_stats, compute=compute
+                tree_p, missing, domain, stats=cell_stats
             )
             stats.cells_computed_p += len(computed)
             cells_p.update(computed)
@@ -148,22 +143,17 @@ def process_q_leaves(
         # the exclude-zero-area tie convention of the exact predicate, and
         # points on the boundary simply fall through to it.
         joined_candidates = set()
-        if compute == "kernel":
-            _report_pairs_kernel(
-                cells_q, candidates, cells_p, pairs, joined_candidates
-            )
-        else:
-            candidate_mbrs = {p_oid: cells_p[p_oid].mbr() for p_oid, _ in candidates}
-            for q_oid, cell_q in cells_q.items():
-                q_mbr = cell_q.mbr()
-                for p_oid, p_point in candidates:
-                    cell_p = cells_p[p_oid]
-                    if cell_q.polygon.contains_point_interior(p_point) or (
-                        candidate_mbrs[p_oid].intersects(q_mbr)
-                        and cell_p.intersects(cell_q)
-                    ):
-                        pairs.append((p_oid, q_oid))
-                        joined_candidates.add(p_oid)
+        candidate_mbrs = {p_oid: cells_p[p_oid].mbr() for p_oid, _ in candidates}
+        for q_oid, cell_q in cells_q.items():
+            q_mbr = cell_q.mbr()
+            for p_oid, p_point in candidates:
+                cell_p = cells_p[p_oid]
+                if cell_q.polygon.contains_point_interior(p_point) or (
+                    candidate_mbrs[p_oid].intersects(q_mbr)
+                    and cell_p.intersects(cell_q)
+                ):
+                    pairs.append((p_oid, q_oid))
+                    joined_candidates.add(p_oid)
         stats.filter_true_hits += len(joined_candidates)
 
         # The REUSE buffer is replaced by the cells of the current batch.
@@ -173,51 +163,6 @@ def process_q_leaves(
         stats.record_progress(accesses, len(pairs))
 
     return pairs, reuse_buffer
-
-
-def _report_pairs_kernel(
-    cells_q: Dict[int, VoronoiCell],
-    candidates: List[Tuple[int, "object"]],
-    cells_p: Dict[int, VoronoiCell],
-    pairs: List[Tuple[int, int]],
-    joined_candidates: set,
-) -> None:
-    """Kernel twin of the step-(4) pair loop.
-
-    Per target cell, one vectorised interior-containment test over all
-    candidate points and one vectorised MBR mask replace the per-candidate
-    Python predicates; the exact SAT predicate stays scalar (the cells are
-    ~6-vertex rings, where NumPy dispatch loses to tight Python) and runs
-    only for MBR-overlapping pairs, exactly like the scalar loop.  Pair
-    emission order (target-major, candidate order within a target) is
-    preserved.
-    """
-    if not candidates:
-        return
-    from repro.geometry import kernels as gk
-    from repro.geometry.tolerance import BOUNDARY_EPS
-
-    np = gk.np
-    cpx = np.array([p.x for _, p in candidates])
-    cpy = np.array([p.y for _, p in candidates])
-    cand_mbrs = [cells_p[p_oid].mbr() for p_oid, _ in candidates]
-    c_xmin = np.array([r.xmin for r in cand_mbrs])
-    c_ymin = np.array([r.ymin for r in cand_mbrs])
-    c_xmax = np.array([r.xmax for r in cand_mbrs])
-    c_ymax = np.array([r.ymax for r in cand_mbrs])
-    for q_oid, cell_q in cells_q.items():
-        q_mbr = cell_q.mbr()
-        q_arr = gk.polygon_to_array(cell_q.polygon)
-        contained = gk.points_in_polygon(q_arr, cpx, cpy, BOUNDARY_EPS)
-        overlap = gk.rects_intersect_mask(
-            c_xmin, c_ymin, c_xmax, c_ymax,
-            q_mbr.xmin, q_mbr.ymin, q_mbr.xmax, q_mbr.ymax,
-        )
-        for i in np.flatnonzero(contained | overlap):
-            p_oid = candidates[i][0]
-            if contained[i] or cells_p[p_oid].intersects(cell_q):
-                pairs.append((p_oid, q_oid))
-                joined_candidates.add(p_oid)
 
 
 def nm_cij(

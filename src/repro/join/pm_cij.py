@@ -34,7 +34,6 @@ def probe_q_leaves(
     stats: JoinStats,
     cell_stats: CellComputationStats,
     start_counters: IOCounters,
-    compute: str = "scalar",
 ) -> List[Tuple[int, int]]:
     """Run the PM-CIJ probe pipeline over a sequence of ``R_Q`` leaves.
 
@@ -42,65 +41,29 @@ def probe_q_leaves(
     ``R'_P`` is probed with one range query enclosing the whole batch, as
     prescribed by Algorithm 4.  The output depends only on the leaves and
     the materialised diagram, so shard outputs concatenated in leaf order
-    reproduce the serial pair list exactly.  ``compute`` selects the scalar
-    (oracle) or vectorised-kernel inner loops; pairs, stats and counters
-    are byte-identical either way.
+    reproduce the serial pair list exactly.
     """
     disk = tree_q.disk
     pairs: List[Tuple[int, int]] = []
     for leaf in leaves:
         cells_q = compute_cells_for_leaf(
-            tree_q, leaf.entries, domain, stats=cell_stats, compute=compute
+            tree_q, leaf.entries, domain, stats=cell_stats
         )
         stats.cells_computed_q += len(cells_q)
         # One range query whose region encloses all Voronoi cells of the
         # batch, as prescribed by Algorithm 4.
         batch_region = Rect.union_all(cell.mbr() for cell in cells_q.values())
         tree_p_candidates = voronoi_p.range_search(batch_region)
-        if compute == "kernel":
-            _probe_pairs_kernel(cells_q, tree_p_candidates, pairs)
-        else:
-            for cell_q in cells_q.values():
-                cell_q_mbr = cell_q.mbr()
-                for entry_p in tree_p_candidates:
-                    if not entry_p.mbr.intersects(cell_q_mbr):
-                        continue
-                    if entry_p.payload.intersects(cell_q):
-                        pairs.append((entry_p.oid, cell_q.oid))
+        for cell_q in cells_q.values():
+            cell_q_mbr = cell_q.mbr()
+            for entry_p in tree_p_candidates:
+                if not entry_p.mbr.intersects(cell_q_mbr):
+                    continue
+                if entry_p.payload.intersects(cell_q):
+                    pairs.append((entry_p.oid, cell_q.oid))
         accesses = disk.counters.diff(start_counters).page_accesses
         stats.record_progress(accesses, len(pairs))
     return pairs
-
-
-def _probe_pairs_kernel(cells_q, tree_p_candidates, pairs) -> None:
-    """Kernel twin of the probe pair loop.
-
-    One vectorised MBR mask per target cell replaces the per-candidate
-    ``Rect.intersects`` calls; the exact SAT predicate stays scalar and
-    runs only for the flagged candidates, in candidate order, so pair
-    emission matches the scalar loop exactly.  (Keeping the SAT scalar is
-    deliberate: the candidate polygons are ~6-vertex rings, where NumPy's
-    per-call dispatch costs more than the tight Python predicate.)
-    """
-    if not tree_p_candidates:
-        return
-    from repro.geometry import kernels as gk
-
-    np = gk.np
-    c_xmin = np.array([e.mbr.xmin for e in tree_p_candidates])
-    c_ymin = np.array([e.mbr.ymin for e in tree_p_candidates])
-    c_xmax = np.array([e.mbr.xmax for e in tree_p_candidates])
-    c_ymax = np.array([e.mbr.ymax for e in tree_p_candidates])
-    for cell_q in cells_q.values():
-        q_mbr = cell_q.mbr()
-        overlap = gk.rects_intersect_mask(
-            c_xmin, c_ymin, c_xmax, c_ymax,
-            q_mbr.xmin, q_mbr.ymin, q_mbr.xmax, q_mbr.ymax,
-        )
-        for i in np.flatnonzero(overlap):
-            entry_p = tree_p_candidates[i]
-            if entry_p.payload.intersects(cell_q):
-                pairs.append((entry_p.oid, cell_q.oid))
 
 
 def pm_cij(

@@ -6,6 +6,12 @@ interleaved with its responses.  The client runs one reader task that
 routes incoming lines by shape — objects with an ``event`` key go to the
 event queue, everything else is the next pending response — so callers
 get a simple awaitable request/response API plus an event stream.
+
+Lines up to ``MAX_LINE_BYTES`` are accepted.  When the reader task stops
+(the server closed the connection, a line was too long or not JSON, the
+client was closed), every pending and later :meth:`ServiceClient.request`
+and :meth:`ServiceClient.next_event` raises a :class:`ServiceError` with
+code ``disconnected`` instead of waiting for a line that cannot come.
 """
 
 from __future__ import annotations
@@ -14,7 +20,7 @@ import asyncio
 import json
 from typing import Any, Dict, List, Optional
 
-from repro.service.protocol import ServiceError, encode_line
+from repro.service.protocol import MAX_LINE_BYTES, ServiceError, encode_line
 
 
 class ServiceClient:
@@ -31,15 +37,22 @@ class ServiceClient:
 
     @classmethod
     async def connect(cls, host: str, port: int) -> "ServiceClient":
-        reader, writer = await asyncio.open_connection(host, port)
+        reader, writer = await asyncio.open_connection(
+            host, port, limit=MAX_LINE_BYTES
+        )
         client = cls(reader, writer)
         client._reader_task = asyncio.ensure_future(client._read_loop())
-        client.hello = await client.events.get()
+        try:
+            client.hello = await _take(client.events)
+        except ServiceError:
+            await client.close()
+            raise
         if client.hello.get("event") != "hello":
             raise ServiceError(f"expected a hello event, got {client.hello!r}")
         return client
 
     async def _read_loop(self) -> None:
+        reason = "the service closed the connection"
         try:
             while True:
                 line = await self._reader.readline()
@@ -50,8 +63,19 @@ class ServiceClient:
                     self.events.put_nowait(payload)
                 else:
                     self._responses.put_nowait(payload)
-        except (ConnectionResetError, asyncio.CancelledError):
-            pass
+        except asyncio.CancelledError:
+            reason = "the client is closed"
+            raise
+        except ValueError as error:  # a line over the limit, or not JSON
+            reason = f"unreadable line from the service: {error}"
+        except OSError as error:
+            reason = f"connection error: {error}"
+        finally:
+            # Wake every waiter: the failure is queued behind the lines
+            # already received, so those are still delivered in order.
+            failure = ServiceError(reason, code="disconnected")
+            self._responses.put_nowait(failure)
+            self.events.put_nowait(failure)
 
     # ------------------------------------------------------------------
     async def request(self, payload: Dict[str, Any]) -> Dict[str, Any]:
@@ -60,7 +84,7 @@ class ServiceClient:
             raise ServiceError("the client is closed")
         self._writer.write(encode_line(payload))
         await self._writer.drain()
-        return await self._responses.get()
+        return await _take(self._responses)
 
     async def request_ok(self, payload: Dict[str, Any]) -> Dict[str, Any]:
         """Like :meth:`request` but raises on a structured failure."""
@@ -75,7 +99,7 @@ class ServiceClient:
 
     async def next_event(self, timeout: float = 5.0) -> Dict[str, Any]:
         """The next ``delta`` (or other) event line on this connection."""
-        return await asyncio.wait_for(self.events.get(), timeout)
+        return await asyncio.wait_for(_take(self.events), timeout)
 
     # ------------------------------------------------------------------
     # convenience wrappers
@@ -120,3 +144,15 @@ class ServiceClient:
 
     async def __aexit__(self, exc_type, exc, tb) -> None:
         await self.close()
+
+
+async def _take(queue: "asyncio.Queue") -> Dict[str, Any]:
+    """The next line from ``queue``, or the reader's failure raised.
+
+    The failure is put back so that every later waiter fails too.
+    """
+    item = await queue.get()
+    if isinstance(item, ServiceError):
+        queue.put_nowait(item)
+        raise item
+    return item

@@ -41,6 +41,7 @@ from repro.dynamic.maintenance import DynamicJoinSession
 from repro.dynamic.updates import UpdateStreamError, parse_update_stream
 from repro.geometry.rect import Rect
 from repro.service.protocol import (
+    MAX_LINE_BYTES,
     PROTOCOL_VERSION,
     REQUEST_OPS,
     ServiceError,
@@ -248,7 +249,9 @@ class JoinService:
                 state.close()
             self.datasets.clear()
             raise
-        self._server = await asyncio.start_server(self._handle_client, host, port)
+        self._server = await asyncio.start_server(
+            self._handle_client, host, port, limit=MAX_LINE_BYTES
+        )
         sockname = self._server.sockets[0].getsockname()
         return sockname[0], sockname[1]
 
@@ -282,14 +285,19 @@ class JoinService:
         try:
             while True:
                 try:
-                    line = await reader.readline()
+                    line = await _read_request_line(reader)
                 except (ConnectionResetError, asyncio.IncompleteReadError):
                     break
-                if not line:
-                    break
-                if line.strip() == b"":
-                    continue
-                response = await self._respond(line, writer)
+                except ServiceError as error:
+                    # An over-limit line, already skipped: the connection
+                    # stays usable for the next request.
+                    response = error_response(None, error.code, str(error))
+                else:
+                    if not line:
+                        break
+                    if line.strip() == b"":
+                        continue
+                    response = await self._respond(line, writer)
                 try:
                     writer.write(encode_line(response))
                     await writer.drain()
@@ -404,6 +412,33 @@ class JoinService:
     def _drop_subscriber(self, writer: asyncio.StreamWriter) -> None:
         for state in self.datasets.values():
             state.subscribers.discard(writer)
+
+
+async def _read_request_line(reader: asyncio.StreamReader) -> bytes:
+    """The next request line (``b""`` at end of stream).
+
+    A line longer than the reader's ``MAX_LINE_BYTES`` limit is read to
+    its end and dropped, then reported as a ``bad_request``.
+    """
+    try:
+        return await reader.readuntil(b"\n")
+    except asyncio.IncompleteReadError as error:
+        return error.partial  # the stream ended inside an unterminated line
+    except asyncio.LimitOverrunError as error:
+        consumed = error.consumed
+    while True:
+        # The buffer still holds the oversized prefix; drop it chunk by
+        # chunk until the terminating newline is within the limit.
+        await reader.readexactly(consumed)
+        try:
+            await reader.readuntil(b"\n")
+        except asyncio.LimitOverrunError as error:
+            consumed = error.consumed
+        else:
+            break
+    raise ServiceError(
+        f"request line exceeds {MAX_LINE_BYTES} bytes", code="bad_request"
+    )
 
 
 def _parse_window(raw: Any) -> Rect:

@@ -209,13 +209,10 @@ class PrefetchScheduler:
             # page's simulated service was already queued at request time —
             # reuse that slot instead of charging the disk twice.
             return self._fetch_sync(page_id, ready_at=ready_at)
-        now = self.clock.now()
-        if now < ready_at:
-            # The simulated service time has not fully elapsed: the read
-            # stalls for the remainder, and only the part that computation
-            # already covered counts as hidden.
-            self.clock.sleep(ready_at - now)
-        waited = self.clock.now() - start
+        # If the simulated service time has not fully elapsed, the read
+        # stalls for the remainder, and only the part that computation
+        # already covered counts as hidden.
+        waited = self._wait_for_service(start, ready_at)
         self.stats.prefetch_hits += 1
         self.stats.stall_time += waited
         self.stats.overlap_time += max(0.0, self.latency - waited)
@@ -232,12 +229,29 @@ class PrefetchScheduler:
             # here) passes its ``ready_at`` instead of queueing again.
             if ready_at is None:
                 ready_at = self._schedule_service()
-            remaining = ready_at - self.clock.now()
-            if remaining > 0:
-                self.clock.sleep(remaining)
+            stalled = self._wait_for_service(start, ready_at)
+        else:
+            stalled = self.clock.now() - start
         self.stats.sync_fetches += 1
-        self.stats.stall_time += self.clock.now() - start
+        self.stats.stall_time += stalled
         return record
+
+    def _wait_for_service(self, start: float, ready_at: float) -> float:
+        """Block until the simulated service ending at ``ready_at`` is done.
+
+        Returns the stall since ``start``.  A caller still ahead of
+        ``ready_at`` sleeps the remainder and is charged up to ``ready_at``
+        exactly: how late the host's timer wakes it afterwards is scheduler
+        noise, not disk service, and charging it would let a single
+        preempted sleep outweigh the latency that prefetching hides.  A
+        caller already past ``ready_at`` (real backend work took longer) is
+        charged the time it actually spent.
+        """
+        now = self.clock.now()
+        if now >= ready_at:
+            return now - start
+        self.clock.sleep(ready_at - now)
+        return ready_at - start
 
     # ------------------------------------------------------------------
     # lifecycle

@@ -101,7 +101,6 @@ def compute_voronoi_cells(
     group: Sequence[Tuple[int, Point]],
     domain: Rect,
     stats: Optional[CellComputationStats] = None,
-    compute: str = "scalar",
 ) -> Dict[int, VoronoiCell]:
     """Compute the exact Voronoi cells of every ``(oid, point)`` in ``group``.
 
@@ -118,22 +117,12 @@ def compute_voronoi_cells(
         Space domain ``U`` that bounds every cell.
     stats:
         Optional shared work counters.
-    compute:
-        ``"scalar"`` (pure-Python inner loops, the oracle) or ``"kernel"``
-        (vectorised NumPy inner loops; byte-identical cells and counters,
-        requires NumPy).
 
     Returns
     -------
     dict
         Mapping from oid to the exact :class:`VoronoiCell`.
     """
-    if compute == "kernel":
-        from repro.voronoi.batch_kernels import compute_voronoi_cells_kernel
-
-        return compute_voronoi_cells_kernel(tree, group, domain, stats=stats)
-    if compute != "scalar":
-        raise ValueError(f"unknown compute mode: {compute!r}")
     members = list(group)
     if not members:
         raise ValueError("BatchVoronoi requires a non-empty group")
@@ -241,11 +230,10 @@ def compute_cells_for_leaf(
     leaf_entries: Iterable[LeafEntry],
     domain: Rect,
     stats: Optional[CellComputationStats] = None,
-    compute: str = "scalar",
 ) -> Dict[int, VoronoiCell]:
     """Convenience wrapper: BatchVoronoi over the points of one leaf node."""
     group = [(entry.oid, entry.payload) for entry in leaf_entries]
-    return compute_voronoi_cells(tree, group, domain, stats=stats, compute=compute)
+    return compute_voronoi_cells(tree, group, domain, stats=stats)
 
 
 def _is_group_entry(entry: LeafEntry, states: Dict[int, "_MemberState"]) -> bool:

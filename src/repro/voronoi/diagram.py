@@ -91,7 +91,6 @@ def compute_voronoi_diagram(
     strategy: str = "batch",
     leaf_order: str = "hilbert",
     stats: Optional[CellComputationStats] = None,
-    compute: str = "scalar",
 ) -> VoronoiDiagram:
     """Build the full Voronoi diagram of an R-tree-indexed pointset.
 
@@ -109,10 +108,6 @@ def compute_voronoi_diagram(
         ``"dfs"``); Hilbert order keeps consecutive groups spatially close.
     stats:
         Optional shared work counters.
-    compute:
-        ``"scalar"`` or ``"kernel"`` inner loops for the batch cell
-        computations (byte-identical cells either way); the ``"iter"``
-        strategy always runs scalar.
     """
     if strategy not in ("batch", "iter"):
         raise ValueError(f"unknown diagram strategy: {strategy!r}")
@@ -120,9 +115,7 @@ def compute_voronoi_diagram(
     stats = stats if stats is not None else CellComputationStats()
     for leaf in tree.iter_leaf_nodes(order=leaf_order):
         if strategy == "batch":
-            cells = compute_cells_for_leaf(
-                tree, leaf.entries, domain, stats=stats, compute=compute
-            )
+            cells = compute_cells_for_leaf(tree, leaf.entries, domain, stats=stats)
             for cell in cells.values():
                 diagram.add(cell)
         else:
@@ -140,23 +133,19 @@ def iter_diagram_cells(
     strategy: str = "batch",
     leaf_order: str = "hilbert",
     stats: Optional[CellComputationStats] = None,
-    compute: str = "scalar",
 ) -> Iterator[VoronoiCell]:
     """Stream the cells of the diagram leaf-group by leaf-group.
 
     FM-CIJ and PM-CIJ consume the cells in this order and pack them straight
     into the bulk loader, so the full diagram never needs to be held in
-    memory at once.  ``compute`` selects the scalar or kernel inner loops
-    for the batch cell computations (byte-identical cells either way).
+    memory at once.
     """
     if strategy not in ("batch", "iter"):
         raise ValueError(f"unknown diagram strategy: {strategy!r}")
     stats = stats if stats is not None else CellComputationStats()
     for leaf in tree.iter_leaf_nodes(order=leaf_order):
         if strategy == "batch":
-            cells = compute_cells_for_leaf(
-                tree, leaf.entries, domain, stats=stats, compute=compute
-            )
+            cells = compute_cells_for_leaf(tree, leaf.entries, domain, stats=stats)
             for cell in cells.values():
                 yield cell
         else:

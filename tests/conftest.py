@@ -70,6 +70,32 @@ def distinct_pointsets(min_size: int = 2, max_size: int = 12):
     )
 
 
+def near_colinear_pointsets(min_size: int = 2, max_size: int = 10):
+    """Distinct sites within 1e-6 of the horizontal line y = 5000.
+
+    Every bisector is then a near-vertical line almost parallel to its
+    neighbours', the worst case for rounding in bisector clipping.  The
+    x coordinates keep the grid separation of :func:`distinct_pointsets`;
+    a zero jitter makes the sites exactly colinear.
+    """
+    jitter = st.floats(min_value=-1e-6, max_value=1e-6, allow_nan=False)
+    return st.lists(
+        st.tuples(st.integers(min_value=0, max_value=40_000), jitter),
+        min_size=min_size,
+        max_size=max_size,
+        unique_by=lambda pair: pair[0],
+    ).map(lambda pairs: [Point(ix * 0.25, 5000.0 + dy) for ix, dy in pairs])
+
+
+#: Parametrizes a ``@given(data=st.data())`` test over both site-set
+#: strategies; the test draws ``data.draw(pointsets(min_size=..., ...))``.
+site_set_strategies = pytest.mark.parametrize(
+    "pointsets",
+    [distinct_pointsets, near_colinear_pointsets],
+    ids=["grid", "near-colinear"],
+)
+
+
 # ----------------------------------------------------------------------
 # fixtures
 # ----------------------------------------------------------------------

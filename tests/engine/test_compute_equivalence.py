@@ -1,37 +1,38 @@
-"""Engine equivalence between the scalar and the kernel compute modes.
+"""The scalar geometry path is the only compute path, and it needs no NumPy.
 
-``compute="kernel"`` re-implements the CIJ hot loops on NumPy arrays; the
-scalar path is the oracle.  The kernels are written for *bit-identical*
-floats, so the contract is strict byte-equality — the pair list in order,
-every logical ``JoinStats`` counter, the Voronoi work counters and the
-filter-phase counters — across algorithms, storage backends and executors.
+The join algorithms run on pure-Python geometry; the brute-force oracle
+(:mod:`repro.join.baseline`) is the reference.  ``test_storage_equivalence.py``
+pins pairs and ``JoinStats`` across backends and executors; what stays here
+is what it does not check:
+
+* the Voronoi and filter *work* counters (``CellComputationStats``,
+  ``FilterStats``) on every backend and on the sharded executor, next to
+  oracle agreement of each NM/PM/FM run;
+* the NM-CIJ ablations (no REUSE buffer, no Lemma-3 pruning) on the serial
+  and the sharded executor, which must still produce exactly the oracle's
+  pairs;
+* the removed compute tier stays removed: no ``compute=`` option, no
+  ``$REPRO_COMPUTE`` switch, and importing the package and its entry points
+  never loads NumPy.
 """
 
 from __future__ import annotations
 
+import os
+import subprocess
+import sys
+
 import pytest
 
-pytest.importorskip("numpy")
-
+import repro
 from repro.datasets.synthetic import uniform_points
+from repro.engine.config import EngineConfig
 from repro.experiments.drivers.common import run_cij
 from repro.join.result import CIJResult
 from repro.storage.backends import STORAGE_BACKENDS
-from tests.engine.test_storage_equivalence import stats_fingerprint
 
 POINTS_P = uniform_points(240, seed=3)
 POINTS_Q = uniform_points(210, seed=11)
-
-
-def run_mode(compute: str, algorithm: str, backend: str = "memory", **overrides):
-    return run_cij(
-        algorithm,
-        POINTS_P,
-        POINTS_Q,
-        storage=backend,
-        compute=compute,
-        **overrides,
-    )
 
 
 def work_fingerprint(result: CIJResult) -> dict:
@@ -44,62 +45,108 @@ def work_fingerprint(result: CIJResult) -> dict:
     return fingerprint
 
 
-def assert_byte_identical(kernel: CIJResult, scalar: CIJResult, label: str):
-    assert kernel.pairs == scalar.pairs, label
-    assert stats_fingerprint(kernel) == stats_fingerprint(scalar), label
-    assert work_fingerprint(kernel) == work_fingerprint(scalar), label
+@pytest.fixture(scope="module")
+def oracle_pairs():
+    return set(run_cij("brute", POINTS_P, POINTS_Q, storage="memory").pairs)
 
 
-class TestKernelScalarEquivalence:
+@pytest.fixture(scope="module")
+def memory_runs():
+    """Serial in-memory run per algorithm, computed once per module."""
+    cache = {}
+
+    def get(algorithm: str) -> CIJResult:
+        if algorithm not in cache:
+            cache[algorithm] = run_cij(
+                algorithm, POINTS_P, POINTS_Q, storage="memory"
+            )
+        return cache[algorithm]
+
+    return get
+
+
+class TestScalarMatchesOracle:
     @pytest.mark.parametrize("algorithm", ["nm", "pm", "fm"])
     @pytest.mark.parametrize("backend", list(STORAGE_BACKENDS))
-    def test_serial_runs_identical_on_every_backend(self, backend, algorithm):
-        scalar = run_mode("scalar", algorithm, backend)
-        kernel = run_mode("kernel", algorithm, backend)
-        assert_byte_identical(kernel, scalar, f"{algorithm}/{backend}")
+    def test_serial_runs_match_oracle_on_every_backend(
+        self, oracle_pairs, memory_runs, backend, algorithm
+    ):
+        result = run_cij(algorithm, POINTS_P, POINTS_Q, storage=backend)
+        assert set(result.pairs) == oracle_pairs
+        assert work_fingerprint(result) == work_fingerprint(memory_runs(algorithm))
 
     @pytest.mark.parametrize("algorithm", ["nm", "pm", "fm"])
-    def test_sharded_runs_identical(self, algorithm):
-        scalar = run_mode("scalar", algorithm, executor="sharded", workers=3)
-        kernel = run_mode("kernel", algorithm, executor="sharded", workers=3)
-        assert_byte_identical(kernel, scalar, algorithm)
-
-    def test_reuse_disabled_variant_identical(self):
-        """The NO-REUSE ablation exercises the kernel refinement path for
-        every candidate instead of the buffer: still byte-identical."""
-        scalar = run_mode("scalar", "nm", reuse_cells=False)
-        kernel = run_mode("kernel", "nm", reuse_cells=False)
-        assert_byte_identical(kernel, scalar, "nm/no-reuse")
-
-    def test_phi_pruning_disabled_variant_identical(self):
-        scalar = run_mode("scalar", "nm", use_phi_pruning=False)
-        kernel = run_mode("kernel", "nm", use_phi_pruning=False)
-        assert_byte_identical(kernel, scalar, "nm/no-phi")
-
-    def test_kernel_matches_brute_oracle(self):
-        oracle = set(run_mode("scalar", "brute").pairs)
-        for algorithm in ("nm", "pm", "fm"):
-            assert set(run_mode("kernel", algorithm).pairs) == oracle, algorithm
+    def test_sharded_runs_match_oracle(self, oracle_pairs, memory_runs, algorithm):
+        """With the shard-boundary REUSE handoff the sharded executor
+        repeats the serial run's cell work exactly, not just its pairs."""
+        result = run_cij(
+            algorithm,
+            POINTS_P,
+            POINTS_Q,
+            storage="memory",
+            executor="sharded",
+            workers=3,
+            reuse_handoff="always",
+        )
+        assert set(result.pairs) == oracle_pairs
+        assert work_fingerprint(result) == work_fingerprint(memory_runs(algorithm))
 
 
-class TestComputeModeResolution:
-    def test_env_default_selects_kernel(self, monkeypatch):
-        from repro.geometry.kernels import default_compute_mode
+class TestAblationsMatchOracle:
+    @pytest.mark.parametrize(
+        "ablation",
+        [{"reuse_cells": False}, {"use_phi_pruning": False}],
+        ids=["no-reuse", "no-phi"],
+    )
+    @pytest.mark.parametrize(
+        "execution",
+        [{}, {"executor": "sharded", "workers": 3}],
+        ids=["serial", "sharded"],
+    )
+    def test_nm_ablation_matches_brute_oracle(
+        self, oracle_pairs, ablation, execution
+    ):
+        result = run_cij("nm", POINTS_P, POINTS_Q, **ablation, **execution)
+        assert set(result.pairs) == oracle_pairs
+        reference = run_cij("nm", POINTS_P, POINTS_Q, **execution)
+        assert result.pairs == reference.pairs
 
-        monkeypatch.setenv("REPRO_COMPUTE", "kernel")
-        assert default_compute_mode() == "kernel"
-        monkeypatch.setenv("REPRO_COMPUTE", "bogus")
-        with pytest.raises(ValueError):
-            default_compute_mode()
 
-    def test_engine_config_rejects_unknown_mode(self):
-        from repro.engine.config import EngineConfig
+class TestComputeTierRemoved:
+    def test_engine_config_has_no_compute_field(self):
+        with pytest.raises(TypeError):
+            EngineConfig(compute="scalar")
 
-        with pytest.raises(ValueError):
-            EngineConfig(compute="simd")
+    def test_common_influence_join_has_no_compute_option(self):
+        with pytest.raises(TypeError):
+            repro.common_influence_join(
+                POINTS_P[:20], POINTS_Q[:20], compute="scalar"
+            )
 
-    def test_env_driven_run_matches_explicit_kernel(self, monkeypatch):
-        explicit = run_mode("kernel", "nm")
-        monkeypatch.setenv("REPRO_COMPUTE", "kernel")
-        env_driven = run_cij("nm", POINTS_P, POINTS_Q, storage="memory")
-        assert_byte_identical(env_driven, explicit, "env-driven")
+    def test_repro_compute_variable_is_ignored(self, monkeypatch, memory_runs):
+        """A value the old switch rejected loudly now changes nothing."""
+        monkeypatch.setenv("REPRO_COMPUTE", "kernel-or-bogus")
+        result = run_cij("nm", POINTS_P, POINTS_Q, storage="memory")
+        reference = memory_runs("nm")
+        assert result.pairs == reference.pairs
+        assert work_fingerprint(result) == work_fingerprint(reference)
+
+
+def test_entry_points_do_not_import_numpy():
+    src = os.path.dirname(os.path.dirname(os.path.abspath(repro.__file__)))
+    env = dict(os.environ)
+    env["PYTHONPATH"] = src + os.pathsep + env.get("PYTHONPATH", "")
+    code = (
+        "import sys\n"
+        "import repro, repro.engine, repro.cli, repro.service\n"
+        "loaded = sorted(m for m in sys.modules if m.split('.')[0] == 'numpy')\n"
+        "assert not loaded, loaded[:5]\n"
+    )
+    completed = subprocess.run(
+        [sys.executable, "-c", code],
+        env=env,
+        capture_output=True,
+        text=True,
+        timeout=60,
+    )
+    assert completed.returncode == 0, completed.stderr

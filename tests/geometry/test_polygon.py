@@ -6,6 +6,7 @@ from repro.geometry.halfplane import Halfplane, bisector_halfplane
 from repro.geometry.point import Point
 from repro.geometry.polygon import ConvexPolygon
 from repro.geometry.rect import Rect
+from repro.geometry.tolerance import BOUNDARY_EPS
 
 UNIT_SQUARE = Rect(0.0, 0.0, 10.0, 10.0)
 
@@ -89,15 +90,40 @@ class TestClipping:
         assert clipped.area() == pytest.approx(50.0)
         assert clipped.bounding_rect() == Rect(0, 0, 5, 10)
 
-    def test_clip_by_non_cutting_halfplane_is_identity(self):
+    @pytest.mark.parametrize(
+        "halfplane",
+        [
+            Halfplane(1.0, 0.0, 50.0),  # x <= 50
+            # Zero normal (the bisector of coincident sites has none): the
+            # tolerance falls back to the coefficient scale and 0 <= c keeps
+            # the whole ring.
+            Halfplane(0.0, 0.0, 0.0),
+            Halfplane(0.0, 0.0, 5.0),
+        ],
+        ids=["far-boundary", "zero-normal-c0", "zero-normal-c5"],
+    )
+    def test_clip_by_non_cutting_halfplane_is_identity(self, halfplane):
         square = ConvexPolygon.from_rect(UNIT_SQUARE)
-        clipped = square.clip_halfplane(Halfplane(1.0, 0.0, 50.0))  # x <= 50
+        clipped = square.clip_halfplane(halfplane)
         assert clipped.vertices == square.vertices
 
-    def test_clip_away_everything_gives_empty(self):
+    @pytest.mark.parametrize(
+        "halfplane",
+        [
+            Halfplane(1.0, 0.0, -5.0),  # x <= -5: the whole square is outside
+            # x + y <= 0 touches the square in the single corner (0, 0).
+            Halfplane(1.0, 1.0, 0.0),
+            # x <= eps/2 keeps a sliver thinner than the boundary tolerance.
+            Halfplane(1.0, 0.0, BOUNDARY_EPS / 2.0),
+            Halfplane(0.0, 0.0, -1.0),  # zero normal, 0 <= -1 never holds
+        ],
+        ids=["fully-excluded", "single-vertex", "sub-tolerance", "zero-normal"],
+    )
+    def test_clip_away_everything_gives_empty(self, halfplane):
         square = ConvexPolygon.from_rect(UNIT_SQUARE)
-        clipped = square.clip_halfplane(Halfplane(1.0, 0.0, -5.0))  # x <= -5
+        clipped = square.clip_halfplane(halfplane)
         assert clipped.is_empty()
+        assert clipped.vertices == ()
 
     def test_clip_empty_polygon_stays_empty(self):
         assert ConvexPolygon.empty().clip_halfplane(Halfplane(1.0, 0.0, 5.0)).is_empty()

@@ -2,11 +2,17 @@
 
 import pytest
 from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.geometry.halfplane import bisector_halfplane
 from repro.geometry.polygon import ConvexPolygon
 from repro.geometry.rect import Rect
-from tests.conftest import distinct_pointsets, points_strategy
+from tests.conftest import (
+    distinct_pointsets,
+    near_colinear_pointsets,
+    points_strategy,
+    site_set_strategies,
+)
 
 DOMAIN = Rect(0.0, 0.0, 10_000.0, 10_000.0)
 
@@ -37,15 +43,19 @@ class TestClippingProperties:
             assert area <= previous_area + 1e-6
             previous_area = area
 
-    @given(distinct_pointsets(min_size=2, max_size=8))
+    @site_set_strategies
+    @given(data=st.data())
     @settings(max_examples=60, deadline=None)
-    def test_voronoi_cell_contains_its_site(self, sites):
+    def test_voronoi_cell_contains_its_site(self, pointsets, data):
+        sites = data.draw(pointsets(min_size=2, max_size=8))
         for site, polygon in cells_from_sites(sites):
             assert polygon.contains_point(site, eps=1e-6)
 
-    @given(distinct_pointsets(min_size=2, max_size=7))
+    @site_set_strategies
+    @given(data=st.data())
     @settings(max_examples=40, deadline=None)
-    def test_voronoi_cells_tile_the_domain(self, sites):
+    def test_voronoi_cells_tile_the_domain(self, pointsets, data):
+        sites = data.draw(pointsets(min_size=2, max_size=7))
         cells = cells_from_sites(sites)
         total = sum(polygon.area() for _, polygon in cells)
         assert total == pytest.approx(DOMAIN.area(), rel=1e-6)
@@ -64,6 +74,43 @@ class TestClippingProperties:
                     assert distance == pytest.approx(nearest, abs=1e-3)
             elif distance == nearest:
                 assert polygon.contains_point(probe, eps=1e-6)
+
+
+class TestNearColinearProperties:
+    """Sites within 1e-6 of one line: near-parallel bisectors."""
+
+    @given(near_colinear_pointsets(min_size=2, max_size=8))
+    @settings(max_examples=60, deadline=None)
+    def test_bisector_clip_keeps_the_near_side(self, sites):
+        square = ConvexPolygon.from_rect(DOMAIN)
+        for p in sites[:2]:
+            for q in sites:
+                if q is p:
+                    continue
+                clipped = square.clip_halfplane(bisector_halfplane(p, q))
+                assert clipped.contains_point(p)
+                assert not clipped.contains_point(q)
+                for v in clipped.vertices:
+                    assert v.distance_to(p) <= v.distance_to(q) + 1e-6
+
+    @given(near_colinear_pointsets(min_size=3, max_size=8))
+    @settings(max_examples=40, deadline=None)
+    def test_interior_containment_is_stricter_than_closed(self, sites):
+        """Probes on and near the cell borders: the strict test implies the
+        closed one, vertices are on the boundary, and no site other than
+        the cell's own lies strictly inside."""
+        cells = cells_from_sites(sites)
+        for site, polygon in cells:
+            probes = list(sites) + list(polygon.vertices)
+            for probe in probes:
+                if polygon.contains_point_interior(probe):
+                    assert polygon.contains_point(probe)
+            for v in polygon.vertices:
+                assert polygon.contains_point(v)
+                assert not polygon.contains_point_interior(v)
+            for other in sites:
+                if other is not site:
+                    assert not polygon.contains_point_interior(other)
 
 
 class TestIntersectionProperties:

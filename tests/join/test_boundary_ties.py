@@ -18,6 +18,7 @@ ROADMAP and the predicate-level behaviour.
 import pytest
 
 from repro import common_influence_join
+from repro.geometry.halfplane import bisector_halfplane
 from repro.geometry.point import Point
 from repro.geometry.polygon import ConvexPolygon
 from repro.geometry.rect import Rect
@@ -29,6 +30,9 @@ from repro.voronoi.diagram import brute_force_diagram
 POINTS_P = [Point(0.0, 0.0), Point(407.25, 0.0)]
 POINTS_Q = [Point(37.5, 67.0), Point(66.5, 50.0), Point(340.75, 50.0)]
 DOMAIN = Rect(0.0, 0.0, 10_000.0, 10_000.0)
+
+#: The data-tight domain of the pinned input.
+TIGHT_DOMAIN = Rect(0.0, 0.0, 407.25, 67.0)
 
 #: Under the exclude convention the colinear contacts (P0, Q2) and (P1, Q1)
 #: — both zero-area segments on x = 203.625 — are not join pairs.
@@ -48,6 +52,18 @@ class TestPinnedDegenerateInput:
             )
             assert region.area() == 0.0
 
+    @pytest.mark.parametrize(
+        "p, q",
+        [(POINTS_P[0], POINTS_P[1]), (POINTS_Q[1], POINTS_Q[2])],
+        ids=["P0-P1", "Q1-Q2"],
+    )
+    def test_both_bisectors_clip_exactly_on_the_shared_line(self, p, q):
+        """Each clip keeps the domain's left edge and cuts exactly on
+        x = 203.625, with no rounding drift in either bisector."""
+        square = ConvexPolygon.from_rect(DOMAIN)
+        clipped = square.clip_halfplane(bisector_halfplane(p, q))
+        assert {v.x for v in clipped.vertices} == {0.0, 203.625}
+
     def test_brute_oracle_excludes_zero_area_contact(self):
         assert brute_force_cij_pairs(POINTS_P, POINTS_Q, DOMAIN) == EXPECTED_PAIRS
 
@@ -65,7 +81,7 @@ class TestPinnedDegenerateInput:
     def test_tight_domain_also_agrees(self, method):
         """The divergence originally reproduced with the data-tight domain
         (the default when none is given); pin that variant too."""
-        tight = Rect(0.0, 0.0, 407.25, 67.0)
+        tight = TIGHT_DOMAIN
         oracle = brute_force_cij_pairs(POINTS_P, POINTS_Q, tight)
         result = common_influence_join(
             POINTS_P, POINTS_Q, method=method, domain=tight
@@ -82,10 +98,28 @@ class TestPinnedDegenerateInput:
         assert {q for _, q in pairs} == {0, 1, 2}
 
 
+def _pinned_half_domains():
+    """The two cells of ``P`` in the tight domain: they meet on the pinned
+    line x = 203.625 in a zero-area segment."""
+    domain = ConvexPolygon.from_rect(TIGHT_DOMAIN)
+    left = domain.clip_halfplane(bisector_halfplane(POINTS_P[0], POINTS_P[1]))
+    right = domain.clip_halfplane(bisector_halfplane(POINTS_P[1], POINTS_P[0]))
+    return left, right
+
+
 class TestPredicateConvention:
-    def test_touching_squares_do_not_join(self):
-        a = ConvexPolygon.from_rect(Rect(0.0, 0.0, 10.0, 10.0))
-        b = ConvexPolygon.from_rect(Rect(10.0, 0.0, 20.0, 10.0))
+    @pytest.mark.parametrize(
+        "a, b",
+        [
+            (
+                ConvexPolygon.from_rect(Rect(0.0, 0.0, 10.0, 10.0)),
+                ConvexPolygon.from_rect(Rect(10.0, 0.0, 20.0, 10.0)),
+            ),
+            _pinned_half_domains(),
+        ],
+        ids=["squares", "pinned-colinear-cells"],
+    )
+    def test_touching_squares_do_not_join(self, a, b):
         assert a.intersects(b)  # closed test (filter phases): touch counts
         assert not a.intersects_interior(b)  # join predicate: excluded
 

@@ -394,6 +394,95 @@ class TestProtocolErrors:
         assert ok["ok"] is True and ok["op"] == "join"
 
 
+class TestLineLimits:
+    """Both ends accept lines up to ``MAX_LINE_BYTES`` (asyncio's default
+    stream limit is 64 KiB); a longer request line gets a structured
+    ``bad_request`` and a longer response line fails the client loudly."""
+
+    def test_join_response_over_64_kib(self):
+        async def scenario():
+            service = JoinService([DatasetSpec(name="d", n_p=1500, n_q=1500, seed=2)])
+            host, port = await service.start()
+            try:
+                async with await ServiceClient.connect(host, port) as client:
+                    response = await asyncio.wait_for(client.join("d"), 20)
+                    pairs = service.datasets["d"].snapshot.pairs
+                    return response, pairs
+            finally:
+                await service.close()
+
+        response, pairs = asyncio.run(scenario())
+        assert len(encode_line(response)) > 64 * 1024
+        assert response["pairs"] == pairs
+
+    @staticmethod
+    def _padded_requests(padding_bytes):
+        """A padded join, then a plain one on the same connection."""
+
+        async def scenario():
+            service = JoinService([DatasetSpec(name="d", n_p=20, n_q=20, seed=2)])
+            host, port = await service.start()
+            try:
+                async with await ServiceClient.connect(host, port) as client:
+                    padded = {"op": "join", "dataset": "d", "id": 1}
+                    padded["padding"] = "x" * padding_bytes
+                    first = await asyncio.wait_for(client.request(padded), 20)
+                    second = await asyncio.wait_for(
+                        client.request({"op": "join", "dataset": "d", "id": 2}), 20
+                    )
+                    return first, second
+            finally:
+                await service.close()
+
+        return asyncio.run(scenario())
+
+    def test_100_kib_request_is_served(self):
+        first, second = self._padded_requests(100 * 1024)
+        assert first["ok"] is True and first["id"] == 1
+        assert second["ok"] is True and second["id"] == 2
+        assert first["pairs"] == second["pairs"]
+
+    def test_request_over_1_mib_is_a_bad_request(self):
+        from repro.service.protocol import MAX_LINE_BYTES
+
+        first, second = self._padded_requests(MAX_LINE_BYTES + 1)
+        assert first["ok"] is False
+        assert first["error"]["code"] == "bad_request"
+        assert "exceeds" in first["error"]["message"]
+        # The oversized line was skipped to its end: the connection serves
+        # the next request normally.
+        assert second["ok"] is True and second["id"] == 2
+
+    def test_response_over_1_mib_fails_pending_request(self):
+        """A reply the client cannot read raises instead of hanging."""
+        from repro.service.protocol import MAX_LINE_BYTES
+
+        async def handle(reader, writer):
+            writer.write(encode_line({"event": "hello", "protocol": 1}))
+            await reader.readline()
+            writer.write(b"[" + b"0," * (MAX_LINE_BYTES // 2) + b"0]\n")
+            await writer.drain()
+            await reader.read()  # hold the connection open
+            writer.close()
+
+        async def scenario():
+            server = await asyncio.start_server(handle, "127.0.0.1", 0)
+            port = server.sockets[0].getsockname()[1]
+            try:
+                async with await ServiceClient.connect("127.0.0.1", port) as client:
+                    with pytest.raises(ServiceError) as first:
+                        await asyncio.wait_for(client.stats("d"), 20)
+                    with pytest.raises(ServiceError) as later:
+                        await asyncio.wait_for(client.stats("d"), 20)
+                    return first.value, later.value
+            finally:
+                server.close()
+                await server.wait_closed()
+
+        first, later = asyncio.run(scenario())
+        assert first.code == "disconnected" and later.code == "disconnected"
+
+
 class TestServeCommand:
     def test_cli_serve_end_to_end(self, tmp_path):
         """``python -m repro.cli serve`` binds, announces its port, serves

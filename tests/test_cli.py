@@ -60,6 +60,11 @@ class TestCommands:
         with pytest.raises(SystemExit):
             main(["join", "--method", "bogus"])
 
+    def test_removed_compute_flag_rejected_by_argparse(self):
+        """The scalar geometry path is the only one: no flag selects it."""
+        with pytest.raises(SystemExit):
+            build_parser().parse_args(["join", "--compute", "scalar"])
+
     def test_sharded_fm_join_runs(self, capsys):
         """--executor sharded is now legal for fm (partitioned traversal)."""
         assert main([

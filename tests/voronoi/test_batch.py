@@ -17,6 +17,13 @@ def indexed(points):
     return disk, tree
 
 
+def with_coincident_site():
+    """80 uniform sites plus an exact duplicate of site 12 (oid 80)."""
+    points = uniform_points(80, seed=41)
+    points.append(points[12])
+    return points
+
+
 class TestBatchVoronoiCorrectness:
     def test_matches_single_cell_computation(self):
         points = uniform_points(200, seed=31)
@@ -27,13 +34,31 @@ class TestBatchVoronoiCorrectness:
             single = compute_voronoi_cell(tree, site, DOMAIN, site_oid=oid)
             assert_same_cell(batch[oid], single)
 
-    def test_matches_brute_force(self):
-        points = uniform_points(120, seed=32)
+    @pytest.mark.parametrize(
+        "points, oids",
+        [
+            (uniform_points(120, seed=32), (0, 5, 9, 14)),
+            # Two group members on one site: neither may clip the other
+            # (the bisector of coincident sites does not exist).
+            (with_coincident_site(), (12, 80, 30)),
+        ],
+        ids=["uniform", "coincident-sites"],
+    )
+    def test_matches_brute_force(self, points, oids):
         _, tree = indexed(points)
-        group = [(oid, points[oid]) for oid in (0, 5, 9, 14)]
+        group = [(oid, points[oid]) for oid in oids]
         batch = compute_voronoi_cells(tree, group, DOMAIN)
         for oid, site in group:
             assert_same_cell(batch[oid], brute_force_cell(site, points, DOMAIN, oid=oid))
+
+    def test_coincident_group_members_share_one_cell(self):
+        points = with_coincident_site()
+        _, tree = indexed(points)
+        batch = compute_voronoi_cells(
+            tree, [(12, points[12]), (80, points[80]), (30, points[30])], DOMAIN
+        )
+        assert not batch[12].polygon.is_empty()
+        assert batch[12].polygon.vertices == batch[80].polygon.vertices
 
     def test_group_of_one_equals_single(self):
         points = uniform_points(60, seed=33)

@@ -1,16 +1,22 @@
 """Property-based tests for the R-tree Voronoi cell algorithms."""
 
+import random
+
 import pytest
 from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.datasets.synthetic import DOMAIN
 from repro.datasets.workload import build_indexed_pointset
+from repro.geometry.point import Point
+from repro.geometry.rect import Rect
 from repro.storage.disk import DiskManager
 from repro.voronoi.batch import compute_voronoi_cells
 from repro.voronoi.diagram import brute_force_cell
 from repro.voronoi.single import compute_voronoi_cell
 from repro.voronoi.tpvor import compute_voronoi_cell_tpvor
-from tests.conftest import distinct_pointsets
+from repro.join.conditional_filter import _approximate_cell
+from tests.conftest import distinct_pointsets, site_set_strategies
 
 
 def indexed(points):
@@ -50,9 +56,11 @@ class TestCellAlgorithmEquivalence:
 
 
 class TestCellInvariants:
-    @given(distinct_pointsets(min_size=2, max_size=14))
+    @site_set_strategies
+    @given(data=st.data())
     @settings(max_examples=40, deadline=None)
-    def test_cells_contain_sites_and_tile_domain(self, points):
+    def test_cells_contain_sites_and_tile_domain(self, pointsets, data):
+        points = data.draw(pointsets(min_size=2, max_size=14))
         tree = indexed(points)
         cells = compute_voronoi_cells(tree, list(enumerate(points)), DOMAIN)
         total = 0.0
@@ -60,6 +68,63 @@ class TestCellInvariants:
             assert cells[oid].contains(site)
             total += cells[oid].area()
         assert total == pytest.approx(DOMAIN.area(), rel=1e-6)
+
+    @site_set_strategies
+    @given(data=st.data())
+    @settings(max_examples=40, deadline=None)
+    def test_nearest_first_walk_equals_brute_force(self, pointsets, data):
+        """The filter's Lemma-1 walk over every other site yields the exact
+        cell, although it skips the bisectors that cannot refine it."""
+        points = data.draw(pointsets(min_size=3, max_size=9))
+        site = points[0]
+        walked = _approximate_cell(site, list(enumerate(points[1:], 1)), DOMAIN)
+        oracle = brute_force_cell(site, points, DOMAIN)
+        assert walked.area() == pytest.approx(oracle.area(), rel=1e-6, abs=1e-3)
+        assert walked.contains_point(site)
+
+    @pytest.mark.parametrize(
+        "site, others, domain, area",
+        [
+            # All sites on one line: every bisector is parallel, so the
+            # clips leave a slab x in [40, 55].
+            (
+                Point(50.0, 25.0),
+                [Point(x, 25.0) for x in (10.0, 30.0, 60.0, 80.0, 95.0)],
+                Rect(0, 0, 100, 50),
+                15.0 * 50.0,
+            ),
+            # Four candidates at exactly the same distance (ties in the
+            # walk's sort key): the cell is the square they bound.
+            (
+                Point(50.0, 50.0),
+                [Point(40.0, 50.0), Point(60.0, 50.0), Point(50.0, 40.0),
+                 Point(50.0, 60.0)],
+                Rect(0, 0, 100, 100),
+                10.0 * 10.0,
+            ),
+        ],
+        ids=["colinear-candidates", "equidistant-candidates"],
+    )
+    def test_pinned_walk_equals_brute_force(self, site, others, domain, area):
+        walked = _approximate_cell(site, list(enumerate(others, 1)), domain)
+        oracle = brute_force_cell(site, [site, *others], domain)
+        assert walked.area() == pytest.approx(area, rel=1e-12)
+        assert oracle.area() == pytest.approx(area, rel=1e-12)
+        assert walked.contains_point(site)
+
+    def test_random_sites_walk_equals_brute_force(self):
+        rng = random.Random(7)
+        domain = Rect(0, 0, 100, 100)
+        for _ in range(25):
+            site = Point(rng.uniform(0, 100), rng.uniform(0, 100))
+            others = [
+                Point(rng.uniform(0, 100), rng.uniform(0, 100))
+                for _ in range(rng.randrange(1, 12))
+            ]
+            walked = _approximate_cell(site, list(enumerate(others, 1)), domain)
+            oracle = brute_force_cell(site, [site, *others], domain)
+            assert walked.area() == pytest.approx(oracle.area(), rel=1e-9)
+            assert walked.contains_point(site)
 
     @given(distinct_pointsets(min_size=2, max_size=10))
     @settings(max_examples=30, deadline=None)
