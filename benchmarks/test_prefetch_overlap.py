@@ -9,8 +9,8 @@ latency, and measures how much of that latency the prefetch pipeline hides:
   (the synchronous baseline);
 * ``prefetch=next_batch`` — the serial NM-CIJ issues each upcoming leaf
   batch's candidate pages while the current batch computes its cells;
-* ``prefetch=next_shard`` — the sharded executor (inline pool) stages the
-  next shard's opening pages while the current shard runs.
+* ``prefetch=next_shard`` — the sharded executor (one in-process worker)
+  stages the next shard's opening pages while the current shard runs.
 
 The table written to ``benchmarks/results/local/prefetch.txt`` reports stalled
 vs overlapped milliseconds per mode; ``prefetch.json`` records the
@@ -34,7 +34,6 @@ N_POINTS = int(os.environ.get("REPRO_PREFETCH_BENCH_POINTS", "400"))
 #: Simulated per-page disk service time (seconds): ~2ms, a fast HDD seek
 #: or a slow network volume — large enough to dominate the real reads.
 LATENCY = float(os.environ.get("REPRO_PREFETCH_BENCH_LATENCY", "0.002"))
-WORKERS = 4
 
 
 def run_mode(points_p, points_q, **overrides):
@@ -51,7 +50,7 @@ def run_mode(points_p, points_q, **overrides):
 def test_prefetch_hides_stall_time_on_file_backend(benchmark, bench_record):
     points_p = uniform_points(N_POINTS, seed=8)
     points_q = uniform_points(N_POINTS, seed=18)
-    sharded = dict(executor="sharded", workers=WORKERS, pool="inline")
+    sharded = dict(executor="sharded", workers=1)
 
     runs = {
         "off": run_mode(points_p, points_q),

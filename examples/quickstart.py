@@ -66,8 +66,9 @@ def main() -> None:
     print("=== Parallel quickstart: sharded execution (every CIJ variant) ===")
     # The sharded executor partitions the algorithm's shard units across
     # worker processes: Q's Hilbert-ordered leaves for NM/PM, top-level
-    # R'_P partitions of the synchronous traversal for FM.  The pair list
-    # is byte-identical to the serial run in every case.
+    # R'_P partitions of the synchronous traversal for FM.  workers=4 forks
+    # four processes; workers=1 runs the same units in this process.  The
+    # pair list is byte-identical to the serial run in every case.
     config = EngineConfig(executor="sharded", workers=4)
     workload = build_workload(WorkloadConfig(), points_p=restaurants, points_q=cinemas)
     sharded = engine.run(
@@ -86,11 +87,13 @@ def main() -> None:
     print()
 
     print("=== Shard-boundary REUSE handoff ===")
-    # By default parallel shards are independent, so NM recomputes the
+    # By default forked shards are independent, so NM recomputes the
     # P-cells the REUSE buffer would have carried across shard boundaries.
     # reuse_handoff="always" chains shard k's final buffer into shard k+1,
-    # restoring the exact serial reuse accounting (work-optimal; under
-    # fork the shards then run as a pipeline rather than in parallel).
+    # restoring the exact serial reuse accounting (work-optimal; forked
+    # shards then run as a pipeline rather than in parallel).  With
+    # workers=1 the shards run in-process one after another anyway, so the
+    # default "auto" already chains them.
     config = EngineConfig(executor="sharded", workers=4, reuse_handoff="always")
     workload = build_workload(WorkloadConfig(), points_p=restaurants, points_q=cinemas)
     handoff = engine.run(
@@ -195,9 +198,10 @@ def main() -> None:
     # page cache stay in front of the wire, which keeps the paper's logical
     # page counters byte-identical to the serial run; the physical RPC
     # traffic is reported separately in storage_stats().  Over a remote
-    # store the coordinator also piggybacks peek-ahead hints on unit
-    # assignments, so nodes stage upcoming units' pages with one batched
-    # read_batch RPC while they compute — visible below as prefetch stats.
+    # store (and only there) the coordinator also piggybacks peek-ahead
+    # hints on unit assignments, so nodes stage upcoming units' pages with
+    # one batched read_batch RPC while they compute — visible below as
+    # prefetch stats.
     from repro.storage.pageserver import spawn_page_server
 
     server = spawn_page_server(backing="file")

@@ -143,7 +143,8 @@ def common_influence_join(
         ``"distributed"``, the same units pulled by ``nodes`` worker
         subprocesses that reopen the shared backend read-only (requires a
         shareable backend: ``storage="file"``, ``"sqlite"`` or
-        ``"remote"``).  Every CIJ variant
+        ``"remote"``).  ``workers=1`` runs the sharded units one after
+        another in this process instead of forking.  Every CIJ variant
         shards; only the brute-force oracle does not.  Merged pairs and
         deterministic counters are byte-identical across executors.
     node_timeout, node_retries, fault_plan:
@@ -153,9 +154,10 @@ def common_influence_join(
         fault-injection spec (:mod:`repro.engine.faults`) for testing.
         ``None`` keeps the engine defaults (60 s, 2 retries, no faults).
     reuse_handoff:
-        Whether a sharded NM-CIJ hands its REUSE buffer across shard
-        boundaries (``"auto"``/``"always"``/``"never"``; see
-        :class:`repro.engine.EngineConfig`).
+        Whether a sharded or distributed NM-CIJ hands its REUSE buffer
+        across unit boundaries (``"auto"``/``"always"``/``"never"``;
+        ``"auto"`` chains for sharded ``workers=1`` and every distributed
+        run; see :class:`repro.engine.EngineConfig`).
     storage, storage_path:
         Page-store backend (``"memory"``, ``"file"``, ``"sqlite"``,
         ``"remote"`` — or ``"remote+file"``/``"remote+sqlite"`` to pick a

@@ -162,10 +162,11 @@ def build_parser() -> argparse.ArgumentParser:
         "--reuse-handoff",
         default=None,
         choices=("auto", "always", "never"),
-        help="carry NM's REUSE buffer across shard boundaries (sharded "
-        "executor): auto (the default) enables it for the free inline "
-        "pool, always chains forked workers too (work-optimal pipeline), "
-        "never keeps shards independent",
+        help="carry NM's REUSE buffer across unit boundaries (sharded or "
+        "distributed executor): auto (the default) enables it for sharded "
+        "runs with --workers 1, where units run in-process and the chain is "
+        "free, and for every distributed run; always chains forked workers "
+        "too (work-optimal pipeline); never keeps units independent",
     )
     join.add_argument(
         "--updates",
@@ -294,16 +295,17 @@ def _cmd_run_all(scale: str, markdown: Optional[str]) -> int:
 def _validate_workers(parser: argparse.ArgumentParser, args: argparse.Namespace) -> int:
     """Resolve and validate the --workers/--executor combination.
 
-    ``--workers`` used to be accepted (and silently ignored) with the
-    serial executor; now the contradiction is rejected loudly, as is a
-    non-positive worker count with any executor.
+    ``--workers`` only means something to the sharded executor; more than
+    one worker with any other executor is rejected loudly instead of being
+    ignored, as is a non-positive worker count with any executor.
     """
     if args.workers is not None and args.workers < 1:
         parser.error(f"--workers must be at least 1 (got {args.workers})")
-    if args.executor == "serial" and args.workers is not None and args.workers > 1:
+    if args.executor != "sharded" and args.workers is not None and args.workers > 1:
         parser.error(
-            f"--workers {args.workers} has no effect with --executor serial; "
-            "use --executor sharded to run shards in parallel"
+            f"--workers {args.workers} has no effect with --executor "
+            f"{args.executor}; use --executor sharded to run shards in "
+            "parallel (--nodes sizes the distributed executor)"
         )
     return args.workers if args.workers is not None else 2
 
@@ -330,6 +332,17 @@ def _validate_nodes(parser: argparse.ArgumentParser, args: argparse.Namespace) -
             "or --executor serial for brute)"
         )
     return args.nodes if args.nodes is not None else 2
+
+
+def _validate_handoff(parser: argparse.ArgumentParser, args: argparse.Namespace) -> None:
+    """Reject --reuse-handoff with the serial executor, which has no unit
+    boundaries to carry the REUSE buffer across."""
+    if args.executor == "serial" and args.reuse_handoff is not None:
+        parser.error(
+            f"--reuse-handoff {args.reuse_handoff} has no effect with "
+            "--executor serial (one REUSE chain, no unit boundaries); use "
+            "--executor sharded or distributed"
+        )
 
 
 def _validate_fault_tolerance(
@@ -645,6 +658,7 @@ def main(argv: Optional[List[str]] = None) -> int:
         nodes = _validate_nodes(parser, args)
         _validate_fault_tolerance(parser, args)
         _validate_updates(parser, args)
+        _validate_handoff(parser, args)
         storage, storage_path = _resolve_storage(parser, args)
         return _cmd_join(
             args.n_p,

@@ -19,6 +19,7 @@ example and test runs through this one code path.
 
 from __future__ import annotations
 
+import dataclasses
 import time
 from typing import Dict, List, Optional, Union
 
@@ -260,7 +261,7 @@ class JoinEngine:
     def _effective_config(config: Optional[EngineConfig], overrides: Dict) -> EngineConfig:
         base = config if config is not None else EngineConfig()
         updates = {key: value for key, value in overrides.items() if value is not None}
-        return base.replace(**updates) if updates else base
+        return dataclasses.replace(base, **updates) if updates else base
 
 
 _DEFAULT_ENGINE: Optional[JoinEngine] = None

@@ -6,13 +6,15 @@
   :class:`~repro.engine.units.WorkUnit` descriptors — Hilbert-ordered
   ``R_Q`` leaves for NM-CIJ/PM-CIJ, top-level ``R'_P`` join partitions for
   FM-CIJ — and schedules them through a pull-based
-  :class:`~repro.engine.coordinator.UnitCoordinator` over local ``fork``
-  workers (or inline, sequentially, through the very same unit/merge
-  path).  Each unit runs against its own counter snapshot and the
-  dispatch-time buffer state; the coordinator merges result pairs and
-  every statistics record deterministically, in unit order, so the merged
-  pair list is byte-identical to the serial one and the merged counters
-  are the exact sum of the per-unit deltas.
+  :class:`~repro.engine.coordinator.UnitCoordinator` over
+  ``min(workers, units)`` local ``fork`` workers — or in this process,
+  sequentially, through the very same unit/merge path when ``workers`` is
+  1, there is one unit, ``prefetch="next_shard"`` stages pages here, or
+  the platform cannot fork.  Each unit runs against its own counter
+  snapshot and the dispatch-time buffer state; the coordinator merges
+  result pairs and every statistics record deterministically, in unit
+  order, so the merged pair list is byte-identical to the serial one and
+  the merged counters are the exact sum of the per-unit deltas.
 * :class:`DistributedExecutor` runs the same coordinator over ``nodes``
   worker *subprocesses* (:mod:`repro.engine.node`) that reopen the shared
   file/sqlite backend read-only and exchange units and results over an
@@ -32,10 +34,11 @@ pipeline, seeding each with its predecessor's final REUSE buffer
 serial levels), not wall-clock-optimal, and the cost is reported honestly
 through the merged statistics either way.
 
-The inline pool also isolates the shared LRU buffer: every unit starts
-from the dispatch-time buffer state a forked worker would inherit, and the
-parent's buffer is rewound afterwards — so inline, forked and node-based
-executions produce identical counters, not just identical pairs.
+In-process (inline) execution also isolates the shared LRU buffer: every
+unit starts from the dispatch-time buffer state a forked worker would
+inherit, and the parent's buffer is rewound afterwards — so inline, forked
+and node-based executions produce identical counters, not just identical
+pairs.
 """
 
 from __future__ import annotations
@@ -120,7 +123,7 @@ def _worker_run_shard(index: int, carry: Optional[object] = None) -> ShardResult
     units = _WORKER_STATE["units"]
     # Rewind to the dispatch-time buffer before every unit: a worker that
     # wins the queue race for another unit must not leak the previous
-    # unit's warm pages into it (the inline pool rewinds identically,
+    # unit's warm pages into it (inline execution rewinds identically,
     # keeping counters byte-equal across worker planes).
     ctx.disk.restore_buffer_state(_WORKER_STATE["dispatch_buffer"])
     result = _execute_shard(algorithm, ctx, [units[index]], index, carry=carry)
@@ -227,11 +230,10 @@ class ShardedExecutor:
 
     name = "sharded"
 
-    def __init__(self, workers: int = 2, pool: str = "auto", reuse_handoff: str = "auto"):
+    def __init__(self, workers: int = 2, reuse_handoff: str = "auto"):
         if workers < 1:
             raise ValueError("workers must be at least 1")
         self.workers = workers
-        self.pool = pool
         self.reuse_handoff = reuse_handoff
         #: Scheduling trace of the most recent run (worker id -> unit
         #: indices, in pull order); inspection hook for the skew tests.
@@ -253,15 +255,14 @@ class ShardedExecutor:
         base_accesses = ctx.disk.counters.diff(ctx.start_counters).page_accesses
         forked = False
         if (
-            ctx.config.prefetch != "next_shard"
-            and self.pool in ("auto", "fork")
+            self.workers > 1
+            and ctx.config.prefetch != "next_shard"
             and len(units) > 1
         ):
             # next_shard staging lives in this process; forked workers
-            # would never see it (the config rejects an explicit
-            # pool='fork'), so it always runs inline, where the async
-            # reader thread genuinely overlaps upcoming units' fetches
-            # with the current unit's computation.
+            # would never see it, so it always runs inline, where the
+            # async reader thread genuinely overlaps upcoming units'
+            # fetches with the current unit's computation.
             forked = self._run_units_fork(algorithm, ctx, coordinator, units, handoff)
         if not forked:
             self._run_units_inline(algorithm, ctx, coordinator, len(units))
@@ -271,10 +272,12 @@ class ShardedExecutor:
     def _handoff_enabled(self, algorithm: JoinAlgorithm) -> bool:
         """Whether carry state is chained between units (a pipeline).
 
-        ``"auto"`` enables the handoff only for the *configured* inline
-        pool, where units run sequentially anyway and the serial REUSE
-        chain is free; ``"always"`` additionally pipelines forked workers
-        (work-optimal, not wall-clock-optimal); ``"never"`` disables it.
+        ``"auto"`` enables the handoff exactly when ``workers == 1``, where
+        units run sequentially anyway and the serial REUSE chain is free —
+        a rule on the configuration, never on the runtime fork fallback, so
+        counters stay machine-independent; ``"always"`` additionally
+        pipelines forked workers (work-optimal, not wall-clock-optimal);
+        ``"never"`` disables it.
         """
         if not algorithm.supports_handoff:
             return False
@@ -282,7 +285,7 @@ class ShardedExecutor:
             return True
         if self.reuse_handoff == "never":
             return False
-        return self.pool == "inline"
+        return self.workers == 1
 
     def _run_units_fork(
         self,
@@ -402,7 +405,7 @@ class ShardedExecutor:
         handoff: bool,
         size: int,
     ):
-        """A fork worker pool, or ``None`` when unavailable and pool='auto'."""
+        """A fork worker pool, or ``None`` when the platform cannot fork."""
         try:
             context = multiprocessing.get_context("fork")
             return context.Pool(
@@ -410,9 +413,7 @@ class ShardedExecutor:
                 initializer=_worker_init,
                 initargs=(algorithm, ctx, list(units), handoff),
             )
-        except (OSError, ValueError, ImportError) as error:
-            if self.pool == "fork":
-                raise RuntimeError(f"fork worker pool unavailable: {error}") from error
+        except (OSError, ValueError, ImportError):
             return None
 
 
@@ -428,9 +429,9 @@ class DistributedExecutor:
     run no matter how units were assigned.
 
     ``reuse_handoff="auto"`` *enables* the chained REUSE pipeline here
-    (unlike the sharded executor's auto, which reserves it for the inline
-    pool): a distributed run's default output must match serial counters
-    exactly, and the chained pipeline — work-optimal, not
+    (unlike the sharded executor's auto, which reserves it for
+    ``workers == 1``): a distributed run's default output must match
+    serial counters exactly, and the chained pipeline — work-optimal, not
     wall-clock-optimal — is what restores the serial recomputation counts.
 
     Fault tolerance: a node failure (crash, silence past ``node_timeout``,
@@ -443,6 +444,10 @@ class DistributedExecutor:
     slower nodes join the pull loop mid-run when their bootstrap finishes.
     The run degrades gracefully down to one survivor; only zero live
     workers with work still outstanding aborts loudly.
+
+    Over a remote page store, and only there, unit assignments carry the
+    coordinator's lookahead so nodes stage upcoming units' opening pages
+    while the current unit computes (physical transport only).
     """
 
     name = "distributed"
@@ -461,7 +466,6 @@ class DistributedExecutor:
         fault_plan: Optional[object] = None,
         heartbeat_interval: Optional[float] = None,
         retry_backoff: float = 0.05,
-        stage_hints: Optional[bool] = None,
     ):
         from repro.engine.faults import resolve_plan
 
@@ -489,10 +493,6 @@ class DistributedExecutor:
         self.min_ready = min_ready
         #: Deterministic fault plan (spec string or FaultPlan) — testing.
         self.fault_plan = resolve_plan(fault_plan)
-        #: Piggyback coordinator lookahead on unit assignments so nodes
-        #: stage upcoming units' opening pages (None = auto: on exactly
-        #: when the store is remote, where a round trip is worth hiding).
-        self.stage_hints = stage_hints
         self.heartbeat_interval = heartbeat_interval
         #: Base sleep before re-running a released unit (doubles per
         #: attempt, capped) so a transiently sick tier is not hammered.
@@ -534,14 +534,9 @@ class DistributedExecutor:
         if not units:
             return []
         handoff = self._handoff_enabled(algorithm)
-        # Auto stage-hints: over the remote page server every cold page is
-        # a round trip, so the coordinator's lookahead is worth shipping;
-        # local file/sqlite nodes read at memory-bus speed and skip it.
-        stage = (
-            self.stage_hints
-            if self.stage_hints is not None
-            else bool(store.supports_remote)
-        )
+        # Over the remote page server every cold page is a round trip, so
+        # the coordinator's lookahead is worth shipping to the nodes.
+        stage = bool(store.supports_remote)
         coordinator = UnitCoordinator(
             units, chained=handoff, max_attempts=self.node_retries + 1
         )
@@ -707,19 +702,15 @@ def executor_for(config: EngineConfig):
         return SerialExecutor()
     if config.executor == "sharded":
         return ShardedExecutor(
-            workers=config.workers,
-            pool=config.pool,
-            reuse_handoff=config.reuse_handoff,
+            workers=config.workers, reuse_handoff=config.reuse_handoff
         )
     if config.executor == "distributed":
-        dist = config.distributed
         return DistributedExecutor(
-            nodes=dist.nodes,
+            nodes=config.nodes,
             reuse_handoff=config.reuse_handoff,
-            node_timeout=dist.node_timeout,
-            node_retries=dist.node_retries,
-            min_ready=dist.min_ready,
-            fault_plan=dist.fault_plan,
-            stage_hints=dist.stage_hints,
+            node_timeout=config.node_timeout,
+            node_retries=config.node_retries,
+            min_ready=config.node_min_ready,
+            fault_plan=config.fault_plan,
         )
     raise ValueError(f"unknown executor {config.executor!r}")

@@ -51,10 +51,6 @@ class TestEngineAPI:
         with pytest.raises(ValueError, match="unknown executor"):
             EngineConfig(executor="ray")
 
-    def test_unknown_pool_rejected(self):
-        with pytest.raises(ValueError, match="unknown pool"):
-            EngineConfig(pool="threads")
-
     def test_nonpositive_workers_rejected(self):
         with pytest.raises(ValueError):
             EngineConfig(workers=0)
@@ -122,18 +118,20 @@ class TestSerialMatchesLegacyEntryPoints:
 
 
 class TestShardedExecution:
-    @pytest.mark.parametrize("pool", ["fork", "inline"])
+    @pytest.mark.parametrize("workers", [3, 1])
     @pytest.mark.parametrize("algorithm", ["nm", "pm", "fm"])
-    def test_pairs_byte_identical_to_serial(self, algorithm, pool):
+    def test_pairs_byte_identical_to_serial(self, algorithm, workers):
         _, serial = run(algorithm)
-        _, sharded = run(algorithm, executor="sharded", workers=3, pool=pool)
+        _, sharded = run(algorithm, executor="sharded", workers=workers)
         assert sharded.pairs == serial.pairs  # list equality: order included
 
     def test_single_shard_reproduces_serial_costs(self):
-        """With one worker the shard is the whole leaf sequence, so even the
-        REUSE-dependent cost counters match the serial run exactly."""
+        """One worker never forks: the in-process drain pulls every unit and
+        the default handoff chains them, so even the REUSE-dependent cost
+        counters match the serial run exactly."""
         _, serial = run("nm")
-        _, sharded = run("nm", executor="sharded", workers=1, pool="inline")
+        _, sharded = run("nm", executor="sharded", workers=1)
+        assert list(default_engine().last_executor.last_assignments) == ["inline-0"]
         assert sharded.pairs == serial.pairs
         assert sharded.stats.cells_computed_p == serial.stats.cells_computed_p
         assert sharded.stats.cells_reused_p == serial.stats.cells_reused_p
@@ -141,11 +139,11 @@ class TestShardedExecution:
             sharded.stats.total_page_accesses == serial.stats.total_page_accesses
         )
 
-    @pytest.mark.parametrize("pool", ["fork", "inline"])
-    def test_merged_counters_match_disk_counters(self, pool):
+    @pytest.mark.parametrize("workers", [3, 1])
+    def test_merged_counters_match_disk_counters(self, workers):
         """The engine's stats and the shared disk counters must agree even
         when workers charged their own forked counter copies."""
-        workload, result = run("nm", executor="sharded", workers=3, pool=pool)
+        workload, result = run("nm", executor="sharded", workers=workers)
         assert (
             result.stats.total_page_accesses
             == workload.disk.counters.page_accesses
@@ -156,9 +154,7 @@ class TestShardedExecution:
         the filter/cell work is identical to serial because shard outputs
         never depend on shard boundaries."""
         _, serial = run("nm")
-        _, sharded = run(
-            "nm", executor="sharded", workers=3, pool="inline", reuse_handoff="never"
-        )
+        _, sharded = run("nm", executor="sharded", workers=1, reuse_handoff="never")
         assert sharded.stats.cells_computed_q == serial.stats.cells_computed_q
         assert sharded.stats.filter_candidates == serial.stats.filter_candidates
         assert sharded.stats.filter_true_hits == serial.stats.filter_true_hits
@@ -171,9 +167,9 @@ class TestShardedExecution:
             == serial.stats.cells_computed_p + serial.stats.cells_reused_p
         )
 
-    @pytest.mark.parametrize("pool", ["fork", "inline"])
-    def test_progress_curve_is_monotone(self, pool):
-        _, sharded = run("nm", executor="sharded", workers=3, pool=pool)
+    @pytest.mark.parametrize("workers", [3, 1])
+    def test_progress_curve_is_monotone(self, workers):
+        _, sharded = run("nm", executor="sharded", workers=workers)
         accesses = [s.page_accesses for s in sharded.stats.progress]
         pairs = [s.pairs_reported for s in sharded.stats.progress]
         assert accesses == sorted(accesses)
@@ -189,7 +185,6 @@ class TestShardedExecution:
             domain=workload.domain,
             executor="sharded",
             workers=10_000,
-            pool="inline",
         )
         _, serial = run("nm")
         assert result.pairs == serial.pairs
@@ -200,18 +195,17 @@ class TestShardedFM:
     synchronous traversal); the merged output must be byte-identical to the
     serial coupled traversal."""
 
-    @pytest.mark.parametrize("pool", ["fork", "inline"])
-    @pytest.mark.parametrize("workers", [2, 3, 7])
-    def test_fm_sharded_matches_serial(self, workers, pool):
+    @pytest.mark.parametrize("workers", [1, 2, 3, 7])
+    def test_fm_sharded_matches_serial(self, workers):
         _, serial = run("fm")
-        _, sharded = run("fm", executor="sharded", workers=workers, pool=pool)
+        _, sharded = run("fm", executor="sharded", workers=workers)
         assert sharded.pairs == serial.pairs
         assert sharded.stats.mat_page_accesses == serial.stats.mat_page_accesses
         assert sharded.stats.cells_computed_p == serial.stats.cells_computed_p
         assert sharded.stats.cells_computed_q == serial.stats.cells_computed_q
 
     def test_fm_merged_counters_match_disk_counters(self):
-        workload, result = run("fm", executor="sharded", workers=3, pool="fork")
+        workload, result = run("fm", executor="sharded", workers=3)
         assert (
             result.stats.total_page_accesses
             == workload.disk.counters.page_accesses
@@ -219,7 +213,7 @@ class TestShardedFM:
 
     def test_fm_more_workers_than_partitions(self):
         _, serial = run("fm")
-        _, sharded = run("fm", executor="sharded", workers=10_000, pool="inline")
+        _, sharded = run("fm", executor="sharded", workers=10_000)
         assert sharded.pairs == serial.pairs
 
 
@@ -227,14 +221,13 @@ class TestReuseHandoff:
     """The shard-boundary REUSE handoff: shard k's final cell buffer seeds
     shard k+1, restoring the serial reuse chain."""
 
-    @pytest.mark.parametrize("pool", ["fork", "inline"])
-    def test_handoff_restores_serial_reuse_accounting(self, pool):
+    @pytest.mark.parametrize("workers", [3, 1])
+    def test_handoff_restores_serial_reuse_accounting(self, workers):
         _, serial = run("nm")
         _, sharded = run(
             "nm",
             executor="sharded",
-            workers=3,
-            pool=pool,
+            workers=workers,
             reuse_handoff="always",
         )
         assert sharded.pairs == serial.pairs
@@ -246,23 +239,26 @@ class TestReuseHandoff:
         independent-shard run — down to exactly serial levels."""
         _, serial = run("nm")
         _, independent = run(
-            "nm", executor="sharded", workers=3, pool="inline", reuse_handoff="never"
+            "nm", executor="sharded", workers=1, reuse_handoff="never"
         )
         _, handoff = run(
-            "nm", executor="sharded", workers=3, pool="inline", reuse_handoff="always"
+            "nm", executor="sharded", workers=1, reuse_handoff="always"
         )
         assert handoff.stats.cells_computed_p == serial.stats.cells_computed_p
         assert independent.stats.cells_computed_p >= handoff.stats.cells_computed_p
         assert independent.pairs == handoff.pairs == serial.pairs
 
-    def test_auto_handoff_applies_to_configured_inline_pool(self):
-        """'auto' resolves from the configured pool, not the runtime
-        fallback, so results stay machine-independent: inline gets the free
-        sequential handoff, fork/auto keep independent parallel shards."""
+    def test_auto_handoff_applies_to_single_worker(self):
+        """'auto' resolves from the configured worker count, not the
+        runtime fork fallback, so results stay machine-independent:
+        workers=1 gets the free sequential handoff, more workers keep
+        independent parallel shards."""
         _, serial = run("nm")
-        _, inline = run("nm", executor="sharded", workers=3, pool="inline")
+        _, inline = run("nm", executor="sharded", workers=1)
         assert inline.stats.cells_computed_p == serial.stats.cells_computed_p
-        _, forked = run("nm", executor="sharded", workers=3, pool="fork")
+        _, forked = run("nm", executor="sharded", workers=3)
+        trace = default_engine().last_executor.last_assignments
+        assert trace and all(worker.startswith("fork-") for worker in trace)
         assert forked.stats.cells_computed_p >= serial.stats.cells_computed_p
 
     def test_handoff_noop_without_reuse(self):
@@ -270,8 +266,7 @@ class TestReuseHandoff:
         _, sharded = run(
             "nm",
             executor="sharded",
-            workers=3,
-            pool="inline",
+            workers=1,
             reuse_handoff="always",
             reuse_cells=False,
         )
@@ -303,26 +298,20 @@ class TestInlineShardIsolation:
             algorithm,
             executor="sharded",
             workers=3,
-            pool="fork",
             reuse_handoff="never",
         )
         _, inline = run(
             algorithm,
             executor="sharded",
-            workers=3,
-            pool="inline",
+            workers=1,
             reuse_handoff="never",
         )
         assert inline.pairs == forked.pairs
         assert self.fingerprint(inline) == self.fingerprint(forked)
 
     def test_chained_handoff_counters_identical_across_pools(self):
-        _, forked = run(
-            "nm", executor="sharded", workers=3, pool="fork", reuse_handoff="always"
-        )
-        _, inline = run(
-            "nm", executor="sharded", workers=3, pool="inline", reuse_handoff="always"
-        )
+        _, forked = run("nm", executor="sharded", workers=3, reuse_handoff="always")
+        _, inline = run("nm", executor="sharded", workers=1, reuse_handoff="always")
         assert inline.pairs == forked.pairs
         assert self.fingerprint(inline) == self.fingerprint(forked)
 
@@ -330,13 +319,54 @@ class TestInlineShardIsolation:
         """A fork parent's buffer never sees worker traffic; after the fix
         the inline fallback leaves the shared buffer in the same
         dispatch-time state instead of whatever the last shard warmed it
-        to — so the post-run buffer contents agree across pools."""
+        to — so the post-run buffer contents agree across worker counts."""
         contents = {}
-        for pool in ("fork", "inline"):
-            workload, _ = run("nm", executor="sharded", workers=3, pool=pool,
+        for workers in (3, 1):
+            workload, _ = run("nm", executor="sharded", workers=workers,
                               reuse_handoff="never")
-            contents[pool] = workload.disk.buffer.contents()
-        assert contents["inline"] == contents["fork"]
+            contents[workers] = workload.disk.buffer.contents()
+        assert contents[1] == contents[3]
+
+
+class TestInProcessRule:
+    """Where sharded units run is derived from the inputs, never configured:
+    in-process for one worker, one unit, ``next_shard`` staging or a
+    platform without fork; otherwise on ``min(workers, units)`` forks."""
+
+    @pytest.mark.parametrize(
+        "workers, mode, chained",
+        [(1, "auto", True), (3, "auto", False), (3, "always", True), (1, "never", False)],
+    )
+    def test_handoff_follows_the_configured_worker_count(self, workers, mode, chained):
+        executor = ShardedExecutor(workers=workers, reuse_handoff=mode)
+        assert executor._handoff_enabled(NMJoin()) is chained
+
+    def test_single_unit_never_forks(self):
+        workload = make_workload(POINTS_P, POINTS_Q[:5])
+        assert workload.tree_q.leaf_count() == 1
+        result = default_engine().run(
+            "nm",
+            workload.tree_p,
+            workload.tree_q,
+            domain=workload.domain,
+            executor="sharded",
+            workers=4,
+        )
+        assert list(default_engine().last_executor.last_assignments) == ["inline-0"]
+        serial = nm_cij(workload.tree_p, workload.tree_q, domain=workload.domain)
+        assert result.pairs == serial.pairs
+
+    def test_fork_fallback_keeps_the_configured_handoff(self, monkeypatch):
+        """A platform that cannot fork runs the units in-process, but 'auto'
+        still resolves from workers=3: no handoff, so the counters equal
+        those of a real forked run."""
+        _, forked = run("nm", executor="sharded", workers=3)
+        monkeypatch.setattr(ShardedExecutor, "_make_fork_pool", lambda *args: None)
+        _, fallback = run("nm", executor="sharded", workers=3)
+        assert list(default_engine().last_executor.last_assignments) == ["inline-0"]
+        assert fallback.pairs == forked.pairs
+        assert fallback.stats.cells_computed_p == forked.stats.cells_computed_p
+        assert fallback.stats.cells_reused_p == forked.stats.cells_reused_p
 
 
 class TestReuseBufferRegression:
@@ -366,8 +396,7 @@ class TestReuseBufferRegression:
             workload.tree_q,
             domain=workload.domain,
             executor="sharded",
-            workers=2,
-            pool="inline",
+            workers=1,
             reuse_cells=True,
         )
         assert sharded.stats.cells_reused_p > 0

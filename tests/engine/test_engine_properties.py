@@ -67,8 +67,7 @@ class TestEngineMatchesOracles:
                 points_q,
                 algorithm,
                 executor="sharded",
-                workers=3,
-                pool="inline",
+                workers=1,
             )
             assert sharded.pairs == serial.pairs, algorithm
             assert (
@@ -76,7 +75,7 @@ class TestEngineMatchesOracles:
             ), algorithm
         nm_serial = run_engine(points_p, points_q, "nm")
         nm_sharded = run_engine(
-            points_p, points_q, "nm", executor="sharded", workers=3, pool="inline"
+            points_p, points_q, "nm", executor="sharded", workers=1
         )
         assert (
             nm_sharded.stats.filter_candidates == nm_serial.stats.filter_candidates

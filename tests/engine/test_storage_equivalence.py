@@ -154,14 +154,13 @@ class TestDistributedEquivalence:
 
     @pytest.mark.parametrize("backend", SHARED_BACKENDS)
     def test_distributed_nm_matches_sharded_pipeline_bytes(self, backend):
-        """Node subprocesses and the inline pool run the same chained unit
-        pipeline, so the full merged fingerprint agrees between them."""
+        """Node subprocesses and in-process sharding run the same chained
+        unit pipeline, so the full merged fingerprint agrees between them."""
         sharded = run_on(
             backend,
             "nm",
             executor="sharded",
-            workers=2,
-            pool="inline",
+            workers=1,
             reuse_handoff="always",
         )
         distributed = run_on(backend, "nm", executor="distributed", nodes=2)
@@ -203,23 +202,10 @@ class TestRemoteStaging:
         assert serial.storage.pages_prefetched == 0
 
     def test_local_shared_backends_do_not_stage_by_default(self):
-        """Stage-hints auto: on for remote transports only — local file/
+        """Stage hints are on for remote transports only — local file/
         sqlite nodes read at memory-bus speed and skip the machinery."""
         distributed = run_on("file", "nm", executor="distributed", nodes=2)
         assert distributed.storage.pages_prefetched == 0
-
-    def test_stage_hints_opt_in_on_local_backend(self):
-        from repro.engine.config import DistributedConfig
-
-        serial = run_on("file", "nm")
-        staged = run_on(
-            "file",
-            "nm",
-            executor="distributed",
-            distributed=DistributedConfig(nodes=2, stage_hints=True),
-        )
-        assert staged.pairs == serial.pairs
-        assert staged.storage.pages_prefetched > 0
 
     def test_server_killed_mid_run_fails_loudly(self):
         """Losing the page server must surface as a loud error — from the
@@ -320,7 +306,7 @@ class TestSkewedWorkloadScheduling:
         assert sorted(i for indices in trace.values() for i in indices) == list(
             range(total)
         )
-        if len(counts) >= 2:  # pool="auto" may have fallen back to inline
+        if len(counts) >= 2:  # no fork support falls back to inline
             assert min(counts.values()) >= 1
             assert max(counts.values()) < total
 
@@ -350,9 +336,9 @@ class TestPrefetchEquivalence:
     @pytest.mark.parametrize("algorithm", ["nm", "pm", "fm"])
     @pytest.mark.parametrize("backend", list(STORAGE_BACKENDS))
     def test_next_shard_identical_to_sharded_off(self, backend, algorithm):
-        # The inline pool shares the parent's disk, so shard-boundary
+        # One worker runs in-process on the parent's disk, so shard-boundary
         # staging is observable and the counters stay comparable.
-        sharded = dict(executor="sharded", workers=3, pool="inline")
+        sharded = dict(executor="sharded", workers=1)
         off = run_on(backend, algorithm, **sharded)
         on = run_on(backend, algorithm, prefetch="next_shard", **sharded)
         assert on.pairs == off.pairs
@@ -362,7 +348,7 @@ class TestPrefetchEquivalence:
 
     @pytest.mark.parametrize("backend", list(STORAGE_BACKENDS))
     def test_next_batch_inside_shards_identical(self, backend):
-        sharded = dict(executor="sharded", workers=3, pool="inline")
+        sharded = dict(executor="sharded", workers=1)
         off = run_on(backend, "nm", **sharded)
         on = run_on(backend, "nm", prefetch="next_batch", **sharded)
         assert on.pairs == off.pairs
@@ -373,12 +359,7 @@ class TestPrefetchEquivalence:
         for backend in STORAGE_BACKENDS:
             for overrides in (
                 dict(prefetch="next_batch"),
-                dict(
-                    prefetch="next_shard",
-                    executor="sharded",
-                    workers=3,
-                    pool="inline",
-                ),
+                dict(prefetch="next_shard", executor="sharded", workers=1),
             ):
                 result = run_on(backend, "nm", **overrides)
                 assert result.pairs == reference.pairs, (backend, overrides)
@@ -387,31 +368,26 @@ class TestPrefetchEquivalence:
         with pytest.raises(ValueError, match="next_shard"):
             run_on("memory", "nm", prefetch="next_shard")
 
-    def test_next_shard_rejects_fork_pool(self):
-        # Staged pages live in the dispatching process; forked workers
-        # could never consume them, so the contradiction fails loudly
-        # instead of silently prefetching nothing.
-        with pytest.raises(ValueError, match="fork"):
-            run_on(
-                "memory",
-                "nm",
-                prefetch="next_shard",
-                executor="sharded",
-                workers=3,
-                pool="fork",
-            )
-
     def test_next_shard_auto_pool_stages_inline(self):
-        """The default pool ('auto') must not turn next_shard into a
-        silent no-op: it resolves to the inline path and really stages.
-        The baseline keeps pool='auto' too (fork) — PR 3's buffer rewind
-        guarantees inline and forked shards charge identical counters."""
+        """Several workers must not turn next_shard into a silent no-op:
+        the shards run in-process and really stage.  The baseline forks —
+        the per-unit buffer rewind guarantees inline and forked shards
+        charge identical counters."""
         off = run_on("memory", "nm", executor="sharded", workers=3)
         auto = run_on("memory", "nm", prefetch="next_shard", executor="sharded", workers=3)
         assert auto.pairs == off.pairs
         assert stats_fingerprint(auto) == stats_fingerprint(off)
         assert auto.storage.pages_prefetched > 0
         assert auto.storage.prefetch_hits > 0
+
+    def test_next_shard_never_forks(self):
+        """Staged pages live in the dispatching process, so next_shard runs
+        every unit there however many workers are configured."""
+        from repro.engine import default_engine
+
+        run_on("memory", "nm", prefetch="next_shard", executor="sharded", workers=3)
+        trace = default_engine().last_executor.last_assignments
+        assert list(trace) == ["inline-0"]
 
     def test_dynamic_session_rejects_prefetch(self):
         from repro.datasets.workload import WorkloadConfig, build_workload

@@ -410,7 +410,7 @@ class TestErrorPathCleanup:
         workload = self._workload(tmp_path, storage)
         with workload:
             engine = JoinEngine()
-            # Four inline shards; the second dies after staging the third's
+            # In-process shards; the second dies after staging the third's
             # pages, so speculation is in flight at the moment of failure.
             with pytest.raises(RuntimeError, match="injected shard"):
                 engine.run(
@@ -418,8 +418,7 @@ class TestErrorPathCleanup:
                     workload.tree_p,
                     workload.tree_q,
                     executor="sharded",
-                    workers=4,
-                    pool="inline",
+                    workers=1,
                     prefetch="next_shard",
                 )
             assert workload.disk.prefetcher.staged_pages == []
@@ -454,8 +453,7 @@ class TestErrorPathCleanup:
                     workload.tree_p,
                     workload.tree_q,
                     executor="sharded",
-                    workers=4,
-                    pool="inline",
+                    workers=1,
                     prefetch="next_shard",
                 )
         assert store._async._pool is None

@@ -108,6 +108,31 @@ class TestWorkersValidation:
         ]) == 0
         assert "result pairs" in capsys.readouterr().out
 
+    def test_workers_with_distributed_executor_rejected(self, capsys):
+        """--workers sizes the sharded fork pool only; the distributed
+        executor is sized by --nodes."""
+        with pytest.raises(SystemExit) as excinfo:
+            main([
+                "join", "--storage", "file", "--executor", "distributed",
+                "--nodes", "2", "--workers", "4",
+            ])
+        assert excinfo.value.code == 2
+        err = capsys.readouterr().err
+        assert "--workers 4 has no effect with --executor distributed" in err
+
+
+class TestHandoffValidation:
+    """--reuse-handoff carries NM's REUSE buffer across unit boundaries,
+    which the serial executor does not have."""
+
+    @pytest.mark.parametrize("handoff", ["auto", "always", "never"])
+    def test_reuse_handoff_with_serial_executor_rejected(self, capsys, handoff):
+        with pytest.raises(SystemExit) as excinfo:
+            main(["join", "--reuse-handoff", handoff])  # serial is the default
+        assert excinfo.value.code == 2
+        err = capsys.readouterr().err
+        assert "--reuse-handoff" in err and "--executor serial" in err
+
 
 class TestPrefetchFlags:
     """--prefetch drives the overlapped-I/O pipeline; contradictory
