@@ -18,10 +18,10 @@ shapes exist:
 * ``kind: "counters"`` — a flat name→number mapping recorded explicitly by
   a benchmark through the ``bench_record`` fixture, for artefacts that are
   not experiment tables (sharded-executor recomputation counts, dynamic
-  update deltas, prefetch hit/stall series...).
+  update deltas, service throughput counters...).
 
 Only *deterministic* values belong in rows/counters; machine-dependent
-measurements (wall clocks, stall seconds) go into the free-form ``info``
+measurements (wall clocks, queue waits) go into the free-form ``info``
 mapping, which the comparison script ignores.
 
 The *committed* artefacts under ``benchmarks/results/`` carry only those

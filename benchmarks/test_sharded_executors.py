@@ -33,8 +33,10 @@ N_POINTS = int(os.environ.get("REPRO_SHARD_BENCH_POINTS", "1200"))
 WORKERS = 4
 #: Interleaved serial/sharded pairs behind the wall-clock comparison: the
 #: join phase lasts ~0.1 s here, so one scheduler hiccup on a shared machine
-#: would otherwise decide it; the median pair is compared instead.
-ROUNDS = 3
+#: would otherwise decide it; the median pair is compared instead.  With
+#: three pairs two hiccups still flipped the median on a loaded 2-CPU host,
+#: so seven are taken.
+ROUNDS = 7
 
 
 def timed_run(algorithm, points_p, points_q, **overrides):

@@ -197,11 +197,8 @@ def main() -> None:
     # its own socket to the server.  The node-side LRU buffer and decoded-
     # page cache stay in front of the wire, which keeps the paper's logical
     # page counters byte-identical to the serial run; the physical RPC
-    # traffic is reported separately in storage_stats().  Over a remote
-    # store (and only there) the coordinator also piggybacks peek-ahead
-    # hints on unit assignments, so nodes stage upcoming units' pages with
-    # one batched read_batch RPC while they compute — visible below as
-    # prefetch stats.
+    # traffic is reported separately in storage_stats(): every buffer miss
+    # on a node is one synchronous read_page RPC.
     from repro.storage.pageserver import spawn_page_server
 
     server = spawn_page_server(backing="file")
@@ -224,11 +221,9 @@ def main() -> None:
             io = remote_workload.disk.storage_stats()
             print(f"remote NM pairs       : {len(remote.pairs)} "
                   f"(identical to serial: {remote.pairs == result.pairs})")
-            print(f"pages staged on nodes : {io.extra.get('worker_bytes_prefetched', 0)}"
-                  f" bytes ahead of demand, over "
-                  f"{io.extra.get('worker_snapshots', 0)} node snapshot(s)")
-            print(f"coordinator RPCs      : {io.extra.get('rpc_calls', 0)} "
-                  f"({io.extra.get('batch_rpcs', 0)} batched)")
+            print(f"bytes read on nodes   : {io.extra.get('worker_bytes_read', 0)}"
+                  f" over {io.extra.get('worker_snapshots', 0)} node snapshot(s)")
+            print(f"coordinator RPCs      : {io.extra.get('rpc_calls', 0)}")
     finally:
         server.stop()
     # From two shells — no shared filesystem needed between them:
@@ -273,38 +268,6 @@ def main() -> None:
         print(f"pairs (same as memory): {file_result.pairs == result.pairs}")
         print(f"bytes read from file  : {io.bytes_read}")
         print(f"bytes written to file : {io.bytes_written}")
-    print()
-
-    print("=== Overlapped I/O: prefetching hides disk latency ===")
-    # With prefetch="next_batch" the engine issues the next leaf batch's
-    # candidate page reads (planned through an uncounted MBR descent)
-    # while the current batch computes its Voronoi cells, on the file
-    # backend's async reader thread.  A simulated 1 ms/page service time
-    # makes the effect visible: stalled time drops, the hidden remainder
-    # shows up as overlap.  Pairs and the paper's logical page accounting
-    # are byte-identical to the synchronous run above.
-    for mode in ("off", "next_batch"):
-        prefetch_workload = build_workload(
-            WorkloadConfig(storage="file", fetch_latency=0.001),
-            points_p=restaurants,
-            points_q=cinemas,
-        )
-        with prefetch_workload:
-            run = engine.run(
-                "nm",
-                prefetch_workload.tree_p,
-                prefetch_workload.tree_q,
-                domain=prefetch_workload.domain,
-                prefetch=mode,
-            )
-            io = run.storage
-            print(
-                f"prefetch={mode:10s} pairs={len(run.pairs)} "
-                f"pages={run.stats.total_page_accesses} "
-                f"issued={io.pages_prefetched} hits={io.prefetch_hits} "
-                f"stalled={io.stall_time * 1000:6.1f} ms "
-                f"overlapped={io.overlap_time * 1000:5.1f} ms"
-            )
     print()
 
     print("=== Dynamic workloads: incremental updates to P and Q ===")

@@ -111,9 +111,6 @@ def common_influence_join(
     reuse_handoff: str = "auto",
     storage: Optional[str] = None,
     storage_path: Optional[str] = None,
-    prefetch: str = "off",
-    prefetch_depth: int = 2,
-    fetch_latency: float = 0.0,
 ) -> CIJResult:
     """Compute ``CIJ(P, Q)`` end to end from two plain pointsets.
 
@@ -167,15 +164,6 @@ def common_influence_join(
         ``$REPRO_STORAGE`` and falls back to memory; the serializing
         backends let the join page real bytes off disk for datasets larger
         than the buffer.
-    prefetch, prefetch_depth:
-        Overlapped-I/O mode (``"off"``, ``"next_batch"``, ``"next_shard"``)
-        and its unit lookahead; see :class:`repro.engine.EngineConfig`.
-        The emitted pairs and logical hit/miss counters are identical in
-        every mode — prefetching only hides physical fetch latency, which
-        ``disk.storage_stats()`` reports as ``overlap_time``.
-    fetch_latency:
-        Simulated per-page disk service time in seconds (default 0); a
-        positive value makes the latency hiding measurable.
     """
     engine = default_engine()
     method_key = method.lower()
@@ -194,9 +182,6 @@ def common_influence_join(
         domain=domain,
         storage=storage,
         storage_path=storage_path,
-        fetch_latency=fetch_latency,
-        prefetch=prefetch,
-        prefetch_depth=prefetch_depth,
     )
     workload = build_workload(config, points_p=points_p, points_q=points_q)
     try:
@@ -214,8 +199,6 @@ def common_influence_join(
             reuse_handoff=reuse_handoff,
             storage=storage,
             storage_path=storage_path,
-            prefetch=config.prefetch,
-            prefetch_depth=config.prefetch_depth,
         )
     finally:
         # The result carries pairs and statistics only; backend resources

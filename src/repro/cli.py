@@ -48,12 +48,6 @@ picks the server's backing store)::
     python -m repro.cli join --n-p 500 --n-q 500 --page-server 127.0.0.1:9321 \
         --executor distributed --nodes 2
 
-File-backed join with overlapped I/O: upcoming batches' candidate pages are
-fetched asynchronously while the current batch computes, and a simulated
-2 ms/page service time makes the hidden latency visible in the summary::
-
-    python -m repro.cli join --storage file --prefetch next_batch --fetch-latency-ms 2
-
 Apply a dynamic update stream after the initial join and print the pair
 delta of every batch (see :mod:`repro.dynamic.updates` for the file
 format)::
@@ -80,6 +74,25 @@ _STORAGE_CHOICES = tuple(STORAGE_BACKENDS) + tuple(
 )
 
 
+def _int_range(low: int, high: Optional[int] = None):
+    """argparse type: an integer in ``[low, high]``.
+
+    An out-of-range value is a usage error (exit 2) at parse time instead
+    of a traceback from deep inside the run.  Point counts take ``low=1``:
+    every pointset is indexed, and an empty one has no R-tree.
+    """
+
+    def parse(text: str) -> int:
+        value = int(text)
+        if value < low or (high is not None and value > high):
+            bound = f"at least {low}" if high is None else f"in {low}..{high}"
+            raise argparse.ArgumentTypeError(f"must be {bound} (got {value})")
+        return value
+
+    parse.__name__ = "int"  # argparse names the type in "invalid int value"
+    return parse
+
+
 def build_parser() -> argparse.ArgumentParser:
     """The argparse command tree."""
     parser = argparse.ArgumentParser(
@@ -101,8 +114,8 @@ def build_parser() -> argparse.ArgumentParser:
     )
 
     join = subparsers.add_parser("join", help="run a CIJ on synthetic pointsets")
-    join.add_argument("--n-p", type=int, default=500, help="points in P")
-    join.add_argument("--n-q", type=int, default=500, help="points in Q")
+    join.add_argument("--n-p", type=_int_range(1), default=500, help="points in P")
+    join.add_argument("--n-q", type=_int_range(1), default=500, help="points in Q")
     join.add_argument("--seed", type=int, default=0, help="random seed")
     join.add_argument(
         "--method",
@@ -162,9 +175,9 @@ def build_parser() -> argparse.ArgumentParser:
         "--reuse-handoff",
         default=None,
         choices=("auto", "always", "never"),
-        help="carry NM's REUSE buffer across unit boundaries (sharded or "
-        "distributed executor): auto (the default) enables it for sharded "
-        "runs with --workers 1, where units run in-process and the chain is "
+        help="NM only: carry the REUSE buffer across unit boundaries "
+        "(sharded or distributed executor): auto (the default) enables it "
+        "for sharded runs with --workers 1, where units run in-process and the chain is "
         "free, and for every distributed run; always chains forked workers "
         "too (work-optimal pipeline); never keeps units independent",
     )
@@ -201,29 +214,6 @@ def build_parser() -> argparse.ArgumentParser:
         "(python -m repro.storage.pageserver); shorthand for "
         "--storage remote --storage-path HOST:PORT",
     )
-    join.add_argument(
-        "--prefetch",
-        default=None,
-        choices=("off", "next_batch", "next_shard"),
-        help="overlapped I/O: issue upcoming batches' candidate page reads "
-        "while the current batch computes (next_shard stages the next "
-        "shard's opening pages; requires --executor sharded and runs the "
-        "shards inline, overlapping via the async reader thread); pairs "
-        "and logical hit/miss counters are identical to off",
-    )
-    join.add_argument(
-        "--prefetch-depth",
-        type=int,
-        default=None,
-        help="units of lookahead for --prefetch (default 2)",
-    )
-    join.add_argument(
-        "--fetch-latency-ms",
-        type=float,
-        default=None,
-        help="simulated per-page disk service latency in milliseconds; "
-        "the summary then reports stalled vs overlapped time",
-    )
 
     serve = subparsers.add_parser(
         "serve",
@@ -235,11 +225,14 @@ def build_parser() -> argparse.ArgumentParser:
     )
     serve.add_argument("--host", default="127.0.0.1", help="bind address")
     serve.add_argument(
-        "--port", type=int, default=0, help="TCP port (0 picks a free one)"
+        "--port",
+        type=_int_range(0, 65535),
+        default=0,
+        help="TCP port (0 picks a free one)",
     )
     serve.add_argument("--dataset", default="default", help="dataset name")
-    serve.add_argument("--n-p", type=int, default=200, help="points in P")
-    serve.add_argument("--n-q", type=int, default=200, help="points in Q")
+    serve.add_argument("--n-p", type=_int_range(1), default=200, help="points in P")
+    serve.add_argument("--n-q", type=_int_range(1), default=200, help="points in Q")
     serve.add_argument("--seed", type=int, default=0, help="random seed")
     serve.add_argument(
         "--storage",
@@ -335,13 +328,21 @@ def _validate_nodes(parser: argparse.ArgumentParser, args: argparse.Namespace) -
 
 
 def _validate_handoff(parser: argparse.ArgumentParser, args: argparse.Namespace) -> None:
-    """Reject --reuse-handoff with the serial executor, which has no unit
-    boundaries to carry the REUSE buffer across."""
-    if args.executor == "serial" and args.reuse_handoff is not None:
+    """Reject --reuse-handoff where nothing would carry it: the serial
+    executor has no unit boundaries, and only NM-CIJ has a REUSE buffer."""
+    if args.reuse_handoff is None:
+        return
+    if args.executor == "serial":
         parser.error(
             f"--reuse-handoff {args.reuse_handoff} has no effect with "
             "--executor serial (one REUSE chain, no unit boundaries); use "
             "--executor sharded or distributed"
+        )
+    if args.method != "nm":
+        parser.error(
+            f"--reuse-handoff {args.reuse_handoff} has no effect with "
+            f"--method {args.method}: only NM-CIJ carries a REUSE buffer "
+            "across unit boundaries (use --method nm, or drop the flag)"
         )
 
 
@@ -427,13 +428,6 @@ def _validate_updates(parser: argparse.ArgumentParser, args: argparse.Namespace)
             "--reuse-handoff applies to sharded NM-CIJ shard boundaries and "
             "has no effect on --updates maintenance; drop one of the flags"
         )
-    if args.prefetch is not None and args.prefetch != "off":
-        parser.error(
-            "--updates cannot run with --prefetch: incremental maintenance "
-            "interleaves structural writes with its reads, which the async "
-            "fetch pipeline does not support; drop --prefetch (or apply the "
-            "updates after a prefetched static join)"
-        )
 
 
 def _cmd_join(
@@ -448,9 +442,6 @@ def _cmd_join(
     storage: Optional[str],
     storage_path: Optional[str],
     updates: Optional[str] = None,
-    prefetch: Optional[str] = None,
-    prefetch_depth: Optional[int] = None,
-    fetch_latency_ms: Optional[float] = None,
     node_timeout: Optional[float] = None,
     node_retries: Optional[int] = None,
     fault_plan: Optional[str] = None,
@@ -473,9 +464,6 @@ def _cmd_join(
             reuse_handoff=reuse_handoff,
             storage=storage,
             storage_path=storage_path,
-            prefetch=prefetch if prefetch is not None else "off",
-            prefetch_depth=prefetch_depth if prefetch_depth is not None else 2,
-            fetch_latency=(fetch_latency_ms or 0.0) / 1000.0,
         )
     except ValueError as error:
         print(f"error: {error}", file=sys.stderr)
@@ -501,16 +489,6 @@ def _cmd_join(
     print(f"CPU seconds     : {stats.total_cpu_seconds:.2f}")
     if stats.filter_candidates:
         print(f"false hit ratio : {stats.false_hit_ratio:.3f}")
-    io = result.storage
-    if io is not None and (prefetch not in (None, "off") or fetch_latency_ms):
-        print(
-            f"prefetch        : {io.pages_prefetched} issued, "
-            f"{io.prefetch_hits} hit, {io.prefetch_wasted} wasted"
-        )
-        print(
-            f"I/O latency     : {io.stall_time * 1000:.1f} ms stalled, "
-            f"{io.overlap_time * 1000:.1f} ms overlapped with compute"
-        )
     return 0
 
 
@@ -672,9 +650,6 @@ def main(argv: Optional[List[str]] = None) -> int:
             storage,
             storage_path,
             args.updates,
-            args.prefetch,
-            args.prefetch_depth,
-            args.fetch_latency_ms,
             args.node_timeout,
             args.node_retries,
             args.fault_plan,

@@ -49,33 +49,6 @@ class WorkloadConfig:
     #: already-running page server for ``remote`` (``None`` = owned temp
     #: file / a freshly spawned server).
     storage_path: Optional[str] = None
-    #: Simulated per-page fetch latency in seconds (see
-    #: :class:`~repro.storage.disk.DiskManager`); makes the prefetch
-    #: pipeline's latency hiding measurable via ``stall_time``/
-    #: ``overlap_time``.
-    fetch_latency: float = 0.0
-    #: Overlapped-I/O mode runs against this workload should use
-    #: (``off | next_batch | next_shard``); ``None`` leaves the engine
-    #: default.  ``build_workload`` itself only validates it — the field
-    #: is carried into :class:`~repro.engine.EngineConfig` by the callers
-    #: that build both the workload and the run config
-    #: (``common_influence_join``, the CLI).
-    prefetch: Optional[str] = None
-    #: Units of lookahead for the prefetch pipeline (``None`` = default).
-    prefetch_depth: Optional[int] = None
-
-    def __post_init__(self) -> None:
-        from repro.engine.config import PREFETCH_MODES
-
-        if self.prefetch is not None and self.prefetch not in PREFETCH_MODES:
-            raise ValueError(
-                f"unknown prefetch mode {self.prefetch!r}; "
-                f"expected one of {PREFETCH_MODES}"
-            )
-        if self.prefetch_depth is not None and self.prefetch_depth < 1:
-            raise ValueError("prefetch_depth must be at least 1")
-        if self.fetch_latency < 0:
-            raise ValueError("fetch_latency must be non-negative")
 
 
 @dataclass
@@ -252,7 +225,6 @@ def build_workload(
         page_size=config.page_size,
         storage=backend,
         storage_path=config.storage_path,
-        fetch_latency=config.fetch_latency,
     )
     tree_p = build_indexed_pointset(disk, "RP", points_p, domain=config.domain, bulk=bulk)
     tree_q = build_indexed_pointset(disk, "RQ", points_q, domain=config.domain, bulk=bulk)

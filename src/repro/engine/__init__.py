@@ -22,11 +22,9 @@ index order, so pairs and statistics are deterministic and byte-identical
 to serial whatever the assignment (see :mod:`repro.engine.executors` for
 the correctness argument).  A sharded or distributed NM-CIJ can hand its
 REUSE buffer across unit boundaries (``EngineConfig.reuse_handoff``),
-restoring the serial cell-reuse chain as a unit pipeline.
-``EngineConfig.prefetch`` overlaps upcoming batches' (or shards') page
-reads with the current batch's Voronoi computation through the disk's
-async fetch pipeline (:mod:`repro.storage.prefetch`) without changing the
-emitted pairs or any logical counter.
+restoring the serial cell-reuse chain as a unit pipeline.  Every page
+fetch, whatever the executor, is the page store's synchronous read — the
+paper's cost model.
 :func:`run_join` and :func:`default_engine` serve callers that do not need
 their own registry.
 """

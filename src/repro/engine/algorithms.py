@@ -27,68 +27,18 @@ to the engine's context/executor plumbing.
 
 from __future__ import annotations
 
-import heapq
 from dataclasses import dataclass, field
-from typing import Dict, Iterable, Iterator, List, Optional, Sequence, Tuple
+from typing import Dict, Iterable, List, Optional, Tuple
 
 from repro.geometry.rect import Rect
 from repro.index.rtree import RTree
 from repro.join.conditional_filter import FilterStats
 from repro.join.result import JoinStats
 from repro.storage.counters import IOCounters
-from repro.storage.prefetch import PrefetchScheduler
 from repro.voronoi.single import CellComputationStats
 
 from repro.engine.config import EngineConfig
 from repro.engine.units import WorkUnit
-
-#: Candidate-page budget of one unit's prefetch plan (the nearest target
-#: leaves an NM/PM batch is likely to open first).
-PREFETCH_PAGES_PER_UNIT = 8
-
-
-def nearest_leaf_pages(tree: RTree, rect: Optional[Rect], budget: int) -> List[int]:
-    """Leaf page ids of ``tree`` in mindist order from ``rect``, uncounted.
-
-    The descent peeks only *internal* nodes (a handful per plan) and never
-    touches the LRU buffer or the I/O counters, so planning what to
-    prefetch cannot perturb the paper's cost model.  Leaf page ids are
-    returned without being read — fetching them is the prefetcher's job.
-    """
-    if rect is None or tree.is_empty() or budget <= 0:
-        return []
-    order = 0
-    heap: List[Tuple[float, int, int, bool]] = [
-        (0.0, order, tree.root_page, tree.height <= 1)
-    ]
-    pages: List[int] = []
-    while heap and len(pages) < budget:
-        _, _, page_id, is_leaf = heapq.heappop(heap)
-        if is_leaf:
-            pages.append(page_id)
-            continue
-        node = tree.peek_node(page_id)
-        children_are_leaves = node.level == 1
-        for entry in node.entries:
-            order += 1
-            heapq.heappush(
-                heap,
-                (
-                    rect.mindist_rect(entry.mbr),
-                    order,
-                    entry.child_page,
-                    children_are_leaves,
-                ),
-            )
-    return pages
-
-
-def prefetcher_for(ctx: "JoinContext", mode: str) -> Optional[PrefetchScheduler]:
-    """The disk's scheduler, when the run's prefetch mode is ``mode``."""
-    if ctx.config.prefetch != mode:
-        return None
-    return ctx.disk.prefetcher
-
 
 @dataclass
 class JoinContext:
@@ -193,17 +143,9 @@ class JoinAlgorithm:
 
         The default streams the lazy Hilbert-ordered leaf iterator through
         :meth:`process_units`, preserving the paper's interleaving of leaf
-        I/O and result output.  With ``prefetch="next_batch"`` the stream
-        additionally issues each upcoming leaf's candidate pages ahead of
-        time — through an *uncounted* twin of the leaf iterator, so the
-        charged access sequence (and with it every logical counter) stays
-        exactly the serial one.
+        I/O and result output.
         """
-        leaves: Iterable[object] = ctx.tree_q.iter_leaf_nodes(order="hilbert")
-        prefetcher = prefetcher_for(ctx, "next_batch")
-        if prefetcher is not None:
-            leaves = self._prefetched_leaf_stream(ctx, leaves, prefetcher)
-        return self.process_units(ctx, leaves)
+        return self.process_units(ctx, ctx.tree_q.iter_leaf_nodes(order="hilbert"))
 
     def process_units(
         self, ctx: JoinContext, units: Iterable[object]
@@ -213,113 +155,6 @@ class JoinAlgorithm:
             f"{self.display_name or type(self).__name__} has no unit pipeline"
         )
 
-    # ------------------------------------------------------------------
-    # prefetch planning (advisory; never touches buffer or counters)
-    # ------------------------------------------------------------------
-    def unit_plan(self, ctx: JoinContext, rect: Optional[Rect]) -> List[int]:
-        """Candidate pages a unit with this MBR will likely read first."""
-        return []
-
-    def unit_pages(self, ctx: JoinContext, unit: object) -> List[int]:
-        """Candidate pages for one materialised shard unit."""
-        return []
-
-    def prefetch_pages(self, ctx: JoinContext, units: Sequence[object]) -> List[int]:
-        """The opening page set of a shard over ``units`` (``next_shard``).
-
-        Plans the first ``prefetch_depth`` units — staging a whole shard
-        would balloon the staging area without helping, since the overlap
-        window only covers the shard's opening reads anyway.
-        """
-        pages: List[int] = []
-        seen = set()
-        for unit in list(units)[: ctx.config.prefetch_depth]:
-            for page_id in self.unit_pages(ctx, unit):
-                if page_id not in seen:
-                    seen.add(page_id)
-                    pages.append(page_id)
-        return pages
-
-    def _prefetched_unit_sequence(
-        self,
-        ctx: JoinContext,
-        units: Sequence[object],
-        prefetcher: PrefetchScheduler,
-    ) -> Iterator[object]:
-        """Yield materialised units, planning ``prefetch_depth`` ahead."""
-        depth = ctx.config.prefetch_depth
-        issued = 0
-        for index, unit in enumerate(units):
-            target = min(len(units), index + 1 + depth)
-            if issued < index + 1:
-                issued = index + 1
-            while issued < target:
-                pages = self.unit_pages(ctx, units[issued])
-                if pages:
-                    prefetcher.request(pages)
-                issued += 1
-            yield unit
-
-    def _maybe_prefetch_units(
-        self, ctx: JoinContext, units: Iterable[object]
-    ) -> Iterable[object]:
-        """Wrap a materialised unit list in the ``next_batch`` lookahead.
-
-        Lazy streams pass through untouched: the serial path wires its own
-        uncounted-twin lookahead in :meth:`run_join`, and pulling units
-        early through a *charged* iterator would reorder the LRU hit/miss
-        sequence.
-        """
-        prefetcher = prefetcher_for(ctx, "next_batch")
-        if prefetcher is None or not isinstance(units, (list, tuple)):
-            return units
-        return self._prefetched_unit_sequence(ctx, units, prefetcher)
-
-    def _prefetched_leaf_stream(
-        self,
-        ctx: JoinContext,
-        leaves: Iterable[object],
-        prefetcher: PrefetchScheduler,
-    ) -> Iterator[object]:
-        """The serial ``next_batch`` pipeline over the lazy leaf iterator.
-
-        An uncounted plan twin (:meth:`~repro.index.rtree.RTree.plan_leaf_pages`)
-        walks ahead of the charged iterator: while leaf *i* computes its
-        Voronoi batch, the pages of leaves *i+1 … i+depth* — each leaf's
-        own page plus its MBR-pruned candidate set — are already being
-        fetched on the backend's worker thread.
-
-        The candidate set is speculative (the filter may prune some of
-        it), which is harmless mid-traversal: the next batch's plan
-        re-requests whatever is still useful, so unread speculation is
-        consumed eventually.  The *final* planned batch has no successor
-        to reclaim it, so its plan issues only the leaf's own page — the
-        one page the charged iterator is certain to read — keeping
-        ``prefetch_wasted`` at zero instead of stranding pruned
-        candidates in the staging area until drain.
-        """
-        depth = ctx.config.prefetch_depth
-        plans = ctx.tree_q.plan_leaf_pages(order="hilbert")
-        upcoming = next(plans, None)
-        issued = 0
-        consumed = 0
-        for leaf in leaves:
-            consumed += 1
-            while upcoming is not None and issued < consumed:
-                # skip plans up to the current (already charged) leaf
-                upcoming = next(plans, None)
-                issued += 1
-            while upcoming is not None and issued < consumed + depth:
-                page_id, mbr = upcoming
-                upcoming = next(plans, None)
-                issued += 1
-                if upcoming is None:
-                    prefetcher.request([page_id])
-                else:
-                    prefetcher.request([page_id] + self.unit_plan(ctx, mbr))
-            yield leaf
-
-
 class NMJoin(JoinAlgorithm):
     """Algorithm 6 — non-blocking, no materialisation."""
 
@@ -328,18 +163,9 @@ class NMJoin(JoinAlgorithm):
     supports_sharding = True
     supports_handoff = True
 
-    def unit_plan(self, ctx, rect):
-        # The filter phase opens R_P leaves nearest the batch first.
-        return nearest_leaf_pages(ctx.tree_p, rect, PREFETCH_PAGES_PER_UNIT)
-
-    def unit_pages(self, ctx, unit):
-        unit = self._materialised(ctx, unit)
-        return self.unit_plan(ctx, unit.mbr() if unit.entries else None)
-
     def process_units(self, ctx, units):
         from repro.join.nm_cij import process_q_leaves
 
-        units = self._maybe_prefetch_units(ctx, units)
         pairs, final_buffer = process_q_leaves(
             ctx.tree_p,
             ctx.tree_q,
@@ -378,21 +204,9 @@ class PMJoin(JoinAlgorithm):
         ctx.stats.cells_computed_p = count_p
         ctx.prepared["voronoi_p"] = voronoi_p
 
-    def unit_plan(self, ctx, rect):
-        # The probe phase range-queries R'_P around the batch's cells.
-        voronoi_p = ctx.prepared.get("voronoi_p")
-        if voronoi_p is None:
-            return []
-        return nearest_leaf_pages(voronoi_p, rect, PREFETCH_PAGES_PER_UNIT)
-
-    def unit_pages(self, ctx, unit):
-        unit = self._materialised(ctx, unit)
-        return self.unit_plan(ctx, unit.mbr() if unit.entries else None)
-
     def process_units(self, ctx, units):
         from repro.join.pm_cij import probe_q_leaves
 
-        units = self._maybe_prefetch_units(ctx, units)
         return probe_q_leaves(
             ctx.prepared["voronoi_p"],
             ctx.tree_q,
@@ -459,26 +273,12 @@ class FMJoin(JoinAlgorithm):
 
         return JoinPartition(seeds=unit.payload)
 
-    def unit_pages(self, ctx, unit):
-        unit = self._materialised(ctx, unit)
-        # A partition's seed stack names exactly the pages its depth-first
-        # traversal opens first.
-        pages: List[int] = []
-        seen = set()
-        for page_a, page_b in unit.seeds:
-            for page_id in (page_a, page_b):
-                if page_id not in seen:
-                    seen.add(page_id)
-                    pages.append(page_id)
-        return pages
-
     def run_join(self, ctx):
         return self.process_units(ctx, self.shard_units(ctx))
 
     def process_units(self, ctx, units):
         from repro.join.fm_cij import join_partitions
 
-        units = self._maybe_prefetch_units(ctx, units)
         return join_partitions(
             ctx.prepared["voronoi_p"],
             ctx.prepared["voronoi_q"],

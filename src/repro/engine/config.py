@@ -28,9 +28,6 @@ HANDOFF_MODES = ("auto", "always", "never")
 #: (:attr:`EngineConfig.delta_candidates`).
 DELTA_CANDIDATES = ("filter", "scan")
 
-#: Prefetch pipeline modes accepted by :attr:`EngineConfig.prefetch`.
-PREFETCH_MODES = ("off", "next_batch", "next_shard")
-
 
 @dataclass(frozen=True)
 class EngineConfig:
@@ -127,25 +124,6 @@ class EngineConfig:
         paper's ConditionalFilter, ``"scan"`` MBR-scans the maintained
         opposite diagram (an independent path the differential tests use
         to cross-check the filter).
-    prefetch:
-        Overlapped-I/O mode of the run (:mod:`repro.storage.prefetch`).
-        ``"off"`` (default) keeps every page fetch synchronous, as in the
-        paper's cost model.  ``"next_batch"`` issues the MBR-pruned
-        candidate pages of upcoming units (``R_Q`` leaf batches for NM/PM,
-        synchronous-traversal partitions for FM) while the current batch
-        computes its Voronoi cells.  ``"next_shard"`` additionally makes
-        the sharded executor stage the next shard's opening pages while
-        the current shard runs; it requires the sharded executor and runs
-        the shards in this process whatever ``workers`` says (staged pages
-        live in the dispatching process, which forked workers would never
-        see — the overlap comes from the backend's async reader thread,
-        not from forked workers).
-        Whatever the mode, the emitted pairs and the logical hit/miss
-        counters are byte-identical to ``"off"``; only the physical
-        stall/overlap accounting in ``disk.storage_stats()`` changes.
-    prefetch_depth:
-        How many units ahead the ``next_batch``/``next_shard`` pipelines
-        plan (also the number of opening units staged per shard).
     cell_cache:
         Opt-in per-node cache of exact ``P`` Voronoi cells that outlives
         NM-CIJ's per-leaf REUSE buffer, deduping recomputation across the
@@ -171,8 +149,6 @@ class EngineConfig:
     storage: Optional[str] = None
     storage_path: Optional[str] = None
     delta_candidates: str = "filter"
-    prefetch: str = "off"
-    prefetch_depth: int = 2
     cell_cache: bool = False
 
     def __post_init__(self) -> None:
@@ -204,30 +180,10 @@ class EngineConfig:
             from repro.engine.faults import FaultPlan
 
             FaultPlan.from_spec(self.fault_plan)  # fail fast on a bad spec
-        if self.executor == "distributed" and self.prefetch != "off":
-            raise ValueError(
-                "prefetch is not available with executor='distributed': "
-                "staged pages live in the coordinating process, which node "
-                "subprocesses (their own handles, their own address space) "
-                "would never see"
-            )
         if self.storage is not None:
             canonical_backend(self.storage)  # fail fast on an unknown spec
         if self.delta_candidates not in DELTA_CANDIDATES:
             raise ValueError(
                 f"unknown delta_candidates {self.delta_candidates!r}; "
                 f"expected one of {DELTA_CANDIDATES}"
-            )
-        if self.prefetch not in PREFETCH_MODES:
-            raise ValueError(
-                f"unknown prefetch mode {self.prefetch!r}; "
-                f"expected one of {PREFETCH_MODES}"
-            )
-        if self.prefetch_depth < 1:
-            raise ValueError("prefetch_depth must be at least 1")
-        if self.prefetch == "next_shard" and self.executor != "sharded":
-            raise ValueError(
-                "prefetch='next_shard' overlaps shard boundaries and requires "
-                "executor='sharded'; use prefetch='next_batch' with the serial "
-                "executor"
             )

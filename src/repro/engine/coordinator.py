@@ -221,12 +221,6 @@ class UnitCoordinator:
         with self._lock:
             return len(self._leases)
 
-    def peek_pending(self, depth: int) -> List[WorkUnit]:
-        """The next (up to) ``depth`` units awaiting assignment —
-        advisory, for prefetch planning; does not consume them."""
-        with self._lock:
-            return [self._units[i] for i in self._pending[:depth]]
-
     # ------------------------------------------------------------------
     # deterministic ordered merge
     # ------------------------------------------------------------------

@@ -127,34 +127,19 @@ class JoinEngine:
             cell_cache={} if effective.cell_cache else None,
         )
 
-        if effective.prefetch != "off":
-            # Attach the overlapped-I/O pipeline for this run.  The
-            # scheduler accounts into the disk's lifetime stats; staged
-            # pages are drained (and charged as wasted) when the run ends,
-            # so one run's mispredictions can never leak into the next.
-            disk.enable_prefetch()
+        # --- MAT phase -------------------------------------------------
+        mat_start = time.perf_counter()
+        algo.prepare(ctx)
+        if algo.materialises:
+            stats.mat_cpu_seconds = time.perf_counter() - mat_start
+            stats.mat_page_accesses = disk.counters.diff(
+                ctx.start_counters
+            ).page_accesses
+            stats.record_progress(stats.mat_page_accesses, 0)
 
-        # The drain must cover the MAT phase too: FM's prepare already
-        # reads pages with prefetch attached, and an exception there used
-        # to skip the drain, leaving staged pages and a live fetch worker
-        # behind for the next run.
-        try:
-            # --- MAT phase ---------------------------------------------
-            mat_start = time.perf_counter()
-            algo.prepare(ctx)
-            if algo.materialises:
-                stats.mat_cpu_seconds = time.perf_counter() - mat_start
-                stats.mat_page_accesses = disk.counters.diff(
-                    ctx.start_counters
-                ).page_accesses
-                stats.record_progress(stats.mat_page_accesses, 0)
-
-            # --- JOIN phase --------------------------------------------
-            join_start = time.perf_counter()
-            pairs = executor.execute(algo, ctx)
-        finally:
-            if effective.prefetch != "off":
-                disk.drain_prefetch()
+        # --- JOIN phase ------------------------------------------------
+        join_start = time.perf_counter()
+        pairs = executor.execute(algo, ctx)
         stats.join_cpu_seconds = time.perf_counter() - join_start
         total_accesses = disk.counters.diff(ctx.start_counters).page_accesses
         stats.join_page_accesses = total_accesses - stats.mat_page_accesses
@@ -200,14 +185,6 @@ class JoinEngine:
         from repro.dynamic.maintenance import DynamicJoinSession
 
         effective = self._effective_config(config, overrides)
-        if effective.prefetch != "off":
-            raise ValueError(
-                "dynamic sessions do not support prefetching: incremental "
-                "maintenance interleaves structural writes with its "
-                "BatchVoronoi reads, which would race the async fetch "
-                "pipeline; open the session with prefetch='off' (updates "
-                "can be applied after a prefetched static join completes)"
-            )
         session = DynamicJoinSession(
             tree_p,
             tree_q,

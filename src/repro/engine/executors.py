@@ -9,12 +9,12 @@
   :class:`~repro.engine.coordinator.UnitCoordinator` over
   ``min(workers, units)`` local ``fork`` workers — or in this process,
   sequentially, through the very same unit/merge path when ``workers`` is
-  1, there is one unit, ``prefetch="next_shard"`` stages pages here, or
-  the platform cannot fork.  Each unit runs against its own counter
-  snapshot and the dispatch-time buffer state; the coordinator merges
-  result pairs and every statistics record deterministically, in unit
-  order, so the merged pair list is byte-identical to the serial one and
-  the merged counters are the exact sum of the per-unit deltas.
+  1, there is one unit, or the platform cannot fork.  Each unit runs
+  against its own counter snapshot and the dispatch-time buffer state;
+  the coordinator merges result pairs and every statistics record
+  deterministically, in unit order, so the merged pair list is
+  byte-identical to the serial one and the merged counters are the exact
+  sum of the per-unit deltas.
 * :class:`DistributedExecutor` runs the same coordinator over ``nodes``
   worker *subprocesses* (:mod:`repro.engine.node`) that reopen the shared
   file/sqlite backend read-only and exchange units and results over an
@@ -254,15 +254,7 @@ class ShardedExecutor:
         coordinator = UnitCoordinator(units, chained=handoff)
         base_accesses = ctx.disk.counters.diff(ctx.start_counters).page_accesses
         forked = False
-        if (
-            self.workers > 1
-            and ctx.config.prefetch != "next_shard"
-            and len(units) > 1
-        ):
-            # next_shard staging lives in this process; forked workers
-            # would never see it, so it always runs inline, where the
-            # async reader thread genuinely overlaps upcoming units'
-            # fetches with the current unit's computation.
+        if self.workers > 1 and len(units) > 1:
             forked = self._run_units_fork(algorithm, ctx, coordinator, units, handoff)
         if not forked:
             self._run_units_inline(algorithm, ctx, coordinator, len(units))
@@ -358,9 +350,6 @@ class ShardedExecutor:
         """
         isolate = unit_count > 1
         dispatch_state = ctx.disk.buffer_state() if isolate else None
-        prefetcher = (
-            ctx.disk.prefetcher if ctx.config.prefetch == "next_shard" else None
-        )
         first = True
         try:
             while True:
@@ -370,14 +359,6 @@ class ShardedExecutor:
                 if dispatch_state is not None and not first:
                     ctx.disk.restore_buffer_state(dispatch_state)
                 first = False
-                if prefetcher is not None:
-                    # Stage upcoming units' opening pages now: the backend's
-                    # worker thread fetches them while this unit computes.
-                    pending = coordinator.peek_pending(ctx.config.prefetch_depth)
-                    if pending:
-                        pages = algorithm.prefetch_pages(ctx, pending)
-                        if pages:
-                            prefetcher.request(pages)
                 try:
                     result = _execute_shard(
                         algorithm,
@@ -391,9 +372,9 @@ class ShardedExecutor:
                     raise
                 coordinator.record_result(assignment.index, result)
         finally:
-            # Rewind even when a unit raises: the caller's drain then sees
-            # the dispatch-time buffer, not a half-executed unit's, and a
-            # follow-up run on the same disk starts from a known state.
+            # Rewind even when a unit raises: a follow-up run on the same
+            # disk then starts from the dispatch-time buffer, not a
+            # half-executed unit's.
             if dispatch_state is not None:
                 ctx.disk.restore_buffer_state(dispatch_state)
 
@@ -444,10 +425,6 @@ class DistributedExecutor:
     slower nodes join the pull loop mid-run when their bootstrap finishes.
     The run degrades gracefully down to one survivor; only zero live
     workers with work still outstanding aborts loudly.
-
-    Over a remote page store, and only there, unit assignments carry the
-    coordinator's lookahead so nodes stage upcoming units' opening pages
-    while the current unit computes (physical transport only).
     """
 
     name = "distributed"
@@ -534,14 +511,11 @@ class DistributedExecutor:
         if not units:
             return []
         handoff = self._handoff_enabled(algorithm)
-        # Over the remote page server every cold page is a round trip, so
-        # the coordinator's lookahead is worth shipping to the nodes.
-        stage = bool(store.supports_remote)
         coordinator = UnitCoordinator(
             units, chained=handoff, max_attempts=self.node_retries + 1
         )
         base_accesses = ctx.disk.counters.diff(ctx.start_counters).page_accesses
-        spec = node_plane.node_init_spec(algorithm, ctx, handoff, stage_hints=stage)
+        spec = node_plane.node_init_spec(algorithm, ctx, handoff)
         count = min(self.nodes, len(units))
         quorum = min(self.min_ready if self.min_ready is not None else count, count)
 
@@ -627,19 +601,8 @@ class DistributedExecutor:
                             self.MAX_BACKOFF,
                         )
                     )
-                hints = None
-                if stage:
-                    # Ship the coordinator's lookahead with the assignment;
-                    # the node computes the page plan itself (NM/PM unit
-                    # planning reads the trees) and stages one batched
-                    # fetch while this unit computes.
-                    pending = coordinator.peek_pending(ctx.config.prefetch_depth)
-                    if pending:
-                        hints = [unit.to_wire() for unit in pending]
                 try:
-                    result = node.run_unit(
-                        assignment, timeout=self.node_timeout, stage=hints
-                    )
+                    result = node.run_unit(assignment, timeout=self.node_timeout)
                 except node_plane.NodeFailure as error:
                     # Lease back to the queue first, then retire the node:
                     # a sibling can pick the unit up immediately.

@@ -171,9 +171,7 @@ def _tree_spec(tree: RTree) -> Dict[str, Any]:
     }
 
 
-def node_init_spec(
-    algorithm, ctx, handoff: bool, stage_hints: bool = False
-) -> Dict[str, Any]:
+def node_init_spec(algorithm, ctx, handoff: bool) -> Dict[str, Any]:
     """Everything a node needs to rebuild the run's read view.
 
     Trees are described by root/fanout metadata only — the pages
@@ -182,9 +180,7 @@ def node_init_spec(
     subprocess must reopen: backend name + shared location — a path for
     file/sqlite, a host:port for the remote page server).  ``resident``
     is the dispatch-time LRU residency (least to most recently used) the
-    node rewinds to before every unit.  ``stage_hints`` tells the node to
-    attach a prefetch scheduler and stage whatever unit lookahead the
-    coordinator piggybacks on assignments.
+    node rewinds to before every unit.
     """
     disk = ctx.disk
     prepared = {
@@ -215,8 +211,6 @@ def node_init_spec(
             "use_phi_pruning": ctx.config.use_phi_pruning,
             "progress_interval": ctx.config.progress_interval,
             "cell_cache": ctx.config.cell_cache,
-            "stage_hints": stage_hints,
-            "prefetch_depth": ctx.config.prefetch_depth,
         },
     }
 
@@ -386,30 +380,19 @@ class NodeProcess:
             )
         self._ready = True
 
-    def run_unit(
-        self,
-        assignment,
-        timeout: Optional[float] = None,
-        stage: Optional[List[Dict[str, Any]]] = None,
-    ) -> "ShardResult":
-        """Execute one assignment on the node; blocks until its result.
-
-        ``stage`` piggybacks the coordinator's pending-unit lookahead (wire
-        forms) so the node can stage those units' opening pages while this
-        assignment computes — advisory, physical-transport-only.
-        """
+    def run_unit(self, assignment, timeout: Optional[float] = None) -> "ShardResult":
+        """Execute one assignment on the node; blocks until its result."""
         from repro.engine.executors import ShardResult
 
-        message_out = {
-            "type": "unit",
-            "index": assignment.index,
-            "unit": assignment.unit.to_wire(),
-            # Opaque: whatever wire form the producing node returned.
-            "carry": assignment.carry,
-        }
-        if stage:
-            message_out["stage"] = stage
-        self._send(message_out)
+        self._send(
+            {
+                "type": "unit",
+                "index": assignment.index,
+                "unit": assignment.unit.to_wire(),
+                # Opaque: whatever wire form the producing node returned.
+                "carry": assignment.carry,
+            }
+        )
         message = self._recv(timeout=timeout)
         if message.get("type") != "result":
             raise NodeProtocolError(
@@ -546,15 +529,7 @@ def _bootstrap(spec: Dict[str, Any]):
         use_phi_pruning=knobs["use_phi_pruning"],
         progress_interval=knobs["progress_interval"],
         cell_cache=knobs["cell_cache"],
-        prefetch_depth=int(knobs.get("prefetch_depth", 2)),
     )
-    if knobs.get("stage_hints"):
-        # Staged hints arrive with unit assignments; the scheduler turns
-        # them into one batched ``fetch_async`` (a single ``read_batch``
-        # RPC on the remote store) that overlaps the unit's computation.
-        # Logical counters never route through the scheduler, so staging
-        # is physical-transport-only.
-        disk.enable_prefetch()
     domain = Rect(*spec["domain"])
     tree_p = _build_tree(disk, spec["tree_p"])
     tree_q = _build_tree(disk, spec["tree_q"])
@@ -670,16 +645,6 @@ def main() -> int:
                 disk.restore_buffer_state(dispatch_state)
                 unit = WorkUnit.from_wire(message["unit"])
                 carry = carry_from_wire(message.get("carry"))
-                stage_wire = message.get("stage")
-                if stage_wire and disk.prefetcher is not None:
-                    # Coordinator lookahead: plan the upcoming units' opening
-                    # pages locally (the planners read uncounted, so logical
-                    # counters stay byte-identical) and issue one batched
-                    # fetch that runs while this unit computes.
-                    staged = [WorkUnit.from_wire(wire) for wire in stage_wire]
-                    pages = algorithm.prefetch_pages(parent_ctx, staged)
-                    if pages:
-                        disk.prefetcher.request(pages)
                 result = _execute_shard(
                     algorithm,
                     parent_ctx,

@@ -30,7 +30,6 @@ def fresh_workload(
     seed: int = 0,
     storage: Optional[str] = None,
     storage_path: Optional[str] = None,
-    fetch_latency: float = 0.0,
 ) -> Workload:
     """A brand-new workload (fresh disk, fresh trees) for one measured run.
 
@@ -38,15 +37,13 @@ def fresh_workload(
     previous run never pollute the buffer sizing or the counters of the next.
     ``storage`` selects the page-store backend (``None`` honours
     ``$REPRO_STORAGE``, then memory), so every experiment can be replayed
-    against file- or SQLite-backed pages unchanged; ``fetch_latency`` is the
-    simulated per-page disk service time (for stall/overlap measurements).
+    against file- or SQLite-backed pages unchanged.
     """
     config = WorkloadConfig(
         seed=seed,
         buffer_fraction=buffer_fraction,
         storage=storage,
         storage_path=storage_path,
-        fetch_latency=fetch_latency,
     )
     return build_workload(config, points_p=points_p, points_q=points_q)
 
@@ -58,14 +55,13 @@ def run_cij(
     buffer_fraction: float = DEFAULT_BUFFER_FRACTION,
     storage: Optional[str] = None,
     storage_path: Optional[str] = None,
-    fetch_latency: float = 0.0,
     **engine_overrides,
 ) -> CIJResult:
     """Run one CIJ algorithm on a fresh workload through the join engine.
 
     ``engine_overrides`` are :class:`repro.engine.EngineConfig` fields
     (``reuse_cells``, ``use_phi_pruning``, ``executor``, ``workers``,
-    ``prefetch``, ...), so every experiment measures the same code path
+    ``cell_cache``, ...), so every experiment measures the same code path
     applications use.  The workload's backend resources are released once
     the result is in hand.
     """
@@ -76,7 +72,6 @@ def run_cij(
         buffer_fraction=buffer_fraction,
         storage=storage,
         storage_path=storage_path,
-        fetch_latency=fetch_latency,
     )
     try:
         return default_engine().run(

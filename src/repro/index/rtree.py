@@ -295,39 +295,6 @@ class RTree:
                 )
             stack.extend(e.child_page for e in children)
 
-    def plan_leaf_pages(self, order: str = "dfs") -> Iterator[Tuple[int, Optional[Rect]]]:
-        """Uncounted twin of :meth:`iter_leaf_nodes` for prefetch planning.
-
-        Yields ``(page_id, leaf MBR)`` in exactly the order the charged
-        iterator yields the leaves (same traversal, same stable Hilbert
-        sort), but through :meth:`peek_node` — so a prefetch pipeline can
-        look ahead of the measured leaf stream without perturbing the
-        paper's buffer/counter accounting, and without pulling pages
-        through the charged iterator early (which would reorder the LRU
-        hit/miss sequence).
-        """
-        if self.root_page is None:
-            return
-        if order not in ("dfs", "hilbert"):
-            raise ValueError(f"unknown traversal order: {order!r}")
-        domain = self.domain() if order == "hilbert" else None
-        stack: List[int] = [self.root_page]
-        while stack:
-            page_id = stack.pop()
-            node = self.peek_node(page_id)
-            if node.is_leaf:
-                # An empty leaf (possible transiently under deletions) has
-                # no MBR; it is still yielded to stay aligned with the
-                # charged iterator, with ``None`` as its planning rectangle.
-                yield page_id, (node.mbr() if node.entries else None)
-                continue
-            children = list(node.entries)
-            if order == "hilbert":
-                children.sort(
-                    key=lambda e: hilbert_value(e.mbr.center(), domain), reverse=True
-                )
-            stack.extend(e.child_page for e in children)
-
     def iter_all_nodes(self) -> Iterator[Node]:
         """Yield every node of the tree depth-first, charging I/O."""
         if self.root_page is None:

@@ -109,9 +109,9 @@ class CIJResult:
     stats: JoinStats
     cell_stats: Optional["CellComputationStats"] = None
     filter_stats: Optional["FilterStats"] = None
-    #: Physical byte movement and prefetch stall/overlap accounting of the
-    #: run's disk, snapshotted when the engine run ends (lifetime values of
-    #: the workload's disk manager, not a per-run delta).
+    #: Physical byte movement of the run's disk, snapshotted when the
+    #: engine run ends (lifetime values of the workload's disk manager, not
+    #: a per-run delta).
     storage: Optional["StorageStats"] = None
 
     def pair_set(self) -> Set[Tuple[int, int]]:

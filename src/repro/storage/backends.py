@@ -22,10 +22,9 @@ The contract is formalized twice: :class:`PageStore` is a
 ``runtime_checkable`` :class:`~typing.Protocol` (the structural contract
 capability queries check against), and :class:`PageStoreBase` is an ABC
 with default implementations new backends can inherit.  Capability flags
-(``supports_async``, ``supports_worker_reopen``, ``supports_remote``) plus
-the ``location`` property replace the old scattered ``hasattr``/backend-
-name string checks: the engine asks a store what it can do instead of
-guessing from its name.
+(``supports_worker_reopen``, ``supports_remote``) plus the ``location``
+property replace the old scattered ``hasattr``/backend-name string checks:
+the engine asks a store what it can do instead of guessing from its name.
 
 Backend selection routes through one factory — :func:`open_store` for
 spec strings (``"file:/data/pages.bin"``, ``"remote:HOST:PORT"``,
@@ -175,15 +174,6 @@ class StorageStats:
     ``IOCounters`` counts the paper's *logical* page accesses; these fields
     report how many real bytes the backend moved for them (always zero for
     the in-memory backend, which never serializes anything).
-
-    The prefetch fields describe the asynchronous fetch pipeline
-    (:mod:`repro.storage.prefetch`): pages issued ahead of demand, how many
-    of them a later read actually consumed or never did, and the
-    decomposition of physical fetch latency into time the join *stalled*
-    waiting for the backend versus service time *overlapped* with
-    computation.  ``bytes_prefetched`` are the bytes the async reader
-    moved; they are kept out of ``bytes_read`` so the synchronous-miss
-    traffic stays comparable across prefetch modes.
     """
 
     backend: str = "memory"
@@ -191,102 +181,7 @@ class StorageStats:
     bytes_read: int = 0
     bytes_written: int = 0
     file_bytes: int = 0
-    bytes_prefetched: int = 0
-    pages_prefetched: int = 0
-    prefetch_hits: int = 0
-    prefetch_wasted: int = 0
-    sync_fetches: int = 0
-    stall_time: float = 0.0
-    overlap_time: float = 0.0
     extra: Dict[str, int] = field(default_factory=dict)
-
-
-class PageFetch:
-    """Future-like handle for one asynchronous batch of page reads.
-
-    Returned by :meth:`PageStore.fetch_async`.  ``result`` blocks until the
-    batch completes and returns the pages that could be read; pages missing
-    from the mapping (freed meanwhile, or a failed backend read) are simply
-    absent — the consumer falls back to a synchronous read, which surfaces
-    any genuine error.
-    """
-
-    def done(self) -> bool:
-        raise NotImplementedError
-
-    def result(self) -> Dict[int, "PageRecord"]:
-        raise NotImplementedError
-
-
-class CompletedPageFetch(PageFetch):
-    """An already-complete fetch (the in-memory backend reads instantly)."""
-
-    def __init__(self, records: Dict[int, "PageRecord"]):
-        self._records = records
-
-    def done(self) -> bool:
-        return True
-
-    def result(self) -> Dict[int, "PageRecord"]:
-        return self._records
-
-
-class ThreadedPageFetch(PageFetch):
-    """A fetch running on a backend's prefetch worker thread."""
-
-    def __init__(self, future):
-        self._future = future
-
-    def done(self) -> bool:
-        return self._future.done()
-
-    def result(self) -> Dict[int, "PageRecord"]:
-        try:
-            return self._future.result()
-        except Exception:
-            # Prefetching is advisory: a failed async batch yields nothing
-            # and the consumer's synchronous fallback reports the real error.
-            return {}
-
-
-class _AsyncReader:
-    """A single-worker thread pool reading page batches for one store.
-
-    One worker keeps the byte accounting race-free (only the worker thread
-    writes the prefetch byte counter) and preserves issue order.  The pool
-    is created lazily on the first async fetch and must be dropped both on
-    ``close`` and after ``fork`` (a child process inherits the pool object
-    but not its thread).
-    """
-
-    def __init__(self, read_one):
-        self._read_one = read_one
-        self._pool = None
-
-    def submit(self, page_ids) -> ThreadedPageFetch:
-        if self._pool is None:
-            from concurrent.futures import ThreadPoolExecutor
-
-            self._pool = ThreadPoolExecutor(
-                max_workers=1, thread_name_prefix="repro-prefetch"
-            )
-        return ThreadedPageFetch(self._pool.submit(self._read_batch, list(page_ids)))
-
-    def _read_batch(self, page_ids) -> Dict[int, "PageRecord"]:
-        records: Dict[int, PageRecord] = {}
-        for page_id in page_ids:
-            try:
-                records[page_id] = self._read_one(page_id)
-            except KeyError:
-                continue  # freed between planning and fetching
-        return records
-
-    def close(self) -> None:
-        if self._pool is not None:
-            # Wait for the in-flight batch (they are small) so the store's
-            # handles are guaranteed unused when the caller closes them.
-            self._pool.shutdown(wait=True, cancel_futures=True)
-            self._pool = None
 
 
 @runtime_checkable
@@ -301,10 +196,6 @@ class PageStore(Protocol):
     The engine never inspects a store's concrete type or name; it asks the
     capability flags and :attr:`location` instead:
 
-    ``supports_async``
-        :meth:`fetch_async` genuinely overlaps byte movement with the
-        caller (worker thread or wire); the in-memory backend completes
-        fetches inline, so it reports ``False``.
     ``supports_worker_reopen``
         :meth:`reopen_in_worker` yields an independent read-only handle a
         worker process can use — the precondition for the fork pool and the
@@ -319,7 +210,6 @@ class PageStore(Protocol):
     """
 
     name: str
-    supports_async: bool
     supports_worker_reopen: bool
     supports_remote: bool
 
@@ -342,17 +232,6 @@ class PageStore(Protocol):
         ``count=False`` keeps the read out of :meth:`stats` — used for
         maintenance/oracle access so ``bytes_read`` reports only the bytes
         that buffer misses pulled.
-        """
-        ...
-
-    def fetch_async(self, page_ids: List[int]) -> PageFetch:
-        """Begin reading a batch of pages without blocking the caller.
-
-        The serializing backends move the bytes on a worker thread through
-        their own private handles (the calling thread's handles are never
-        shared); the in-memory backend completes immediately.  Unknown page
-        ids are silently absent from the result.  Async traffic is counted
-        in ``stats().bytes_prefetched``, not ``bytes_read``.
         """
         ...
 
@@ -393,13 +272,12 @@ class PageStoreBase(abc.ABC):
     """Default implementations for :class:`PageStore` backends.
 
     Concrete backends inherit the capability flags (conservative defaults:
-    a store can do nothing special until it says so), the ``location`` /
-    ``worker_spec`` plumbing and a synchronous ``fetch_async`` fallback,
-    and override what their byte layout makes cheaper.
+    a store can do nothing special until it says so) and the ``location`` /
+    ``worker_spec`` plumbing, and override what their byte layout makes
+    cheaper.
     """
 
     name = "abstract"
-    supports_async = False
     supports_worker_reopen = False
     supports_remote = False
 
@@ -422,16 +300,6 @@ class PageStoreBase(abc.ABC):
     @abc.abstractmethod
     def read_page(self, page_id: int, count: bool = True) -> PageRecord:
         ...
-
-    def fetch_async(self, page_ids: List[int]) -> PageFetch:
-        """Synchronous fallback: uncounted reads, completed immediately."""
-        records: Dict[int, PageRecord] = {}
-        for page_id in page_ids:
-            try:
-                records[page_id] = self.read_page(page_id, count=False)
-            except KeyError:
-                continue
-        return CompletedPageFetch(records)
 
     def page_meta(self, page_id: int) -> Tuple[str, int]:
         record = self.read_page(page_id, count=False)
@@ -483,8 +351,7 @@ class MemoryPageStore(PageStoreBase):
 
     name = "memory"
     # Fork-safe through copy-on-write, but there is nothing another process
-    # could attach to (location is None) and fetches complete inline.
-    supports_async = False
+    # could attach to (location is None).
     supports_worker_reopen = True
     supports_remote = False
 
@@ -499,16 +366,6 @@ class MemoryPageStore(PageStoreBase):
             return self._pages[page_id]
         except KeyError:
             raise KeyError(f"page {page_id} has not been allocated") from None
-
-    def fetch_async(self, page_ids: List[int]) -> PageFetch:
-        """In-memory pages are available instantly; latency (if any) is
-        simulated by the scheduler's clock, not by the store."""
-        records = {
-            page_id: self._pages[page_id]
-            for page_id in page_ids
-            if page_id in self._pages
-        }
-        return CompletedPageFetch(records)
 
     def page_meta(self, page_id: int) -> Tuple[str, int]:
         record = self.read_page(page_id)
@@ -603,7 +460,6 @@ class FilePageStore(PageStoreBase):
     """
 
     name = "file"
-    supports_async = True
     supports_worker_reopen = True
     supports_remote = False
 
@@ -632,13 +488,6 @@ class FilePageStore(PageStoreBase):
         self._dir: Dict[int, Tuple[int, str, int, int]] = {}
         self._bytes_read = 0
         self._bytes_written = 0
-        #: Bytes moved by the async prefetch reader (its worker thread is
-        #: the only writer of this counter).
-        self._bytes_prefetched = 0
-        self._async = _AsyncReader(self._prefetch_read)
-        #: Private handle of the prefetch worker thread (never the main
-        #: thread's ``_file``, whose seek position it would race).
-        self._prefetch_handle = None
         #: Test hook: abort the next record write after this many bytes.
         self._crash_after_bytes: Optional[int] = None
         self._file = open(self.path, "r+b" if os.path.exists(self.path) else "w+b")
@@ -672,28 +521,6 @@ class FilePageStore(PageStoreBase):
             raise KeyError(f"page {page_id} has not been allocated")
         slot, tag, size_bytes, payload_len = entry
         blob = self._read_at(self._payload_offset(slot, tag), payload_len, count=count)
-        return PageRecord(tag, _codec().decode_page_payload(blob), size_bytes)
-
-    def fetch_async(self, page_ids: List[int]) -> PageFetch:
-        return self._async.submit(page_ids)
-
-    def _prefetch_read(self, page_id: int) -> PageRecord:
-        """Read one page on the prefetch worker thread.
-
-        Runs only while the store is in its read phase (the join never
-        writes source-tree pages), so directory entries and slot offsets
-        are stable for the duration of a batch.
-        """
-        entry = self._dir.get(page_id)
-        if entry is None:
-            raise KeyError(f"page {page_id} has not been allocated")
-        slot, tag, size_bytes, payload_len = entry
-        handle = self._prefetch_handle
-        if handle is None or handle.closed:
-            handle = self._prefetch_handle = open(self.path, "rb")
-        handle.seek(self._payload_offset(slot, tag))
-        blob = handle.read(payload_len)
-        self._bytes_prefetched += len(blob)
         return PageRecord(tag, _codec().decode_page_payload(blob), size_bytes)
 
     def page_meta(self, page_id: int) -> Tuple[str, int]:
@@ -731,7 +558,6 @@ class FilePageStore(PageStoreBase):
             bytes_read=self._bytes_read,
             bytes_written=self._bytes_written,
             file_bytes=_FILE_HEADER.size + self._slots * self._slot_size,
-            bytes_prefetched=self._bytes_prefetched,
             extra={"slot_size": self._slot_size, "free_slots": len(self._free_slots)},
         )
 
@@ -752,10 +578,6 @@ class FilePageStore(PageStoreBase):
         self._owns_path = False
         self._finalizer.detach()
         self._drop_mmap()
-        # The inherited thread pool has no thread in this process; replace
-        # it (and the prefetch handle) rather than shutting it down.
-        self._async = _AsyncReader(self._prefetch_read)
-        self._prefetch_handle = None
         # A forked worker inherits the parent's byte counters; zero them so
         # this handle's stats report only the worker's own traffic.  The
         # executor folds worker snapshots into the parent's report, and the
@@ -763,12 +585,8 @@ class FilePageStore(PageStoreBase):
         # would double-count them exactly once per worker.
         self._bytes_read = 0
         self._bytes_written = 0
-        self._bytes_prefetched = 0
 
     def close(self) -> None:
-        self._async.close()
-        if self._prefetch_handle is not None and not self._prefetch_handle.closed:
-            self._prefetch_handle.close()
         self._drop_mmap()
         if not self._file.closed:
             self._file.close()
@@ -785,9 +603,9 @@ class FilePageStore(PageStoreBase):
     def _payload_offset(self, slot: int, tag: str) -> int:
         """File offset of a record's payload bytes (header and tag skipped).
 
-        The single definition shared by the synchronous read path, the
-        prefetch reader and the rebuilder — they must agree on the layout
-        or the async reader would hand back garbage payloads.
+        The single definition shared by the read path and the rebuilder —
+        they must agree on the layout or reads would hand back garbage
+        payloads.
         """
         return self._slot_offset(slot) + _REC_HEADER.size + len(tag.encode("utf-8"))
 
@@ -880,12 +698,7 @@ class FilePageStore(PageStoreBase):
                 )
             )
         # Release every handle on the old file before os.replace: Windows
-        # refuses to replace a file that is still open or mapped.  The
-        # prefetch handle (if any) targets the old inode too; rebuilds only
-        # happen in the write phase, when no async batch can be in flight.
-        if self._prefetch_handle is not None and not self._prefetch_handle.closed:
-            self._prefetch_handle.close()
-        self._prefetch_handle = None
+        # refuses to replace a file that is still open or mapped.
         self._drop_mmap()
         self._file.close()
         tmp_path = self.path + ".rebuild"
@@ -1036,7 +849,6 @@ class SQLitePageStore(PageStoreBase):
     """
 
     name = "sqlite"
-    supports_async = True
     supports_worker_reopen = True
     supports_remote = False
 
@@ -1053,11 +865,6 @@ class SQLitePageStore(PageStoreBase):
         self._readonly = False
         self._bytes_read = 0
         self._bytes_written = 0
-        self._bytes_prefetched = 0
-        self._async = _AsyncReader(self._prefetch_read)
-        #: Read-only connection owned by the prefetch worker thread
-        #: (SQLite connections must not be shared across threads).
-        self._prefetch_conn = None
         self._conn = sqlite3.connect(
             self.path, isolation_level=None, check_same_thread=not cross_thread
         )
@@ -1095,31 +902,6 @@ class SQLitePageStore(PageStoreBase):
         tag, size_bytes, blob = row
         if count:
             self._bytes_read += len(blob)
-        return PageRecord(tag, _codec().decode_page_payload(blob), size_bytes)
-
-    def fetch_async(self, page_ids: List[int]) -> PageFetch:
-        return self._async.submit(page_ids)
-
-    def _prefetch_read(self, page_id: int) -> PageRecord:
-        """Read one page on the prefetch worker thread via its own
-        read-only connection (never the caller's)."""
-        conn = self._prefetch_conn
-        if conn is None:
-            # check_same_thread=False lets close() run on the main thread;
-            # only the single prefetch worker ever *queries* through it.
-            conn = self._prefetch_conn = self._sqlite3.connect(
-                f"file:{self.path}?mode=ro",
-                uri=True,
-                isolation_level=None,
-                check_same_thread=False,
-            )
-        row = conn.execute(
-            "SELECT tag, size_bytes, payload FROM pages WHERE page_id = ?", (page_id,)
-        ).fetchone()
-        if row is None:
-            raise KeyError(f"page {page_id} has not been allocated")
-        tag, size_bytes, blob = row
-        self._bytes_prefetched += len(blob)
         return PageRecord(tag, _codec().decode_page_payload(blob), size_bytes)
 
     def page_meta(self, page_id: int) -> Tuple[str, int]:
@@ -1168,7 +950,6 @@ class SQLitePageStore(PageStoreBase):
             bytes_read=self._bytes_read,
             bytes_written=self._bytes_written,
             file_bytes=file_bytes,
-            bytes_prefetched=self._bytes_prefetched,
         )
 
     def reopen_in_worker(self) -> None:
@@ -1183,21 +964,12 @@ class SQLitePageStore(PageStoreBase):
         self._readonly = True
         self._owns_path = False
         self._finalizer.detach()
-        # The fork-inherited prefetch pool has no thread (and its
-        # connection no owning thread) in this process; replace both.
-        self._async = _AsyncReader(self._prefetch_read)
-        self._prefetch_conn = None
         # Zero the inherited counters: worker snapshots must report only
         # the worker's own traffic (see FilePageStore.reopen_in_worker).
         self._bytes_read = 0
         self._bytes_written = 0
-        self._bytes_prefetched = 0
 
     def close(self) -> None:
-        self._async.close()
-        if self._prefetch_conn is not None:
-            self._prefetch_conn.close()
-            self._prefetch_conn = None
         self._conn.close()
         self._finalizer.detach()
         if self._owns_path and os.path.exists(self.path):
@@ -1208,9 +980,6 @@ __all__ = [
     "PageStore",
     "PageStoreBase",
     "PageRecord",
-    "PageFetch",
-    "CompletedPageFetch",
-    "ThreadedPageFetch",
     "StorageStats",
     "MemoryPageStore",
     "FilePageStore",

@@ -29,7 +29,6 @@ from repro.storage.backends import (
 )
 from repro.storage.buffer import LRUBuffer
 from repro.storage.counters import IOCounters
-from repro.storage.prefetch import PrefetchScheduler, PrefetchStats
 
 #: Default page size in bytes (the paper uses 1 KB pages).
 PAGE_SIZE_DEFAULT = 1024
@@ -37,17 +36,7 @@ PAGE_SIZE_DEFAULT = 1024
 #: StorageStats fields that are per-handle transport *counters* — the ones
 #: worker snapshots contribute to the parent's report.  Gauges (``pages``,
 #: ``file_bytes``) describe the one shared store and are never summed.
-_WORKER_COUNTER_FIELDS = (
-    "bytes_read",
-    "bytes_written",
-    "bytes_prefetched",
-    "pages_prefetched",
-    "prefetch_hits",
-    "prefetch_wasted",
-    "sync_fetches",
-    "stall_time",
-    "overlap_time",
-)
+_WORKER_COUNTER_FIELDS = ("bytes_read", "bytes_written")
 
 
 class DiskManager:
@@ -74,17 +63,8 @@ class DiskManager:
         ``remote+file`` / ``remote+sqlite``) and the backing path —
         for the remote backend the page server's ``HOST:PORT`` address —
         (``None`` = owned temporary file / spawned server).
-    fetch_latency:
-        Simulated per-page service latency in seconds.  Zero (the default)
-        leaves physical fetches as fast as the backend; a positive value
-        makes every synchronous fetch stall for it — and makes latency
-        *hiding* by the prefetch pipeline measurable (``storage_stats()``
-        reports ``stall_time`` vs ``overlap_time``).
-    fetch_clock:
-        Clock used for the stall/overlap accounting; defaults to real time
-        (:class:`~repro.storage.prefetch.MonotonicClock`).  Tests inject a
-        :class:`~repro.storage.prefetch.SimulatedClock` to make the
-        accounting deterministic.
+
+    Every physical fetch is the store's synchronous ``read_page``.
     """
 
     def __init__(
@@ -95,15 +75,11 @@ class DiskManager:
         store: Optional[PageStore] = None,
         storage: Optional[str] = None,
         storage_path: Optional[str] = None,
-        fetch_latency: float = 0.0,
-        fetch_clock: Optional[object] = None,
     ):
         if page_size <= 0:
             raise ValueError("page size must be positive")
         if store is not None and storage is not None:
             raise ValueError("pass either a store instance or a backend name, not both")
-        if fetch_latency < 0:
-            raise ValueError("fetch latency must be non-negative")
         self.page_size = page_size
         self.counters = counters if counters is not None else IOCounters()
         self.store: PageStore = (
@@ -118,17 +94,8 @@ class DiskManager:
         self._next_id = itertools.count(max(existing, default=0) + 1)
         self._free_ids: List[int] = []
         self._io_enabled = True
-        self.fetch_latency = fetch_latency
-        self._fetch_clock = fetch_clock
-        #: Lifetime stall/overlap/prefetch accounting (scheduler-backed).
-        self._prefetch_stats = PrefetchStats()
         #: Absorbed worker-side transport totals (see absorb_worker_storage).
         self._worker_storage: Dict[str, Any] = {}
-        self._prefetcher: Optional[PrefetchScheduler] = None
-        if fetch_latency > 0:
-            # Stall accounting applies to every physical fetch, prefetched
-            # or not — the prefetch=off baseline needs it too.
-            self.enable_prefetch()
 
     # ------------------------------------------------------------------
     # page lifecycle
@@ -171,17 +138,11 @@ class DiskManager:
         Buffer hits are served from the decoded-payload cache; misses go to
         the backend (which, for the file and SQLite stores, moves real
         bytes) and the page is then cached for as long as it stays in the
-        buffer.  When a prefetcher is attached, the physical fetch routes
-        through it — served from the staged pages when possible — but the
-        buffer/counter accounting below is oblivious to that, so logical
-        hits and misses are identical in every prefetch mode.
+        buffer.
         """
         record = self._cache.get(page_id)
         if record is None:
-            if self._prefetcher is not None:
-                record = self._prefetcher.fetch(page_id)
-            else:
-                record = self.store.read_page(page_id)
+            record = self.store.read_page(page_id)
         if self._io_enabled:
             hit = self.buffer.access(page_id)
             self.counters.record_read(record.tag, hit)
@@ -213,10 +174,6 @@ class DiskManager:
             self._free_ids.append(page_id)
         self.buffer.invalidate(page_id)
         self._cache.pop(page_id, None)
-        if self._prefetcher is not None:
-            # A staged record from this id's previous life must not be
-            # served once the id is recycled for a new page.
-            self._prefetcher.invalidate(page_id)
 
     # ------------------------------------------------------------------
     # introspection and control
@@ -236,24 +193,13 @@ class DiskManager:
 
     def storage_stats(self) -> StorageStats:
         """Physical byte movement of the backend (zero for ``memory``),
-        including the lifetime prefetch/stall accounting and any absorbed
-        worker-side transport totals."""
+        including any absorbed worker-side transport totals."""
         stats = self.store.stats()
-        prefetch = self._prefetch_stats
-        stats.pages_prefetched = prefetch.pages_prefetched
-        stats.prefetch_hits = prefetch.prefetch_hits
-        stats.prefetch_wasted = prefetch.prefetch_wasted
-        stats.sync_fetches = prefetch.sync_fetches
-        stats.stall_time = prefetch.stall_time
-        stats.overlap_time = prefetch.overlap_time
         worker = self._worker_storage
         if worker:
             for field in _WORKER_COUNTER_FIELDS:
                 setattr(stats, field, getattr(stats, field) + worker.get(field, 0))
             stats.extra["worker_bytes_read"] = int(worker.get("bytes_read", 0))
-            stats.extra["worker_bytes_prefetched"] = int(
-                worker.get("bytes_prefetched", 0)
-            )
             stats.extra["worker_snapshots"] = int(worker.get("snapshots", 0))
         return stats
 
@@ -277,38 +223,6 @@ class DiskManager:
             self._worker_storage["snapshots"] = (
                 self._worker_storage.get("snapshots", 0) + 1
             )
-
-    # ------------------------------------------------------------------
-    # prefetching
-    # ------------------------------------------------------------------
-    @property
-    def prefetcher(self) -> Optional[PrefetchScheduler]:
-        """The attached prefetch scheduler, or ``None``."""
-        return self._prefetcher
-
-    def enable_prefetch(self) -> PrefetchScheduler:
-        """Attach (or return) the prefetch scheduler of this disk.
-
-        The scheduler accounts directly into the disk's lifetime
-        :class:`~repro.storage.prefetch.PrefetchStats`, so enabling,
-        draining and re-enabling across runs keeps one coherent record.
-        """
-        if self._prefetcher is None:
-            self._prefetcher = PrefetchScheduler(
-                self.store,
-                latency=self.fetch_latency,
-                clock=self._fetch_clock,
-                stats=self._prefetch_stats,
-                # Late-binding: restore_buffer_state rebinds self._cache,
-                # so the predicate must read the attribute each call.
-                resident=lambda page_id: page_id in self._cache,
-            )
-        return self._prefetcher
-
-    def drain_prefetch(self) -> None:
-        """Discard staged pages, charging them as ``prefetch_wasted``."""
-        if self._prefetcher is not None:
-            self._prefetcher.drain()
 
     def resize_buffer(self, buffer_pages: int) -> None:
         """Resize the LRU buffer (contents are kept up to the new capacity)."""
@@ -361,20 +275,11 @@ class DiskManager:
         ``fork`` share state with the parent (file offsets, SQLite's
         no-fork rule); the join phase only reads, so each worker swaps in
         a private read-only view.  The in-memory backend is a no-op.
-        The parent's prefetcher is dropped too: its worker thread (and any
-        staged pages) did not survive the fork, so the child charges plain
-        synchronous fetches.
         """
-        self._prefetcher = None
-        self._prefetch_stats = PrefetchStats()
         self.store.reopen_in_worker()
-        if self.fetch_latency > 0:
-            self.enable_prefetch()
 
     def close(self) -> None:
         """Release backend resources (temporary files are deleted)."""
-        self.drain_prefetch()
-        self._prefetcher = None
         self._cache.clear()
         self.store.close()
 

@@ -18,17 +18,16 @@ Wire format (one request line, one response line)::
     {"ok": true, "op": "read_page", "record": {"tag": "R", "size": 412,
      "blob": "<base64 of the codec-encoded payload>"}}
 
-Ops: ``hello``, ``read_page``, ``read_batch`` (the batched fetch the
-prefetch pipeline rides), ``write_page``, ``free_page``, ``page_meta``,
-``page_ids``, ``page_count``, ``data_size``, ``stats``, ``shutdown``.
+Ops: ``hello``, ``read_page``, ``write_page``, ``free_page``,
+``page_meta``, ``page_ids``, ``page_count``, ``data_size``, ``stats``,
+``shutdown``.
 Unknown pages answer the structured error code ``unknown_page``, which
 the client re-raises as the ``KeyError`` every backend contract promises.
 
 Honest overhead notes: each page crosses the wire as its codec-encoded
 blob re-encoded once more into base64 inside a JSON line (~1.8x the
-payload bytes), and demand misses pay one RPC round trip each — batching
-only happens on the prefetch path (``read_batch``).  That is the price of
-zero shared local state; see ROADMAP item 3.
+payload bytes), and every buffer miss pays one RPC round trip.  That is
+the price of zero shared local state; see ROADMAP item 3.
 """
 
 from __future__ import annotations
@@ -54,18 +53,12 @@ from repro.service.protocol import (
 )
 from repro.storage.backends import (
     REMOTE_BACKINGS,
-    PageFetch,
     PageRecord,
     PageStoreBase,
     StorageStats,
-    ThreadedPageFetch,
     _codec,
     create_page_store,
 )
-
-#: Pages per ``read_batch`` RPC.  Keeps every response line far below the
-#: protocol's 1 MiB cap while still amortizing round trips.
-BATCH_CHUNK_PAGES = 64
 
 #: Default socket timeout for one RPC; a server that neither answers nor
 #: closes the connection within this window surfaces a loud error instead
@@ -216,20 +209,6 @@ class PageServer:
             with self._lock:
                 record = store.read_page(page_id, count=False)
                 return {"record": _record_to_wire(record)}
-        if op == "read_batch":
-            pages = request.get("pages")
-            if not isinstance(pages, list):
-                raise ServiceError("read_batch needs a 'pages' list", code="bad_request")
-            records: Dict[str, Any] = {}
-            with self._lock:
-                for raw_id in pages:
-                    page_id = int(raw_id)
-                    try:
-                        record = store.read_page(page_id, count=False)
-                    except KeyError:
-                        continue  # freed between planning and fetching
-                    records[str(page_id)] = _record_to_wire(record)
-            return {"records": records}
         if op == "write_page":
             page_id = _int_field(request, "page")
             try:
@@ -407,18 +386,12 @@ class RemotePageStore(PageStoreBase):
     ``address=None`` spawns an owned server (backed by ``backing``) and
     shuts it down on :meth:`close`; an explicit ``HOST:PORT`` attaches to
     a running one and leaves it alive.  All counters are client-side
-    transport counters: counted demand reads land in ``bytes_read``,
-    batched prefetch traffic in ``bytes_prefetched`` — the server itself
-    counts nothing, so any number of attached nodes report only their own
-    wire traffic.
-
-    One lazily-opened connection serves synchronous RPCs; the prefetch
-    worker thread keeps a second, private connection so a ``read_batch``
-    in flight never delays a demand miss.
+    transport counters: counted reads land in ``bytes_read`` — the server
+    itself counts nothing, so any number of attached nodes report only
+    their own wire traffic.  One lazily-opened connection serves every RPC.
     """
 
     name = "remote"
-    supports_async = True
     supports_worker_reopen = True
     supports_remote = True
 
@@ -446,16 +419,11 @@ class RemotePageStore(PageStoreBase):
         self._lock = threading.Lock()
         self._sock = None
         self._reader = None
-        self._prefetch_sock = None
-        self._prefetch_reader = None
-        self._pool = None
         self._readonly = False
         self._closed = False
         self._bytes_read = 0
         self._bytes_written = 0
-        self._bytes_prefetched = 0
         self._rpc_calls = 0
-        self._batch_rpcs = 0
 
     # ------------------------------------------------------------------
     # transport
@@ -552,49 +520,6 @@ class RemotePageStore(PageStoreBase):
             self._bytes_read += blob_len
         return record
 
-    def fetch_async(self, page_ids: List[int]) -> PageFetch:
-        if self._pool is None:
-            from concurrent.futures import ThreadPoolExecutor
-
-            self._pool = ThreadPoolExecutor(
-                max_workers=1, thread_name_prefix="repro-remote-prefetch"
-            )
-        return ThreadedPageFetch(self._pool.submit(self._prefetch_batch, list(page_ids)))
-
-    def _prefetch_batch(self, page_ids: List[int]) -> Dict[int, PageRecord]:
-        """Fetch a batch over the private prefetch connection.
-
-        This is where the wire actually batches: one ``read_batch`` RPC
-        per :data:`BATCH_CHUNK_PAGES` pages, instead of the per-page round
-        trip every demand miss pays.  Runs only on the single prefetch
-        worker thread, which owns the connection and the prefetch counter.
-        """
-        records: Dict[int, PageRecord] = {}
-        for start in range(0, len(page_ids), BATCH_CHUNK_PAGES):
-            chunk = [int(pid) for pid in page_ids[start : start + BATCH_CHUNK_PAGES]]
-            if self._prefetch_sock is None:
-                self._prefetch_sock, self._prefetch_reader = self._connect()
-            try:
-                self._prefetch_sock.sendall(
-                    encode_line({"op": "read_batch", "pages": chunk})
-                )
-                line = self._prefetch_reader.readline()
-            except OSError as error:
-                raise PageServerError(
-                    f"page server at {self.address} failed during prefetch: {error}"
-                ) from None
-            if not line:
-                raise PageServerError(
-                    f"page server at {self.address} closed the prefetch connection"
-                )
-            response = self._check({"op": "read_batch"}, decode_line(line))
-            self._batch_rpcs += 1
-            for key, wire in response["records"].items():
-                record, blob_len = self._decode_record(wire)
-                self._bytes_prefetched += blob_len
-                records[int(key)] = record
-        return records
-
     def page_meta(self, page_id: int) -> Tuple[str, int]:
         response = self._rpc({"op": "page_meta", "page": int(page_id)})
         return str(response["tag"]), int(response["size"])
@@ -627,11 +552,9 @@ class RemotePageStore(PageStoreBase):
             bytes_read=self._bytes_read,
             bytes_written=self._bytes_written,
             file_bytes=int(remote["file_bytes"]),
-            bytes_prefetched=self._bytes_prefetched,
             extra={
                 "backend": str(remote["backend"]),
                 "rpc_calls": self._rpc_calls,
-                "batch_rpcs": self._batch_rpcs,
                 "owns_server": bool(self._server is not None),
             },
         )
@@ -649,36 +572,17 @@ class RemotePageStore(PageStoreBase):
             self._finalizer = None
         self._server = None
         self._drop_main_connection()
-        self._drop_prefetch_connection()
-        # The inherited pool object has no worker thread in this process.
-        self._pool = None
         self._readonly = True
         # Worker snapshots report only the worker's own wire traffic (see
         # FilePageStore.reopen_in_worker for the exactly-once argument).
         self._bytes_read = 0
         self._bytes_written = 0
-        self._bytes_prefetched = 0
         self._rpc_calls = 0
-        self._batch_rpcs = 0
-
-    def _drop_prefetch_connection(self) -> None:
-        for handle in (self._prefetch_reader, self._prefetch_sock):
-            if handle is not None:
-                try:
-                    handle.close()
-                except OSError:
-                    pass
-        self._prefetch_sock = None
-        self._prefetch_reader = None
 
     def close(self) -> None:
         if self._closed:
             return
         self._closed = True
-        if self._pool is not None:
-            self._pool.shutdown(wait=True, cancel_futures=True)
-            self._pool = None
-        self._drop_prefetch_connection()
         if self._server is not None:
             # Graceful first — the server closes (and, when owned, deletes)
             # its backing store on the way out; then make sure it is gone.

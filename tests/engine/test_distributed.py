@@ -248,13 +248,6 @@ class TestUnitCoordinator:
         retry = coordinator.next_assignment("b")
         assert (retry.index, retry.carry) == (0, None)
 
-    def test_peek_pending_is_non_consuming(self):
-        coordinator = UnitCoordinator(make_units(4))
-        coordinator.next_assignment("a")
-        peeked = coordinator.peek_pending(2)
-        assert [u.index for u in peeked] == [1, 2]
-        assert coordinator.next_assignment("a").index == 1
-
 
 def triangle_cell(oid: int) -> VoronoiCell:
     polygon = ConvexPolygon(
@@ -410,10 +403,6 @@ class TestDistributedExecutor:
             DistributedExecutor(nodes=0)
         with pytest.raises(ValueError, match="nodes"):
             EngineConfig(nodes=0)
-
-    def test_distributed_config_rejects_prefetch(self):
-        with pytest.raises(ValueError, match="prefetch"):
-            EngineConfig(executor="distributed", prefetch="next_batch")
 
 
 class TestNodeProtocol:

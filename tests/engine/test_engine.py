@@ -330,8 +330,8 @@ class TestInlineShardIsolation:
 
 class TestInProcessRule:
     """Where sharded units run is derived from the inputs, never configured:
-    in-process for one worker, one unit, ``next_shard`` staging or a
-    platform without fork; otherwise on ``min(workers, units)`` forks."""
+    in-process for one worker, one unit or a platform without fork;
+    otherwise on ``min(workers, units)`` forks."""
 
     @pytest.mark.parametrize(
         "workers, mode, chained",

@@ -19,11 +19,33 @@ from repro.engine.executors import executor_for
 
 class TestFlatSurface:
     @pytest.mark.parametrize(
-        "knob", [{"pool": "inline"}, {"distributed": None}, {"stage_hints": True}]
+        "knob",
+        [
+            {"pool": "inline"},
+            {"distributed": None},
+            {"stage_hints": True},
+            {"prefetch": "next_batch"},
+            {"prefetch_depth": 2},
+        ],
     )
     def test_removed_knobs_raise_type_error(self, knob):
         with pytest.raises(TypeError):
             EngineConfig(**knob)
+
+    def test_prefetch_tier_removed_from_every_entry_point(self):
+        """Every page fetch is the store's synchronous read: no entry
+        point accepts a prefetch mode or a simulated fetch latency."""
+        from repro import common_influence_join, uniform_points
+        from repro.datasets.workload import WorkloadConfig
+        from repro.storage.disk import DiskManager
+
+        with pytest.raises(TypeError):
+            DiskManager(fetch_latency=0.001)
+        with pytest.raises(TypeError):
+            WorkloadConfig(prefetch="next_batch")
+        points = uniform_points(10, seed=1)
+        with pytest.raises(TypeError):
+            common_influence_join(points, points, prefetch="next_batch")
 
     def test_distributed_defaults(self):
         config = EngineConfig()
@@ -130,13 +152,13 @@ class TestWorkerSnapshotExactlyOnce:
         try:
             disk.absorb_worker_storage(
                 [
-                    {"bytes_read": 260, "bytes_prefetched": 30, "pages": 5},
-                    {"bytes_read": 40, "bytes_prefetched": 0, "pages": 5},
+                    {"bytes_read": 260, "bytes_written": 30, "pages": 5},
+                    {"bytes_read": 40, "bytes_written": 0, "pages": 5},
                 ]
             )
             stats = disk.storage_stats()
             assert stats.extra["worker_bytes_read"] == 300
-            assert stats.extra["worker_bytes_prefetched"] == 30
+            assert stats.bytes_written == 30
             assert stats.extra["worker_snapshots"] == 2
             # Gauges (pages/file_bytes) describe the shared store, not
             # worker traffic: absorbing snapshots must not inflate them.

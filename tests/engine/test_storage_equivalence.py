@@ -100,6 +100,26 @@ class TestBackendEquivalence:
             s.pairs_reported for s in serial.stats.progress
         ]
 
+    @pytest.mark.parametrize("algorithm", ["nm", "pm", "fm"])
+    @pytest.mark.parametrize("backend", list(STORAGE_BACKENDS))
+    def test_inline_shards_match_serial_accounting(self, backend, algorithm):
+        """One worker runs every unit in this process, chaining the REUSE
+        handoff, so each scalar counter matches the serial run on every
+        backend; FM's progress curve matches too, and NM/PM keep the
+        serial pair milestones at different access offsets."""
+        serial = run_on(backend, algorithm)
+        sharded = run_on(backend, algorithm, executor="sharded", workers=1)
+        assert sharded.pairs == serial.pairs
+        serial_fp = stats_fingerprint(serial)
+        sharded_fp = stats_fingerprint(sharded)
+        if algorithm == "fm":
+            assert sharded_fp == serial_fp
+        serial_fp.pop("progress"), sharded_fp.pop("progress")
+        assert sharded_fp == serial_fp
+        assert [s.pairs_reported for s in sharded.stats.progress] == [
+            s.pairs_reported for s in serial.stats.progress
+        ]
+
     def test_results_agree_with_brute_oracle(self):
         oracle = set(run_on("memory", "brute").pairs)
         for backend in STORAGE_BACKENDS[1:]:
@@ -170,42 +190,6 @@ class TestDistributedEquivalence:
     def test_distributed_rejects_memory_backend(self):
         with pytest.raises(ValueError, match="shared backend"):
             run_on("memory", "nm", executor="distributed", nodes=2)
-
-
-class TestRemoteStaging:
-    """Prefetch over the wire: stage hints ride along with assignments.
-
-    Over the remote page server the distributed executor piggybacks the
-    coordinator's pending-unit lookahead on every assignment; nodes plan
-    the upcoming units' opening pages themselves and issue one batched
-    fetch that overlaps the current unit's computation.  Staging is
-    physical-transport-only — it must be visible in ``storage_stats()``
-    and invisible in the logical output.
-    """
-
-    def test_staging_visible_in_storage_stats_and_logically_invisible(self):
-        serial = run_on("remote+file", "nm")
-        distributed = run_on("remote+file", "nm", executor="distributed", nodes=2)
-        assert distributed.pairs == serial.pairs
-        serial_fp = stats_fingerprint(serial)
-        distributed_fp = stats_fingerprint(distributed)
-        serial_fp.pop("progress"), distributed_fp.pop("progress")
-        assert distributed_fp == serial_fp
-        # The nodes really staged pages ahead of demand over the wire,
-        # and their absorbed snapshots expose the wins.
-        io = distributed.storage
-        assert io.pages_prefetched > 0
-        assert io.prefetch_hits > 0
-        assert io.extra["worker_snapshots"] >= 1
-        assert io.extra["worker_bytes_prefetched"] > 0
-        # Serial never stages (no assignments to piggyback on).
-        assert serial.storage.pages_prefetched == 0
-
-    def test_local_shared_backends_do_not_stage_by_default(self):
-        """Stage hints are on for remote transports only — local file/
-        sqlite nodes read at memory-bus speed and skip the machinery."""
-        distributed = run_on("file", "nm", executor="distributed", nodes=2)
-        assert distributed.storage.pages_prefetched == 0
 
     def test_server_killed_mid_run_fails_loudly(self):
         """Losing the page server must surface as a loud error — from the
@@ -309,98 +293,6 @@ class TestSkewedWorkloadScheduling:
         if len(counts) >= 2:  # no fork support falls back to inline
             assert min(counts.values()) >= 1
             assert max(counts.values()) < total
-
-
-class TestPrefetchEquivalence:
-    """Overlapped I/O must be invisible to the paper's cost model.
-
-    Whatever the prefetch mode, the emitted pair list and every logical
-    ``JoinStats`` counter (page accesses, cells, candidates, the full
-    progress curve) must be byte-identical to ``prefetch="off"`` on every
-    backend — prefetching may only change the *physical* stall/overlap
-    accounting of ``storage_stats()``.
-    """
-
-    @pytest.mark.parametrize("algorithm", ["nm", "pm", "fm"])
-    @pytest.mark.parametrize("backend", list(STORAGE_BACKENDS))
-    def test_next_batch_serial_identical_to_off(self, backend, algorithm):
-        off = run_on(backend, algorithm)
-        on = run_on(backend, algorithm, prefetch="next_batch")
-        assert on.pairs == off.pairs
-        assert stats_fingerprint(on) == stats_fingerprint(off)
-        # The pipeline genuinely ran: pages were issued and consumed.
-        assert on.storage.pages_prefetched > 0
-        assert on.storage.prefetch_hits > 0
-        assert off.storage.pages_prefetched == 0
-
-    @pytest.mark.parametrize("algorithm", ["nm", "pm", "fm"])
-    @pytest.mark.parametrize("backend", list(STORAGE_BACKENDS))
-    def test_next_shard_identical_to_sharded_off(self, backend, algorithm):
-        # One worker runs in-process on the parent's disk, so shard-boundary
-        # staging is observable and the counters stay comparable.
-        sharded = dict(executor="sharded", workers=1)
-        off = run_on(backend, algorithm, **sharded)
-        on = run_on(backend, algorithm, prefetch="next_shard", **sharded)
-        assert on.pairs == off.pairs
-        assert stats_fingerprint(on) == stats_fingerprint(off)
-        assert on.storage.pages_prefetched > 0
-        assert on.storage.prefetch_hits > 0
-
-    @pytest.mark.parametrize("backend", list(STORAGE_BACKENDS))
-    def test_next_batch_inside_shards_identical(self, backend):
-        sharded = dict(executor="sharded", workers=1)
-        off = run_on(backend, "nm", **sharded)
-        on = run_on(backend, "nm", prefetch="next_batch", **sharded)
-        assert on.pairs == off.pairs
-        assert stats_fingerprint(on) == stats_fingerprint(off)
-
-    def test_all_modes_agree_across_backends(self):
-        reference = run_on("memory", "nm")
-        for backend in STORAGE_BACKENDS:
-            for overrides in (
-                dict(prefetch="next_batch"),
-                dict(prefetch="next_shard", executor="sharded", workers=1),
-            ):
-                result = run_on(backend, "nm", **overrides)
-                assert result.pairs == reference.pairs, (backend, overrides)
-
-    def test_next_shard_requires_sharded_executor(self):
-        with pytest.raises(ValueError, match="next_shard"):
-            run_on("memory", "nm", prefetch="next_shard")
-
-    def test_next_shard_auto_pool_stages_inline(self):
-        """Several workers must not turn next_shard into a silent no-op:
-        the shards run in-process and really stage.  The baseline forks —
-        the per-unit buffer rewind guarantees inline and forked shards
-        charge identical counters."""
-        off = run_on("memory", "nm", executor="sharded", workers=3)
-        auto = run_on("memory", "nm", prefetch="next_shard", executor="sharded", workers=3)
-        assert auto.pairs == off.pairs
-        assert stats_fingerprint(auto) == stats_fingerprint(off)
-        assert auto.storage.pages_prefetched > 0
-        assert auto.storage.prefetch_hits > 0
-
-    def test_next_shard_never_forks(self):
-        """Staged pages live in the dispatching process, so next_shard runs
-        every unit there however many workers are configured."""
-        from repro.engine import default_engine
-
-        run_on("memory", "nm", prefetch="next_shard", executor="sharded", workers=3)
-        trace = default_engine().last_executor.last_assignments
-        assert list(trace) == ["inline-0"]
-
-    def test_dynamic_session_rejects_prefetch(self):
-        from repro.datasets.workload import WorkloadConfig, build_workload
-        from repro.engine import JoinEngine
-
-        engine = JoinEngine()
-        with build_workload(
-            WorkloadConfig(), points_p=POINTS_P[:50], points_q=POINTS_Q[:50]
-        ) as workload:
-            with pytest.raises(ValueError, match="prefetch"):
-                engine.open_dynamic(
-                    workload.tree_p, workload.tree_q, prefetch="next_batch"
-                )
 
 
 class TestFileBackedPaging:

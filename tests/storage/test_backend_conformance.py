@@ -381,11 +381,11 @@ class TestCapabilityContract:
     never on backend-name strings)."""
 
     EXPECTED_FLAGS = {
-        # backend: (supports_async, supports_worker_reopen, supports_remote)
-        "memory": (False, True, False),
-        "file": (True, True, False),
-        "sqlite": (True, True, False),
-        "remote": (True, True, True),
+        # backend: (supports_worker_reopen, supports_remote)
+        "memory": (True, False),
+        "file": (True, False),
+        "sqlite": (True, False),
+        "remote": (True, True),
     }
 
     def test_every_backend_satisfies_the_protocol(self, backend):
@@ -394,11 +394,7 @@ class TestCapabilityContract:
             assert isinstance(store, PageStore)
             assert isinstance(store, PageStoreBase)
             assert store.name == backend
-            flags = (
-                store.supports_async,
-                store.supports_worker_reopen,
-                store.supports_remote,
-            )
+            flags = (store.supports_worker_reopen, store.supports_remote)
             assert flags == self.EXPECTED_FLAGS[backend]
         finally:
             store.close()
@@ -481,21 +477,5 @@ class TestRemotePageServer:
             store._server.process.wait(timeout=10)
             with pytest.raises(PageServerError, match="page server"):
                 store.read_page(1)
-        finally:
-            store.close()
-
-    def test_batched_fetch_async_matches_read_page(self):
-        from repro.storage.pageserver import RemotePageStore
-
-        store = RemotePageStore(backing="file")
-        try:
-            for i in range(10):
-                store.write_page(i, "RP", {"i": i}, 1024)
-            records = store.fetch_async(list(range(10))).result()
-            assert sorted(records) == list(range(10))
-            assert all(records[i].payload == {"i": i} for i in range(10))
-            stats = store.stats()
-            assert stats.extra["batch_rpcs"] == 1
-            assert stats.bytes_prefetched > 0
         finally:
             store.close()

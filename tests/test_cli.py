@@ -133,64 +133,69 @@ class TestHandoffValidation:
         err = capsys.readouterr().err
         assert "--reuse-handoff" in err and "--executor serial" in err
 
-
-class TestPrefetchFlags:
-    """--prefetch drives the overlapped-I/O pipeline; contradictory
-    combinations must be rejected loudly, not silently ignored."""
-
-    def test_next_batch_join_runs_and_reports_pipeline(self, capsys):
-        assert main([
-            "join", "--n-p", "40", "--n-q", "30",
-            "--prefetch", "next_batch", "--fetch-latency-ms", "0.1",
-        ]) == 0
-        out = capsys.readouterr().out
-        assert "result pairs" in out
-        assert "prefetch" in out
-        assert "overlapped" in out
-
-    def test_next_shard_requires_sharded_executor(self, capsys):
-        assert main(["join", "--n-p", "30", "--n-q", "20",
-                     "--prefetch", "next_shard"]) == 2
-        err = capsys.readouterr().err
-        assert "next_shard" in err and "sharded" in err
-
-    def test_next_shard_with_sharded_executor_runs(self, capsys):
-        assert main([
-            "join", "--n-p", "40", "--n-q", "30",
-            "--executor", "sharded", "--workers", "2",
-            "--prefetch", "next_shard",
-        ]) == 0
-        assert "result pairs" in capsys.readouterr().out
-
-    def test_prefetch_identical_pairs_and_accesses(self, capsys):
-        """The CLI surfaces the invariant: pair and page-access lines are
-        identical with and without --prefetch."""
-        assert main(["join", "--n-p", "40", "--n-q", "30"]) == 0
-        baseline = capsys.readouterr().out
-        assert main(["join", "--n-p", "40", "--n-q", "30",
-                     "--prefetch", "next_batch"]) == 0
-        prefetched = capsys.readouterr().out
-
-        def line(text, prefix):
-            return next(l for l in text.splitlines() if l.startswith(prefix))
-
-        assert line(prefetched, "result pairs") == line(baseline, "result pairs")
-        assert line(prefetched, "page accesses") == line(baseline, "page accesses")
-
-    def test_updates_with_prefetch_rejected(self, capsys, stream_file):
+    @pytest.mark.parametrize(
+        "method, handoff", [("fm", "always"), ("pm", "never"), ("pm", "auto")]
+    )
+    def test_reuse_handoff_with_carry_free_method_rejected(
+        self, capsys, method, handoff
+    ):
+        """Only NM-CIJ has a REUSE buffer, so PM/FM must not accept the flag."""
         with pytest.raises(SystemExit) as excinfo:
-            main(["join", "--updates", stream_file, "--prefetch", "next_batch"])
+            main([
+                "join", "--method", method, "--executor", "sharded",
+                "--reuse-handoff", handoff,
+            ])
         assert excinfo.value.code == 2
         err = capsys.readouterr().err
-        assert "--updates" in err and "--prefetch" in err
+        assert "--reuse-handoff" in err and f"--method {method}" in err
 
-    def test_updates_with_prefetch_off_allowed(self, capsys, stream_file):
-        """--prefetch off states the synchronous default explicitly."""
-        assert main([
-            "join", "--n-p", "40", "--n-q", "30",
-            "--updates", stream_file, "--prefetch", "off",
-        ]) == 0
-        assert "final pairs" in capsys.readouterr().out
+
+class TestRemovedPrefetchFlags:
+    """Every page fetch is synchronous: the overlapped-I/O flags are gone
+    and argparse rejects them as unknown arguments."""
+
+    @pytest.mark.parametrize(
+        "flag",
+        [
+            ["--prefetch", "next_batch"],
+            ["--prefetch-depth", "2"],
+            ["--fetch-latency-ms", "2"],
+        ],
+    )
+    def test_prefetch_flags_rejected(self, capsys, flag):
+        with pytest.raises(SystemExit) as excinfo:
+            main(["join", *flag])
+        assert excinfo.value.code == 2
+        assert "unrecognized arguments" in capsys.readouterr().err
+
+
+class TestNumericArgumentValidation:
+    """Bad numbers are usage errors at parse time (exit 2), never a
+    traceback from deep inside the run."""
+
+    @pytest.mark.parametrize(
+        "argv, flag",
+        [
+            (["join", "--n-p", "-5"], "--n-p"),
+            (["join", "--n-q", "0"], "--n-q"),
+            (["serve", "--n-p", "-5"], "--n-p"),
+            (["serve", "--n-q", "0"], "--n-q"),
+            (["serve", "--port", "99999"], "--port"),
+            (["serve", "--port", "-1"], "--port"),
+        ],
+    )
+    def test_out_of_range_numbers_rejected(self, capsys, argv, flag):
+        with pytest.raises(SystemExit) as excinfo:
+            main(argv)
+        assert excinfo.value.code == 2
+        err = capsys.readouterr().err
+        assert f"argument {flag}" in err and "Traceback" not in err
+
+    def test_boundary_values_parse(self):
+        args = build_parser().parse_args(
+            ["serve", "--port", "65535", "--n-p", "1", "--n-q", "1"]
+        )
+        assert (args.port, args.n_p, args.n_q) == (65535, 1, 1)
 
 
 class TestUpdateStreams:
