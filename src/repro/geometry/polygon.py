@@ -255,7 +255,12 @@ class ConvexPolygon:
             if cur_in:
                 out.append(cur)
             if cur_in != nxt_in:
-                t = vc / (vc - vn)
+                # Clamped: a vertex kept within the tolerance (0 < value <=
+                # tol) next to an outside one puts t below 0, and the
+                # unclamped point would be extrapolated past the edge.  With
+                # t in [0, 1] every new vertex lies on an input edge, so
+                # clipping never grows the polygon.
+                t = min(max(vc / (vc - vn), 0.0), 1.0)
                 out.append(
                     Point(cur.x + t * (nxt.x - cur.x), cur.y + t * (nxt.y - cur.y))
                 )

@@ -15,19 +15,45 @@ points whose Voronoi cells *may* intersect ``T``:
 
 The batch variant processes all cells of one ``R_Q`` leaf at once, which is
 what Algorithm 6 uses.
+
+Two exact shortcuts keep the per-point cost down; neither changes a single
+decision, clip or counter of the plain formulation:
+
+* **Squared pre-test.**  Every distance comparison first compares the
+  squared distances, which need no square root: ``dist(a, v) < d`` is
+  evaluated as ``a2 < d2 and sqrt(a2) < d``, where ``d2`` is the sum of
+  squares whose root is ``d``.  ``sqrt`` is correctly rounded and
+  monotone, so ``a2 >= d2`` implies ``sqrt(a2) >= d`` and the squared
+  test can only reject pairs the plain test rejects too.  The Lemma-3
+  ``<=`` test is ``a2 <= m2 or sqrt(a2) <= m`` for the same reason
+  (``a2 <= m2`` implies ``sqrt(a2) <= m``).  Both sides keep the pinned
+  ``sqrt(dx*dx + dy*dy)`` formula, so the roots are bit-identical to
+  :meth:`Point.distance_to` and :meth:`Rect.mindist_point`.
+* **Early exit.**  The approximate cell of an examined point only ever
+  shrinks as bisectors clip it: the clamped interpolation of
+  :meth:`ConvexPolygon.clip_halfplane` places every new vertex on an edge
+  of the input polygon.  Once the running cell's MBR lies clear of the
+  union MBR of the targets by more than a slack, the finished cell's MBR
+  would miss it too and the point would be rejected, so the walk stops
+  there.  The slack (``BOUNDARY_EPS`` times the coordinate magnitude)
+  covers the rounding of the interpolated coordinates, a few ulps per
+  clip.
 """
 
 from __future__ import annotations
 
 import heapq
 import itertools
+import math
 from dataclasses import dataclass
+from operator import itemgetter
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from repro.geometry.halfplane import bisector_halfplane
 from repro.geometry.point import Point, centroid
 from repro.geometry.polygon import ConvexPolygon
 from repro.geometry.rect import Rect
+from repro.geometry.tolerance import BOUNDARY_EPS
 from repro.index.rtree import RTree
 from repro.voronoi.cell import VoronoiCell
 
@@ -113,6 +139,13 @@ def batch_conditional_filter(
     # Per-batch MBR work shared across all targets: the union MBR gives one
     # cheap rejection test before any per-target geometry runs.
     targets_mbr = Rect.union_all(target_mbrs)
+    # The early-exit box of _approximate_cell: the union MBR grown by the
+    # slack that absorbs the rounding of clipped vertex coordinates, which
+    # never leave the domain.
+    magnitude = max(
+        1.0, abs(domain.xmin), abs(domain.ymin), abs(domain.xmax), abs(domain.ymax)
+    )
+    reach_box = targets_mbr.expanded(BOUNDARY_EPS * magnitude)
     # All target vertices, flattened once: the Lemma-3 pruning test only
     # needs per-vertex distance comparisons (see _entry_pruned).
     target_vertices = [v for polygon in polygons for v in polygon.vertices]
@@ -134,8 +167,10 @@ def batch_conditional_filter(
         if kind == _POINT:
             stats.points_examined += 1
             point: Point = entry.payload
-            approx = _approximate_cell(point, candidates, domain)
-            if _polygon_hits_any_target(approx, targets_mbr, target_mbrs, polygons):
+            approx = _approximate_cell(point, candidates, domain, reach_box)
+            if approx is not None and _polygon_hits_any_target(
+                approx, targets_mbr, target_mbrs, polygons
+            ):
                 candidates.append((entry.oid, point))
                 stats.points_admitted += 1
         else:
@@ -152,8 +187,11 @@ def batch_conditional_filter(
 
 
 def _approximate_cell(
-    point: Point, candidates: Sequence[Tuple[int, Point]], domain: Rect
-) -> ConvexPolygon:
+    point: Point,
+    candidates: Sequence[Tuple[int, Point]],
+    domain: Rect,
+    reach_box: Optional[Rect] = None,
+) -> Optional[ConvexPolygon]:
     """``V(p, C_P)``: the cell of ``p`` induced by the current candidates.
 
     Because ``C_P ⊆ P``, this polygon is a superset of the exact cell
@@ -163,32 +201,84 @@ def _approximate_cell(
     The candidates are applied in ascending distance from ``p`` and skipped
     once they can no longer refine the running polygon (Lemma 1 plus the
     influence-radius shortcut), so the construction cost stays proportional
-    to the handful of candidates that actually shape the cell.
+    to the handful of candidates that actually shape the cell.  With
+    ``reach_box`` the walk returns ``None`` as soon as the running cell's
+    MBR lies clear of that box (the early exit of the module docstring).
     """
+    sqrt = math.sqrt
+    px = point.x
+    py = point.y
+    ordered = []
+    for _, other in candidates:
+        ox = other.x
+        oy = other.y
+        if ox != px or oy != py:
+            dx = px - ox
+            dy = py - oy
+            ordered.append((sqrt(dx * dx + dy * dy), ox, oy, other))
+    ordered.sort(key=itemgetter(0))
     polygon = ConvexPolygon.from_rect(domain)
-    ordered = sorted(
-        (
-            (point.distance_to(other), other)
-            for _, other in candidates
-            if other.x != point.x or other.y != point.y
-        ),
-        key=lambda pair: pair[0],
-    )
-    # Distances from the examined point to the current cell vertices are
-    # cached so the Lemma-1 check costs one distance per (candidate, vertex).
-    vertex_dists = [(v, point.distance_to(v)) for v in polygon.vertices]
-    reach = 2.0 * max(d for _, d in vertex_dists)
-    for distance, other in ordered:
+    # Per cell vertex: its coordinates, its squared distance to the examined
+    # point and that distance itself, so the Lemma-1 test costs one squared
+    # distance per (candidate, vertex) and a root only when it is close.
+    vertices, reach, _ = _vertex_distances(px, py, polygon.vertices)
+    for distance, ox, oy, other in ordered:
         if distance > reach:
             break
-        if not any(other.distance_to(v) < d for v, d in vertex_dists):
+        for vx, vy, d2, d in vertices:
+            ax = ox - vx
+            ay = oy - vy
+            a2 = ax * ax + ay * ay
+            if a2 < d2 and sqrt(a2) < d:
+                break
+        else:
             continue
         polygon = polygon.clip_halfplane(bisector_halfplane(point, other))
         if polygon.is_empty():
             break
-        vertex_dists = [(v, point.distance_to(v)) for v in polygon.vertices]
-        reach = 2.0 * max(d for _, d in vertex_dists)
+        vertices, reach, (xlo, ylo, xhi, yhi) = _vertex_distances(
+            px, py, polygon.vertices
+        )
+        if reach_box is not None and (
+            xhi < reach_box.xmin
+            or xlo > reach_box.xmax
+            or yhi < reach_box.ymin
+            or ylo > reach_box.ymax
+        ):
+            return None
     return polygon
+
+
+def _vertex_distances(
+    px: float, py: float, polygon_vertices: Sequence[Point]
+) -> Tuple[List[Tuple[float, float, float, float]], float, Tuple[float, ...]]:
+    """``(vx, vy, d2, d)`` per vertex of a non-empty ring, the influence
+    radius ``2 * max d`` and the ring's MBR as ``(xmin, ymin, xmax, ymax)``."""
+    sqrt = math.sqrt
+    vertices = []
+    farthest = 0.0
+    first = polygon_vertices[0]
+    xlo = xhi = first.x
+    ylo = yhi = first.y
+    for v in polygon_vertices:
+        vx = v.x
+        vy = v.y
+        dx = px - vx
+        dy = py - vy
+        d2 = dx * dx + dy * dy
+        d = sqrt(d2)
+        vertices.append((vx, vy, d2, d))
+        if d > farthest:
+            farthest = d
+        if vx < xlo:
+            xlo = vx
+        elif vx > xhi:
+            xhi = vx
+        if vy < ylo:
+            ylo = vy
+        elif vy > yhi:
+            yhi = vy
+    return vertices, 2.0 * farthest, (xlo, ylo, xhi, yhi)
 
 
 def _polygon_hits_any_target(
@@ -251,10 +341,27 @@ def _entry_pruned(
     implements the literal per-side formulation and the test-suite checks
     that the two agree.
     """
+    sqrt = math.sqrt
+    xmin, ymin, xmax, ymax = mbr.xmin, mbr.ymin, mbr.xmax, mbr.ymax
+    # mindist(MBR, v) per target vertex, once per entry, with its square.
+    bounds = []
+    for v in target_vertices:
+        vx = v.x
+        vy = v.y
+        dx = xmin - vx if vx < xmin else (vx - xmax if vx > xmax else 0.0)
+        dy = ymin - vy if vy < ymin else (vy - ymax if vy > ymax else 0.0)
+        m2 = dx * dx + dy * dy
+        bounds.append((vx, vy, m2, sqrt(m2)))
     for _, candidate in candidates:
-        if all(
-            candidate.distance_to(v) <= mbr.mindist_point(v) for v in target_vertices
-        ):
+        cx = candidate.x
+        cy = candidate.y
+        for vx, vy, m2, m in bounds:
+            ax = cx - vx
+            ay = cy - vy
+            a2 = ax * ax + ay * ay
+            if a2 > m2 and sqrt(a2) > m:
+                break
+        else:
             return True
     return False
 

@@ -15,7 +15,7 @@ subpackage provides exactly that substrate:
   disk manager (``memory`` dict, slotted binary ``file``, ``sqlite``, and
   the ``remote`` page-server client), all satisfying one
   :class:`~repro.storage.backends.PageStore` contract — a
-  ``runtime_checkable`` protocol with capability flags — and one
+  ``runtime_checkable`` protocol with a capability flag — and one
   conformance test suite.  Backend selection routes through
   :func:`~repro.storage.backends.open_store`.
 * :mod:`~repro.storage.pageserver` — the page-server process and its

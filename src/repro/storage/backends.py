@@ -21,10 +21,10 @@ counters); a :class:`PageStore` owns the *bytes*.  Four backends ship:
 The contract is formalized twice: :class:`PageStore` is a
 ``runtime_checkable`` :class:`~typing.Protocol` (the structural contract
 capability queries check against), and :class:`PageStoreBase` is an ABC
-with default implementations new backends can inherit.  Capability flags
-(``supports_worker_reopen``, ``supports_remote``) plus the ``location``
-property replace the old scattered ``hasattr``/backend-name string checks:
-the engine asks a store what it can do instead of guessing from its name.
+with default implementations new backends can inherit.  The capability
+flag ``supports_worker_reopen`` plus the ``location`` property replace the
+old scattered ``hasattr``/backend-name string checks: the engine asks a
+store what it can do instead of guessing from its name.
 
 Backend selection routes through one factory — :func:`open_store` for
 spec strings (``"file:/data/pages.bin"``, ``"remote:HOST:PORT"``,
@@ -194,15 +194,12 @@ class PageStore(Protocol):
     are kept.
 
     The engine never inspects a store's concrete type or name; it asks the
-    capability flags and :attr:`location` instead:
+    capability flag and :attr:`location` instead:
 
     ``supports_worker_reopen``
         :meth:`reopen_in_worker` yields an independent read-only handle a
         worker process can use — the precondition for the fork pool and the
         distributed node tier.
-    ``supports_remote``
-        The store reaches its bytes over the network, so workers need no
-        shared filesystem (only the remote page-server client sets this).
     ``location``
         Where a fresh handle should attach: a filesystem path for the
         serializing backends, a ``HOST:PORT`` address for the remote
@@ -211,7 +208,6 @@ class PageStore(Protocol):
 
     name: str
     supports_worker_reopen: bool
-    supports_remote: bool
 
     @property
     def location(self) -> Optional[str]:
@@ -271,7 +267,7 @@ class PageStore(Protocol):
 class PageStoreBase(abc.ABC):
     """Default implementations for :class:`PageStore` backends.
 
-    Concrete backends inherit the capability flags (conservative defaults:
+    Concrete backends inherit the capability flag (conservative default:
     a store can do nothing special until it says so) and the ``location`` /
     ``worker_spec`` plumbing, and override what their byte layout makes
     cheaper.
@@ -279,7 +275,6 @@ class PageStoreBase(abc.ABC):
 
     name = "abstract"
     supports_worker_reopen = False
-    supports_remote = False
 
     @property
     def location(self) -> Optional[str]:
@@ -353,7 +348,6 @@ class MemoryPageStore(PageStoreBase):
     # Fork-safe through copy-on-write, but there is nothing another process
     # could attach to (location is None).
     supports_worker_reopen = True
-    supports_remote = False
 
     def __init__(self) -> None:
         self._pages: Dict[int, PageRecord] = {}
@@ -461,7 +455,6 @@ class FilePageStore(PageStoreBase):
 
     name = "file"
     supports_worker_reopen = True
-    supports_remote = False
 
     def __init__(
         self,
@@ -850,7 +843,6 @@ class SQLitePageStore(PageStoreBase):
 
     name = "sqlite"
     supports_worker_reopen = True
-    supports_remote = False
 
     def __init__(self, path: Optional[str] = None, cross_thread: bool = False):
         import sqlite3

@@ -393,7 +393,6 @@ class RemotePageStore(PageStoreBase):
 
     name = "remote"
     supports_worker_reopen = True
-    supports_remote = True
 
     def __init__(
         self,

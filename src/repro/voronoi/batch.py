@@ -30,16 +30,30 @@ see the Figure 7 breakdown):
   order, so once the key exceeds ``reach_m + dist(centroid, site_m)`` for
   every member ``m``, no remaining entry can refine any cell (Lemma 1 via
   the triangle inequality) and the whole traversal stops.
+
+The Lemma-1/2 vertex loops and the radius pre-check run on plain floats
+with a squared pre-test.  Each member caches ``(vx, vy, d2, d)`` per vertex,
+where ``d = sqrt(d2)`` is the pinned ``sqrt(dx*dx + dy*dy)`` distance, and
+a test ``dist < d`` is evaluated as ``a2 < d2 and sqrt(a2) < d`` (``a2`` the
+squared distance of the probe).  This is exact, not an approximation:
+``sqrt`` is correctly rounded and monotone, so ``a2 >= d2`` implies
+``sqrt(a2) >= d`` and the squared test rejects only what the plain test
+rejects; the root is taken only for the few probes that pass it, and it is
+bit-identical to :meth:`Point.distance_to` and :meth:`Rect.mindist_point`.
+The radius test ``dist > reach`` uses ``reach2 = 4 * max d2``, whose root
+is ``reach = 2 * max d`` exactly.
 """
 
 from __future__ import annotations
 
 import heapq
 import itertools
+import math
+from operator import itemgetter
 from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
 from repro.geometry.halfplane import bisector_halfplane
-from repro.geometry.point import Point, centroid, dist
+from repro.geometry.point import Point, centroid
 from repro.geometry.polygon import ConvexPolygon
 from repro.geometry.rect import Rect
 from repro.index.entries import LeafEntry
@@ -54,39 +68,77 @@ _CHILD = 1
 class _MemberState:
     """Mutable per-member state: the running cell and its influence radius."""
 
-    __slots__ = ("oid", "site", "polygon", "reach", "vertex_dists")
+    __slots__ = ("oid", "site", "sx", "sy", "polygon", "reach", "reach2", "vertex_dists")
 
     def __init__(self, oid: int, site: Point, polygon: ConvexPolygon):
         self.oid = oid
         self.site = site
+        self.sx = site.x
+        self.sy = site.y
         self.polygon = polygon
-        self.reach = 0.0
-        self.vertex_dists = []
         self.update_reach()
 
     def update_reach(self) -> None:
-        """Recompute the cached vertex distances and the influence radius."""
-        site = self.site
-        self.vertex_dists = [(v, site.distance_to(v)) for v in self.polygon.vertices]
-        self.reach = (
-            2.0 * max(d for _, d in self.vertex_dists) if self.vertex_dists else 0.0
-        )
+        """Recompute the cached vertex distances and the influence radius.
+
+        ``vertex_dists`` holds ``(vx, vy, d2, d)`` per vertex: ``d`` is the
+        site-to-vertex distance and ``d2`` the sum of squares it is the root
+        of.  ``reach2`` is the same sum for ``reach``: ``4 * max d2`` has
+        the root ``2 * max d`` exactly (sqrt is monotone and commutes with
+        scaling by four).
+        """
+        sqrt = math.sqrt
+        sx = self.sx
+        sy = self.sy
+        cache = []
+        farthest2 = 0.0
+        for v in self.polygon.vertices:
+            vx = v.x
+            vy = v.y
+            dx = sx - vx
+            dy = sy - vy
+            d2 = dx * dx + dy * dy
+            cache.append((vx, vy, d2, sqrt(d2)))
+            if d2 > farthest2:
+                farthest2 = d2
+        self.vertex_dists = cache
+        self.reach = 2.0 * sqrt(farthest2)
+        self.reach2 = 4.0 * farthest2
 
     def point_can_refine(self, other: Point) -> bool:
         """Lemma 1 with the cheap radius pre-check."""
-        if self.site.distance_to(other) > self.reach:
+        sqrt = math.sqrt
+        ox = other.x
+        oy = other.y
+        dx = self.sx - ox
+        dy = self.sy - oy
+        s2 = dx * dx + dy * dy
+        if s2 > self.reach2 and sqrt(s2) > self.reach:
             return False
-        for gamma, gamma_dist in self.vertex_dists:
-            if dist(other, gamma) < gamma_dist:
+        for vx, vy, d2, d in self.vertex_dists:
+            ax = ox - vx
+            ay = oy - vy
+            a2 = ax * ax + ay * ay
+            if a2 < d2 and sqrt(a2) < d:
                 return True
         return False
 
     def mbr_can_refine(self, mbr: Rect) -> bool:
         """Lemma 2 with the cheap radius pre-check."""
-        if mbr.mindist_point(self.site) > self.reach:
+        sqrt = math.sqrt
+        xmin, ymin, xmax, ymax = mbr.xmin, mbr.ymin, mbr.xmax, mbr.ymax
+        sx = self.sx
+        sy = self.sy
+        dx = xmin - sx if sx < xmin else (sx - xmax if sx > xmax else 0.0)
+        dy = ymin - sy if sy < ymin else (sy - ymax if sy > ymax else 0.0)
+        s2 = dx * dx + dy * dy
+        if s2 > self.reach2 and sqrt(s2) > self.reach:
             return False
-        for gamma, gamma_dist in self.vertex_dists:
-            if mbr.mindist_point(gamma) < gamma_dist:
+        for vx, vy, d2, d in self.vertex_dists:
+            dx = xmin - vx if vx < xmin else (vx - xmax if vx > xmax else 0.0)
+            dy = ymin - vy if vy < ymin else (vy - ymax if vy > ymax else 0.0)
+            a2 = dx * dx + dy * dy
+            if a2 < d2 and sqrt(a2) < d:
                 return True
         return False
 
@@ -147,19 +199,19 @@ def compute_voronoi_cells(
     # the cell shrinks as quickly as possible and most of the farther
     # bisectors never pass the Lemma-1 test; once a neighbour lies beyond
     # the influence radius every later one does too, so the loop stops.
+    sqrt = math.sqrt
     for state in states.values():
-        neighbours = sorted(
-            (
-                (state.site.distance_to(other_state.site), other_state.site)
-                for other_state in states.values()
-                if other_state.oid != state.oid
-                and (
-                    other_state.site.x != state.site.x
-                    or other_state.site.y != state.site.y
-                )
-            ),
-            key=lambda pair: pair[0],
-        )
+        sx = state.sx
+        sy = state.sy
+        neighbours = []
+        for other_state in states.values():
+            ox = other_state.sx
+            oy = other_state.sy
+            if other_state.oid != state.oid and (ox != sx or oy != sy):
+                dx = sx - ox
+                dy = sy - oy
+                neighbours.append((sqrt(dx * dx + dy * dy), other_state.site))
+        neighbours.sort(key=itemgetter(0))
         for distance, other in neighbours:
             if distance > state.reach:
                 break

@@ -125,6 +125,32 @@ class TestClipping:
         assert clipped.is_empty()
         assert clipped.vertices == ()
 
+    @pytest.mark.parametrize(
+        "halfplane",
+        [
+            # A corner sits outside the line but within the tolerance
+            # (0 < value <= tol) and its neighbour is clearly out: the
+            # unclamped crossing parameter left [0, 1] and put a vertex at
+            # (-5, 10), outside the square.
+            Halfplane(1e-8, 1.0, 10.0 - 5e-8),
+            Halfplane(-1e-8, 1.0, 10.0 - 1.5e-7),
+            Halfplane(1.0, 1e-8, 10.0 - 5e-8),
+            Halfplane(1.0, -1e-8, 10.0 - 1.5e-7),
+        ],
+        ids=["top-left", "top-right", "right-bottom", "right-top"],
+    )
+    def test_clip_near_tolerance_band_never_grows_polygon(self, halfplane):
+        square = ConvexPolygon.from_rect(UNIT_SQUARE)
+        clipped = square.clip_halfplane(halfplane)
+        assert not clipped.is_empty()
+        for v in clipped.vertices:
+            assert UNIT_SQUARE.contains_point(v), v
+        ring = clipped.vertices
+        for i, v in enumerate(ring):
+            w, u = ring[(i + 1) % len(ring)], ring[(i + 2) % len(ring)]
+            # Convex CCW ring: no right turn anywhere.
+            assert (w.x - v.x) * (u.y - w.y) - (w.y - v.y) * (u.x - w.x) >= 0.0
+
     def test_clip_empty_polygon_stays_empty(self):
         assert ConvexPolygon.empty().clip_halfplane(Halfplane(1.0, 0.0, 5.0)).is_empty()
 

@@ -1,20 +1,29 @@
 """Tests for the ConditionalFilter (Algorithm 5) and its batch variant."""
 
+import heapq
+import itertools
+import random
 
-from repro.datasets.synthetic import DOMAIN, uniform_points
+import pytest
+
+from repro.datasets.synthetic import DOMAIN, clustered_points, uniform_points
 from repro.datasets.workload import build_indexed_pointset
 from repro.geometry.influence import entry_pruned_by_candidate, polygon_within_phi, rect_sides
-from repro.geometry.point import Point
+from repro.geometry.point import Point, centroid
 from repro.geometry.polygon import ConvexPolygon
 from repro.geometry.rect import Rect
 from repro.index.rtree import RTree
 from repro.join.conditional_filter import (
     FilterStats,
+    _approximate_cell,
+    _entry_overlaps_targets,
+    _polygon_hits_any_target,
     batch_conditional_filter,
     candidate_cells_from_buffer,
     conditional_filter,
 )
 from repro.storage.disk import DiskManager
+from repro.voronoi.batch import compute_cells_for_leaf
 from repro.voronoi.cell import VoronoiCell
 from repro.voronoi.diagram import brute_force_cell, brute_force_diagram
 
@@ -151,3 +160,84 @@ class TestReuseBufferHelper:
         missing, reused = candidate_cells_from_buffer([(1, Point(99.0, 99.0))], buffer)
         assert reused == {}
         assert missing == [(1, Point(99.0, 99.0))]
+
+
+# ----------------------------------------------------------------------
+# The filter against a plain reference: the full approximate cell of every
+# examined point (no early exit) and the plain Lemma-3 distance rule.  The
+# candidate list, its order and every counter must match exactly.
+# ----------------------------------------------------------------------
+def reference_filter(targets, tree_p, domain):
+    polygons = [t for t in targets if not t.is_empty()]
+    stats = FilterStats()
+    target_mbrs = [polygon.bounding_rect() for polygon in polygons]
+    targets_mbr = Rect.union_all(target_mbrs)
+    target_vertices = [v for polygon in polygons for v in polygon.vertices]
+    center = centroid([polygon.centroid() for polygon in polygons])
+    candidates = []
+    heap = []
+    counter = itertools.count()
+
+    def push(node):
+        for entry in node.entries:
+            key = entry.mbr.mindist_point(center)
+            heapq.heappush(heap, (key, next(counter), node.is_leaf, entry))
+
+    push(tree_p.read_node(tree_p.root_page))
+    while heap:
+        _, _, is_point, entry = heapq.heappop(heap)
+        stats.heap_pops += 1
+        if is_point:
+            stats.points_examined += 1
+            cell = _approximate_cell(entry.payload, candidates, domain)
+            if _polygon_hits_any_target(cell, targets_mbr, target_mbrs, polygons):
+                candidates.append((entry.oid, entry.payload))
+                stats.points_admitted += 1
+            continue
+        if not _entry_overlaps_targets(entry.mbr, targets_mbr, target_mbrs, polygons):
+            if any(
+                all(c.distance_to(v) <= entry.mbr.mindist_point(v) for v in target_vertices)
+                for _, c in candidates
+            ):
+                stats.entries_pruned_phi += 1
+                continue
+        stats.entries_expanded += 1
+        push(tree_p.read_node(entry.child_page))
+    return candidates, stats
+
+
+def integer_grid_points(n, seed, step=250):
+    """``n`` distinct lattice points: equal distances are everywhere."""
+    cells = int(DOMAIN.width // step)
+    lattice = [(i, j) for i in range(cells + 1) for j in range(cells + 1)]
+    chosen = random.Random(seed).sample(lattice, n)
+    return [Point(float(i * step), float(j * step)) for i, j in chosen]
+
+
+FILTER_INPUTS = {
+    "uniform": lambda: (uniform_points(220, seed=141), uniform_points(120, seed=142)),
+    "clustered": lambda: (
+        clustered_points(220, clusters=4, seed=143),
+        clustered_points(120, clusters=3, seed=144),
+    ),
+    "integer-grid": lambda: (integer_grid_points(220, 145), integer_grid_points(120, 146)),
+}
+
+
+@pytest.mark.parametrize("inputs", sorted(FILTER_INPUTS))
+def test_batch_filter_matches_plain_reference(inputs):
+    points_p, points_q = FILTER_INPUTS[inputs]()
+    disk = DiskManager()
+    tree_p = build_indexed_pointset(disk, "RP", points_p, domain=DOMAIN)
+    tree_q = build_indexed_pointset(disk, "RQ", points_q, domain=DOMAIN)
+    batches = 0
+    for leaf in tree_q.iter_leaf_nodes():
+        cells = compute_cells_for_leaf(tree_q, leaf.entries, DOMAIN)
+        targets = [cells[entry.oid].polygon for entry in leaf.entries]
+        stats = FilterStats()
+        candidates = batch_conditional_filter(targets, tree_p, DOMAIN, stats=stats)
+        expected, expected_stats = reference_filter(targets, tree_p, DOMAIN)
+        assert candidates == expected
+        assert stats == expected_stats
+        batches += 1
+    assert batches > 1

@@ -381,11 +381,11 @@ class TestCapabilityContract:
     never on backend-name strings)."""
 
     EXPECTED_FLAGS = {
-        # backend: (supports_worker_reopen, supports_remote)
-        "memory": (True, False),
-        "file": (True, False),
-        "sqlite": (True, False),
-        "remote": (True, True),
+        # backend: supports_worker_reopen
+        "memory": True,
+        "file": True,
+        "sqlite": True,
+        "remote": True,
     }
 
     def test_every_backend_satisfies_the_protocol(self, backend):
@@ -394,8 +394,7 @@ class TestCapabilityContract:
             assert isinstance(store, PageStore)
             assert isinstance(store, PageStoreBase)
             assert store.name == backend
-            flags = (store.supports_worker_reopen, store.supports_remote)
-            assert flags == self.EXPECTED_FLAGS[backend]
+            assert store.supports_worker_reopen == self.EXPECTED_FLAGS[backend]
         finally:
             store.close()
 

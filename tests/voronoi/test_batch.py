@@ -1,11 +1,18 @@
 """Tests for BatchVoronoi (Algorithm 2)."""
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.datasets.synthetic import DOMAIN, uniform_points
 from repro.datasets.workload import build_indexed_pointset
+from repro.geometry.halfplane import bisector_halfplane
+from repro.geometry.point import Point, dist
+from repro.geometry.polygon import ConvexPolygon
+from repro.geometry.rect import Rect
+from repro.join.conditional_filter import _entry_pruned
 from repro.storage.disk import DiskManager
-from repro.voronoi.batch import compute_cells_for_leaf, compute_voronoi_cells
+from repro.voronoi.batch import _MemberState, compute_cells_for_leaf, compute_voronoi_cells
 from repro.voronoi.diagram import brute_force_cell
 from repro.voronoi.single import compute_voronoi_cell
 from tests.voronoi.test_single import assert_same_cell
@@ -123,3 +130,137 @@ class TestBatchVoronoiCost:
         disk.reset_counters()
         compute_voronoi_cells(tree, group, DOMAIN)
         assert disk.counters.logical_reads <= tree.node_count()
+
+
+# ----------------------------------------------------------------------
+# Exactness of the squared pre-tests: the rewritten Lemma-1/2/3 predicates
+# must answer exactly like the plain dist / mindist_point formulas, ties
+# included (a tie decides whether a bisector is clipped or an entry pruned).
+# ----------------------------------------------------------------------
+def plain_reach(site, polygon):
+    return 2.0 * max(dist(site, v) for v in polygon.vertices)
+
+
+def plain_point_can_refine(site, polygon, other):
+    if dist(site, other) > plain_reach(site, polygon):
+        return False
+    return any(dist(other, v) < dist(site, v) for v in polygon.vertices)
+
+
+def plain_mbr_can_refine(site, polygon, mbr):
+    if mbr.mindist_point(site) > plain_reach(site, polygon):
+        return False
+    return any(mbr.mindist_point(v) < dist(site, v) for v in polygon.vertices)
+
+
+def plain_entry_pruned(mbr, target_vertices, candidates):
+    return any(
+        all(dist(c, v) <= mbr.mindist_point(v) for v in target_vertices)
+        for _, c in candidates
+    )
+
+
+def mirrored(v, p):
+    """``p`` reflected through ``v``: exactly as far from ``v`` as ``p``
+    is whenever the coordinates are integers."""
+    return Point(2.0 * v.x - p.x, 2.0 * v.y - p.y)
+
+
+GRID = st.integers(min_value=0, max_value=24).map(float)
+grid_points = st.builds(Point, GRID, GRID)
+float_points = st.builds(
+    Point,
+    st.floats(min_value=0.0, max_value=100.0, allow_nan=False),
+    st.floats(min_value=0.0, max_value=100.0, allow_nan=False),
+)
+
+
+@st.composite
+def rects(draw, coords=GRID):
+    x0, x1 = sorted((draw(coords), draw(coords)))
+    y0, y1 = sorted((draw(coords), draw(coords)))
+    return Rect(x0, y0, x1, y1)
+
+
+@st.composite
+def member_cells(draw, points=grid_points):
+    """A site and a running cell: a grid rectangle around it, optionally
+    clipped by a few bisectors (non-integer vertices)."""
+    site = draw(points)
+    box = draw(rects())
+    box = Rect(
+        min(box.xmin, site.x) - 1.0,
+        min(box.ymin, site.y) - 1.0,
+        max(box.xmax, site.x) + 1.0,
+        max(box.ymax, site.y) + 1.0,
+    )
+    polygon = ConvexPolygon.from_rect(box)
+    for other in draw(st.lists(points, max_size=3)):
+        if other != site:
+            clipped = polygon.clip_halfplane(bisector_halfplane(site, other))
+            if not clipped.is_empty():
+                polygon = clipped
+    return site, polygon
+
+
+class TestSquaredPreTestExactness:
+    @given(cell=member_cells(), others=st.lists(grid_points, max_size=8), data=st.data())
+    @settings(max_examples=150, deadline=None)
+    def test_point_can_refine_matches_plain_formula(self, cell, others, data):
+        site, polygon = cell
+        state = _MemberState(0, site, polygon)
+        vertex = data.draw(st.sampled_from(polygon.vertices))
+        probes = others + [
+            # Equal distance to a vertex: the strict Lemma-1 test is a tie.
+            mirrored(vertex, site),
+            # Exactly at the influence radius of a rectangle cell.
+            Point(site.x + 2.0 * (vertex.x - site.x), site.y + 2.0 * (vertex.y - site.y)),
+        ]
+        assert state.reach == plain_reach(site, polygon)
+        for other in probes:
+            assert state.point_can_refine(other) == plain_point_can_refine(
+                site, polygon, other
+            ), other
+
+    @given(cell=member_cells(float_points), others=st.lists(float_points, max_size=8))
+    @settings(max_examples=100, deadline=None)
+    def test_point_can_refine_matches_plain_formula_off_grid(self, cell, others):
+        site, polygon = cell
+        state = _MemberState(0, site, polygon)
+        for other in others:
+            assert state.point_can_refine(other) == plain_point_can_refine(
+                site, polygon, other
+            ), other
+
+    @given(cell=member_cells(), boxes=st.lists(rects(), min_size=1, max_size=6))
+    @settings(max_examples=150, deadline=None)
+    def test_mbr_can_refine_matches_plain_formula(self, cell, boxes):
+        site, polygon = cell
+        state = _MemberState(0, site, polygon)
+        for mbr in boxes:
+            assert state.mbr_can_refine(mbr) == plain_mbr_can_refine(
+                site, polygon, mbr
+            ), mbr
+
+    @given(
+        mbr=rects(),
+        targets=st.lists(grid_points, min_size=1, max_size=6),
+        candidates=st.lists(grid_points, max_size=6),
+        data=st.data(),
+    )
+    @settings(max_examples=200, deadline=None)
+    def test_entry_pruned_matches_plain_formula(self, mbr, targets, candidates, data):
+        vertex = data.draw(st.sampled_from(targets))
+        nearest = Point(
+            min(max(vertex.x, mbr.xmin), mbr.xmax), min(max(vertex.y, mbr.ymin), mbr.ymax)
+        )
+        # dist(c, v) == mindist(MBR, v) exactly: the <= test is a tie.
+        candidates = candidates + [mirrored(vertex, nearest)]
+        listed = list(enumerate(candidates))
+        assert _entry_pruned(mbr, targets, listed) == plain_entry_pruned(
+            mbr, targets, listed
+        )
+        for one in listed:
+            assert _entry_pruned(mbr, targets, [one]) == plain_entry_pruned(
+                mbr, targets, [one]
+            ), one
