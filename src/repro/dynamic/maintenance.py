@@ -174,10 +174,11 @@ class DynamicJoinSession:
     @staticmethod
     def _cell_reach(cell: VoronoiCell) -> float:
         """Twice the largest vertex-to-site distance (the Lemma-1 radius)."""
-        vertices = cell.polygon.vertices
-        if not vertices:
+        xs, ys = cell.polygon.ring()
+        if not xs:
             return 0.0
-        return 2.0 * max(cell.site.distance_to(v) for v in vertices)
+        # Transient Points: reading .vertices would cache them on every cell.
+        return 2.0 * max(map(cell.site.distance_to, map(Point, xs, ys)))
 
     # ------------------------------------------------------------------
     # update application

@@ -139,7 +139,7 @@ def carry_to_wire(carry: Optional[Dict[int, VoronoiCell]]) -> Optional[List]:
             oid,
             cell.site.x,
             cell.site.y,
-            [[vertex.x, vertex.y] for vertex in cell.polygon.vertices],
+            [[x, y] for x, y in zip(*cell.polygon.ring())],
         ]
         for oid, cell in carry.items()
     ]
@@ -150,11 +150,11 @@ def carry_from_wire(wire: Optional[List]) -> Optional[Dict[int, VoronoiCell]]:
         return None
     buffer: Dict[int, VoronoiCell] = {}
     for oid, site_x, site_y, vertices in wire:
-        # Bypass ConvexPolygon.__init__: the transported ring is already
-        # normalised and must round-trip bit for bit, not be re-cleaned
-        # (same rationale as the page codec's cell decoder).
-        polygon = ConvexPolygon.__new__(ConvexPolygon)
-        polygon._vertices = tuple(Point(x, y) for x, y in vertices)
+        # The transported ring is already normalised and must round-trip bit
+        # for bit (same rationale as the page codec's cell decoder).
+        polygon = ConvexPolygon._from_ring(
+            tuple(x for x, _ in vertices), tuple(y for _, y in vertices)
+        )
         buffer[oid] = VoronoiCell(oid, Point(site_x, site_y), polygon)
     return buffer
 

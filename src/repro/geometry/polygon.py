@@ -8,6 +8,16 @@ perpendicular-bisector halfplanes (Equation 2).  The paper's algorithms need:
 * the vertex set ``Γ_c(p_i)`` of the current cell (Lemmas 1 and 2),
 * convex/convex and convex/rectangle intersection tests (the join predicate
   itself and the filter steps of Algorithms 5 and 6).
+
+The CCW ring is stored flat, as parallel float tuples ``_xs``/``_ys``;
+clipping, the separating-axis tests, containment and the MBR loop over
+those floats, and :class:`Point` objects are built only when a caller reads
+:attr:`ConvexPolygon.vertices`.  The loops evaluate the same expressions in
+the same order as a plain ``Point``-ring formulation (the test-suite's
+reference: the pinned ``sqrt(a*a + b*b)``, ``a*x + b*y - c``, the clamped
+``t``, the ``eps * norm`` margins), so rings are bit-identical to it.  The SAT
+stops scanning the other ring at the first projection ``<= bound``, which
+is exact: ``min(projections) > bound`` iff every projection is ``> bound``.
 """
 
 from __future__ import annotations
@@ -24,6 +34,8 @@ from repro.geometry.tolerance import BOUNDARY_EPS
 # repro.geometry.tolerance for the policy shared with the other predicates.
 _EPS = BOUNDARY_EPS
 
+Ring = Tuple[float, ...]
+
 
 class ConvexPolygon:
     """An immutable convex polygon stored as a counter-clockwise vertex ring.
@@ -34,11 +46,17 @@ class ConvexPolygon:
     tests, matching how an empty Voronoi-cell approximation behaves.
     """
 
-    __slots__ = ("_vertices",)
+    __slots__ = ("_xs", "_ys", "_points")
 
     def __init__(self, vertices: Sequence[Point] | Iterable[Point]):
         verts = list(vertices)
-        self._vertices: Tuple[Point, ...] = tuple(_normalise_ring(verts))
+        xs, ys = _clean_ring([v.x for v in verts], [v.y for v in verts])
+        if len(xs) >= 3 and _shoelace(xs, ys) < 0.0:
+            xs.reverse()
+            ys.reverse()
+        self._xs: Ring = tuple(xs)
+        self._ys: Ring = tuple(ys)
+        self._points = None
 
     # ------------------------------------------------------------------
     # constructors
@@ -51,51 +69,60 @@ class ConvexPolygon:
     @staticmethod
     def empty() -> "ConvexPolygon":
         """An empty polygon."""
-        return ConvexPolygon([])
+        return ConvexPolygon._from_ring((), ())
 
     @classmethod
-    def _from_clip_ring(cls, vertices: List[Point]) -> "ConvexPolygon":
-        """Fast constructor for rings produced by halfplane clipping.
+    def _from_ring(cls, xs: Ring, ys: Ring) -> "ConvexPolygon":
+        """Trusted constructor for a ring that is already a normalised CCW
+        ring (clip output, a decoded page, a transported REUSE carry).
 
-        Clipping a CCW convex ring with a halfplane yields a CCW convex ring
-        whose only possible defect is consecutive (near-)duplicate vertices,
-        so the full normalisation pass (orientation check) is skipped.
+        No re-normalisation runs, so a stored ring round-trips bit for bit.
         """
-        cleaned: List[Point] = []
-        for v in vertices:
-            if not cleaned or _far_enough(cleaned[-1], v):
-                cleaned.append(v)
-        while len(cleaned) > 1 and not _far_enough(cleaned[0], cleaned[-1]):
-            cleaned.pop()
         polygon = cls.__new__(cls)
-        polygon._vertices = tuple(cleaned if len(cleaned) >= 3 else cleaned)
+        polygon._xs = xs
+        polygon._ys = ys
+        polygon._points = None
         return polygon
+
+    def __reduce__(self):
+        # Ship the flat ring only, never the lazily built Point tuple.
+        return (ConvexPolygon._from_ring, (self._xs, self._ys))
 
     # ------------------------------------------------------------------
     # basic accessors
     # ------------------------------------------------------------------
     @property
     def vertices(self) -> Tuple[Point, ...]:
-        """The vertex ring in counter-clockwise order (Γ_c in the paper)."""
-        return self._vertices
+        """The vertex ring in counter-clockwise order (Γ_c in the paper).
+
+        The ``Point`` tuple is built from the flat ring on first read and
+        then cached; hot code should read :meth:`ring` instead.
+        """
+        if self._points is None:
+            self._points = tuple(map(Point, self._xs, self._ys))
+        return self._points
+
+    def ring(self) -> Tuple[Ring, Ring]:
+        """The counter-clockwise ring as parallel ``(xs, ys)`` float tuples."""
+        return self._xs, self._ys
 
     def is_empty(self) -> bool:
         """Whether the polygon has no interior (fewer than 3 vertices)."""
-        return len(self._vertices) < 3
+        return len(self._xs) < 3
 
     def __len__(self) -> int:
-        return len(self._vertices)
+        return len(self._xs)
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, ConvexPolygon):
             return NotImplemented
-        return self._vertices == other._vertices
+        return self._xs == other._xs and self._ys == other._ys
 
     def __hash__(self) -> int:
-        return hash(self._vertices)
+        return hash((self._xs, self._ys))
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
-        return f"ConvexPolygon({list(self._vertices)!r})"
+        return f"ConvexPolygon({list(self.vertices)!r})"
 
     # ------------------------------------------------------------------
     # measures
@@ -104,12 +131,7 @@ class ConvexPolygon:
         """Polygon area by the shoelace formula (zero when empty)."""
         if self.is_empty():
             return 0.0
-        verts = self._vertices
-        total = 0.0
-        for i, v in enumerate(verts):
-            w = verts[(i + 1) % len(verts)]
-            total += v.x * w.y - w.x * v.y
-        return abs(total) / 2.0
+        return abs(_shoelace(self._xs, self._ys)) / 2.0
 
     def centroid(self) -> Point:
         """Area centroid of the polygon.
@@ -117,33 +139,28 @@ class ConvexPolygon:
         Falls back to the vertex average for degenerate polygons; raises
         :class:`ValueError` when the polygon is empty.
         """
-        if not self._vertices:
+        xs, ys = self._xs, self._ys
+        n = len(xs)
+        if not n:
             raise ValueError("centroid of an empty polygon is undefined")
-        verts = self._vertices
-        if len(verts) < 3:
-            sx = sum(v.x for v in verts)
-            sy = sum(v.y for v in verts)
-            return Point(sx / len(verts), sy / len(verts))
-        cx = cy = 0.0
-        twice_area = 0.0
-        for i, v in enumerate(verts):
-            w = verts[(i + 1) % len(verts)]
-            cross = v.x * w.y - w.x * v.y
+        cx = cy = twice_area = 0.0
+        for i in range(n if n >= 3 else 0):
+            j = i + 1 if i + 1 < n else 0
+            cross = xs[i] * ys[j] - xs[j] * ys[i]
             twice_area += cross
-            cx += (v.x + w.x) * cross
-            cy += (v.y + w.y) * cross
+            cx += (xs[i] + xs[j]) * cross
+            cy += (ys[i] + ys[j]) * cross
         if abs(twice_area) < _EPS:
-            sx = sum(v.x for v in verts)
-            sy = sum(v.y for v in verts)
-            return Point(sx / len(verts), sy / len(verts))
+            return Point(sum(xs) / n, sum(ys) / n)
         factor = 1.0 / (3.0 * twice_area)
         return Point(cx * factor, cy * factor)
 
     def bounding_rect(self) -> Rect:
         """Tight MBR of the polygon; raises for an empty polygon."""
-        if not self._vertices:
+        xs, ys = self._xs, self._ys
+        if not xs:
             raise ValueError("bounding rectangle of an empty polygon is undefined")
-        return Rect.from_points(self._vertices)
+        return Rect(min(xs), min(ys), max(xs), max(ys))
 
     # ------------------------------------------------------------------
     # predicates
@@ -167,21 +184,37 @@ class ConvexPolygon:
     def _contains_point(self, p: Point, margin: float) -> bool:
         """Shared edge loop: ``p`` must clear every edge by ``margin``
         (negative = closed test with tolerance, positive = strict)."""
-        if self.is_empty():
+        xs, ys = self._xs, self._ys
+        n = len(xs)
+        if n < 3:
             return False
-        verts = self._vertices
-        for i, v in enumerate(verts):
-            w = verts[(i + 1) % len(verts)]
-            cross = (w.x - v.x) * (p.y - v.y) - (w.y - v.y) * (p.x - v.x)
-            if cross < margin * max(1.0, abs(w.x - v.x) + abs(w.y - v.y)):
+        px, py = p.x, p.y
+        for i in range(n):
+            j = i + 1 if i + 1 < n else 0
+            vx, vy = xs[i], ys[i]
+            ex = xs[j] - vx
+            ey = ys[j] - vy
+            cross = ex * (py - vy) - ey * (px - vx)
+            scale = abs(ex) + abs(ey)
+            if cross < margin * (scale if scale > 1.0 else 1.0):
                 return False
         return True
 
     def intersects_rect(self, rect: Rect) -> bool:
-        """Whether the polygon and the rectangle share at least one point."""
+        """Whether the polygon and the rectangle share at least one point.
+
+        The rectangle may be degenerate (a segment or a single point, e.g.
+        the MBR of colinear sites): its corner ring keeps every distinct
+        corner, so a segment still contributes its normals to the
+        separating-axis test and a point reduces to point-in-polygon.
+        """
         if self.is_empty():
             return False
-        return self.intersects(ConvexPolygon.from_rect(rect))
+        # Equal corners of a rect are always cyclically consecutive, so
+        # dropping repeats keeps exactly the distinct corners in CCW order.
+        lo, hi = (rect.xmin, rect.ymin), (rect.xmax, rect.ymax)
+        corners = dict.fromkeys((lo, (hi[0], lo[1]), hi, (lo[0], hi[1])))
+        return not _separating_axis_exists(self.ring(), tuple(zip(*corners)), _EPS)
 
     def intersects(self, other: "ConvexPolygon", eps: float = _EPS) -> bool:
         """Convex/convex intersection via the separating axis theorem.
@@ -194,9 +227,7 @@ class ConvexPolygon:
         """
         if self.is_empty() or other.is_empty():
             return False
-        return not _separating_axis_exists(
-            self._vertices, other._vertices, eps, boundary_counts=True
-        )
+        return not _separating_axis_exists(self.ring(), other.ring(), eps)
 
     def intersects_interior(self, other: "ConvexPolygon", eps: float = _EPS) -> bool:
         """Whether the polygons overlap with positive area (open-set test).
@@ -217,7 +248,7 @@ class ConvexPolygon:
         if self.is_empty() or other.is_empty():
             return False
         return not _separating_axis_exists(
-            self._vertices, other._vertices, eps, boundary_counts=False
+            self.ring(), other.ring(), eps, boundary_counts=False
         )
 
     def clip_halfplane(self, hp: Halfplane) -> "ConvexPolygon":
@@ -226,9 +257,11 @@ class ConvexPolygon:
         Returns a new polygon; the result may be empty.  This is the cell
         refinement operation ``V_c(p_i) := V_c(p_i) ∩ ⊥(p_i, p_j)``.
         """
-        if self.is_empty():
+        xs, ys = self._xs, self._ys
+        n = len(xs)
+        if n < 3:
             return self
-        verts = self._vertices
+        a, b, c = hp.a, hp.b, hp.c
         # The tolerance is expressed in geometric units: |value| / |(a, b)|
         # is the distance to the boundary line, so scaling the epsilon by the
         # normal's norm keeps the behaviour stable for both huge and tiny
@@ -236,35 +269,50 @@ class ConvexPolygon:
         # sqrt(a*a + b*b) rather than math.hypot: the formula is pinned so
         # pairs and counters stay byte-identical to the committed baselines;
         # hypot may differ from it by one ulp.
-        norm = math.sqrt(hp.a * hp.a + hp.b * hp.b)
-        tol = _EPS * (norm if norm > 0.0 else max(1.0, abs(hp.c)))
-        values = [hp.value(v) for v in verts]
-        if all(v <= tol for v in values):
+        norm = math.sqrt(a * a + b * b)
+        tol = _EPS * (norm if norm > 0.0 else max(1.0, abs(c)))
+        values = [a * x + b * y - c for x, y in zip(xs, ys)]
+        # The values are finite, so max/min decide "every value <= tol" and
+        # "every value >= -tol" exactly.
+        if max(values) <= tol:
             return self
-        if all(v >= -tol for v in values):
+        if min(values) >= -tol:
             # Entire polygon on or outside the boundary: at best a segment
             # remains, which has no interior.
             return ConvexPolygon.empty()
-        out: List[Point] = []
-        n = len(verts)
+        out_x: List[float] = []
+        out_y: List[float] = []
         for i in range(n):
-            cur, nxt = verts[i], verts[(i + 1) % n]
-            vc, vn = values[i], values[(i + 1) % n]
+            j = i + 1 if i + 1 < n else 0
+            vc, vn = values[i], values[j]
             cur_in = vc <= tol
-            nxt_in = vn <= tol
+            # _clean_ring's de-duplication, inlined (same test, same order).
             if cur_in:
-                out.append(cur)
-            if cur_in != nxt_in:
+                x, y = xs[i], ys[i]
+                if not out_x or abs(out_x[-1] - x) > _EPS or abs(out_y[-1] - y) > _EPS:
+                    out_x.append(x)
+                    out_y.append(y)
+            if cur_in != (vn <= tol):
                 # Clamped: a vertex kept within the tolerance (0 < value <=
                 # tol) next to an outside one puts t below 0, and the
                 # unclamped point would be extrapolated past the edge.  With
                 # t in [0, 1] every new vertex lies on an input edge, so
                 # clipping never grows the polygon.
-                t = min(max(vc / (vc - vn), 0.0), 1.0)
-                out.append(
-                    Point(cur.x + t * (nxt.x - cur.x), cur.y + t * (nxt.y - cur.y))
-                )
-        return ConvexPolygon._from_clip_ring(out)
+                t = vc / (vc - vn)
+                if t < 0.0:
+                    t = 0.0
+                elif t > 1.0:
+                    t = 1.0
+                x = xs[i] + t * (xs[j] - xs[i])
+                y = ys[i] + t * (ys[j] - ys[i])
+                if not out_x or abs(out_x[-1] - x) > _EPS or abs(out_y[-1] - y) > _EPS:
+                    out_x.append(x)
+                    out_y.append(y)
+        # Clipping a CCW convex ring with a halfplane yields a CCW convex
+        # ring whose only possible defect is consecutive (near-)duplicate
+        # vertices, so the orientation check of __init__ is skipped.
+        _drop_closing_duplicates(out_x, out_y)
+        return ConvexPolygon._from_ring(tuple(out_x), tuple(out_y))
 
     def clip_rect(self, rect: Rect) -> "ConvexPolygon":
         """Clip the polygon to a rectangle (intersection with the domain)."""
@@ -295,17 +343,17 @@ class ConvexPolygon:
     def edge_halfplanes(self) -> List[Halfplane]:
         """Halfplanes whose intersection is this polygon (one per edge)."""
         hps: List[Halfplane] = []
-        verts = self._vertices
-        n = len(verts)
+        xs, ys = self._xs, self._ys
+        n = len(xs)
         if n < 3:
             return hps
         for i in range(n):
-            v, w = verts[i], verts[(i + 1) % n]
+            j = i + 1 if i + 1 < n else 0
             # Interior lies to the left of edge v->w (CCW ring), i.e.
             # cross((w - v), (x - v)) >= 0.  Rewrite as a*x + b*y <= c.
-            a = w.y - v.y
-            b = v.x - w.x
-            c = a * v.x + b * v.y
+            a = ys[j] - ys[i]
+            b = xs[i] - xs[j]
+            c = a * xs[i] + b * ys[i]
             hps.append(Halfplane(a, b, c))
         return hps
 
@@ -313,34 +361,32 @@ class ConvexPolygon:
 # ----------------------------------------------------------------------
 # module-level helpers
 # ----------------------------------------------------------------------
-def _normalise_ring(verts: List[Point]) -> List[Point]:
-    """Deduplicate consecutive vertices and orient the ring CCW."""
-    if not verts:
-        return []
-    cleaned: List[Point] = []
-    for v in verts:
-        if not cleaned or _far_enough(cleaned[-1], v):
-            cleaned.append(v)
-    while len(cleaned) > 1 and not _far_enough(cleaned[0], cleaned[-1]):
-        cleaned.pop()
-    if len(cleaned) < 3:
-        return cleaned
-    if _signed_area(cleaned) < 0.0:
-        cleaned.reverse()
-    return cleaned
+def _clean_ring(xs: Sequence[float], ys: Sequence[float]) -> Tuple[List[float], ...]:
+    """Drop consecutive (near-)duplicate vertices, the closing pair included."""
+    out_x: List[float] = []
+    out_y: List[float] = []
+    for x, y in zip(xs, ys):
+        if not out_x or abs(out_x[-1] - x) > _EPS or abs(out_y[-1] - y) > _EPS:
+            out_x.append(x)
+            out_y.append(y)
+    _drop_closing_duplicates(out_x, out_y)
+    return out_x, out_y
 
 
-def _far_enough(a: Point, b: Point) -> bool:
-    return abs(a.x - b.x) > _EPS or abs(a.y - b.y) > _EPS
+def _drop_closing_duplicates(xs: List[float], ys: List[float]) -> None:
+    while len(xs) > 1 and not (abs(xs[0] - xs[-1]) > _EPS or abs(ys[0] - ys[-1]) > _EPS):
+        xs.pop()
+        ys.pop()
 
 
-def _signed_area(verts: Sequence[Point]) -> float:
+def _shoelace(xs: Sequence[float], ys: Sequence[float]) -> float:
+    """Twice the signed area of the ring (positive when CCW)."""
     total = 0.0
-    n = len(verts)
+    n = len(xs)
     for i in range(n):
-        v, w = verts[i], verts[(i + 1) % n]
-        total += v.x * w.y - w.x * v.y
-    return total / 2.0
+        j = i + 1 if i + 1 < n else 0
+        total += xs[i] * ys[j] - xs[j] * ys[i]
+    return total
 
 
 def _rect_halfplanes(rect: Rect) -> List[Halfplane]:
@@ -353,9 +399,10 @@ def _rect_halfplanes(rect: Rect) -> List[Halfplane]:
 
 
 def _separating_axis_exists(
-    a: Sequence[Point], b: Sequence[Point], eps: float, boundary_counts: bool = True
+    a: Tuple[Ring, Ring], b: Tuple[Ring, Ring], eps: float, boundary_counts: bool = True
 ) -> bool:
-    """Whether some edge normal of ``a`` or ``b`` separates the two hulls.
+    """Whether some edge normal of ring ``a`` or ring ``b`` (each an
+    ``(xs, ys)`` pair) separates the two hulls.
 
     With ``boundary_counts`` (the closed-set test) an axis only separates
     when the hulls are a clear ``eps`` gap apart, so touching hulls count as
@@ -363,21 +410,31 @@ def _separating_axis_exists(
     as the overlap depth shrinks to within ``eps`` of zero, so a zero-area
     contact counts as separated.
     """
-    for polygon, other in ((a, b), (b, a)):
-        n = len(polygon)
+    sqrt = math.sqrt
+    sign = eps if boundary_counts else -eps
+    for (xs, ys), (oxs, oys) in ((a, b), (b, a)):
+        n = len(xs)
         for i in range(n):
-            v, w = polygon[i], polygon[(i + 1) % n]
+            j = i + 1 if i + 1 < n else 0
+            vx, vy = xs[i], ys[i]
             # Outward normal of edge v->w for a CCW ring.
-            nx = w.y - v.y
-            ny = v.x - w.x
+            nx = ys[j] - vy
+            ny = vx - xs[j]
             # Same pinned formula as clip_halfplane.
-            norm = math.sqrt(nx * nx + ny * ny)
+            norm = sqrt(nx * nx + ny * ny)
             if norm < eps:
                 continue
-            # Max projection of this polygon onto the normal.
-            self_max = max((p.x - v.x) * nx + (p.y - v.y) * ny for p in polygon)
-            other_min = min((p.x - v.x) * nx + (p.y - v.y) * ny for p in other)
-            margin = eps * norm if boundary_counts else -eps * norm
-            if other_min > max(self_max, 0.0) + margin:
+            # max(0, projections of this ring): v itself projects to 0.
+            bound = 0.0
+            for x, y in zip(xs, ys):
+                proj = (x - vx) * nx + (y - vy) * ny
+                if proj > bound:
+                    bound = proj
+            bound += sign * norm
+            # Separated iff every projection of the other ring is > bound.
+            for x, y in zip(oxs, oys):
+                if (x - vx) * nx + (y - vy) * ny <= bound:
+                    break
+            else:
                 return True
     return False

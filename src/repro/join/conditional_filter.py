@@ -221,7 +221,7 @@ def _approximate_cell(
     # Per cell vertex: its coordinates, its squared distance to the examined
     # point and that distance itself, so the Lemma-1 test costs one squared
     # distance per (candidate, vertex) and a root only when it is close.
-    vertices, reach, _ = _vertex_distances(px, py, polygon.vertices)
+    vertices, reach, _ = _vertex_distances(px, py, *polygon.ring())
     for distance, ox, oy, other in ordered:
         if distance > reach:
             break
@@ -237,7 +237,7 @@ def _approximate_cell(
         if polygon.is_empty():
             break
         vertices, reach, (xlo, ylo, xhi, yhi) = _vertex_distances(
-            px, py, polygon.vertices
+            px, py, *polygon.ring()
         )
         if reach_box is not None and (
             xhi < reach_box.xmin
@@ -250,19 +250,16 @@ def _approximate_cell(
 
 
 def _vertex_distances(
-    px: float, py: float, polygon_vertices: Sequence[Point]
+    px: float, py: float, xs: Sequence[float], ys: Sequence[float]
 ) -> Tuple[List[Tuple[float, float, float, float]], float, Tuple[float, ...]]:
-    """``(vx, vy, d2, d)`` per vertex of a non-empty ring, the influence
+    """``(vx, vy, d2, d)`` per vertex of a non-empty flat ring, the influence
     radius ``2 * max d`` and the ring's MBR as ``(xmin, ymin, xmax, ymax)``."""
     sqrt = math.sqrt
     vertices = []
     farthest = 0.0
-    first = polygon_vertices[0]
-    xlo = xhi = first.x
-    ylo = yhi = first.y
-    for v in polygon_vertices:
-        vx = v.x
-        vy = v.y
+    xlo = xhi = xs[0]
+    ylo = yhi = ys[0]
+    for vx, vy in zip(xs, ys):
         dx = px - vx
         dy = py - vy
         d2 = dx * dx + dy * dy

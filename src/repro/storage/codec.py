@@ -107,12 +107,12 @@ def _encode_leaf_payload(payload: Any) -> bytes:
     if type(payload) is Point:
         return _PAYLOAD_POINT + _POINT.pack(payload.x, payload.y)
     if type(payload) is VoronoiCell:
-        vertices = payload.polygon.vertices
+        xs, ys = payload.polygon.ring()
         parts = [
             _PAYLOAD_CELL,
-            _CELL_HEADER.pack(payload.oid, payload.site.x, payload.site.y, len(vertices)),
+            _CELL_HEADER.pack(payload.oid, payload.site.x, payload.site.y, len(xs)),
         ]
-        parts.extend(_POINT.pack(v.x, v.y) for v in vertices)
+        parts.extend(map(_POINT.pack, xs, ys))
         return b"".join(parts)
     blob = pickle.dumps(payload, protocol=pickle.HIGHEST_PROTOCOL)
     return _PAYLOAD_PICKLE + _U32.pack(len(blob)) + blob
@@ -127,15 +127,11 @@ def _decode_leaf_payload(body: memoryview, offset: int):
     if tag == _PAYLOAD_CELL:
         oid, sx, sy, count = _CELL_HEADER.unpack_from(body, offset)
         offset += _CELL_HEADER.size
-        vertices = []
-        for _ in range(count):
-            x, y = _POINT.unpack_from(body, offset)
-            offset += _POINT.size
-            vertices.append(Point(x, y))
-        # Bypass ConvexPolygon.__init__: the stored ring is already
-        # normalised and must round-trip bit for bit, not be re-cleaned.
-        polygon = ConvexPolygon.__new__(ConvexPolygon)
-        polygon._vertices = tuple(vertices)
+        coords = struct.unpack_from(f"<{2 * count}d", body, offset)
+        offset += count * _POINT.size
+        # The stored ring is already normalised and must round-trip bit for
+        # bit, so it goes through the trusted constructor.
+        polygon = ConvexPolygon._from_ring(coords[0::2], coords[1::2])
         return VoronoiCell(oid, Point(sx, sy), polygon), offset
     if tag == _PAYLOAD_PICKLE:
         (length,) = _U32.unpack_from(body, offset)

@@ -92,9 +92,7 @@ class _MemberState:
         sy = self.sy
         cache = []
         farthest2 = 0.0
-        for v in self.polygon.vertices:
-            vx = v.x
-            vy = v.y
+        for vx, vy in zip(*self.polygon.ring()):
             dx = sx - vx
             dy = sy - vy
             d2 = dx * dx + dy * dy

@@ -53,4 +53,4 @@ class VoronoiCell:
 
     def vertex_count(self) -> int:
         """Number of polygon vertices (drives the entry size on disk)."""
-        return len(self.polygon.vertices)
+        return len(self.polygon)

@@ -1,5 +1,7 @@
 """Tests for repro.geometry.polygon (convex polygons and clipping)."""
 
+import pickle
+
 import pytest
 
 from repro.geometry.halfplane import Halfplane, bisector_halfplane
@@ -51,6 +53,25 @@ class TestConstruction:
         b = ConvexPolygon.from_rect(UNIT_SQUARE)
         assert a == b
         assert hash(a) == hash(b)
+
+    def test_ring_is_flat_and_vertices_match_it(self):
+        tri = ConvexPolygon([Point(0, 0), Point(6, 0), Point(0, 6)])
+        xs, ys = tri.ring()
+        assert tri.vertices == tuple(Point(x, y) for x, y in zip(xs, ys))
+        assert tri.vertices is tri.vertices  # built once, then cached
+
+    def test_pickle_ships_only_the_flat_ring(self):
+        # Fork-pool REUSE carries pickle cells: the lazily built Point tuple
+        # must not travel, and the ring must come back bit for bit.
+        cell = ConvexPolygon.from_rect(UNIT_SQUARE).clip_halfplane(
+            Halfplane(1.0, 1.0, 7.3)
+        )
+        cell.vertices
+        blob = pickle.dumps(cell, protocol=pickle.HIGHEST_PROTOCOL)
+        assert b"Point" not in blob
+        clone = pickle.loads(blob)
+        assert clone == cell
+        assert clone.ring() == cell.ring()
 
 
 class TestMeasures:
@@ -200,6 +221,42 @@ class TestIntersection:
         tri = ConvexPolygon([Point(0, 0), Point(4, 0), Point(0, 4)])
         assert tri.intersects_rect(Rect(1, 1, 2, 2))
         assert not tri.intersects_rect(Rect(5, 5, 6, 6))
+
+    @pytest.mark.parametrize(
+        "rect, expected",
+        [
+            (Rect(5, 2, 5, 8), True),  # zero-width segment inside
+            (Rect(2, 5, 8, 5), True),  # zero-height segment inside
+            (Rect(5, 5, 5, 5), True),  # single point inside
+            (Rect(10, 3, 10, 7), True),  # segment on the right edge
+            (Rect(0, 0, 0, 0), True),  # the corner itself
+            (Rect(-5, 5, 15, 5), True),  # segment crossing the square
+            (Rect(12, 2, 12, 8), False),
+            (Rect(11, 11, 11, 11), False),
+        ],
+        ids=[
+            "vertical-inside",
+            "horizontal-inside",
+            "point-inside",
+            "on-edge",
+            "on-corner",
+            "crossing",
+            "vertical-outside",
+            "point-outside",
+        ],
+    )
+    def test_intersects_degenerate_rect(self, rect, expected):
+        # A zero-width or zero-height rect (the MBR of colinear sites) used
+        # to collapse to an empty corner ring and never intersect anything.
+        square = ConvexPolygon.from_rect(Rect(0, 0, 10, 10))
+        assert square.intersects_rect(rect) is expected
+
+    def test_degenerate_rect_uses_its_own_segment_normal(self):
+        # Only the horizontal segment's own normal separates it from the
+        # triangle: none of the triangle's three edge normals does.
+        tri = ConvexPolygon([Point(0, 0), Point(4, 0), Point(0, 4)])
+        assert not tri.intersects_rect(Rect(-10, 4.5, 10, 4.5))
+        assert tri.intersects_rect(Rect(-10, 3.5, 10, 3.5))
 
     def test_empty_polygon_never_intersects(self):
         square = ConvexPolygon.from_rect(UNIT_SQUARE)
