@@ -195,78 +195,3 @@ def test_nm_boundary_handoff_closes_work_gap(benchmark, bench_record):
             reuse_handoff="always",
         )
     )
-
-
-def test_cell_cache_dedupes_cross_unit_recomputation(benchmark, bench_record):
-    """The opt-in P-cell cache absorbs every cross-unit recomputation.
-
-    With independent units (``reuse_handoff="never"``) each unit starts
-    with an empty REUSE buffer, so boundary cells are recomputed from the
-    ``R_P`` tree once per unit that needs them.  The per-node cache
-    (``EngineConfig.cell_cache``) serves those repeats from memory: every
-    cache hit replaces exactly one recomputation, pairs are unchanged, and
-    the saving is reported as ``cells_cached_p``.
-    """
-    points_p = uniform_points(N_POINTS, seed=8)
-    points_q = uniform_points(N_POINTS, seed=18)
-
-    baseline, _ = timed_run(
-        "nm",
-        points_p,
-        points_q,
-        executor="sharded",
-        workers=1,
-        reuse_handoff="never",
-    )
-    cached, _ = timed_run(
-        "nm",
-        points_p,
-        points_q,
-        executor="sharded",
-        workers=1,
-        reuse_handoff="never",
-        cell_cache=True,
-    )
-
-    write_table(
-        "sharded_nm_cell_cache.txt",
-        [
-            f"NM-CIJ cross-unit P-cell cache ({N_POINTS} x {N_POINTS} points, "
-            "1 in-process worker, independent units)",
-            f"{'config':12s} {'P computed':>10s} {'P cached':>10s} {'pairs':>8s}",
-            f"{'no-cache':12s} {baseline.stats.cells_computed_p:10d} "
-            f"{baseline.stats.cells_cached_p:10d} {len(baseline.pairs):8d}",
-            f"{'cache':12s} {cached.stats.cells_computed_p:10d} "
-            f"{cached.stats.cells_cached_p:10d} {len(cached.pairs):8d}",
-        ],
-    )
-
-    bench_record(
-        "sharded_nm_cell_cache",
-        counters={
-            "pairs": len(cached.pairs),
-            "no_cache_cells_computed_p": baseline.stats.cells_computed_p,
-            "cached_cells_computed_p": cached.stats.cells_computed_p,
-            "cells_cached_p": cached.stats.cells_cached_p,
-        },
-    )
-
-    assert cached.pairs == baseline.pairs
-    assert cached.stats.cells_cached_p > 0
-    # A hit is exactly one recomputation avoided — no more, no less.
-    assert (
-        cached.stats.cells_computed_p + cached.stats.cells_cached_p
-        == baseline.stats.cells_computed_p
-    )
-
-    benchmark(
-        lambda: timed_run(
-            "nm",
-            points_p,
-            points_q,
-            executor="sharded",
-            workers=1,
-            reuse_handoff="never",
-            cell_cache=True,
-        )
-    )

@@ -111,7 +111,8 @@ def main() -> None:
     # units out on demand over an NDJSON pipe protocol — a worker stuck on
     # an expensive unit simply stops pulling while the others drain the
     # queue — and each node reopens the run's on-disk backend read-only
-    # (so storage="file" or "sqlite" is required; memory is rejected).
+    # (so the workload is built with storage="file" or "sqlite"; memory is
+    # rejected).  The engine reads the backend from the trees' disk.
     # Results merge in unit order: pairs, JoinStats and the deterministic
     # counters are byte-identical to the serial run, REUSE accounting
     # included (the distributed NM chains the handoff by default).
@@ -123,7 +124,7 @@ def main() -> None:
             "nm",
             dist_workload.tree_p,
             dist_workload.tree_q,
-            EngineConfig(executor="distributed", nodes=2, storage="file"),
+            EngineConfig(executor="distributed", nodes=2),
             domain=dist_workload.domain,
         )
     trace = engine.last_executor.last_assignments
@@ -164,7 +165,6 @@ def main() -> None:
             EngineConfig(
                 executor="distributed",
                 nodes=2,
-                storage="file",
                 node_timeout=10.0,
                 node_retries=2,
                 fault_plan="crash@node-1:after=0",
@@ -215,7 +215,7 @@ def main() -> None:
                 "nm",
                 remote_workload.tree_p,
                 remote_workload.tree_q,
-                EngineConfig(executor="distributed", nodes=2, storage="remote"),
+                EngineConfig(executor="distributed", nodes=2),
                 domain=remote_workload.domain,
             )
             io = remote_workload.disk.storage_stats()

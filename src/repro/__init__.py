@@ -45,6 +45,7 @@ from repro.dynamic import (
     load_update_stream,
 )
 from repro.engine import EngineConfig, JoinEngine, default_engine
+from repro.engine.config import resolve_config
 from repro.geometry import ConvexPolygon, Point, Rect
 from repro.join import (
     CIJResult,
@@ -102,15 +103,10 @@ def common_influence_join(
     domain: Optional[Rect] = None,
     buffer_fraction: float = 0.02,
     page_size: int = 1024,
-    executor: str = "serial",
-    workers: int = 2,
-    nodes: int = 2,
-    node_timeout: Optional[float] = None,
-    node_retries: Optional[int] = None,
-    fault_plan: Optional[str] = None,
-    reuse_handoff: str = "auto",
     storage: Optional[str] = None,
     storage_path: Optional[str] = None,
+    config: Optional[EngineConfig] = None,
+    **overrides,
 ) -> CIJResult:
     """Compute ``CIJ(P, Q)`` end to end from two plain pointsets.
 
@@ -128,42 +124,30 @@ def common_influence_join(
         ``"nm"`` (default, the paper's best algorithm), ``"pm"``, ``"fm"``
         or ``"brute"`` (the quadratic oracle baseline).
     domain:
-        Space domain; defaults to the paper's ``[0, 10000]`` square extended
-        to cover the data if necessary.
+        Space domain; defaults to ``config.domain`` if set, else the
+        paper's ``[0, 10000]`` square extended to cover the data if
+        necessary.
     buffer_fraction, page_size:
         Storage parameters (paper defaults: 2 % LRU buffer, 1 KB pages).
-    executor, workers, nodes:
-        Execution strategy: ``"serial"`` (default), ``"sharded"`` — the
-        join's work units (Hilbert-ordered ``R_Q`` leaves for NM-CIJ/
-        PM-CIJ, top-level ``R'_P`` partitions of the synchronous traversal
-        for FM-CIJ) pulled by ``workers`` local processes — or
-        ``"distributed"``, the same units pulled by ``nodes`` worker
-        subprocesses that reopen the shared backend read-only (requires a
-        shareable backend: ``storage="file"``, ``"sqlite"`` or
-        ``"remote"``).  ``workers=1`` runs the sharded units one after
-        another in this process instead of forking.  Every CIJ variant
-        shards; only the brute-force oracle does not.  Merged pairs and
-        deterministic counters are byte-identical across executors.
-    node_timeout, node_retries, fault_plan:
-        Fault-tolerance knobs of the distributed tier: seconds of node
-        silence before a hang is declared, how many times a failed unit
-        may be retried on another node, and a deterministic
-        fault-injection spec (:mod:`repro.engine.faults`) for testing.
-        ``None`` keeps the engine defaults (60 s, 2 retries, no faults).
-    reuse_handoff:
-        Whether a sharded or distributed NM-CIJ hands its REUSE buffer
-        across unit boundaries (``"auto"``/``"always"``/``"never"``;
-        ``"auto"`` chains for sharded ``workers=1`` and every distributed
-        run; see :class:`repro.engine.EngineConfig`).
     storage, storage_path:
-        Page-store backend (``"memory"``, ``"file"``, ``"sqlite"``,
-        ``"remote"`` — or ``"remote+file"``/``"remote+sqlite"`` to pick a
-        spawned page server's backing store) and its backing path (for
-        ``"remote"``: the ``HOST:PORT`` of a running page server, or
-        ``None`` to spawn a private one).  The default honours
-        ``$REPRO_STORAGE`` and falls back to memory; the serializing
-        backends let the join page real bytes off disk for datasets larger
-        than the buffer.
+        Page-store backend the workload is built on (``"memory"``,
+        ``"file"``, ``"sqlite"``, ``"remote"`` — or ``"remote+file"``/
+        ``"remote+sqlite"`` to pick a spawned page server's backing store)
+        and its backing path (for ``"remote"``: the ``HOST:PORT`` of a
+        running page server, or ``None`` to spawn a private one).  The
+        default honours ``$REPRO_STORAGE`` and falls back to memory; the
+        serializing backends let the join page real bytes off disk for
+        datasets larger than the buffer.  The distributed executor needs a
+        shareable backend (``"file"``, ``"sqlite"`` or ``"remote"``).
+    config, **overrides:
+        The execution knobs: an :class:`~repro.engine.EngineConfig`
+        (default ``EngineConfig()``) and individual fields to replace in
+        it, e.g. ``executor="sharded", workers=4`` or
+        ``executor="distributed", nodes=2, fault_plan=...``.  ``None``
+        values are ignored.  The config is built before the workload, so
+        an unknown field (``TypeError``) or a bad value (``ValueError``)
+        fails before any page is written.  Merged pairs and deterministic
+        counters are byte-identical across executors.
     """
     engine = default_engine()
     method_key = method.lower()
@@ -173,32 +157,23 @@ def common_influence_join(
         )
     if not points_p or not points_q:
         raise ValueError("both pointsets must be non-empty")
+    effective = resolve_config(config, overrides)
+    if domain is None:
+        domain = effective.domain
     if domain is None:
         data_mbr = Rect.from_points(list(points_p) + list(points_q))
         domain = DOMAIN.union(data_mbr)
-    config = WorkloadConfig(
+    workload_config = WorkloadConfig(
         page_size=page_size,
         buffer_fraction=buffer_fraction,
         domain=domain,
         storage=storage,
         storage_path=storage_path,
     )
-    workload = build_workload(config, points_p=points_p, points_q=points_q)
+    workload = build_workload(workload_config, points_p=points_p, points_q=points_q)
     try:
         return engine.run(
-            method_key,
-            workload.tree_p,
-            workload.tree_q,
-            domain=domain,
-            executor=executor,
-            workers=workers,
-            nodes=nodes,
-            node_timeout=node_timeout,
-            node_retries=node_retries,
-            fault_plan=fault_plan,
-            reuse_handoff=reuse_handoff,
-            storage=storage,
-            storage_path=storage_path,
+            method_key, workload.tree_p, workload.tree_q, effective, domain=domain
         )
     finally:
         # The result carries pairs and statistics only; backend resources

@@ -58,6 +58,7 @@ format)::
 from __future__ import annotations
 
 import argparse
+import math
 import sys
 import time
 from typing import List, Optional
@@ -365,8 +366,10 @@ def _validate_fault_tolerance(
                 f"no effect with --executor {args.executor}; use "
                 "--executor distributed"
             )
-    if args.node_timeout is not None and args.node_timeout <= 0:
-        parser.error(f"--node-timeout must be positive (got {args.node_timeout})")
+    if args.node_timeout is not None and not 0 < args.node_timeout < math.inf:
+        parser.error(
+            f"--node-timeout must be positive and finite (got {args.node_timeout})"
+        )
     if args.node_retries is not None and args.node_retries < 0:
         parser.error(f"--node-retries must be >= 0 (got {args.node_retries})")
     if args.fault_plan is not None:

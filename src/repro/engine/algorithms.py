@@ -60,14 +60,6 @@ class JoinContext:
     #: the executor seeds it with the previous shard's outbound state and
     #: the algorithm replaces it with its own when the shard completes.
     carry: Optional[object] = None
-    #: Per-node read-only P-cell cache (``EngineConfig.cell_cache``): maps
-    #: ``oid -> VoronoiCell`` so units executing on the same node skip
-    #: recomputing cells an earlier unit already derived.  ``None`` when
-    #: the cache is disabled (the default — cached runs trade the paper's
-    #: exact recomputation counters for fewer cell derivations, so the
-    #: equivalence pins all run without it).  Pairs must stay identical;
-    #: the saving shows up as ``JoinStats.cells_cached_p``.
-    cell_cache: Optional[Dict[int, object]] = None
 
     @property
     def disk(self):
@@ -178,7 +170,6 @@ class NMJoin(JoinAlgorithm):
             reuse_cells=ctx.config.reuse_cells,
             use_phi_pruning=ctx.config.use_phi_pruning,
             initial_reuse=ctx.carry,
-            cell_cache=ctx.cell_cache,
         )
         ctx.carry = final_buffer if ctx.config.reuse_cells else None
         return pairs
@@ -285,7 +276,6 @@ class FMJoin(JoinAlgorithm):
             units,
             ctx.stats,
             ctx.start_counters,
-            progress_interval=ctx.config.progress_interval,
         )
 
 

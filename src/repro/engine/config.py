@@ -1,21 +1,24 @@
 """Engine configuration: one record that drives every join execution.
 
-The :class:`EngineConfig` collects the knobs that used to be scattered over
-the standalone algorithm functions (``reuse_cells``, ``use_phi_pruning``,
-``progress_interval``) together with the execution strategy introduced by
-the engine (``executor``, ``workers``, ``nodes``, ...).  It is one flat,
-frozen dataclass: every execution knob lives here exactly once, so a config
-can be shared between runs, copied with :func:`dataclasses.replace` and
-safely inherited by forked workers.
+The :class:`EngineConfig` collects what a run varies: the algorithm knobs
+(``reuse_cells``, ``use_phi_pruning``), the domain and the execution
+strategy (``executor``, ``workers``, ``nodes``, ...).  It is one flat,
+frozen dataclass: every execution knob has its one default and its one
+range check here, and the executors are built from the config they serve.
+A config can be shared between runs, copied with
+:func:`dataclasses.replace` (which re-runs the checks) and safely inherited
+by forked workers.  Where the pages live is not a run knob: the trees'
+:class:`~repro.storage.disk.DiskManager` is the one record of the backend.
 """
 
 from __future__ import annotations
 
+import dataclasses
+import math
 from dataclasses import dataclass
-from typing import Optional
+from typing import Any, Dict, Optional
 
 from repro.geometry.rect import Rect
-from repro.storage.backends import canonical_backend
 
 #: Executor identifiers accepted by :attr:`EngineConfig.executor`.
 EXECUTORS = ("serial", "sharded", "distributed")
@@ -61,7 +64,8 @@ class EngineConfig:
         which the distributed executor declares a node hung, quarantines
         it and releases its leased unit back to the queue.  Heartbeats
         count as liveness, so a slow-but-alive unit computation does not
-        trip the timeout.
+        trip the timeout.  Must be finite: an infinite deadline overflows
+        the pipe wait and a NaN one never fires.
     node_retries:
         How many times one unit may be re-leased to another node after
         its worker failed (crash, hang, protocol error).  ``0`` restores
@@ -97,26 +101,8 @@ class EngineConfig:
         NM-CIJ's REUSE buffer (Section IV-B).
     use_phi_pruning:
         NM-CIJ's Lemma-3 non-leaf pruning rule.
-    progress_interval:
-        Granularity (in produced pairs) of FM-CIJ's progressiveness samples.
     domain:
         Space domain ``U``; defaults to the union of the two tree MBRs.
-    storage:
-        Page-store backend the run's workload lives on
-        (``"memory" | "file" | "sqlite" | "remote"``; the remote backend
-        also accepts ``remote+file`` / ``remote+sqlite`` to pick the
-        spawned page server's backing).  ``None`` accepts whatever the
-        trees were built on; a concrete value makes the engine verify the
-        trees' disk really uses that backend, so a config and a workload
-        built from different sources cannot silently disagree.  The
-        workload builders (:func:`repro.datasets.workload.build_workload`,
-        :func:`repro.common_influence_join`, the CLI and the experiment
-        drivers) use the same names to construct the disk.
-    storage_path:
-        Backing path for the serializing backends (``None`` = an owned
-        temporary file).  Like ``storage``, a concrete value is verified
-        against the trees' page store at run time; the workload builders
-        use it to place the store.
     delta_candidates:
         How a :class:`~repro.dynamic.DynamicJoinSession` finds the
         candidate partners of a dirty cell during incremental maintenance:
@@ -124,14 +110,6 @@ class EngineConfig:
         paper's ConditionalFilter, ``"scan"`` MBR-scans the maintained
         opposite diagram (an independent path the differential tests use
         to cross-check the filter).
-    cell_cache:
-        Opt-in per-node cache of exact ``P`` Voronoi cells that outlives
-        NM-CIJ's per-leaf REUSE buffer, deduping recomputation across the
-        work units a node executes.  A cell depends only on ``P`` and the
-        domain, so pairs are unchanged; the recomputation counters
-        (``cells_computed_p`` and ``tree_p`` accesses) drop below the
-        paper's cost model, which is why this is off by default and the
-        saving is reported separately as ``JoinStats.cells_cached_p``.
     """
 
     executor: str = "serial"
@@ -144,12 +122,8 @@ class EngineConfig:
     reuse_handoff: str = "auto"
     reuse_cells: bool = True
     use_phi_pruning: bool = True
-    progress_interval: int = 1000
     domain: Optional[Rect] = None
-    storage: Optional[str] = None
-    storage_path: Optional[str] = None
     delta_candidates: str = "filter"
-    cell_cache: bool = False
 
     def __post_init__(self) -> None:
         if self.executor not in EXECUTORS:
@@ -165,8 +139,8 @@ class EngineConfig:
             raise ValueError("workers must be at least 1")
         if self.nodes < 1:
             raise ValueError("nodes must be at least 1")
-        if self.node_timeout <= 0:
-            raise ValueError("node_timeout must be positive")
+        if not 0 < self.node_timeout < math.inf:
+            raise ValueError("node_timeout must be positive and finite")
         if self.node_retries < 0:
             raise ValueError("node_retries must be >= 0")
         if self.node_min_ready is not None and self.node_min_ready < 1:
@@ -180,10 +154,22 @@ class EngineConfig:
             from repro.engine.faults import FaultPlan
 
             FaultPlan.from_spec(self.fault_plan)  # fail fast on a bad spec
-        if self.storage is not None:
-            canonical_backend(self.storage)  # fail fast on an unknown spec
         if self.delta_candidates not in DELTA_CANDIDATES:
             raise ValueError(
                 f"unknown delta_candidates {self.delta_candidates!r}; "
                 f"expected one of {DELTA_CANDIDATES}"
             )
+
+
+def resolve_config(
+    config: Optional[EngineConfig], overrides: Dict[str, Any]
+) -> EngineConfig:
+    """``config`` (default ``EngineConfig()``) with ``overrides`` applied.
+
+    ``None`` values are ignored so callers can pass optional arguments
+    straight through; an unknown field raises ``TypeError`` and a bad value
+    the field's ``ValueError``.
+    """
+    base = config if config is not None else EngineConfig()
+    updates = {key: value for key, value in overrides.items() if value is not None}
+    return dataclasses.replace(base, **updates) if updates else base

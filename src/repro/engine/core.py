@@ -19,18 +19,16 @@ example and test runs through this one code path.
 
 from __future__ import annotations
 
-import dataclasses
 import time
 from typing import Dict, List, Optional, Union
 
 from repro.index.rtree import RTree
-from repro.storage.backends import canonical_backend
 from repro.join.conditional_filter import FilterStats
 from repro.join.result import CIJResult, JoinStats
 from repro.voronoi.single import CellComputationStats
 
 from repro.engine.algorithms import JoinAlgorithm, JoinContext, default_algorithms
-from repro.engine.config import EngineConfig
+from repro.engine.config import EngineConfig, resolve_config
 from repro.engine.executors import executor_for
 
 
@@ -85,28 +83,9 @@ class JoinEngine:
             arguments straight through.
         """
         algo = self._resolve(algorithm)
-        effective = self._effective_config(config, overrides)
+        effective = resolve_config(config, overrides)
         if tree_p.disk is not tree_q.disk:
             raise ValueError("both input trees must share one DiskManager")
-        if (
-            effective.storage is not None
-            # Compare canonical base names: "remote+sqlite" in the config
-            # matches the "remote" client store the workload opened.
-            and tree_p.disk.storage_backend != canonical_backend(effective.storage)
-        ):
-            raise ValueError(
-                f"config asks for the {effective.storage!r} storage backend but the "
-                f"trees live on a {tree_p.disk.storage_backend!r} disk; build the "
-                "workload with the same backend (see repro.datasets.workload)"
-            )
-        if effective.storage_path is not None:
-            store_path = tree_p.disk.store.location
-            if store_path != effective.storage_path:
-                raise ValueError(
-                    f"config asks for storage at {effective.storage_path!r} but the "
-                    f"trees' page store is backed by {store_path!r}; build the "
-                    "workload with the same storage_path"
-                )
         executor = executor_for(effective)
         self.last_executor = executor
         domain = effective.domain
@@ -124,7 +103,6 @@ class JoinEngine:
             cell_stats=CellComputationStats(),
             filter_stats=FilterStats(),
             start_counters=disk.counters.snapshot(),
-            cell_cache={} if effective.cell_cache else None,
         )
 
         # --- MAT phase -------------------------------------------------
@@ -184,7 +162,7 @@ class JoinEngine:
         """
         from repro.dynamic.maintenance import DynamicJoinSession
 
-        effective = self._effective_config(config, overrides)
+        effective = resolve_config(config, overrides)
         session = DynamicJoinSession(
             tree_p,
             tree_q,
@@ -233,12 +211,6 @@ class JoinEngine:
             raise ValueError(
                 f"unknown algorithm {algorithm!r}; expected one of {known}"
             ) from None
-
-    @staticmethod
-    def _effective_config(config: Optional[EngineConfig], overrides: Dict) -> EngineConfig:
-        base = config if config is not None else EngineConfig()
-        updates = {key: value for key, value in overrides.items() if value is not None}
-        return dataclasses.replace(base, **updates) if updates else base
 
 
 _DEFAULT_ENGINE: Optional[JoinEngine] = None

@@ -211,7 +211,6 @@ def _execute_shard(
         start_counters=snapshot,
         prepared=parent_ctx.prepared,
         carry=carry,
-        cell_cache=parent_ctx.cell_cache,
     )
     pairs = algorithm.process_units(shard_ctx, materialised)
     return ShardResult(
@@ -226,15 +225,16 @@ def _execute_shard(
 
 
 class ShardedExecutor:
-    """Schedule the algorithm's work units across local workers and merge."""
+    """Schedule the algorithm's work units across local workers and merge.
+
+    Built from the :class:`EngineConfig` it serves: ``workers`` and
+    ``reuse_handoff`` are read from there (and range-checked there).
+    """
 
     name = "sharded"
 
-    def __init__(self, workers: int = 2, reuse_handoff: str = "auto"):
-        if workers < 1:
-            raise ValueError("workers must be at least 1")
-        self.workers = workers
-        self.reuse_handoff = reuse_handoff
+    def __init__(self, config: EngineConfig):
+        self.config = config
         #: Scheduling trace of the most recent run (worker id -> unit
         #: indices, in pull order); inspection hook for the skew tests.
         self.last_assignments: Optional[Dict[str, List[int]]] = None
@@ -254,7 +254,7 @@ class ShardedExecutor:
         coordinator = UnitCoordinator(units, chained=handoff)
         base_accesses = ctx.disk.counters.diff(ctx.start_counters).page_accesses
         forked = False
-        if self.workers > 1 and len(units) > 1:
+        if self.config.workers > 1 and len(units) > 1:
             forked = self._run_units_fork(algorithm, ctx, coordinator, units, handoff)
         if not forked:
             self._run_units_inline(algorithm, ctx, coordinator, len(units))
@@ -273,11 +273,11 @@ class ShardedExecutor:
         """
         if not algorithm.supports_handoff:
             return False
-        if self.reuse_handoff == "always":
+        if self.config.reuse_handoff == "always":
             return True
-        if self.reuse_handoff == "never":
+        if self.config.reuse_handoff == "never":
             return False
-        return self.workers == 1
+        return self.config.workers == 1
 
     def _run_units_fork(
         self,
@@ -296,7 +296,7 @@ class ShardedExecutor:
         pool *creation* falls back to inline; an error raised by the join
         itself inside a worker propagates unchanged.
         """
-        size = min(self.workers, len(units))
+        size = min(self.config.workers, len(units))
         pool = self._make_fork_pool(algorithm, ctx, units, handoff, size)
         if pool is None:
             return False
@@ -421,59 +421,37 @@ class DistributedExecutor:
     back to the coordinator for any live node; a unit may be retried up to
     ``node_retries`` times before the run aborts.  Startup uses a
     min-quorum gate instead of an all-nodes barrier: the drive phase opens
-    once ``min_ready`` nodes (default: all spawned) report ready, and
+    once ``node_min_ready`` nodes (default: all spawned) report ready, and
     slower nodes join the pull loop mid-run when their bootstrap finishes.
     The run degrades gracefully down to one survivor; only zero live
     workers with work still outstanding aborts loudly.
+
+    Every knob above is read from the :class:`EngineConfig` the executor
+    is built from, which also range-checks it.  ``node_delays`` is a test
+    hook: artificial seconds each node sleeps per unit, indexed by node
+    ordinal, used to force distinguishable pull interleavings in the
+    skew/steal tests.
     """
 
     name = "distributed"
 
+    #: Base sleep (seconds) before re-running a released unit; it doubles
+    #: per attempt so a transiently sick tier is not hammered.
+    RETRY_BACKOFF = 0.05
     #: Exponential retry backoff cap (seconds).
     MAX_BACKOFF = 1.0
 
     def __init__(
-        self,
-        nodes: int = 2,
-        reuse_handoff: str = "auto",
-        node_delays: Optional[Sequence[float]] = None,
-        node_timeout: float = 60.0,
-        node_retries: int = 2,
-        min_ready: Optional[int] = None,
-        fault_plan: Optional[object] = None,
-        heartbeat_interval: Optional[float] = None,
-        retry_backoff: float = 0.05,
+        self, config: EngineConfig, node_delays: Optional[Sequence[float]] = None
     ):
-        from repro.engine.faults import resolve_plan
+        from repro.engine.faults import FaultPlan
 
-        if nodes < 1:
-            raise ValueError("nodes must be at least 1")
-        if node_timeout <= 0:
-            raise ValueError("node_timeout must be positive")
-        if node_retries < 0:
-            raise ValueError("node_retries must be >= 0")
-        if min_ready is not None and min_ready < 1:
-            raise ValueError("min_ready must be at least 1")
-        self.nodes = nodes
-        self.reuse_handoff = reuse_handoff
-        #: Debug knob (tests only): artificial seconds each node sleeps per
-        #: unit, indexed by node ordinal — used to force distinguishable
-        #: pull interleavings in the skew/steal tests.
+        self.config = config
         self.node_delays = node_delays
-        #: Max seconds of per-request *silence* (heartbeats count as
-        #: liveness) before a node is declared hung and quarantined.
-        self.node_timeout = node_timeout
-        #: How many times one unit may be re-leased after failures.
-        self.node_retries = node_retries
-        #: Readiness quorum that opens the drive phase (None = all
-        #: spawned nodes, the pre-elasticity barrier).
-        self.min_ready = min_ready
-        #: Deterministic fault plan (spec string or FaultPlan) — testing.
-        self.fault_plan = resolve_plan(fault_plan)
-        self.heartbeat_interval = heartbeat_interval
-        #: Base sleep before re-running a released unit (doubles per
-        #: attempt, capped) so a transiently sick tier is not hammered.
-        self.retry_backoff = retry_backoff
+        #: The config's fault-plan spec, parsed (``None`` = no faults).
+        self.fault_plan = (
+            FaultPlan.from_spec(config.fault_plan) if config.fault_plan else None
+        )
         #: Scheduling trace of the most recent run (node id -> unit
         #: indices, in pull order); inspection hook for the skew tests.
         self.last_assignments: Optional[Dict[str, List[int]]] = None
@@ -489,7 +467,7 @@ class DistributedExecutor:
     def _handoff_enabled(self, algorithm: JoinAlgorithm) -> bool:
         if not algorithm.supports_handoff:
             return False
-        return self.reuse_handoff != "never"
+        return self.config.reuse_handoff != "never"
 
     def execute(self, algorithm: JoinAlgorithm, ctx: JoinContext) -> List[Tuple[int, int]]:
         from repro.engine import node as node_plane
@@ -511,13 +489,15 @@ class DistributedExecutor:
         if not units:
             return []
         handoff = self._handoff_enabled(algorithm)
+        config = self.config
         coordinator = UnitCoordinator(
-            units, chained=handoff, max_attempts=self.node_retries + 1
+            units, chained=handoff, max_attempts=config.node_retries + 1
         )
         base_accesses = ctx.disk.counters.diff(ctx.start_counters).page_accesses
         spec = node_plane.node_init_spec(algorithm, ctx, handoff)
-        count = min(self.nodes, len(units))
-        quorum = min(self.min_ready if self.min_ready is not None else count, count)
+        count = min(config.nodes, len(units))
+        ready = config.node_min_ready
+        quorum = min(ready if ready is not None else count, count)
 
         self.quarantined = {}
         self.node_pids = {}
@@ -570,12 +550,11 @@ class DistributedExecutor:
                     spec=spec,
                     unit_delay=delay,
                     faults=faults,
-                    heartbeat_interval=self.heartbeat_interval,
                 )
                 with registry_lock:
                     nodes.append(node)
                     self.node_pids[worker_id] = node.process.pid
-                node.wait_ready(timeout=self.node_timeout)
+                node.wait_ready(timeout=config.node_timeout)
             except node_plane.NodeFailure as error:
                 mark_failed(worker_id, node, error)
                 return
@@ -594,15 +573,15 @@ class DistributedExecutor:
                 assignment = coordinator.next_assignment(worker_id)
                 if assignment is None:
                     return
-                if assignment.attempt > 1 and self.retry_backoff > 0:
+                if assignment.attempt > 1:
                     time.sleep(
                         min(
-                            self.retry_backoff * 2 ** (assignment.attempt - 2),
+                            self.RETRY_BACKOFF * 2 ** (assignment.attempt - 2),
                             self.MAX_BACKOFF,
                         )
                     )
                 try:
-                    result = node.run_unit(assignment, timeout=self.node_timeout)
+                    result = node.run_unit(assignment, timeout=config.node_timeout)
                 except node_plane.NodeFailure as error:
                     # Lease back to the queue first, then retire the node:
                     # a sibling can pick the unit up immediately.
@@ -660,20 +639,9 @@ class DistributedExecutor:
 
 
 def executor_for(config: EngineConfig):
-    """Instantiate the executor a config asks for."""
-    if config.executor == "serial":
-        return SerialExecutor()
+    """Instantiate the executor a config asks for, built from that config."""
     if config.executor == "sharded":
-        return ShardedExecutor(
-            workers=config.workers, reuse_handoff=config.reuse_handoff
-        )
+        return ShardedExecutor(config)
     if config.executor == "distributed":
-        return DistributedExecutor(
-            nodes=config.nodes,
-            reuse_handoff=config.reuse_handoff,
-            node_timeout=config.node_timeout,
-            node_retries=config.node_retries,
-            min_ready=config.node_min_ready,
-            fault_plan=config.fault_plan,
-        )
-    raise ValueError(f"unknown executor {config.executor!r}")
+        return DistributedExecutor(config)
+    return SerialExecutor()

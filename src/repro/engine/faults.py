@@ -215,20 +215,6 @@ class FaultPlan:
         """The wire form of this node's faults (what rides the init spec)."""
         return [f.to_wire() for f in self.faults if f.node == worker_id]
 
-    def nodes_targeted(self) -> List[str]:
-        return sorted({f.node for f in self.faults})
-
-
-def resolve_plan(plan) -> Optional[FaultPlan]:
-    """Accept a :class:`FaultPlan`, a spec string, or ``None``."""
-    if plan is None:
-        return None
-    if isinstance(plan, FaultPlan):
-        return plan
-    if isinstance(plan, str):
-        return FaultPlan.from_spec(plan)
-    raise TypeError(f"fault plan must be a FaultPlan or spec string, got {plan!r}")
-
 
 class FaultInjector:
     """Node-side interpreter of a fault list (wire dicts from the init).

@@ -209,8 +209,6 @@ def node_init_spec(algorithm, ctx, handoff: bool) -> Dict[str, Any]:
         "config": {
             "reuse_cells": ctx.config.reuse_cells,
             "use_phi_pruning": ctx.config.use_phi_pruning,
-            "progress_interval": ctx.config.progress_interval,
-            "cell_cache": ctx.config.cell_cache,
         },
     }
 
@@ -252,8 +250,8 @@ class NodeProcess:
     verbatim inside the init message.
     """
 
-    #: Seconds between child heartbeats (0 disables them).
-    DEFAULT_HEARTBEAT = 0.25
+    #: Seconds between child heartbeats.
+    HEARTBEAT = 0.25
 
     def __init__(
         self,
@@ -261,7 +259,6 @@ class NodeProcess:
         spec: Dict[str, Any],
         unit_delay: float = 0.0,
         faults: Optional[List[Dict[str, Any]]] = None,
-        heartbeat_interval: Optional[float] = None,
     ):
         self.worker_id = worker_id
         package_root = os.path.dirname(os.path.dirname(os.path.dirname(__file__)))
@@ -291,9 +288,7 @@ class NodeProcess:
             message["unit_delay"] = unit_delay
         if faults:
             message["faults"] = list(faults)
-        message["heartbeat"] = (
-            self.DEFAULT_HEARTBEAT if heartbeat_interval is None else heartbeat_interval
-        )
+        message["heartbeat"] = self.HEARTBEAT
         self._send(message)
         self._ready = False
 
@@ -527,8 +522,6 @@ def _bootstrap(spec: Dict[str, Any]):
         executor="serial",
         reuse_cells=knobs["reuse_cells"],
         use_phi_pruning=knobs["use_phi_pruning"],
-        progress_interval=knobs["progress_interval"],
-        cell_cache=knobs["cell_cache"],
     )
     domain = Rect(*spec["domain"])
     tree_p = _build_tree(disk, spec["tree_p"])
@@ -547,7 +540,6 @@ def _bootstrap(spec: Dict[str, Any]):
         filter_stats=FilterStats(),
         start_counters=disk.counters.snapshot(),
         prepared=prepared,
-        cell_cache={} if knobs["cell_cache"] else None,
     )
     return algorithm, parent_ctx, dispatch_state
 

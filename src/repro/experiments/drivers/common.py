@@ -60,10 +60,11 @@ def run_cij(
     """Run one CIJ algorithm on a fresh workload through the join engine.
 
     ``engine_overrides`` are :class:`repro.engine.EngineConfig` fields
-    (``reuse_cells``, ``use_phi_pruning``, ``executor``, ``workers``,
-    ``cell_cache``, ...), so every experiment measures the same code path
-    applications use.  The workload's backend resources are released once
-    the result is in hand.
+    (``reuse_cells``, ``use_phi_pruning``, ``executor``, ``workers``, ...),
+    so every experiment measures the same code path applications use.
+    ``storage``/``storage_path`` place the workload; the engine reads the
+    backend from the trees' disk.  The workload's backend resources are
+    released once the result is in hand.
     """
     algorithm = CIJ_ALGORITHMS.get(algorithm_name, algorithm_name)
     workload = fresh_workload(
@@ -79,8 +80,6 @@ def run_cij(
             workload.tree_p,
             workload.tree_q,
             domain=workload.domain,
-            storage=storage,
-            storage_path=storage_path,
             **engine_overrides,
         )
     finally:

@@ -21,7 +21,7 @@ The class supports the operations the CIJ algorithms need:
 
 from __future__ import annotations
 
-from typing import Any, Callable, Iterable, Iterator, List, Optional, Sequence, Tuple
+from typing import Any, Callable, Iterator, List, Optional, Sequence, Tuple
 
 from repro.geometry.hilbert import hilbert_value
 from repro.geometry.point import Point
@@ -133,11 +133,6 @@ class RTree:
         if split is not None:
             self._grow_root(split)
         self.size += 1
-
-    def bulk_insert(self, entries: Iterable[LeafEntry]) -> None:
-        """Insert many leaf entries one by one (convenience helper)."""
-        for entry in entries:
-            self.insert_entry(entry)
 
     # ------------------------------------------------------------------
     # deletion (condense-tree)

@@ -17,7 +17,7 @@ algorithms.
 
 :func:`fm_cij` is the classic entry point, now a thin wrapper over
 :class:`repro.engine.JoinEngine`; the join phase lives in
-:func:`join_partitions` / :func:`join_materialized_trees`.
+:func:`join_partitions`.
 """
 
 from __future__ import annotations
@@ -35,6 +35,9 @@ from repro.join.synchronous import (
 )
 from repro.storage.counters import IOCounters
 
+#: Granularity (in produced pairs) of FM-CIJ's progressiveness samples.
+PROGRESS_INTERVAL = 1000
+
 
 def fm_join_partitions(voronoi_p: RTree, voronoi_q: RTree) -> List[JoinPartition]:
     """The shard units of FM-CIJ's join phase (top-level ``R'_P`` slices)."""
@@ -47,14 +50,13 @@ def join_partitions(
     partitions: Sequence[JoinPartition],
     stats: JoinStats,
     start_counters: IOCounters,
-    progress_interval: int = 1000,
 ) -> List[Tuple[int, int]]:
     """Run the synchronous join over a sequence of partitions.
 
     This is the complete join phase when ``partitions`` is the full list
     from :func:`fm_join_partitions`, and one shard's work when it is a
     contiguous slice of it.  Progress samples are recorded every
-    ``progress_interval`` produced pairs relative to ``start_counters``
+    :data:`PROGRESS_INTERVAL` produced pairs relative to ``start_counters``
     (shard-local counters for a forked worker).
     """
     disk = voronoi_p.disk
@@ -64,36 +66,16 @@ def join_partitions(
             voronoi_p, voronoi_q, partition.seeds, refine=cells_intersect_entry
         ):
             pairs.append((entry_p.oid, entry_q.oid))
-            if progress_interval and len(pairs) % progress_interval == 0:
+            if len(pairs) % PROGRESS_INTERVAL == 0:
                 accesses = disk.counters.diff(start_counters).page_accesses
                 stats.record_progress(accesses, len(pairs))
     return pairs
-
-
-def join_materialized_trees(
-    voronoi_p: RTree,
-    voronoi_q: RTree,
-    stats: JoinStats,
-    start_counters: IOCounters,
-    progress_interval: int = 1000,
-) -> List[Tuple[int, int]]:
-    """Intersection-join two materialised Voronoi R-trees (join phase only,
-    serial semantics: every partition in order)."""
-    return join_partitions(
-        voronoi_p,
-        voronoi_q,
-        fm_join_partitions(voronoi_p, voronoi_q),
-        stats,
-        start_counters,
-        progress_interval=progress_interval,
-    )
 
 
 def fm_cij(
     tree_p: RTree,
     tree_q: RTree,
     domain: Optional[Rect] = None,
-    progress_interval: int = 1000,
 ) -> CIJResult:
     """Run FM-CIJ and return the result pairs with a full cost breakdown.
 
@@ -105,15 +87,7 @@ def fm_cij(
         accesses of every phase land in the same counters.
     domain:
         Space domain ``U``; defaults to the union of the two tree MBRs.
-    progress_interval:
-        Granularity (in produced pairs) of the progressiveness samples.
     """
     from repro.engine import default_engine  # local import breaks the cycle
 
-    return default_engine().run(
-        "fm",
-        tree_p,
-        tree_q,
-        domain=domain,
-        progress_interval=progress_interval,
-    )
+    return default_engine().run("fm", tree_p, tree_q, domain=domain)

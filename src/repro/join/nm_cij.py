@@ -53,7 +53,6 @@ def process_q_leaves(
     reuse_cells: bool = True,
     use_phi_pruning: bool = True,
     initial_reuse: Optional[Dict[int, VoronoiCell]] = None,
-    cell_cache: Optional[Dict[int, VoronoiCell]] = None,
 ) -> Tuple[List[Tuple[int, int]], Dict[int, VoronoiCell]]:
     """Run the NM-CIJ per-leaf pipeline over a sequence of ``R_Q`` leaves.
 
@@ -71,17 +70,6 @@ def process_q_leaves(
     across the boundary instead of recomputing them.  The final buffer
     (the cells of the last processed leaf) is returned alongside the pairs
     so it can be handed to the next shard in turn.
-
-    ``cell_cache`` (``EngineConfig.cell_cache``) is a per-node cache of
-    exact ``P``-cells that outlives the per-leaf REUSE buffer: candidates
-    missing from the buffer are served from it before any computation, and
-    freshly computed cells are added to it.  A Voronoi cell depends only on
-    ``P`` and the domain — never on the query leaf — so a cached cell is
-    identical to a recomputed one and the pair output cannot change; what
-    does change is the cost model (fewer ``cells_computed_p`` and fewer
-    ``tree_p`` accesses than the paper's recomputation counters), which is
-    why the cache is opt-in and the saving is reported separately as
-    ``stats.cells_cached_p``.
 
     Progress samples are recorded after every leaf relative to
     ``start_counters`` (shard-local counters for a forked worker).
@@ -117,25 +105,12 @@ def process_q_leaves(
             stats.cells_reused_p += len(cells_p)
         else:
             missing, cells_p = list(candidates), {}
-        if missing and cell_cache is not None:
-            still_missing = []
-            for candidate in missing:
-                oid = candidate[0]
-                cached = cell_cache.get(oid)
-                if cached is not None:
-                    cells_p[oid] = cached
-                    stats.cells_cached_p += 1
-                else:
-                    still_missing.append(candidate)
-            missing = still_missing
         if missing:
             computed = compute_voronoi_cells(
                 tree_p, missing, domain, stats=cell_stats
             )
             stats.cells_computed_p += len(computed)
             cells_p.update(computed)
-            if cell_cache is not None:
-                cell_cache.update(computed)
 
         # (4) Report intersecting pairs.  Candidates strictly inside a
         # target cell are guaranteed hits for that target (case 1 of

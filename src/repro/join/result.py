@@ -46,9 +46,6 @@ class JoinStats:
     cells_computed_q: int = 0
     #: Cells of P obtained from the REUSE buffer instead of recomputation.
     cells_reused_p: int = 0
-    #: Cells of P served by the opt-in per-node cell cache
-    #: (``EngineConfig.cell_cache``); always 0 under paper semantics.
-    cells_cached_p: int = 0
     #: Σ s_i — filter-phase candidates over all leaf batches (NM-CIJ only).
     filter_candidates: int = 0
     #: Σ s'_i — candidates that produced at least one join pair per batch.

@@ -13,11 +13,11 @@ subpackage provides exactly that substrate:
   down as in Figure 7,
 * :mod:`~repro.storage.backends` — the pluggable byte stores behind the
   disk manager (``memory`` dict, slotted binary ``file``, ``sqlite``, and
-  the ``remote`` page-server client), all satisfying one
-  :class:`~repro.storage.backends.PageStore` contract — a
-  ``runtime_checkable`` protocol with a capability flag — and one
-  conformance test suite.  Backend selection routes through
-  :func:`~repro.storage.backends.open_store`.
+  the ``remote`` page-server client), all inheriting one
+  :class:`~repro.storage.backends.PageStore` ABC — the page operations
+  plus a capability flag — and passing one conformance test suite.
+  Backend selection routes through
+  :func:`~repro.storage.backends.create_page_store`.
 * :mod:`~repro.storage.pageserver` — the page-server process and its
   client store (imported lazily: it pulls in socket/subprocess machinery
   local backends never need).
@@ -31,13 +31,11 @@ from repro.storage.backends import (
     MemoryPageStore,
     PageRecord,
     PageStore,
-    PageStoreBase,
     SQLitePageStore,
     StorageStats,
     canonical_backend,
     create_page_store,
     default_storage_backend,
-    open_store,
 )
 from repro.storage.buffer import LRUBuffer
 from repro.storage.counters import IOCounters
@@ -67,7 +65,6 @@ __all__ = [
     "DiskManager",
     "PAGE_SIZE_DEFAULT",
     "PageStore",
-    "PageStoreBase",
     "PageRecord",
     "StorageStats",
     "MemoryPageStore",
@@ -79,7 +76,6 @@ __all__ = [
     "spawn_page_server",
     "canonical_backend",
     "create_page_store",
-    "open_store",
     "default_storage_backend",
     "STORAGE_BACKENDS",
     "REMOTE_BACKINGS",

@@ -18,20 +18,17 @@ counters); a :class:`PageStore` owns the *bytes*.  Four backends ship:
   a file/sqlite store and serves it over TCP so workers need no shared
   filesystem at all.
 
-The contract is formalized twice: :class:`PageStore` is a
-``runtime_checkable`` :class:`~typing.Protocol` (the structural contract
-capability queries check against), and :class:`PageStoreBase` is an ABC
-with default implementations new backends can inherit.  The capability
-flag ``supports_worker_reopen`` plus the ``location`` property replace the
-old scattered ``hasattr``/backend-name string checks: the engine asks a
-store what it can do instead of guessing from its name.
+The contract is one ABC, :class:`PageStore`: every backend inherits it,
+implements the abstract page operations and overrides the defaults its
+byte layout makes cheaper.  The capability flag ``supports_worker_reopen``
+plus the ``location`` property replace the old scattered
+``hasattr``/backend-name string checks: the engine asks a store what it can
+do instead of guessing from its name.
 
-Backend selection routes through one factory — :func:`open_store` for
-spec strings (``"file:/data/pages.bin"``, ``"remote:HOST:PORT"``,
-``"remote+sqlite"``) or :func:`create_page_store` for the split
-``(backend, path)`` form the engine config carries.  The ``REPRO_STORAGE``
-environment variable overrides the default so the whole test tier can run
-against any backend (the CI matrix does exactly that).
+Backend selection routes through one factory, :func:`create_page_store`,
+which takes the ``(backend, path)`` pair a workload is built from.  The
+``REPRO_STORAGE`` environment variable overrides the default so the whole
+test tier can run against any backend (the CI matrix does exactly that).
 """
 
 from __future__ import annotations
@@ -44,7 +41,7 @@ import tempfile
 import weakref
 import zlib
 from dataclasses import dataclass, field
-from typing import Any, Dict, List, Optional, Protocol, Tuple, runtime_checkable
+from typing import Any, Dict, List, Optional, Tuple
 
 #: Backend identifiers accepted by :func:`create_page_store`.
 STORAGE_BACKENDS = ("memory", "file", "sqlite", "remote")
@@ -132,32 +129,6 @@ def create_page_store(
     return RemotePageStore(address=path, **options)
 
 
-def open_store(spec: Optional[object] = None, **options) -> "PageStore":
-    """The one factory every backend selection routes through.
-
-    ``spec`` may be:
-
-    * ``None`` — the default backend (``$REPRO_STORAGE`` or memory);
-    * a :class:`PageStore` instance — returned unchanged;
-    * a spec string ``"backend[:path]"`` — ``"memory"``,
-      ``"file:/data/pages.bin"``, ``"sqlite"`` (owned temp),
-      ``"remote:127.0.0.1:7070"`` (attach to a running page server),
-      ``"remote"`` / ``"remote+sqlite"`` (spawn an owned server).
-    """
-    if spec is None:
-        return create_page_store(None, None, **options)
-    if isinstance(spec, PageStore):
-        return spec
-    if not isinstance(spec, str):
-        raise TypeError(
-            f"open_store expects a backend spec string or a PageStore, "
-            f"got {type(spec).__name__}"
-        )
-    backend, sep, rest = spec.partition(":")
-    path = rest if sep else None
-    return create_page_store(backend, path or None, **options)
-
-
 @dataclass
 class PageRecord:
     """One stored page as the disk manager sees it."""
@@ -184,8 +155,7 @@ class StorageStats:
     extra: Dict[str, int] = field(default_factory=dict)
 
 
-@runtime_checkable
-class PageStore(Protocol):
+class PageStore(abc.ABC):
     """Byte-storage contract behind :class:`~repro.storage.disk.DiskManager`.
 
     Implementations store whole pages keyed by integer page id.  They are
@@ -199,78 +169,12 @@ class PageStore(Protocol):
     ``supports_worker_reopen``
         :meth:`reopen_in_worker` yields an independent read-only handle a
         worker process can use — the precondition for the fork pool and the
-        distributed node tier.
+        distributed node tier.  Conservative default: a store can do
+        nothing special until it says so.
     ``location``
         Where a fresh handle should attach: a filesystem path for the
         serializing backends, a ``HOST:PORT`` address for the remote
         client, ``None`` for process-private stores.
-    """
-
-    name: str
-    supports_worker_reopen: bool
-
-    @property
-    def location(self) -> Optional[str]:
-        """Path/address a worker can reopen this store from (None if none)."""
-        ...
-
-    def worker_spec(self) -> Dict[str, Optional[str]]:
-        """``{"backend", "path"}`` recreating this store in another process."""
-        ...
-
-    def write_page(self, page_id: int, tag: str, payload: Any, size_bytes: int) -> None:
-        """Insert or overwrite one page."""
-        ...
-
-    def read_page(self, page_id: int, count: bool = True) -> PageRecord:
-        """Return a stored page; raises ``KeyError`` for unknown ids.
-
-        ``count=False`` keeps the read out of :meth:`stats` — used for
-        maintenance/oracle access so ``bytes_read`` reports only the bytes
-        that buffer misses pulled.
-        """
-        ...
-
-    def page_meta(self, page_id: int) -> Tuple[str, int]:
-        """``(tag, size_bytes)`` of a page without decoding its payload."""
-        ...
-
-    def free_page(self, page_id: int) -> bool:
-        """Release a page; returns whether it existed."""
-        ...
-
-    def page_ids(self) -> List[int]:
-        """All stored page ids (unordered)."""
-        ...
-
-    def page_count(self, tag: Optional[str] = None) -> int:
-        """Number of stored pages, optionally restricted to one tag."""
-        ...
-
-    def data_size_bytes(self, tag: Optional[str] = None) -> int:
-        """Sum of the *logical* page sizes, optionally restricted to a tag."""
-        ...
-
-    def stats(self) -> StorageStats:
-        """Physical byte-movement statistics."""
-        ...
-
-    def reopen_in_worker(self) -> None:
-        """Re-establish handles after ``fork`` (fresh read-only view)."""
-        ...
-
-    def close(self) -> None:
-        """Release OS resources; owned temporary files are deleted."""
-        ...
-
-
-class PageStoreBase(abc.ABC):
-    """Default implementations for :class:`PageStore` backends.
-
-    Concrete backends inherit the capability flag (conservative default:
-    a store can do nothing special until it says so) and the ``location`` /
-    ``worker_spec`` plumbing, and override what their byte layout makes
-    cheaper.
     """
 
     name = "abstract"
@@ -278,9 +182,11 @@ class PageStoreBase(abc.ABC):
 
     @property
     def location(self) -> Optional[str]:
+        """Path/address a worker can reopen this store from (None if none)."""
         return getattr(self, "path", None)
 
     def worker_spec(self) -> Dict[str, Optional[str]]:
+        """``{"backend", "path"}`` recreating this store in another process."""
         if not self.supports_worker_reopen or self.location is None:
             raise ValueError(
                 f"the {self.name!r} backend cannot be reopened by worker "
@@ -290,30 +196,38 @@ class PageStoreBase(abc.ABC):
 
     @abc.abstractmethod
     def write_page(self, page_id: int, tag: str, payload: Any, size_bytes: int) -> None:
-        ...
+        """Insert or overwrite one page."""
 
     @abc.abstractmethod
     def read_page(self, page_id: int, count: bool = True) -> PageRecord:
-        ...
+        """Return a stored page; raises ``KeyError`` for unknown ids.
+
+        ``count=False`` keeps the read out of :meth:`stats` — used for
+        maintenance/oracle access so ``bytes_read`` reports only the bytes
+        that buffer misses pulled.
+        """
 
     def page_meta(self, page_id: int) -> Tuple[str, int]:
+        """``(tag, size_bytes)`` of a page without decoding its payload."""
         record = self.read_page(page_id, count=False)
         return record.tag, record.size_bytes
 
     @abc.abstractmethod
     def free_page(self, page_id: int) -> bool:
-        ...
+        """Release a page; returns whether it existed."""
 
     @abc.abstractmethod
     def page_ids(self) -> List[int]:
-        ...
+        """All stored page ids (unordered)."""
 
     def page_count(self, tag: Optional[str] = None) -> int:
+        """Number of stored pages, optionally restricted to one tag."""
         if tag is None:
             return len(self.page_ids())
         return sum(1 for page_id in self.page_ids() if self.page_meta(page_id)[0] == tag)
 
     def data_size_bytes(self, tag: Optional[str] = None) -> int:
+        """Sum of the *logical* page sizes, optionally restricted to a tag."""
         return sum(
             self.page_meta(page_id)[1]
             for page_id in self.page_ids()
@@ -322,22 +236,23 @@ class PageStoreBase(abc.ABC):
 
     @abc.abstractmethod
     def stats(self) -> StorageStats:
-        ...
+        """Physical byte-movement statistics."""
 
     def reopen_in_worker(self) -> None:
+        """Re-establish handles after ``fork`` (fresh read-only view)."""
         if not self.supports_worker_reopen:
             raise RuntimeError(
                 f"the {self.name!r} backend cannot be reopened in a worker process"
             )
 
     def close(self) -> None:
-        pass
+        """Release OS resources; owned temporary files are deleted."""
 
 
 # ----------------------------------------------------------------------
 # memory
 # ----------------------------------------------------------------------
-class MemoryPageStore(PageStoreBase):
+class MemoryPageStore(PageStore):
     """The original backend: live payload objects in a dict.
 
     No serialization happens, so reads hand back the very object that was
@@ -427,7 +342,7 @@ class _SimulatedCrash(RuntimeError):
     """Raised by the fault-injection hook after a partial slot write."""
 
 
-class FilePageStore(PageStoreBase):
+class FilePageStore(PageStore):
     """Fixed-size-slot page store over a single binary file.
 
     Every record is self-describing (page id, monotone sequence number,
@@ -827,7 +742,7 @@ def _cleanup_file(path: str, owner_pid: int, owned: bool) -> None:
 # ----------------------------------------------------------------------
 # sqlite
 # ----------------------------------------------------------------------
-class SQLitePageStore(PageStoreBase):
+class SQLitePageStore(PageStore):
     """Durable page store in one SQLite table, readable by other processes.
 
     Each page write is its own autocommitted transaction, so SQLite's
@@ -970,7 +885,6 @@ class SQLitePageStore(PageStoreBase):
 
 __all__ = [
     "PageStore",
-    "PageStoreBase",
     "PageRecord",
     "StorageStats",
     "MemoryPageStore",
@@ -978,7 +892,6 @@ __all__ = [
     "SQLitePageStore",
     "canonical_backend",
     "create_page_store",
-    "open_store",
     "default_storage_backend",
     "STORAGE_BACKENDS",
     "REMOTE_BACKINGS",

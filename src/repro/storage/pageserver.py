@@ -54,7 +54,7 @@ from repro.service.protocol import (
 from repro.storage.backends import (
     REMOTE_BACKINGS,
     PageRecord,
-    PageStoreBase,
+    PageStore,
     StorageStats,
     _codec,
     create_page_store,
@@ -380,7 +380,7 @@ def _reap_server(process) -> None:
 # ----------------------------------------------------------------------
 # client
 # ----------------------------------------------------------------------
-class RemotePageStore(PageStoreBase):
+class RemotePageStore(PageStore):
     """Client-side :class:`PageStore` speaking to a :class:`PageServer`.
 
     ``address=None`` spawns an owned server (backed by ``backing``) and

@@ -125,7 +125,7 @@ class TestBackendHandleRelease:
             session = engine.open_dynamic(
                 workload.tree_p,
                 workload.tree_q,
-                EngineConfig(storage=storage, storage_path=path),
+                EngineConfig(),
                 owns_disk=True,
                 domain=workload.domain,
             )
@@ -151,7 +151,7 @@ class TestBackendHandleRelease:
             engine.open_dynamic(
                 workload.tree_p,
                 workload.tree_q,
-                EngineConfig(storage=storage, storage_path=path),
+                EngineConfig(),
                 owns_disk=True,
                 domain=workload.domain,
             )

@@ -262,7 +262,6 @@ class TestWireCodecs:
         stats.join_page_accesses = 41
         stats.cells_computed_p = 17
         stats.cells_reused_p = 5
-        stats.cells_cached_p = 2
         stats.filter_candidates = 99
         stats.filter_true_hits = 88
         stats.record_progress(10, 100)
@@ -306,11 +305,7 @@ def execute_distributed(executor: DistributedExecutor, workload, algorithm="nm")
     from repro.voronoi.single import CellComputationStats
 
     algo = {a.name: a for a in default_algorithms()}[algorithm]
-    config = EngineConfig(
-        executor="distributed",
-        nodes=executor.nodes,
-        storage=workload.disk.storage_backend,
-    )
+    config = executor.config
     ctx = JoinContext(
         tree_p=workload.tree_p,
         tree_q=workload.tree_q,
@@ -333,7 +328,9 @@ class TestDistributedExecutor:
         to a run with no delay at all."""
         workload = fresh_workload(POINTS_P, POINTS_Q, storage="file")
         try:
-            fair = DistributedExecutor(nodes=2, reuse_handoff="never")
+            fair = DistributedExecutor(
+                EngineConfig(executor="distributed", nodes=2, reuse_handoff="never")
+            )
             fair_pairs, _ = execute_distributed(fair, workload)
         finally:
             workload.close()
@@ -341,7 +338,8 @@ class TestDistributedExecutor:
         workload = fresh_workload(POINTS_P, POINTS_Q, storage="file")
         try:
             skewed = DistributedExecutor(
-                nodes=2, reuse_handoff="never", node_delays=[0.25, 0.0]
+                EngineConfig(executor="distributed", nodes=2, reuse_handoff="never"),
+                node_delays=[0.25, 0.0],
             )
             skewed_pairs, _ = execute_distributed(skewed, workload)
         finally:
@@ -361,7 +359,7 @@ class TestDistributedExecutor:
     def test_single_node_runs_whole_queue(self):
         workload = fresh_workload(POINTS_P, POINTS_Q, storage="sqlite")
         try:
-            executor = DistributedExecutor(nodes=1)
+            executor = DistributedExecutor(EngineConfig(executor="distributed", nodes=1))
             pairs, ctx = execute_distributed(executor, workload)
         finally:
             workload.close()
@@ -373,7 +371,7 @@ class TestDistributedExecutor:
     def test_more_nodes_than_units_spawns_only_needed(self):
         workload = fresh_workload(POINTS_P[:30], POINTS_Q[:30], storage="file")
         try:
-            executor = DistributedExecutor(nodes=16)
+            executor = DistributedExecutor(EngineConfig(executor="distributed", nodes=16))
             pairs, _ = execute_distributed(executor, workload)
         finally:
             workload.close()
@@ -385,7 +383,9 @@ class TestDistributedExecutor:
         try:
             with pytest.raises(ValueError, match="distributed"):
                 execute_distributed(
-                    DistributedExecutor(nodes=2), workload, algorithm="brute"
+                    DistributedExecutor(EngineConfig(executor="distributed", nodes=2)),
+                    workload,
+                    algorithm="brute",
                 )
         finally:
             workload.close()
@@ -394,13 +394,16 @@ class TestDistributedExecutor:
         workload = fresh_workload(POINTS_P[:30], POINTS_Q[:30], storage="memory")
         try:
             with pytest.raises(ValueError, match="shared backend"):
-                execute_distributed(DistributedExecutor(nodes=2), workload)
+                execute_distributed(
+                    DistributedExecutor(EngineConfig(executor="distributed", nodes=2)),
+                    workload,
+                )
         finally:
             workload.close()
 
     def test_nonpositive_nodes_rejected(self):
         with pytest.raises(ValueError, match="nodes"):
-            DistributedExecutor(nodes=0)
+            DistributedExecutor(EngineConfig(executor="distributed", nodes=0))
         with pytest.raises(ValueError, match="nodes"):
             EngineConfig(nodes=0)
 
@@ -421,7 +424,7 @@ class TestNodeProtocol:
             algo = {a.name: a for a in default_algorithms()}["nm"]
             from repro.voronoi.single import CellComputationStats
 
-            config = EngineConfig(executor="distributed", nodes=1, storage="file")
+            config = EngineConfig(executor="distributed", nodes=1)
             ctx = JoinContext(
                 tree_p=workload.tree_p,
                 tree_q=workload.tree_q,

@@ -55,7 +55,7 @@ class TestEngineAPI:
         with pytest.raises(ValueError):
             EngineConfig(workers=0)
         with pytest.raises(ValueError):
-            ShardedExecutor(workers=0)
+            ShardedExecutor(EngineConfig(executor="sharded", workers=0))
 
     def test_mismatched_disks_rejected(self):
         workload_a = make_workload()
@@ -93,7 +93,7 @@ class TestEngineAPI:
         assert executor_for(EngineConfig()).name == "serial"
         sharded = executor_for(EngineConfig(executor="sharded", workers=5))
         assert sharded.name == "sharded"
-        assert sharded.workers == 5
+        assert sharded.config.workers == 5
 
     def test_engine_result_carries_phase_stats(self):
         _, result = run("nm")
@@ -338,7 +338,9 @@ class TestInProcessRule:
         [(1, "auto", True), (3, "auto", False), (3, "always", True), (1, "never", False)],
     )
     def test_handoff_follows_the_configured_worker_count(self, workers, mode, chained):
-        executor = ShardedExecutor(workers=workers, reuse_handoff=mode)
+        executor = ShardedExecutor(
+            EngineConfig(executor="sharded", workers=workers, reuse_handoff=mode)
+        )
         assert executor._handoff_enabled(NMJoin()) is chained
 
     def test_single_unit_never_forks(self):

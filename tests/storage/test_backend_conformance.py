@@ -19,10 +19,8 @@ from repro.storage.backends import (
     STORAGE_BACKENDS,
     FilePageStore,
     PageStore,
-    PageStoreBase,
     SQLitePageStore,
     create_page_store,
-    open_store,
 )
 from repro.storage.disk import DiskManager
 from repro.voronoi.cell import VoronoiCell
@@ -376,7 +374,7 @@ class TestFileStoreSpecifics:
 
 
 class TestCapabilityContract:
-    """Every backend satisfies the PageStore protocol and states its
+    """Every backend inherits the PageStore contract and states its
     capabilities honestly (the factory and executors gate on these flags,
     never on backend-name strings)."""
 
@@ -392,7 +390,6 @@ class TestCapabilityContract:
         store = create_page_store(backend)
         try:
             assert isinstance(store, PageStore)
-            assert isinstance(store, PageStoreBase)
             assert store.name == backend
             assert store.supports_worker_reopen == self.EXPECTED_FLAGS[backend]
         finally:
@@ -417,21 +414,9 @@ class TestCapabilityContract:
         finally:
             store.close()
 
-    def test_open_store_parses_spec_strings(self, tmp_path):
-        path = str(tmp_path / "spec.sqlite")
-        store = open_store(f"sqlite:{path}")
-        try:
-            assert store.name == "sqlite"
-            assert store.location == path
-        finally:
-            store.close()
-        memory = open_store("memory")
-        assert memory.name == "memory"
-        # A live store passes through untouched.
-        assert open_store(memory) is memory
-        memory.close()
+    def test_factory_rejects_unknown_backends(self):
         with pytest.raises(ValueError, match="unknown storage backend"):
-            open_store("carbonite")
+            create_page_store("carbonite")
 
 
 class TestRemotePageServer:

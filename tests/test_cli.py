@@ -356,10 +356,13 @@ class TestFaultToleranceFlags:
         assert "no effect with --executor serial" in err
 
     def test_nonpositive_node_timeout_rejected(self, capsys):
-        with pytest.raises(SystemExit) as excinfo:
-            main(["join", "--executor", "distributed", "--node-timeout", "0"])
-        assert excinfo.value.code == 2
-        assert "--node-timeout must be positive" in capsys.readouterr().err
+        # A NaN deadline never fires and an infinite one overflows the
+        # pipe wait: both are rejected like zero.
+        for value in ("0", "nan", "inf"):
+            with pytest.raises(SystemExit) as excinfo:
+                main(["join", "--executor", "distributed", "--node-timeout", value])
+            assert excinfo.value.code == 2
+            assert "--node-timeout must be positive" in capsys.readouterr().err
 
     def test_negative_node_retries_rejected(self, capsys):
         with pytest.raises(SystemExit) as excinfo:
