@@ -64,6 +64,7 @@ import time
 from typing import List, Optional
 
 from repro import common_influence_join, uniform_points
+from repro.engine.config import resolve_config
 from repro.experiments import list_experiments, run_experiment
 from repro.storage.backends import REMOTE_BACKINGS, STORAGE_BACKENDS
 from repro.storage.pageserver import PageServerError
@@ -286,8 +287,8 @@ def _cmd_run_all(scale: str, markdown: Optional[str]) -> int:
     return 0
 
 
-def _validate_workers(parser: argparse.ArgumentParser, args: argparse.Namespace) -> int:
-    """Resolve and validate the --workers/--executor combination.
+def _validate_workers(parser: argparse.ArgumentParser, args: argparse.Namespace) -> None:
+    """Validate the --workers/--executor combination.
 
     ``--workers`` only means something to the sharded executor; more than
     one worker with any other executor is rejected loudly instead of being
@@ -301,11 +302,10 @@ def _validate_workers(parser: argparse.ArgumentParser, args: argparse.Namespace)
             f"{args.executor}; use --executor sharded to run shards in "
             "parallel (--nodes sizes the distributed executor)"
         )
-    return args.workers if args.workers is not None else 2
 
 
-def _validate_nodes(parser: argparse.ArgumentParser, args: argparse.Namespace) -> int:
-    """Resolve and validate the --nodes/--executor/--method combination.
+def _validate_nodes(parser: argparse.ArgumentParser, args: argparse.Namespace) -> None:
+    """Validate the --nodes/--executor/--method combination.
 
     ``--nodes`` only means something to the distributed executor, and the
     distributed executor only runs algorithms that shard — both
@@ -325,7 +325,6 @@ def _validate_nodes(parser: argparse.ArgumentParser, args: argparse.Namespace) -
             "baseline does not shard into work units (use --method nm|pm|fm, "
             "or --executor serial for brute)"
         )
-    return args.nodes if args.nodes is not None else 2
 
 
 def _validate_handoff(parser: argparse.ArgumentParser, args: argparse.Namespace) -> None:
@@ -439,9 +438,9 @@ def _cmd_join(
     seed: int,
     method: str,
     executor: str,
-    workers: int,
-    nodes: int,
-    reuse_handoff: str,
+    workers: Optional[int],
+    nodes: Optional[int],
+    reuse_handoff: Optional[str],
     storage: Optional[str],
     storage_path: Optional[str],
     updates: Optional[str] = None,
@@ -454,19 +453,27 @@ def _cmd_join(
     if updates is not None:
         return _cmd_join_with_updates(points_p, points_q, storage, storage_path, updates)
     try:
+        # The one config the run uses; the report below prints from it, so
+        # unset flags show EngineConfig's own defaults.
+        config = resolve_config(
+            None,
+            {
+                "executor": executor,
+                "workers": workers,
+                "nodes": nodes,
+                "node_timeout": node_timeout,
+                "node_retries": node_retries,
+                "fault_plan": fault_plan,
+                "reuse_handoff": reuse_handoff,
+            },
+        )
         result = common_influence_join(
             points_p,
             points_q,
             method=method,
-            executor=executor,
-            workers=workers,
-            nodes=nodes,
-            node_timeout=node_timeout,
-            node_retries=node_retries,
-            fault_plan=fault_plan,
-            reuse_handoff=reuse_handoff,
             storage=storage,
             storage_path=storage_path,
+            config=config,
         )
     except ValueError as error:
         print(f"error: {error}", file=sys.stderr)
@@ -479,11 +486,11 @@ def _cmd_join(
         return 2
     stats = result.stats
     print(f"algorithm       : {stats.algorithm}")
-    if executor == "distributed":
-        print(f"executor        : {executor} ({nodes} nodes)")
+    if config.executor == "distributed":
+        print(f"executor        : distributed ({config.nodes} nodes)")
         _print_fault_report(fault_plan)
-    elif executor != "serial":
-        print(f"executor        : {executor} ({workers} workers)")
+    elif config.executor == "sharded":
+        print(f"executor        : sharded ({config.workers} workers)")
     if storage is not None:
         where = f" at {storage_path}" if storage_path else ""
         print(f"storage         : {storage}{where}")
@@ -635,8 +642,8 @@ def main(argv: Optional[List[str]] = None) -> int:
     if args.command == "serve":
         return _cmd_serve(args)
     if args.command == "join":
-        workers = _validate_workers(parser, args)
-        nodes = _validate_nodes(parser, args)
+        _validate_workers(parser, args)
+        _validate_nodes(parser, args)
         _validate_fault_tolerance(parser, args)
         _validate_updates(parser, args)
         _validate_handoff(parser, args)
@@ -647,9 +654,9 @@ def main(argv: Optional[List[str]] = None) -> int:
             args.seed,
             args.method,
             args.executor,
-            workers,
-            nodes,
-            args.reuse_handoff if args.reuse_handoff is not None else "auto",
+            args.workers,
+            args.nodes,
+            args.reuse_handoff,
             storage,
             storage_path,
             args.updates,

@@ -57,8 +57,9 @@ class JoinContext:
     #: Artefacts built by ``prepare`` (e.g. materialised Voronoi R-trees).
     prepared: Dict[str, object] = field(default_factory=dict)
     #: Shard-boundary carry state (``supports_handoff`` algorithms only):
-    #: the executor seeds it with the previous shard's outbound state and
-    #: the algorithm replaces it with its own when the shard completes.
+    #: the executor seeds it with the previous shard's outbound state (a
+    #: node seeds a callable that fetches it when first needed) and the
+    #: algorithm replaces it with its own when the shard completes.
     carry: Optional[object] = None
 
     @property

@@ -96,7 +96,9 @@ class EngineConfig:
         recomputed); ``"auto"`` (default) enables the handoff exactly when
         ``workers == 1``, where the shards run sequentially anyway and the
         handoff costs nothing.  The distributed executor's ``"auto"``
-        always chains (see :class:`~repro.engine.executors.DistributedExecutor`).
+        always chains, and its nodes still overlap each unit's carry-free
+        part with the predecessor unit (see
+        :class:`~repro.engine.executors.DistributedExecutor`).
     reuse_cells:
         NM-CIJ's REUSE buffer (Section IV-B).
     use_phi_pruning:

@@ -27,15 +27,25 @@ unit the queue already reassigned — are idempotently ignored: the first
 recorded result wins, and since units are pure the loser was identical
 anyway.
 
-For carry-chained algorithms (NM-CIJ with the REUSE handoff) the
-coordinator degrades to a pipeline: unit ``k+1`` is not handed out until
-unit ``k``'s result — whose outbound REUSE buffer seeds ``k+1`` — has been
-recorded.  That reproduces the serial reuse chain exactly (work-optimal,
-not wall-clock-optimal), matching the fork pool's boundary pipeline from
-the pre-coordinator executor.  A released chained unit rewinds the
-pipeline to its *recorded predecessor carry* (persisted with every
-result), so a retry re-runs from exactly the inbound state the dead
-worker saw.
+For carry-chained algorithms (NM-CIJ with the REUSE handoff) unit ``k``'s
+inbound carry is unit ``k-1``'s outbound REUSE buffer, so the carry is
+decoupled from the lease.  Units are still leased in index order, one per
+pulling worker, but a chained unit may be leased while its predecessor
+still runs: the worker starts the carry-free part of the unit (NM's leaf
+cells and ConditionalFilter) and calls :meth:`UnitCoordinator.await_carry`
+only when it needs the carry, which blocks until unit ``k-1``'s result is
+recorded.  The carry is always read from the *recorded* predecessor
+result, so a retried unit gets exactly the inbound state the failed worker
+got, and every unit does the same work from the same carry as in the
+serial reuse chain — only the overlap differs.  Outstanding units are
+bounded by the live workers, since a worker holds one lease at a time.
+
+Waiting cannot deadlock.  When a lease is released, its unit goes back to
+the queue; a worker waiting for that unit's carry then *gives way*: its
+own unit returns to the queue as well (without using up an attempt) and
+the worker is free to pull the released predecessor, lowest index first.
+So the lowest unrecorded unit is always either running or next in line,
+down to a single live worker.
 
 The same coordinator instance serves every worker plane: the inline loop,
 fork-pool dispatcher threads, and the per-node driver threads of the
@@ -54,12 +64,19 @@ from repro.engine.algorithms import JoinContext
 from repro.engine.units import WorkUnit
 
 
+#: What :meth:`UnitCoordinator.await_carry` returns instead of a carry when
+#: the lease gave way (or the run aborted): drop the unit and pull again.
+GIVE_WAY = object()
+
+
 @dataclass(frozen=True)
 class Assignment:
     """One unit handed to one worker, with its inbound carry (if chained)."""
 
     index: int
     unit: WorkUnit
+    #: The inbound carry, if already recorded at lease time (otherwise
+    #: :meth:`UnitCoordinator.await_carry` waits for it).
     carry: Optional[object] = None
     #: 1 for the first handout of the unit, 2 for its first retry, ...
     attempt: int = 1
@@ -68,10 +85,11 @@ class Assignment:
 class UnitCoordinator:
     """Owns the unit queue, leases work on demand, merges in order.
 
-    Thread-safe; one instance per join execution.  ``chained`` turns the
-    queue into a carry pipeline (at most one unit outstanding at a time).
-    ``max_attempts`` bounds how many times one unit may be leased before
-    the run aborts (1 = no retries, the pre-fault-tolerance behaviour).
+    Thread-safe; one instance per join execution.  ``chained`` makes each
+    unit's inbound carry its predecessor's recorded outbound carry (see
+    :meth:`await_carry`).  ``max_attempts`` bounds how many times one unit
+    may be leased before the run aborts (1 = no retries, the
+    pre-fault-tolerance behaviour).
     """
 
     def __init__(
@@ -91,11 +109,9 @@ class UnitCoordinator:
         self._pending: List[int] = list(range(len(self._units)))
         #: Outstanding leases: unit index -> worker id.
         self._leases: Dict[int, str] = {}
-        #: Times each unit has been handed out.
+        #: Times each unit has been handed out (give-ways excluded).
         self._attempts: Dict[int, int] = {}
         self._results: Dict[int, object] = {}
-        self._carry: Optional[object] = None
-        self._carry_ready = True  # the first unit needs no inbound carry
         self._error: Optional[BaseException] = None
         #: worker id -> unit indices handed to it, in pull order.  This is
         #: the scheduling trace the skew tests inspect: under skew the
@@ -105,6 +121,8 @@ class UnitCoordinator:
         #: unit index -> times its lease was released back to the queue
         #: (the retry trace the fault-tolerance tests inspect).
         self.reassignments: Dict[int, int] = {}
+        #: unit index -> times its lease gave way to a released predecessor.
+        self.gave_way: Dict[int, int] = {}
 
     # ------------------------------------------------------------------
     # worker-facing pull API
@@ -114,36 +132,60 @@ class UnitCoordinator:
 
         Blocks while the queue is momentarily empty but leases are still
         outstanding — a leased unit may return to the queue if its worker
-        dies — and, in chained mode, until the previous unit's result (and
-        with it the inbound carry) is available.  A recorded abort
-        unblocks every waiter with ``None``.
+        dies.  A chained unit is leased even while its predecessor runs;
+        its carry then arrives through :meth:`await_carry`.  A recorded
+        abort unblocks every waiter with ``None``.
         """
         with self._ready:
             while True:
                 if self._error is not None or self._done_locked():
                     return None
-                if not self._pending or (self._chained and not self._carry_ready):
+                if not self._pending:
                     self._ready.wait()
                     continue
                 index = self._pending.pop(0)
                 self._attempts[index] = self._attempts.get(index, 0) + 1
                 self._leases[index] = worker_id
-                carry = self._carry if self._chained else None
-                if self._chained:
-                    # Pipeline: nothing else is handed out until this
-                    # unit's outbound carry comes back (or the lease is
-                    # released and the pipeline rewinds).
-                    self._carry_ready = False
                 self.assignments.setdefault(worker_id, []).append(index)
+                predecessor = self._results.get(index - 1) if self._chained else None
                 return Assignment(
                     index=index,
                     unit=self._units[index],
-                    carry=carry,
+                    carry=predecessor.carry if predecessor is not None else None,
                     attempt=self._attempts[index],
                 )
 
+    def await_carry(self, assignment: Assignment) -> object:
+        """The inbound carry of a leased unit, or :data:`GIVE_WAY`.
+
+        Returns at once for an unchained run, the first unit, or a
+        recorded predecessor.  Otherwise blocks until the predecessor's
+        result is recorded and returns its carry.  If the predecessor goes back to the queue meanwhile (its
+        worker failed), this lease gives way: the unit returns to the
+        queue without using up an attempt, so the caller's worker can run
+        the predecessor instead.  An abort also returns :data:`GIVE_WAY`.
+        """
+        index = assignment.index
+        if not self._chained or index == 0:
+            return None
+        with self._ready:
+            while True:
+                if self._error is not None:
+                    return GIVE_WAY
+                predecessor = self._results.get(index - 1)
+                if predecessor is not None:
+                    return predecessor.carry
+                if index - 1 in self._pending:
+                    self._leases.pop(index, None)
+                    self._attempts[index] -= 1
+                    insort(self._pending, index)
+                    self.gave_way[index] = self.gave_way.get(index, 0) + 1
+                    self._ready.notify_all()
+                    return GIVE_WAY
+                self._ready.wait()
+
     def record_result(self, index: int, result) -> None:
-        """Store one unit's :class:`ShardResult`; releases the pipeline.
+        """Store one unit's :class:`ShardResult`; wakes carry waiters.
 
         Idempotent: a duplicate result for an already-recorded unit (a
         worker finishing after its lease was reassigned and completed
@@ -153,21 +195,18 @@ class UnitCoordinator:
             self._leases.pop(index, None)
             if index not in self._results:
                 self._results[index] = result
-                if self._chained:
-                    self._carry = result.carry
-                    self._carry_ready = True
             self._ready.notify_all()
 
     def release(self, index: int, error: Optional[BaseException] = None) -> None:
         """Return a leased unit to the queue after its worker failed.
 
-        The unit becomes available to any live worker; in chained mode the
-        carry pipeline rewinds to the unit's recorded predecessor carry,
-        so the retry re-runs from exactly the inbound state the failed
-        worker saw.  Exceeding ``max_attempts`` aborts the run instead —
-        a unit that kills every worker it touches is a poison unit, and
-        cycling it forever would be the deadlock this layer exists to
-        prevent.
+        The unit becomes available to any live worker, lowest index first,
+        and a worker waiting for its carry gives way (see
+        :meth:`await_carry`); a chained retry again gets the recorded
+        predecessor carry.  Exceeding ``max_attempts`` aborts the run
+        instead — a unit that kills every worker it touches is a poison
+        unit, and cycling it forever would be the deadlock this layer
+        exists to prevent.
         """
         with self._ready:
             self._leases.pop(index, None)
@@ -185,14 +224,6 @@ class UnitCoordinator:
             else:
                 insort(self._pending, index)
                 self.reassignments[index] = self.reassignments.get(index, 0) + 1
-                if self._chained:
-                    # Rewind the pipeline: the retry's inbound carry is
-                    # the recorded result of the predecessor unit.
-                    predecessor = self._results.get(index - 1)
-                    self._carry = (
-                        predecessor.carry if predecessor is not None else None
-                    )
-                    self._carry_ready = True
             self._ready.notify_all()
 
     def abort(self, error: BaseException) -> None:

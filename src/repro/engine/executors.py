@@ -28,11 +28,12 @@ in unit order compose exactly like the serial loop, *whatever* the dynamic
 assignment of units to workers was.  What *can* differ is cost: without
 the handoff the REUSE buffer cannot carry cells across a unit boundary, so
 a parallel NM-CIJ recomputes more ``P`` cells than the serial run.  The
-*handoff* mode closes that gap: the coordinator chains the units into a
-pipeline, seeding each with its predecessor's final REUSE buffer
-(``JoinContext.carry``) — work-optimal (recomputation drops to exactly
-serial levels), not wall-clock-optimal, and the cost is reported honestly
-through the merged statistics either way.
+*handoff* mode closes that gap: the coordinator chains the units, seeding
+each with its predecessor's final REUSE buffer (``JoinContext.carry``), so
+recomputation drops to exactly serial levels; the cost is reported
+honestly through the merged statistics either way.  The fork pool waits
+for a chained unit's carry before running it; a node starts the unit and
+waits only where NM reads the carry (see :class:`DistributedExecutor`).
 
 In-process (inline) execution also isolates the shared LRU buffer: every
 unit starts from the dispatch-time buffer state a forked worker would
@@ -58,7 +59,7 @@ from repro.voronoi.single import CellComputationStats
 
 from repro.engine.algorithms import JoinAlgorithm, JoinContext
 from repro.engine.config import EngineConfig
-from repro.engine.coordinator import UnitCoordinator
+from repro.engine.coordinator import GIVE_WAY, UnitCoordinator
 from repro.engine.units import WorkUnit
 
 
@@ -309,10 +310,11 @@ class ShardedExecutor:
                 assignment = coordinator.next_assignment(worker_id)
                 if assignment is None:
                     return
+                carry = coordinator.await_carry(assignment)
+                if carry is GIVE_WAY:
+                    continue
                 try:
-                    result = pool.apply(
-                        _worker_run_shard, (assignment.index, assignment.carry)
-                    )
+                    result = pool.apply(_worker_run_shard, (assignment.index, carry))
                 except BaseException as error:  # noqa: BLE001 - reraised below
                     errors.append(error)
                     coordinator.abort(error)
@@ -409,11 +411,17 @@ class DistributedExecutor:
     statistics and deterministic counters are byte-identical to the serial
     run no matter how units were assigned.
 
-    ``reuse_handoff="auto"`` *enables* the chained REUSE pipeline here
+    ``reuse_handoff="auto"`` *enables* the chained REUSE handoff here
     (unlike the sharded executor's auto, which reserves it for
     ``workers == 1``): a distributed run's default output must match
-    serial counters exactly, and the chained pipeline — work-optimal, not
-    wall-clock-optimal — is what restores the serial recomputation counts.
+    serial counters exactly, and the chain is what restores the serial
+    recomputation counts.  The chain still runs the nodes in parallel: a
+    free node leases the next unit while its predecessor runs elsewhere,
+    computes the unit's leaf cells and ConditionalFilter, and receives the
+    carry as its own message once the predecessor's result is recorded —
+    only NM's candidate cells and pair report wait for it.  If that
+    predecessor goes back to the queue, the waiting node drops its unit
+    (a give-way, not a retry) and is free to run the predecessor.
 
     Fault tolerance: a node failure (crash, silence past ``node_timeout``,
     protocol garbage, error reply) quarantines *that node* — killed,
@@ -572,6 +580,9 @@ class DistributedExecutor:
             while True:
                 assignment = coordinator.next_assignment(worker_id)
                 if assignment is None:
+                    # Retire the node now, while siblings may still run
+                    # their last units (shutdown is idempotent).
+                    node.shutdown()
                     return
                 if assignment.attempt > 1:
                     time.sleep(
@@ -581,7 +592,11 @@ class DistributedExecutor:
                         )
                     )
                 try:
-                    result = node.run_unit(assignment, timeout=config.node_timeout)
+                    result = node.run_unit(
+                        assignment,
+                        timeout=config.node_timeout,
+                        await_carry=coordinator.await_carry,
+                    )
                 except node_plane.NodeFailure as error:
                     # Lease back to the queue first, then retire the node:
                     # a sibling can pick the unit up immediately.
@@ -592,6 +607,8 @@ class DistributedExecutor:
                     errors.append(error)
                     coordinator.abort(error)
                     return
+                if result is None:
+                    continue  # gave way to a released predecessor
                 collect_worker_snapshot(
                     snapshots, snapshot_lock, result, worker_id=worker_id
                 )
@@ -624,6 +641,7 @@ class DistributedExecutor:
             "quorum": quorum,
             "quarantined": dict(self.quarantined),
             "retries": dict(self.retries),
+            "gave_way": dict(coordinator.gave_way),
             "faults_planned": (
                 self.fault_plan.to_spec() if self.fault_plan else None
             ),

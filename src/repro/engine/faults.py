@@ -17,6 +17,7 @@ Spec grammar (one fault per ``;``-separated clause)::
 
     crash@node-1:after=2             exit abruptly on receiving the 3rd unit
     crash@node-1:after=2,phase=work  compute the 3rd unit, exit before replying
+    crash@node-1:after=2,phase=carry start the 3rd unit, exit waiting for its carry
     hang@node-0:unit=3               go silent (heartbeats too) on global unit 3
     drop@node-0:after=0              compute the 1st unit, never send the result
     corrupt@node-0:after=1           garble the 2nd result line on the wire
@@ -38,7 +39,7 @@ faults fire.
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Any, Dict, List, Optional, Sequence
 
 #: Fault kinds a plan may carry.
@@ -46,8 +47,10 @@ FAULT_KINDS = ("crash", "hang", "drop", "corrupt", "error", "ready_delay")
 
 #: Crash phases: ``"recv"`` exits on receipt of the unit (before any
 #: work), ``"work"`` exits after computing it but before replying — the
-#: two ends of the idempotent-re-execution window.
-CRASH_PHASES = ("recv", "work")
+#: two ends of the idempotent-re-execution window — and ``"carry"`` exits
+#: where a chained NM unit waits for its inbound carry (after its leaf
+#: cells and ConditionalFilter); in a run without a carry it never fires.
+CRASH_PHASES = ("recv", "work", "carry")
 
 
 @dataclass(frozen=True)

@@ -26,8 +26,15 @@ Equivalence story, mirroring the fork pool exactly:
 
 The REUSE carry crosses the wire in an explicit JSON form (a list of
 ``[oid, site_x, site_y, vertices]`` cells) produced and consumed only by
-nodes; the coordinator forwards it opaquely from one node's result to the
-next chained unit's assignment, wherever that unit lands.
+nodes.  In a chained run it is its own message: the parent sends a
+``unit`` as soon as the unit is leased, and the node computes the unit's
+leaf cells and ConditionalFilter while the predecessor unit still runs
+elsewhere.  Only right before NM's candidate cells does it read the next
+message: the ``carry`` (forwarded opaquely by the parent from the
+predecessor's recorded result) or a ``yield``, which drops the unit
+because its lease gave way to a released predecessor.  A reader thread
+drains stdin meanwhile, so the parent's sends never block on a busy or
+hung node.
 
 Fault story (this file is the detection side; injection lives in
 :mod:`repro.engine.faults`):
@@ -55,7 +62,7 @@ import tempfile
 import threading
 import time
 from dataclasses import fields
-from typing import Any, Dict, List, Optional
+from typing import Any, Callable, Dict, List, Optional
 
 from repro.geometry.point import Point
 from repro.geometry.polygon import ConvexPolygon
@@ -261,6 +268,7 @@ class NodeProcess:
         faults: Optional[List[Dict[str, Any]]] = None,
     ):
         self.worker_id = worker_id
+        self._handoff = bool(spec.get("handoff"))
         package_root = os.path.dirname(os.path.dirname(os.path.dirname(__file__)))
         env = dict(os.environ)
         existing = env.get("PYTHONPATH")
@@ -375,19 +383,37 @@ class NodeProcess:
             )
         self._ready = True
 
-    def run_unit(self, assignment, timeout: Optional[float] = None) -> "ShardResult":
-        """Execute one assignment on the node; blocks until its result."""
+    def run_unit(
+        self,
+        assignment,
+        timeout: Optional[float] = None,
+        await_carry: Optional[Callable[[Any], object]] = None,
+    ) -> Optional["ShardResult"]:
+        """Execute one assignment on the node; blocks until its result.
+
+        In a chained run (``handoff`` in the init spec) the unit goes out
+        first, so the node computes its carry-free part while
+        ``await_carry`` (the coordinator's
+        :meth:`~repro.engine.coordinator.UnitCoordinator.await_carry`;
+        default: the assignment's own carry) blocks; the carry follows as
+        its own message.  If the lease gave way instead, the node is told
+        to drop the unit and ``None`` is returned.
+        """
+        from repro.engine.coordinator import GIVE_WAY
         from repro.engine.executors import ShardResult
 
-        self._send(
-            {
-                "type": "unit",
-                "index": assignment.index,
-                "unit": assignment.unit.to_wire(),
-                # Opaque: whatever wire form the producing node returned.
-                "carry": assignment.carry,
-            }
-        )
+        index = assignment.index
+        self._send({"type": "unit", "index": index, "unit": assignment.unit.to_wire()})
+        if self._handoff:
+            carry = await_carry(assignment) if await_carry else assignment.carry
+            if carry is GIVE_WAY:
+                try:
+                    self._send({"type": "yield", "index": index})
+                except NodeCrashed:
+                    pass  # a dead node surfaces on its next unit
+                return None
+            # Opaque: whatever wire form the producing node returned.
+            self._send({"type": "carry", "index": index, "carry": carry})
         message = self._recv(timeout=timeout)
         if message.get("type") != "result":
             raise NodeProtocolError(
@@ -544,6 +570,10 @@ def _bootstrap(spec: Dict[str, Any]):
     return algorithm, parent_ctx, dispatch_state
 
 
+class _GiveWay(Exception):
+    """The parent withdrew the unit before sending its carry."""
+
+
 #: How long an injected hang sleeps.  The parent's silence deadline fires
 #: long before this; the sleep only has to outlive it until the kill.
 _HANG_SECONDS = 600.0
@@ -605,11 +635,38 @@ def main() -> int:
         return 1
     reply({"type": "ready", "version": PROTOCOL_VERSION})
 
+    # Drain stdin on a thread: a carry sent while this node computes (or
+    # hangs) must not block the parent's write.
+    inbox: "queue.Queue[bytes]" = queue.Queue()
+
+    def read_loop() -> None:
+        for line in iter(stdin.readline, b""):
+            inbox.put(line)
+        inbox.put(b"")  # EOF: the parent is gone
+
+    threading.Thread(target=read_loop, name="node-stdin", daemon=True).start()
+
+    def fetch_carry(index: int, fault) -> Optional[Dict[int, VoronoiCell]]:
+        """Read unit ``index``'s inbound carry (NM calls this before step 3)."""
+        if fault is not None and fault.kind == "crash" and fault.phase == "carry":
+            os._exit(13)  # phase=carry: leaf cells and filter done, no carry
+        line = inbox.get()
+        if not line:
+            raise SystemExit(0)
+        message = decode_line(line)
+        if message.get("type") == "yield" and message.get("index") == index:
+            raise _GiveWay()
+        if message.get("type") != "carry" or message.get("index") != index:
+            raise ValueError(
+                f"expected the carry of unit {index}, got {message.get('type')!r}"
+            )
+        return carry_from_wire(message["carry"])
+
     disk = parent_ctx.disk
     served = 0
     try:
         while True:
-            line = stdin.readline()
+            line = inbox.get()
             if not line:
                 return 0
             message = decode_line(line)
@@ -621,7 +678,8 @@ def main() -> int:
                     {"type": "error", "message": f"unexpected message {kind!r}"}
                 )
                 return 1
-            fault = injector.on_unit(message["index"])
+            index = message["index"]
+            fault = injector.on_unit(index)
             if fault is not None and fault.kind == "crash" and fault.phase == "recv":
                 os._exit(13)  # abrupt: no reply, no cleanup, like a real crash
             if fault is not None and fault.kind == "hang":
@@ -636,16 +694,17 @@ def main() -> int:
                 # not change the charged counters.
                 disk.restore_buffer_state(dispatch_state)
                 unit = WorkUnit.from_wire(message["unit"])
-                carry = carry_from_wire(message.get("carry"))
-                result = _execute_shard(
-                    algorithm,
-                    parent_ctx,
-                    [unit],
-                    message["index"],
-                    carry=carry,
+                carry = (
+                    (lambda: fetch_carry(index, fault)) if handoff else None
                 )
-                if fault is not None and fault.kind == "crash":
-                    os._exit(13)  # phase=work: computed, never replied
+                try:
+                    result = _execute_shard(
+                        algorithm, parent_ctx, [unit], index, carry=carry
+                    )
+                except _GiveWay:
+                    continue  # the next message is the predecessor unit
+                if fault is not None and fault.kind == "crash" and fault.phase == "work":
+                    os._exit(13)  # computed, never replied
                 if fault is not None and fault.kind == "error":
                     reply({"type": "error", "message": "injected fault: error"})
                     return 1
@@ -684,6 +743,8 @@ def main() -> int:
                     }
                 )
                 injector.unit_completed()
+            except SystemExit:
+                raise
             except BaseException as error:  # noqa: BLE001 - reported
                 reply({"type": "error", "message": f"{type(error).__name__}: {error}"})
                 return 1
@@ -693,4 +754,10 @@ def main() -> int:
 
 
 if __name__ == "__main__":
-    sys.exit(main())
+    try:
+        code = main()
+    except SystemExit as request:
+        code = request.code
+    # Every reply is flushed and the store is closed: skip the interpreter
+    # teardown, which the parent would otherwise wait tens of ms for.
+    os._exit(code or 0)

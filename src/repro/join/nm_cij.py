@@ -24,7 +24,7 @@ point, now a thin wrapper over :class:`repro.engine.JoinEngine`.
 
 from __future__ import annotations
 
-from typing import Dict, Iterable, List, Optional, Tuple
+from typing import Callable, Dict, Iterable, List, Optional, Tuple, Union
 
 from repro.geometry.rect import Rect
 from repro.index.entries import Node
@@ -52,7 +52,9 @@ def process_q_leaves(
     start_counters: IOCounters,
     reuse_cells: bool = True,
     use_phi_pruning: bool = True,
-    initial_reuse: Optional[Dict[int, VoronoiCell]] = None,
+    initial_reuse: Union[
+        None, Dict[int, VoronoiCell], Callable[[], Optional[Dict[int, VoronoiCell]]]
+    ] = None,
 ) -> Tuple[List[Tuple[int, int]], Dict[int, VoronoiCell]]:
     """Run the NM-CIJ per-leaf pipeline over a sequence of ``R_Q`` leaves.
 
@@ -69,16 +71,18 @@ def process_q_leaves(
     here so shard *k+1* reuses the cells the serial run would have carried
     across the boundary instead of recomputing them.  The final buffer
     (the cells of the last processed leaf) is returned alongside the pairs
-    so it can be handed to the next shard in turn.
+    so it can be handed to the next shard in turn.  ``initial_reuse`` may
+    also be a zero-argument callable returning that buffer: it is called
+    once, right before step 3 of the first leaf, so a distributed node
+    runs steps 1–2 while the previous unit is still finishing elsewhere.
 
     Progress samples are recorded after every leaf relative to
     ``start_counters`` (shard-local counters for a forked worker).
     """
     disk = tree_q.disk
     pairs: List[Tuple[int, int]] = []
-    reuse_buffer: Dict[int, VoronoiCell] = (
-        dict(initial_reuse) if reuse_cells and initial_reuse else {}
-    )
+    # Filled from ``initial_reuse`` right before the first step 3.
+    reuse_buffer: Optional[Dict[int, VoronoiCell]] = None
 
     for leaf in leaves:
         # (1) Voronoi cells of the Q points in this leaf.
@@ -100,6 +104,8 @@ def process_q_leaves(
 
         # (3) Refinement phase: exact cells of the candidates, reusing the
         # cells computed for the previous leaf where possible.
+        if reuse_buffer is None:
+            reuse_buffer = _inbound_reuse(initial_reuse, reuse_cells)
         if reuse_cells:
             missing, cells_p = candidate_cells_from_buffer(candidates, reuse_buffer)
             stats.cells_reused_p += len(cells_p)
@@ -137,7 +143,15 @@ def process_q_leaves(
         accesses = disk.counters.diff(start_counters).page_accesses
         stats.record_progress(accesses, len(pairs))
 
+    if reuse_buffer is None:
+        reuse_buffer = _inbound_reuse(initial_reuse, reuse_cells)
     return pairs, reuse_buffer
+
+
+def _inbound_reuse(initial_reuse, reuse_cells: bool) -> Dict[int, VoronoiCell]:
+    """The first leaf's REUSE buffer; fetches a deferred carry exactly once."""
+    inbound = initial_reuse() if callable(initial_reuse) else initial_reuse
+    return dict(inbound) if reuse_cells and inbound else {}
 
 
 def nm_cij(

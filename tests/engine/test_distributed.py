@@ -28,6 +28,7 @@ from repro.engine import (
     default_algorithms,
 )
 from repro.engine import node as node_plane
+from repro.engine.coordinator import GIVE_WAY
 from repro.engine.algorithms import JoinContext
 from repro.experiments.drivers.common import fresh_workload
 from repro.geometry import ConvexPolygon, Point
@@ -108,32 +109,44 @@ class TestUnitCoordinator:
         coordinator = UnitCoordinator(make_units(3, needs_carry=True), chained=True)
         first = coordinator.next_assignment("a")
         assert first.carry is None
+        assert coordinator.await_carry(first) is None
+
+        # Unit 1 is leased at once, while unit 0 is still outstanding ...
+        second = coordinator.next_assignment("b")
+        assert (second.index, second.carry) == (1, None)
+        assert coordinator.outstanding() == 2
 
         handed = []
 
-        def second_puller():
-            handed.append(coordinator.next_assignment("b"))
+        def await_second():
+            handed.append(coordinator.await_carry(second))
 
-        thread = threading.Thread(target=second_puller)
+        thread = threading.Thread(target=await_second)
         thread.start()
         thread.join(timeout=0.2)
-        # Unit 1 must not be handed out while unit 0 is outstanding.
+        # ... but its carry is not available until unit 0's result is.
         assert thread.is_alive()
 
         coordinator.record_result(0, FakeResult(0, carry={"cells": 7}))
         thread.join(timeout=5)
         assert not thread.is_alive()
-        # The pipeline seeds the successor with the predecessor's carry.
-        assert handed[0].index == 1
-        assert handed[0].carry == {"cells": 7}
+        # The successor's carry is the predecessor's recorded carry.
+        assert handed == [{"cells": 7}]
 
     def test_abort_unblocks_chained_waiters(self):
         coordinator = UnitCoordinator(make_units(2, needs_carry=True), chained=True)
-        coordinator.next_assignment("a")  # leaves the pipeline outstanding
+        coordinator.next_assignment("a")  # leaves unit 0 outstanding
         handed = []
 
         def blocked_puller():
-            handed.append(coordinator.next_assignment("b"))
+            # A worker's loop: unit 1 is leased at once and its carry wait
+            # blocks on unit 0; the abort turns it into a give-way, and the
+            # next pull ends the worker.
+            while True:
+                assignment = coordinator.next_assignment("b")
+                if assignment is None or coordinator.await_carry(assignment) is not GIVE_WAY:
+                    handed.append(assignment)
+                    return
 
         thread = threading.Thread(target=blocked_puller)
         thread.start()
@@ -247,6 +260,159 @@ class TestUnitCoordinator:
         coordinator.release(0, error=RuntimeError("node died"))
         retry = coordinator.next_assignment("b")
         assert (retry.index, retry.carry) == (0, None)
+
+    @pytest.mark.parametrize("released", [0, 1])
+    def test_release_rewinds_successor_carry(self, released):
+        """Releasing unit k makes the waiting unit k+1 give way; the re-run
+        of k starts from k-1's recorded carry (None for k = 0), and k+1's
+        carry is then k's new result."""
+        coordinator = UnitCoordinator(
+            make_units(3, needs_carry=True), chained=True, max_attempts=2
+        )
+        if released == 1:
+            zero = coordinator.next_assignment("a")
+            coordinator.record_result(0, FakeResult(0, carry={"cells": 0}))
+        held = coordinator.next_assignment("a")
+        waiting = coordinator.next_assignment("b")
+        assert (held.index, waiting.index) == (released, released + 1)
+        coordinator.release(released, error=RuntimeError("node died"))
+        assert coordinator.await_carry(waiting) is GIVE_WAY
+        retry = coordinator.next_assignment("b")
+        assert (retry.index, retry.attempt) == (released, 2)
+        expected = None if released == 0 else {"cells": 0}
+        assert coordinator.await_carry(retry) == expected
+        coordinator.record_result(released, FakeResult(released, carry={"cells": 9}))
+        again = coordinator.next_assignment("b")
+        assert (again.index, again.carry) == (released + 1, {"cells": 9})
+        assert coordinator.gave_way == {released + 1: 1}
+        if released == 1:
+            assert zero.carry is None
+
+    def test_last_worker_gives_way_and_finishes_in_order(self):
+        """Node A dies holding unit 0 while node B waits for its carry: B
+        gives way, then runs the whole queue alone, in index order."""
+        coordinator = UnitCoordinator(
+            make_units(4, needs_carry=True), chained=True, max_attempts=2
+        )
+        coordinator.next_assignment("a")
+        outcome = []
+
+        def worker_b():
+            while True:
+                assignment = coordinator.next_assignment("b")
+                if assignment is None:
+                    return
+                carry = coordinator.await_carry(assignment)
+                if carry is GIVE_WAY:
+                    outcome.append(("gave way", assignment.index))
+                    continue
+                outcome.append((assignment.index, carry))
+                coordinator.record_result(
+                    assignment.index,
+                    FakeResult(assignment.index, carry=assignment.index),
+                )
+
+        thread = threading.Thread(target=worker_b)
+        thread.start()
+        thread.join(timeout=0.2)
+        assert thread.is_alive()  # B holds unit 1, waiting on unit 0
+        coordinator.release(0, error=RuntimeError("node A died"))
+        thread.join(timeout=5)
+        assert not thread.is_alive()
+        assert outcome == [("gave way", 1), (0, None), (1, 0), (2, 1), (3, 2)]
+        assert coordinator.assignments == {"a": [0], "b": [1, 0, 1, 2, 3]}
+        assert coordinator.reassignments == {0: 1}
+        assert [r.index for r in coordinator.results_in_order()] == [0, 1, 2, 3]
+
+    def test_give_way_does_not_use_up_an_attempt(self):
+        """A lease that gives way is not a failed attempt: the unit keeps
+        its whole retry budget.  (With ``max_attempts=1`` the predecessor's
+        release already aborts the run, so no lease can give way there;
+        two attempts is the smallest budget where giving way can happen.)"""
+        coordinator = UnitCoordinator(
+            make_units(2, needs_carry=True), chained=True, max_attempts=2
+        )
+        coordinator.next_assignment("a")
+        waiting = coordinator.next_assignment("b")
+        coordinator.release(0, error=RuntimeError("node died"))
+        assert coordinator.await_carry(waiting) is GIVE_WAY
+        assert coordinator.reassignments == {0: 1}
+        zero = coordinator.next_assignment("b")
+        coordinator.record_result(0, FakeResult(0, carry={"cells": 3}))
+        one = coordinator.next_assignment("b")
+        assert (zero.index, zero.attempt) == (0, 2)
+        # Unit 1's re-lease is still its first attempt, so one real
+        # failure of it is retried instead of aborting the run.
+        assert (one.index, one.attempt, one.carry) == (1, 1, {"cells": 3})
+        coordinator.release(1, error=RuntimeError("node died"))
+        assert coordinator.error is None
+        retry = coordinator.next_assignment("b")
+        assert (retry.index, retry.attempt) == (1, 2)
+
+    def test_chained_stress_with_failures_keeps_the_carry_chain(self):
+        """More worker threads than cores, a tiny switch interval and
+        seeded failures: every unit still runs from exactly its recorded
+        predecessor's carry, and the run completes (no lost wake-up)."""
+        import random
+        import sys
+
+        units = 40
+        coordinator = UnitCoordinator(
+            make_units(units, needs_carry=True), chained=True, max_attempts=100
+        )
+        inbound = {}
+
+        def worker(name, seed):
+            rng = random.Random(seed)
+            while True:
+                assignment = coordinator.next_assignment(name)
+                if assignment is None:
+                    return
+                carry = coordinator.await_carry(assignment)
+                if carry is GIVE_WAY:
+                    continue
+                if rng.random() < 0.2:
+                    coordinator.release(assignment.index, RuntimeError("flaky"))
+                    continue
+                inbound[assignment.index] = carry
+                coordinator.record_result(
+                    assignment.index,
+                    FakeResult(assignment.index, carry=("out", assignment.index)),
+                )
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            threads = [
+                threading.Thread(target=worker, args=(f"w{i}", i)) for i in range(8)
+            ]
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=30)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(thread.is_alive() for thread in threads)
+        assert coordinator.error is None
+        assert [r.index for r in coordinator.results_in_order()] == list(range(units))
+        assert inbound == {
+            k: (None if k == 0 else ("out", k - 1)) for k in range(units)
+        }
+        assert coordinator.outstanding() == 0
+
+    def test_give_way_with_a_single_attempt_aborts_instead(self):
+        """With ``max_attempts=1`` a released predecessor aborts the run;
+        the waiting lease is unblocked by the abort, not re-queued."""
+        coordinator = UnitCoordinator(
+            make_units(2, needs_carry=True), chained=True, max_attempts=1
+        )
+        coordinator.next_assignment("a")
+        waiting = coordinator.next_assignment("b")
+        coordinator.release(0, error=RuntimeError("node died"))
+        assert coordinator.await_carry(waiting) is GIVE_WAY
+        assert coordinator.gave_way == {}
+        assert "max_attempts=1" in str(coordinator.error)
+        assert coordinator.next_assignment("b") is None
 
 
 def triangle_cell(oid: int) -> VoronoiCell:

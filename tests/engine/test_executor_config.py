@@ -141,13 +141,17 @@ class _RecordingNode:
     def wait_ready(self, timeout):
         self.log.append(("ready", self.worker_id, timeout))
 
-    def run_unit(self, assignment, timeout):
+    def run_unit(self, assignment, timeout, await_carry=None):
+        from repro.engine.coordinator import GIVE_WAY
         from repro.engine.node import NodeCrashed
         from repro.join.conditional_filter import FilterStats
         from repro.join.result import JoinStats
         from repro.storage.counters import IOCounters
         from repro.voronoi.single import CellComputationStats
 
+        # Like a node: a chained unit waits for its carry (or gives way).
+        if await_carry is not None and await_carry(assignment) is GIVE_WAY:
+            return None
         self.log.append(("unit", self.worker_id, timeout))
         if self.crash:
             raise NodeCrashed(f"{self.worker_id} crashed")

@@ -172,6 +172,43 @@ class TestFaultMatrix:
         assert executor.retries.get(2) == 1
         assert_children_reaped(executor)
 
+    @pytest.mark.parametrize("backend", ON_DISK_BACKENDS)
+    def test_crash_while_waiting_for_the_carry(self, backend):
+        """phase=carry: node-1 leases a chained NM unit, computes its leaf
+        cells and filter, and dies waiting for the inbound carry.  The
+        unit is released once the carry cannot be delivered, and node-0
+        re-runs it from the recorded carry of its predecessor."""
+        result = run_distributed(
+            backend, "nm", nodes=2, fault_plan="crash@node-1:after=0,phase=carry"
+        )
+        executor = last_executor()
+        assert_identical_to_serial(result, backend, "nm")
+        assert list(executor.quarantined) == ["node-1"]
+        assert "NodeCrashed" in executor.quarantined["node-1"]
+        assert sum(executor.retries.values()) == 1
+        assert_children_reaped(executor)
+
+    @pytest.mark.parametrize("backend", ON_DISK_BACKENDS)
+    def test_predecessor_crash_while_sibling_waits(self, backend):
+        """node-0 computes its first unit and dies before replying, while
+        node-1 holds the next unit and waits for that unit's carry.  The
+        waiting lease gives way (not a retry), and node-1 finishes the run
+        alone from the released unit on, in index order."""
+        result = run_distributed(
+            backend, "nm", nodes=2, fault_plan="crash@node-0:after=0,phase=work"
+        )
+        executor = last_executor()
+        assert_identical_to_serial(result, backend, "nm")
+        assert list(executor.quarantined) == ["node-0"]
+        assert list(executor.retries.values()) == [1]
+        (released,) = executor.retries
+        report = executor.last_run_report
+        assert report["gave_way"] == {released + 1: 1}
+        units = 1 + max(max(trace) for trace in executor.last_assignments.values())
+        survivor = executor.last_assignments["node-1"]
+        assert survivor[survivor.index(released):] == list(range(released, units))
+        assert_children_reaped(executor)
+
     @pytest.mark.timing
     @pytest.mark.parametrize("backend", ON_DISK_BACKENDS)
     def test_hang_past_timeout_is_detected_and_retried(self, backend):

@@ -75,6 +75,51 @@ class TestCommands:
         assert "sharded (2 workers)" in out
 
 
+class TestExecutorReport:
+    """The executor line prints the size of the config the run used, not a
+    default restated by the CLI."""
+
+    @staticmethod
+    def _argv(executor, tmp_path):
+        argv = ["join", "--n-p", "40", "--n-q", "30", "--executor", executor]
+        if executor == "distributed":
+            argv += ["--storage", "file", "--storage-path", str(tmp_path / "p.bin")]
+        return argv
+
+    @pytest.mark.parametrize(
+        "executor, field", [("sharded", "workers"), ("distributed", "nodes")]
+    )
+    def test_unset_size_prints_engine_config_default(
+        self, capsys, tmp_path, executor, field
+    ):
+        from repro.engine import EngineConfig
+
+        assert main(self._argv(executor, tmp_path)) == 0
+        size = getattr(EngineConfig(), field)
+        assert f"executor        : {executor} ({size} {field})" in capsys.readouterr().out
+
+    @pytest.mark.parametrize(
+        "executor, field", [("sharded", "workers"), ("distributed", "nodes")]
+    )
+    def test_size_is_read_from_the_resolved_config(
+        self, capsys, monkeypatch, tmp_path, executor, field
+    ):
+        import dataclasses
+
+        import repro.cli as cli
+
+        resolve = cli.resolve_config
+        monkeypatch.setattr(
+            cli,
+            "resolve_config",
+            lambda config, overrides: dataclasses.replace(
+                resolve(config, overrides), **{field: 1}
+            ),
+        )
+        assert main(self._argv(executor, tmp_path)) == 0
+        assert f"executor        : {executor} (1 {field})" in capsys.readouterr().out
+
+
 class TestWorkersValidation:
     """--workers used to be silently ignored with --executor serial; both
     contradictions are now rejected with a clear parser error."""
