@@ -25,11 +25,21 @@ see the Figure 7 breakdown):
   operations for identical cells — and the per-member loop stops at the
   first neighbour beyond the influence radius (every later one is farther
   still).
-* the best-first traversal carries a group-wide termination bound.  Heap
-  keys (``mindist`` to the group centroid) are popped in non-decreasing
-  order, so once the key exceeds ``reach_m + dist(centroid, site_m)`` for
-  every member ``m``, no remaining entry can refine any cell (Lemma 1 via
-  the triangle inequality) and the whole traversal stops.
+* members retire.  Heap keys (``mindist`` to the group centroid ``c``) pop
+  in non-decreasing order and ``mindist(e, site_m) >= key - dist(c,
+  site_m)``, so once the key exceeds ``reach_m + dist(c, site_m)`` no later
+  entry passes member ``m``'s radius pre-check: ``m`` is dropped for the
+  rest of the traversal, and once every member is past it the traversal
+  stops (the group-wide termination bound, the maximum of those sums; it is
+  recomputed only when a refinement lowers the member holding it or lifts
+  another above it).  Retirement waits ``slack = BOUNDARY_EPS * M`` longer,
+  ``M >= 1`` bounding every site and root-MBR coordinate: the key, the
+  centre distance and the pre-check's root are each within ``12 * 2**-53
+  * M`` of the true distance (underflow adds under ``2**-536``), so the
+  slack is about ``10**7`` times the rounding and a retired member's own
+  pre-check provably rejects every later point and MBR.  Only calls that
+  answer False are skipped, so cells and counters stay identical.  Active
+  members run the point pre-check inline, before the vertex test is called.
 
 The Lemma-1/2 vertex loops and the radius pre-check run on plain floats
 with a squared pre-test.  Each member caches ``(vx, vy, d2, d)`` per vertex,
@@ -41,7 +51,7 @@ squared distance of the probe).  This is exact, not an approximation:
 rejects; the root is taken only for the few probes that pass it, and it is
 bit-identical to :meth:`Point.distance_to` and :meth:`Rect.mindist_point`.
 The radius test ``dist > reach`` uses ``reach2 = 4 * max d2``, whose root
-is ``reach = 2 * max d`` exactly.
+is ``reach = 2 * max d`` exactly, so ``sqrt(s2) > reach`` alone decides it.
 """
 
 from __future__ import annotations
@@ -56,6 +66,7 @@ from repro.geometry.halfplane import bisector_halfplane
 from repro.geometry.point import Point, centroid
 from repro.geometry.polygon import ConvexPolygon
 from repro.geometry.rect import Rect
+from repro.geometry.tolerance import BOUNDARY_EPS
 from repro.index.entries import LeafEntry
 from repro.index.rtree import RTree
 from repro.voronoi.cell import VoronoiCell
@@ -68,7 +79,9 @@ _CHILD = 1
 class _MemberState:
     """Mutable per-member state: the running cell and its influence radius."""
 
-    __slots__ = ("oid", "site", "sx", "sy", "polygon", "reach", "reach2", "vertex_dists")
+    __slots__ = (
+        "oid", "site", "sx", "sy", "polygon", "reach", "reach2", "vertex_dists", "center_dist"
+    )
 
     def __init__(self, oid: int, site: Point, polygon: ConvexPolygon):
         self.oid = oid
@@ -219,7 +232,8 @@ def compute_voronoi_cells(
 
     group_center = centroid([state.site for state in states.values()])
     member_list = list(states.values())
-    center_dists = [state.site.distance_to(group_center) for state in member_list]
+    for state in member_list:
+        state.center_dist = state.site.distance_to(group_center)
     counter = itertools.count()
     heap: List[tuple] = []
 
@@ -233,13 +247,20 @@ def compute_voronoi_cells(
         # mindist(e, site_m) >= mindist(e, centroid) - dist(centroid, site_m),
         # so an entry with key beyond reach_m + dist(centroid, site_m) for
         # every member cannot pass any member's radius pre-check.
-        return max(
-            state.reach + center_dist
-            for state, center_dist in zip(member_list, center_dists)
-        )
+        return max(state.reach + state.center_dist for state in member_list)
 
-    push_node(tree.read_node(tree.root_page))
+    root = tree.read_node(tree.root_page)
+    extent = root.mbr()
+    slack = BOUNDARY_EPS * max(
+        1.0, *map(abs, (extent.xmin, extent.ymin, extent.xmax, extent.ymax)),
+        *(abs(c) for state in member_list for c in (state.sx, state.sy)),
+    )
+    push_node(root)
     bound = termination_bound()
+    # Members still tested, in group order, and the smallest retirement key
+    # among them (a trigger only: the filter re-reads every reach).
+    active = member_list
+    retire_key = min(state.reach + state.center_dist for state in active) + slack
     while heap:
         key, _, kind, entry = heapq.heappop(heap)
         stats.heap_pops += 1
@@ -248,23 +269,37 @@ def compute_voronoi_cells(
             # popped entry and everything still queued is prunable.
             stats.pruned_entries += 1 + len(heap)
             break
+        if key > retire_key:
+            active = [s for s in active if key <= s.reach + s.center_dist + slack]
+            retire_key = min(s.reach + s.center_dist for s in active) + slack
         if kind == _POINT:
             if _is_group_entry(entry, states):
                 continue
             stats.points_examined += 1
             other = entry.payload
+            ox, oy = other.x, other.y
             refined_any = False
-            for state in member_list:
+            stale = False
+            for state in active:
+                dx = state.sx - ox
+                dy = state.sy - oy
+                s2 = dx * dx + dy * dy
+                if s2 > state.reach2 and sqrt(s2) > state.reach:
+                    continue
                 if state.point_can_refine(other):
+                    held = state.reach + state.center_dist
                     state.refine(other)
                     stats.refinements += 1
                     refined_any = True
-            if refined_any:
+                    now = state.reach + state.center_dist
+                    stale = stale or held == bound or now > bound
+                    retire_key = min(retire_key, now + slack)
+            if stale:
                 bound = termination_bound()
-            else:
+            if not refined_any:
                 stats.pruned_entries += 1
         else:
-            if any(state.mbr_can_refine(entry.mbr) for state in member_list):
+            if any(state.mbr_can_refine(entry.mbr) for state in active):
                 node = tree.read_node(entry.child_page)
                 stats.nodes_expanded += 1
                 push_node(node)
