@@ -87,14 +87,11 @@ def main() -> None:
     print()
 
     print("=== Shard-boundary REUSE handoff ===")
-    # By default forked shards are independent, so NM recomputes the
-    # P-cells the REUSE buffer would have carried across shard boundaries.
-    # reuse_handoff="always" chains shard k's final buffer into shard k+1,
-    # restoring the exact serial reuse accounting (work-optimal; forked
-    # shards then run as a pipeline rather than in parallel).  With
-    # workers=1 the shards run in-process one after another anyway, so the
-    # default "auto" already chains them.
-    config = EngineConfig(executor="sharded", workers=4, reuse_handoff="always")
+    # Forked shards are independent, so NM recomputes the P-cells the REUSE
+    # buffer would have carried across shard boundaries.  With workers=1
+    # the shards run in-process one after another, and shard k's final
+    # buffer seeds shard k+1, restoring the exact serial reuse accounting.
+    config = EngineConfig(executor="sharded", workers=1)
     workload = build_workload(WorkloadConfig(), points_p=restaurants, points_q=cinemas)
     handoff = engine.run(
         "nm", workload.tree_p, workload.tree_q, config, domain=workload.domain
@@ -134,10 +131,10 @@ def main() -> None:
           f"distributed {distributed.stats.cells_computed_p} (equal)")
     print(f"units per node        : "
           + ", ".join(f"{node} -> {len(ids)}" for node, ids in sorted(trace.items())))
-    # NM's chained handoff serializes the handout (unit k+1 waits for unit
-    # k's REUSE carry), so one node may well serve most units here; run a
-    # carry-free method (pm/fm) or reuse_handoff="never" to see the pull
-    # loop spread units across nodes.
+    # NM's chained handoff makes unit k+1 wait for unit k's REUSE carry
+    # before its candidate cells, so one node may well serve most units
+    # here; run a carry-free method (pm/fm) to see the pull loop spread
+    # units across nodes.
     # From a shell, the same run is:
     #     python -m repro.cli join --storage file --executor distributed --nodes 2
     print()

@@ -24,10 +24,11 @@ variant shards: NM/PM by R_Q leaves, FM by top-level R'_P join partitions)::
     python -m repro.cli join --n-p 500 --n-q 500 --executor sharded --workers 4
     python -m repro.cli join --n-p 500 --n-q 500 --method fm --executor sharded --workers 4
 
-Sharded NM with the boundary handoff, so the REUSE buffer carries P-cells
-across shard boundaries exactly like the serial run::
+Sharded NM on one worker runs its units in-process and hands the REUSE
+buffer from unit to unit, so its P-cell counts equal the serial run's
+(forked workers run independent units; a distributed NM always chains)::
 
-    python -m repro.cli join --executor sharded --workers 4 --reuse-handoff always
+    python -m repro.cli join --executor sharded --workers 1
 
 Distributed join: the same work units pulled over NDJSON by two node
 subprocesses that reopen the shared on-disk backend read-only (needs
@@ -174,16 +175,6 @@ def build_parser() -> argparse.ArgumentParser:
         "(testing knob; only valid with --executor distributed)",
     )
     join.add_argument(
-        "--reuse-handoff",
-        default=None,
-        choices=("auto", "always", "never"),
-        help="NM only: carry the REUSE buffer across unit boundaries "
-        "(sharded or distributed executor): auto (the default) enables it "
-        "for sharded runs with --workers 1, where units run in-process and the chain is "
-        "free, and for every distributed run; always chains forked workers "
-        "too (work-optimal pipeline); never keeps units independent",
-    )
-    join.add_argument(
         "--updates",
         default=None,
         metavar="FILE",
@@ -327,25 +318,6 @@ def _validate_nodes(parser: argparse.ArgumentParser, args: argparse.Namespace) -
         )
 
 
-def _validate_handoff(parser: argparse.ArgumentParser, args: argparse.Namespace) -> None:
-    """Reject --reuse-handoff where nothing would carry it: the serial
-    executor has no unit boundaries, and only NM-CIJ has a REUSE buffer."""
-    if args.reuse_handoff is None:
-        return
-    if args.executor == "serial":
-        parser.error(
-            f"--reuse-handoff {args.reuse_handoff} has no effect with "
-            "--executor serial (one REUSE chain, no unit boundaries); use "
-            "--executor sharded or distributed"
-        )
-    if args.method != "nm":
-        parser.error(
-            f"--reuse-handoff {args.reuse_handoff} has no effect with "
-            f"--method {args.method}: only NM-CIJ carries a REUSE buffer "
-            "across unit boundaries (use --method nm, or drop the flag)"
-        )
-
-
 def _validate_fault_tolerance(
     parser: argparse.ArgumentParser, args: argparse.Namespace
 ) -> None:
@@ -411,11 +383,11 @@ def _resolve_storage(
 
 
 def _validate_updates(parser: argparse.ArgumentParser, args: argparse.Namespace) -> None:
-    """Reject executor/handoff combinations that contradict ``--updates``.
+    """Reject a parallel executor combined with ``--updates``.
 
     Incremental maintenance mutates the shared source trees, which shard
-    workers must never do, and it bypasses the sharded REUSE machinery
-    entirely — both contradictions fail loudly instead of being ignored.
+    workers must never do — the contradiction fails loudly instead of
+    being ignored.
     """
     if args.updates is None:
         return
@@ -424,11 +396,6 @@ def _validate_updates(parser: argparse.ArgumentParser, args: argparse.Namespace)
             f"--updates requires --executor serial: incremental maintenance "
             f"mutates the source trees, which {args.executor!r} shard workers "
             "cannot do (drop --executor, or apply the updates first)"
-        )
-    if args.reuse_handoff is not None:
-        parser.error(
-            "--reuse-handoff applies to sharded NM-CIJ shard boundaries and "
-            "has no effect on --updates maintenance; drop one of the flags"
         )
 
 
@@ -440,7 +407,6 @@ def _cmd_join(
     executor: str,
     workers: Optional[int],
     nodes: Optional[int],
-    reuse_handoff: Optional[str],
     storage: Optional[str],
     storage_path: Optional[str],
     updates: Optional[str] = None,
@@ -464,7 +430,6 @@ def _cmd_join(
                 "node_timeout": node_timeout,
                 "node_retries": node_retries,
                 "fault_plan": fault_plan,
-                "reuse_handoff": reuse_handoff,
             },
         )
         result = common_influence_join(
@@ -646,7 +611,6 @@ def main(argv: Optional[List[str]] = None) -> int:
         _validate_nodes(parser, args)
         _validate_fault_tolerance(parser, args)
         _validate_updates(parser, args)
-        _validate_handoff(parser, args)
         storage, storage_path = _resolve_storage(parser, args)
         return _cmd_join(
             args.n_p,
@@ -656,7 +620,6 @@ def main(argv: Optional[List[str]] = None) -> int:
             args.executor,
             args.workers,
             args.nodes,
-            args.reuse_handoff,
             storage,
             storage_path,
             args.updates,

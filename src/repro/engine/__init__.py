@@ -20,13 +20,13 @@ the NDJSON unit protocol over a shared on-disk backend for
 ``"distributed"`` (:mod:`repro.engine.node`).  Results are merged in unit
 index order, so pairs and statistics are deterministic and byte-identical
 to serial whatever the assignment (see :mod:`repro.engine.executors` for
-the correctness argument).  A sharded or distributed NM-CIJ can hand its
-REUSE buffer across unit boundaries (``EngineConfig.reuse_handoff``),
-restoring the serial cell-reuse chain as a unit pipeline.  Every page
-fetch, whatever the executor, is the page store's synchronous read — the
-paper's cost model.
-:func:`run_join` and :func:`default_engine` serve callers that do not need
-their own registry.
+the correctness argument).  Where the units run decides whether NM-CIJ
+hands its REUSE buffer across unit boundaries, restoring the serial
+cell-reuse chain: a sharded run with ``workers=1`` and every distributed
+run chain it, a fork pool's units stay independent.  Every page fetch,
+whatever the executor, is the page store's synchronous read — the paper's
+cost model.  :func:`default_engine` serves callers that do not need their
+own registry.
 """
 
 from repro.engine.algorithms import (
@@ -96,10 +96,4 @@ __all__ = [
     "default_algorithms",
     "default_engine",
     "executor_for",
-    "run_join",
 ]
-
-
-def run_join(algorithm, tree_p, tree_q, config=None, **overrides):
-    """Run a join through the process-wide default engine."""
-    return default_engine().run(algorithm, tree_p, tree_q, config, **overrides)

@@ -5,21 +5,25 @@ Each CIJ variant (and the brute-force baseline) is wrapped in a small
 
 * :meth:`JoinAlgorithm.prepare` — the materialisation (MAT) phase; a no-op
   for non-blocking algorithms.  Runs once, always in the parent process.
-* :meth:`JoinAlgorithm.shard_units` — the ordered work units the sharded
-  executor distributes: Hilbert-ordered ``R_Q`` leaves for the leaf-shaped
-  algorithms (NM, PM), top-level ``R'_P`` join partitions for FM.
+* :meth:`JoinAlgorithm.work_units` — the ordered
+  :class:`~repro.engine.units.WorkUnit` descriptors the sharded and
+  distributed executors hand out: Hilbert-ordered ``R_Q`` leaves for the
+  leaf-shaped algorithms (NM, PM), top-level ``R'_P`` join partitions for
+  FM; :meth:`JoinAlgorithm.resolve_unit` turns one back into a runnable
+  object.
 * :meth:`JoinAlgorithm.process_units` — the join pipeline over a
-  subsequence of units (a shard, or all of them).
+  subsequence of units (one unit, or all of them).
 * :meth:`JoinAlgorithm.run_join` — the whole join phase under serial
   semantics; the default streams every Hilbert-ordered leaf through
   :meth:`process_units` lazily (the paper's interleaving of leaf I/O and
   output); FM overrides it to walk its partitions in order, and the
   brute-force oracle overrides it entirely.
 
-Algorithms with ``supports_handoff`` additionally carry state across shard
+Algorithms with ``supports_handoff`` additionally carry state across unit
 boundaries through :attr:`JoinContext.carry`: NM-CIJ publishes its final
-REUSE buffer there so the next shard can reuse the ``P``-cells the serial
-run would have carried over instead of recomputing them.
+REUSE buffer there so the next unit can reuse the ``P``-cells the serial
+run would have carried over instead of recomputing them, whenever the
+executor chains its units.
 
 The heavy lifting stays in :mod:`repro.join`; these classes only adapt it
 to the engine's context/executor plumbing.
@@ -85,31 +89,18 @@ class JoinAlgorithm:
     def prepare(self, ctx: JoinContext) -> None:
         """The MAT phase; the default is the non-blocking no-op."""
 
-    def shard_units(self, ctx: JoinContext) -> List[object]:
-        """The ordered work units a sharded execution distributes.
-
-        The default is the Hilbert-ordered ``R_Q`` leaf sequence.
-        Enumeration cost is charged to the caller (the parent process),
-        once, before any worker starts.
-        """
-        return list(ctx.tree_q.iter_leaf_nodes(order="hilbert"))
-
     def work_units(self, ctx: JoinContext) -> List[WorkUnit]:
         """The serializable :class:`WorkUnit` descriptors of the join.
 
-        Same enumeration (and the same charged traversal) as
-        :meth:`shard_units`, but each unit is named by its page-range
-        payload instead of a materialised object, so the coordinator can
-        hand it to any worker — a forked pool member or a node
-        subprocess — over the wire.  Order is the serial traversal order.
+        The default is the Hilbert-ordered ``R_Q`` leaf sequence, each
+        leaf named by its page id instead of a materialised object, so the
+        coordinator can hand it to any worker — a forked pool member or a
+        node subprocess — over the wire.  Order is the serial traversal
+        order.  The traversal is charged to the caller (the dispatching
+        process), once, before any worker starts.
         """
         return [
-            WorkUnit(
-                algorithm=self.name,
-                index=index,
-                payload=(page_id,),
-                needs_carry=self.supports_handoff,
-            )
+            WorkUnit(algorithm=self.name, index=index, payload=(page_id,))
             for index, (page_id, _node) in enumerate(
                 ctx.tree_q.iter_leaf_nodes_with_pages(order="hilbert")
             )
@@ -125,12 +116,6 @@ class JoinAlgorithm:
         """
         return ctx.tree_q.peek_node(unit.payload[0])
 
-    def _materialised(self, ctx: JoinContext, unit: object) -> object:
-        """``unit`` as a runnable object, whichever plane it came from."""
-        if isinstance(unit, WorkUnit):
-            return self.resolve_unit(ctx, unit)
-        return unit
-
     def run_join(self, ctx: JoinContext) -> List[Tuple[int, int]]:
         """The complete join phase under serial semantics.
 
@@ -143,7 +128,7 @@ class JoinAlgorithm:
     def process_units(
         self, ctx: JoinContext, units: Iterable[object]
     ) -> List[Tuple[int, int]]:
-        """Join a subsequence of shard units (a shard, or all of them)."""
+        """Join a subsequence of units (one unit, or all of them)."""
         raise NotImplementedError(
             f"{self.display_name or type(self).__name__} has no unit pipeline"
         )
@@ -245,7 +230,7 @@ class FMJoin(JoinAlgorithm):
         ctx.prepared["voronoi_p"] = voronoi_p
         ctx.prepared["voronoi_q"] = voronoi_q
 
-    def shard_units(self, ctx):
+    def _partitions(self, ctx):
         from repro.join.fm_cij import fm_join_partitions
 
         return fm_join_partitions(
@@ -257,7 +242,7 @@ class FMJoin(JoinAlgorithm):
         # page-id pairs the partition's synchronous traversal starts from.
         return [
             WorkUnit(algorithm=self.name, index=index, payload=partition.seeds)
-            for index, partition in enumerate(self.shard_units(ctx))
+            for index, partition in enumerate(self._partitions(ctx))
         ]
 
     def resolve_unit(self, ctx, unit):
@@ -266,7 +251,7 @@ class FMJoin(JoinAlgorithm):
         return JoinPartition(seeds=unit.payload)
 
     def run_join(self, ctx):
-        return self.process_units(ctx, self.shard_units(ctx))
+        return self.process_units(ctx, self._partitions(ctx))
 
     def process_units(self, ctx, units):
         from repro.join.fm_cij import join_partitions

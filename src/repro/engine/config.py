@@ -23,10 +23,6 @@ from repro.geometry.rect import Rect
 #: Executor identifiers accepted by :attr:`EngineConfig.executor`.
 EXECUTORS = ("serial", "sharded", "distributed")
 
-#: Shard-boundary REUSE handoff modes accepted by
-#: :attr:`EngineConfig.reuse_handoff`.
-HANDOFF_MODES = ("auto", "always", "never")
-
 #: Candidate-discovery strategies of the dynamic delta join
 #: (:attr:`EngineConfig.delta_candidates`).
 DELTA_CANDIDATES = ("filter", "scan")
@@ -51,14 +47,17 @@ class EngineConfig:
     workers:
         Number of local worker processes for the sharded executor.
         ``1`` runs the units sequentially in this process (same unit/merge
-        path); more fork ``min(workers, units)`` processes, falling back
-        to in-process execution when a fork pool cannot be created.
+        path), chaining NM-CIJ's REUSE buffer from unit to unit; more fork
+        ``min(workers, units)`` processes running independent units,
+        falling back to (still unchained) in-process execution when a fork
+        pool cannot be created.
     nodes:
         Number of worker subprocesses for the distributed executor.  Each
         node is a separate interpreter (``python -m repro.engine.node``)
         with its own read-only handle on the shared backend, so the tier
         needs an on-disk store (``file`` or ``sqlite``; ``memory`` is
-        rejected at execution time).
+        rejected at execution time).  A distributed NM-CIJ always chains
+        its REUSE buffer across units.
     node_timeout:
         Seconds of per-request *silence* (no reply, no heartbeat) after
         which the distributed executor declares a node hung, quarantines
@@ -85,20 +84,6 @@ class EngineConfig:
         Testing/chaos knob: merged pairs and deterministic counters must
         stay byte-identical to serial no matter which faults fire.  Only
         meaningful with ``executor="distributed"``.
-    reuse_handoff:
-        Whether a sharded NM-CIJ carries the REUSE buffer across shard
-        boundaries, so the ``P``-cells computed for shard *k*'s last leaf
-        are visible to shard *k+1* instead of recomputed.  ``"always"``
-        chains the handoff for any worker count (forked shards then run as
-        a pipeline: work-optimal — recomputation drops to exactly serial
-        levels — but not wall-clock-optimal); ``"never"`` keeps every
-        shard independent (maximum parallelism, boundary cells
-        recomputed); ``"auto"`` (default) enables the handoff exactly when
-        ``workers == 1``, where the shards run sequentially anyway and the
-        handoff costs nothing.  The distributed executor's ``"auto"``
-        always chains, and its nodes still overlap each unit's carry-free
-        part with the predecessor unit (see
-        :class:`~repro.engine.executors.DistributedExecutor`).
     reuse_cells:
         NM-CIJ's REUSE buffer (Section IV-B).
     use_phi_pruning:
@@ -121,7 +106,6 @@ class EngineConfig:
     node_retries: int = 2
     node_min_ready: Optional[int] = None
     fault_plan: Optional[str] = None
-    reuse_handoff: str = "auto"
     reuse_cells: bool = True
     use_phi_pruning: bool = True
     domain: Optional[Rect] = None
@@ -131,11 +115,6 @@ class EngineConfig:
         if self.executor not in EXECUTORS:
             raise ValueError(
                 f"unknown executor {self.executor!r}; expected one of {EXECUTORS}"
-            )
-        if self.reuse_handoff not in HANDOFF_MODES:
-            raise ValueError(
-                f"unknown reuse_handoff {self.reuse_handoff!r}; "
-                f"expected one of {HANDOFF_MODES}"
             )
         if self.workers < 1:
             raise ValueError("workers must be at least 1")

@@ -27,18 +27,19 @@ unit the queue already reassigned — are idempotently ignored: the first
 recorded result wins, and since units are pure the loser was identical
 anyway.
 
-For carry-chained algorithms (NM-CIJ with the REUSE handoff) unit ``k``'s
-inbound carry is unit ``k-1``'s outbound REUSE buffer, so the carry is
-decoupled from the lease.  Units are still leased in index order, one per
-pulling worker, but a chained unit may be leased while its predecessor
-still runs: the worker starts the carry-free part of the unit (NM's leaf
-cells and ConditionalFilter) and calls :meth:`UnitCoordinator.await_carry`
-only when it needs the carry, which blocks until unit ``k-1``'s result is
-recorded.  The carry is always read from the *recorded* predecessor
-result, so a retried unit gets exactly the inbound state the failed worker
-got, and every unit does the same work from the same carry as in the
-serial reuse chain — only the overlap differs.  Outstanding units are
-bounded by the live workers, since a worker holds one lease at a time.
+In a chained run (NM-CIJ on the sharded executor's single inline worker,
+or on nodes) unit ``k``'s inbound carry is unit ``k-1``'s outbound REUSE
+buffer, so the carry is decoupled from the lease.  Units are still leased
+in index order, one per pulling worker, but a chained unit may be leased
+while its predecessor still runs: the worker starts the carry-free part of
+the unit (NM's leaf cells and ConditionalFilter) and calls
+:meth:`UnitCoordinator.await_carry` only when it needs the carry, which
+blocks until unit ``k-1``'s result is recorded.  The carry is always read
+from the *recorded* predecessor result, so a retried unit gets exactly the
+inbound state the failed worker got, and every unit does the same work
+from the same carry as in the serial reuse chain — only the overlap
+differs.  Outstanding units are bounded by the live workers, since a
+worker holds one lease at a time.
 
 Waiting cannot deadlock.  When a lease is released, its unit goes back to
 the queue; a worker waiting for that unit's carry then *gives way*: its

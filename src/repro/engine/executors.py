@@ -25,15 +25,16 @@ Parallel-correctness argument: the pairs a unit reports depend only on the
 unit itself, the two source trees and the domain — never on buffer state,
 the REUSE carry-over or the work of other units — so unit results merged
 in unit order compose exactly like the serial loop, *whatever* the dynamic
-assignment of units to workers was.  What *can* differ is cost: without
-the handoff the REUSE buffer cannot carry cells across a unit boundary, so
-a parallel NM-CIJ recomputes more ``P`` cells than the serial run.  The
-*handoff* mode closes that gap: the coordinator chains the units, seeding
-each with its predecessor's final REUSE buffer (``JoinContext.carry``), so
-recomputation drops to exactly serial levels; the cost is reported
-honestly through the merged statistics either way.  The fork pool waits
-for a chained unit's carry before running it; a node starts the unit and
-waits only where NM reads the carry (see :class:`DistributedExecutor`).
+assignment of units to workers was.  What *can* differ is cost: NM-CIJ's
+REUSE buffer crosses a unit boundary only when the coordinator chains the
+units, seeding each with its predecessor's final buffer
+(``JoinContext.carry``), so recomputation drops to exactly serial levels.
+Where the units run decides it: the sharded executor chains exactly when
+``workers == 1`` (its units then run one after another in this process
+anyway), and a fork pool's units are independent; the distributed
+executor always chains, and a node waits for the carry only where NM
+reads it (see :class:`DistributedExecutor`).  The cost is reported
+honestly through the merged statistics either way.
 
 In-process (inline) execution also isolates the shared LRU buffer: every
 unit starts from the dispatch-time buffer state a forked worker would
@@ -59,7 +60,7 @@ from repro.voronoi.single import CellComputationStats
 
 from repro.engine.algorithms import JoinAlgorithm, JoinContext
 from repro.engine.config import EngineConfig
-from repro.engine.coordinator import GIVE_WAY, UnitCoordinator
+from repro.engine.coordinator import UnitCoordinator
 from repro.engine.units import WorkUnit
 
 
@@ -98,15 +99,14 @@ class SerialExecutor:
 
 
 #: Worker-process state installed by the pool initializer (inherited cheaply
-#: through ``fork``; only unit indices, carries and results cross the pipe).
+#: through ``fork``; only unit indices and results cross the pipe).
 _WORKER_STATE: Dict[str, object] = {}
 
 
-def _worker_init(algorithm, ctx, units, handoff: bool = False) -> None:
+def _worker_init(algorithm, ctx, units) -> None:
     _WORKER_STATE["algorithm"] = algorithm
     _WORKER_STATE["ctx"] = ctx
     _WORKER_STATE["units"] = units
-    _WORKER_STATE["handoff"] = handoff
     _WORKER_STATE["served"] = 0
     # The worker's forked buffer copy *is* the parent's dispatch-time
     # state; capture it so every unit this worker picks up starts from
@@ -118,7 +118,7 @@ def _worker_init(algorithm, ctx, units, handoff: bool = False) -> None:
     ctx.disk.reopen_for_worker()
 
 
-def _worker_run_shard(index: int, carry: Optional[object] = None) -> ShardResult:
+def _worker_run_shard(index: int) -> ShardResult:
     algorithm = _WORKER_STATE["algorithm"]
     ctx = _WORKER_STATE["ctx"]
     units = _WORKER_STATE["units"]
@@ -127,11 +127,10 @@ def _worker_run_shard(index: int, carry: Optional[object] = None) -> ShardResult
     # unit's warm pages into it (inline execution rewinds identically,
     # keeping counters byte-equal across worker planes).
     ctx.disk.restore_buffer_state(_WORKER_STATE["dispatch_buffer"])
-    result = _execute_shard(algorithm, ctx, [units[index]], index, carry=carry)
-    if not _WORKER_STATE.get("handoff"):
-        # Nobody consumes the outbound carry without the boundary handoff;
-        # keep the (potentially large) REUSE buffer off the result pipe.
-        result.carry = None
+    result = _execute_shard(algorithm, ctx, units[index], index)
+    # Forked units are never chained: keep the (potentially large) REUSE
+    # buffer nobody consumes off the result pipe.
+    result.carry = None
     # Cumulative transport snapshot of this worker's own handle (counters
     # were zeroed at reopen, so the parent's pre-fork traffic is excluded).
     _WORKER_STATE["served"] += 1
@@ -179,23 +178,22 @@ def absorb_worker_snapshots(
 def _execute_shard(
     algorithm: JoinAlgorithm,
     parent_ctx: JoinContext,
-    units: Sequence[object],
+    unit: WorkUnit,
     index: int,
     carry: Optional[object] = None,
 ) -> ShardResult:
-    """Process one unit batch with isolated statistics and a fresh counter
-    base.
+    """Process one unit with isolated statistics and a fresh counter base.
 
     In a forked worker or a node subprocess the disk object is the
     worker's own copy, so the snapshot/diff pair measures exactly this
-    batch's traffic; inline, the same snapshot/diff isolates the delta on
+    unit's traffic; inline, the same snapshot/diff isolates the delta on
     the shared counters.  ``carry`` seeds the inbound boundary state (the
-    previous unit's REUSE buffer) when the handoff is enabled.  Units may
-    arrive as :class:`~repro.engine.units.WorkUnit` descriptors, which are
-    resolved back to runnable objects without charging I/O (the dispatcher
-    already charged the enumeration).
+    previous unit's REUSE buffer) when the units are chained.  The
+    :class:`~repro.engine.units.WorkUnit` descriptor is resolved back to a
+    runnable object without charging I/O (the dispatcher already charged
+    the enumeration).
     """
-    materialised = [algorithm._materialised(parent_ctx, unit) for unit in units]
+    runnable = algorithm.resolve_unit(parent_ctx, unit)
     disk = parent_ctx.disk
     snapshot = disk.counters.snapshot()
     stats = JoinStats(algorithm=algorithm.display_name)
@@ -213,7 +211,7 @@ def _execute_shard(
         prepared=parent_ctx.prepared,
         carry=carry,
     )
-    pairs = algorithm.process_units(shard_ctx, materialised)
+    pairs = algorithm.process_units(shard_ctx, [runnable])
     return ShardResult(
         index=index,
         pairs=pairs,
@@ -228,8 +226,10 @@ def _execute_shard(
 class ShardedExecutor:
     """Schedule the algorithm's work units across local workers and merge.
 
-    Built from the :class:`EngineConfig` it serves: ``workers`` and
-    ``reuse_handoff`` are read from there (and range-checked there).
+    Built from the :class:`EngineConfig` it serves: ``workers`` is read
+    from there (and range-checked there), and NM's REUSE carry is chained
+    exactly when it is 1 — a rule on the configuration, never on the
+    runtime fork fallback, so counters stay machine-independent.
     """
 
     name = "sharded"
@@ -251,34 +251,16 @@ class ShardedExecutor:
         units = algorithm.work_units(ctx)
         if not units:
             return []
-        handoff = self._handoff_enabled(algorithm)
-        coordinator = UnitCoordinator(units, chained=handoff)
+        chained = algorithm.supports_handoff and self.config.workers == 1
+        coordinator = UnitCoordinator(units, chained=chained)
         base_accesses = ctx.disk.counters.diff(ctx.start_counters).page_accesses
         forked = False
         if self.config.workers > 1 and len(units) > 1:
-            forked = self._run_units_fork(algorithm, ctx, coordinator, units, handoff)
+            forked = self._run_units_fork(algorithm, ctx, coordinator, units)
         if not forked:
             self._run_units_inline(algorithm, ctx, coordinator, len(units))
         self.last_assignments = dict(coordinator.assignments)
         return coordinator.merge(ctx, base_accesses, absorb_counters=forked)
-
-    def _handoff_enabled(self, algorithm: JoinAlgorithm) -> bool:
-        """Whether carry state is chained between units (a pipeline).
-
-        ``"auto"`` enables the handoff exactly when ``workers == 1``, where
-        units run sequentially anyway and the serial REUSE chain is free —
-        a rule on the configuration, never on the runtime fork fallback, so
-        counters stay machine-independent; ``"always"`` additionally
-        pipelines forked workers (work-optimal, not wall-clock-optimal);
-        ``"never"`` disables it.
-        """
-        if not algorithm.supports_handoff:
-            return False
-        if self.config.reuse_handoff == "always":
-            return True
-        if self.config.reuse_handoff == "never":
-            return False
-        return self.config.workers == 1
 
     def _run_units_fork(
         self,
@@ -286,7 +268,6 @@ class ShardedExecutor:
         ctx: JoinContext,
         coordinator: UnitCoordinator,
         units: Sequence[WorkUnit],
-        handoff: bool,
     ) -> bool:
         """Drain the coordinator through a fork pool; False = unavailable.
 
@@ -298,7 +279,7 @@ class ShardedExecutor:
         itself inside a worker propagates unchanged.
         """
         size = min(self.config.workers, len(units))
-        pool = self._make_fork_pool(algorithm, ctx, units, handoff, size)
+        pool = self._make_fork_pool(algorithm, ctx, units, size)
         if pool is None:
             return False
         errors: List[BaseException] = []
@@ -310,11 +291,8 @@ class ShardedExecutor:
                 assignment = coordinator.next_assignment(worker_id)
                 if assignment is None:
                     return
-                carry = coordinator.await_carry(assignment)
-                if carry is GIVE_WAY:
-                    continue
                 try:
-                    result = pool.apply(_worker_run_shard, (assignment.index, carry))
+                    result = pool.apply(_worker_run_shard, (assignment.index,))
                 except BaseException as error:  # noqa: BLE001 - reraised below
                     errors.append(error)
                     coordinator.abort(error)
@@ -365,7 +343,7 @@ class ShardedExecutor:
                     result = _execute_shard(
                         algorithm,
                         ctx,
-                        [assignment.unit],
+                        assignment.unit,
                         assignment.index,
                         carry=assignment.carry,
                     )
@@ -385,7 +363,6 @@ class ShardedExecutor:
         algorithm: JoinAlgorithm,
         ctx: JoinContext,
         units: Sequence[WorkUnit],
-        handoff: bool,
         size: int,
     ):
         """A fork worker pool, or ``None`` when the platform cannot fork."""
@@ -394,7 +371,7 @@ class ShardedExecutor:
             return context.Pool(
                 size,
                 initializer=_worker_init,
-                initargs=(algorithm, ctx, list(units), handoff),
+                initargs=(algorithm, ctx, list(units)),
             )
         except (OSError, ValueError, ImportError):
             return None
@@ -411,15 +388,14 @@ class DistributedExecutor:
     statistics and deterministic counters are byte-identical to the serial
     run no matter how units were assigned.
 
-    ``reuse_handoff="auto"`` *enables* the chained REUSE handoff here
-    (unlike the sharded executor's auto, which reserves it for
-    ``workers == 1``): a distributed run's default output must match
-    serial counters exactly, and the chain is what restores the serial
-    recomputation counts.  The chain still runs the nodes in parallel: a
-    free node leases the next unit while its predecessor runs elsewhere,
-    computes the unit's leaf cells and ConditionalFilter, and receives the
-    carry as its own message once the predecessor's result is recorded —
-    only NM's candidate cells and pair report wait for it.  If that
+    NM-CIJ's REUSE carry is always chained here (the sharded executor
+    chains it only at ``workers == 1``): a distributed run's output must
+    match serial counters exactly, and the chain is what restores the
+    serial recomputation counts.  The chain still runs the nodes in
+    parallel: a free node leases the next unit while its predecessor runs
+    elsewhere, computes the unit's leaf cells and ConditionalFilter, and
+    receives the carry as its own message once the predecessor's result
+    is recorded — only NM's candidate cells and pair report wait for it.  If that
     predecessor goes back to the queue, the waiting node drops its unit
     (a give-way, not a retry) and is free to run the predecessor.
 
@@ -472,11 +448,6 @@ class DistributedExecutor:
         #: Fault-injection + failure summary of the last run.
         self.last_run_report: Optional[Dict[str, object]] = None
 
-    def _handoff_enabled(self, algorithm: JoinAlgorithm) -> bool:
-        if not algorithm.supports_handoff:
-            return False
-        return self.config.reuse_handoff != "never"
-
     def execute(self, algorithm: JoinAlgorithm, ctx: JoinContext) -> List[Tuple[int, int]]:
         from repro.engine import node as node_plane
 
@@ -496,13 +467,14 @@ class DistributedExecutor:
         units = algorithm.work_units(ctx)
         if not units:
             return []
-        handoff = self._handoff_enabled(algorithm)
         config = self.config
         coordinator = UnitCoordinator(
-            units, chained=handoff, max_attempts=config.node_retries + 1
+            units,
+            chained=algorithm.supports_handoff,
+            max_attempts=config.node_retries + 1,
         )
         base_accesses = ctx.disk.counters.diff(ctx.start_counters).page_accesses
-        spec = node_plane.node_init_spec(algorithm, ctx, handoff)
+        spec = node_plane.node_init_spec(algorithm, ctx)
         count = min(config.nodes, len(units))
         ready = config.node_min_ready
         quorum = min(ready if ready is not None else count, count)

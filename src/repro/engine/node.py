@@ -178,7 +178,7 @@ def _tree_spec(tree: RTree) -> Dict[str, Any]:
     }
 
 
-def node_init_spec(algorithm, ctx, handoff: bool) -> Dict[str, Any]:
+def node_init_spec(algorithm, ctx) -> Dict[str, Any]:
     """Everything a node needs to rebuild the run's read view.
 
     Trees are described by root/fanout metadata only — the pages
@@ -187,7 +187,9 @@ def node_init_spec(algorithm, ctx, handoff: bool) -> Dict[str, Any]:
     subprocess must reopen: backend name + shared location — a path for
     file/sqlite, a host:port for the remote page server).  ``resident``
     is the dispatch-time LRU residency (least to most recently used) the
-    node rewinds to before every unit.
+    node rewinds to before every unit.  ``handoff`` tells both ends that
+    the units are chained: the distributed executor chains every
+    ``supports_handoff`` algorithm.
     """
     disk = ctx.disk
     prepared = {
@@ -207,7 +209,7 @@ def node_init_spec(algorithm, ctx, handoff: bool) -> Dict[str, Any]:
     return {
         "version": PROTOCOL_VERSION,
         "algorithm": algorithm.name,
-        "handoff": handoff,
+        "handoff": algorithm.supports_handoff,
         "storage": storage,
         "tree_p": _tree_spec(ctx.tree_p),
         "tree_q": _tree_spec(ctx.tree_q),
@@ -259,6 +261,12 @@ class NodeProcess:
 
     #: Seconds between child heartbeats.
     HEARTBEAT = 0.25
+    #: Seconds a node may stay silent before its *first* message.  The
+    #: child beats only once it has read ``init``, so interpreter start-up
+    #: and ``import repro`` (0.24–0.37 s on an idle 2-CPU host, up to
+    #: 0.94 s with three CPU-bound processes beside it) must not count
+    #: against the silence deadline meant for hung units.
+    STARTUP_TIMEOUT = 30.0
 
     def __init__(
         self,
@@ -299,6 +307,7 @@ class NodeProcess:
         message["heartbeat"] = self.HEARTBEAT
         self._send(message)
         self._ready = False
+        self._heard = False
 
     def _read_loop(self) -> None:
         """Drain stdout into the line queue; a ``None`` sentinel marks EOF."""
@@ -341,16 +350,22 @@ class NodeProcess:
 
         ``timeout`` bounds the wait for *any* message — heartbeats refresh
         it, so a node that is computing (and heartbeating) never times out
-        while a frozen one does after ``timeout`` seconds of silence.
+        while a frozen one does after ``timeout`` seconds of silence.  The
+        wait for the node's first message is bounded by
+        :attr:`STARTUP_TIMEOUT` instead, if that is longer.
         """
         while True:
+            wait = timeout
+            if not self._heard and timeout is not None:
+                wait = max(timeout, self.STARTUP_TIMEOUT)
             try:
-                line = self._lines.get(timeout=timeout)
+                line = self._lines.get(timeout=wait)
             except queue.Empty:
                 raise NodeTimeout(
-                    f"{self.worker_id} silent for {timeout:.3g}s (no reply, "
+                    f"{self.worker_id} silent for {wait:.3g}s (no reply, "
                     f"no heartbeat)" + self._stderr_suffix()
                 ) from None
+            self._heard = True
             if line is None:
                 raise NodeCrashed(
                     f"{self.worker_id} exited without replying"
@@ -699,7 +714,7 @@ def main() -> int:
                 )
                 try:
                     result = _execute_shard(
-                        algorithm, parent_ctx, [unit], index, carry=carry
+                        algorithm, parent_ctx, unit, index, carry=carry
                     )
                 except _GiveWay:
                     continue  # the next message is the predecessor unit

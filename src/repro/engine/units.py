@@ -15,13 +15,13 @@ serial traversal, which is all the deterministic merge needs: results are
 folded in index order, so the merged pair list is byte-identical to serial
 no matter which worker produced which unit.
 
-``needs_carry`` marks units that participate in a shard-boundary carry
-chain (NM-CIJ's REUSE buffer): the coordinator then sequences them as a
-pipeline, seeding each unit with its predecessor's outbound carry.
+Whether NM-CIJ's REUSE buffer is handed from unit to unit is the
+executor's decision, made per run: it builds its
+:class:`~repro.engine.coordinator.UnitCoordinator` chained or not.
 
 Enumeration (:meth:`~repro.engine.algorithms.JoinAlgorithm.work_units`) is
-charged to the dispatching process exactly like the old ``shard_units``
-path; *resolving* a descriptor back into a runnable object
+charged to the dispatching process, once; *resolving* a descriptor back
+into a runnable object
 (:meth:`~repro.engine.algorithms.JoinAlgorithm.resolve_unit`) is uncounted
 (:meth:`~repro.index.rtree.RTree.peek_node`), mirroring fork semantics
 where the already-read node objects crossed into workers for free.
@@ -44,8 +44,6 @@ class WorkUnit:
     #: Page-range payload: ``(leaf_page_id,)`` for the leaf-shaped
     #: algorithms, a tuple of ``(page_p, page_q)`` seed pairs for FM.
     payload: Tuple
-    #: Whether the unit is part of the REUSE carry chain (handoff).
-    needs_carry: bool = False
 
     def to_wire(self) -> Dict[str, Any]:
         """The unit as a JSON-safe mapping (tuples become lists)."""
@@ -56,7 +54,6 @@ class WorkUnit:
                 list(item) if isinstance(item, tuple) else item
                 for item in self.payload
             ],
-            "needs_carry": self.needs_carry,
         }
 
     @staticmethod
@@ -69,5 +66,4 @@ class WorkUnit:
                 tuple(item) if isinstance(item, list) else item
                 for item in wire["payload"]
             ),
-            needs_carry=bool(wire.get("needs_carry", False)),
         )

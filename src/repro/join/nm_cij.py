@@ -66,9 +66,9 @@ def process_q_leaves(
     state or the REUSE carry-over, so concatenating shard outputs in leaf
     order reproduces the serial pair list exactly.
 
-    ``initial_reuse`` seeds the REUSE buffer for the first leaf: the
-    sharded executor's boundary handoff passes shard *k*'s final buffer
-    here so shard *k+1* reuses the cells the serial run would have carried
+    ``initial_reuse`` seeds the REUSE buffer for the first leaf: an
+    executor that chains its units passes shard *k*'s final buffer here
+    so shard *k+1* reuses the cells the serial run would have carried
     across the boundary instead of recomputing them.  The final buffer
     (the cells of the last processed leaf) is returned alongside the pairs
     so it can be handed to the next shard in turn.  ``initial_reuse`` may

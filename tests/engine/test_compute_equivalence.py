@@ -77,16 +77,16 @@ class TestScalarMatchesOracle:
 
     @pytest.mark.parametrize("algorithm", ["nm", "pm", "fm"])
     def test_sharded_runs_match_oracle(self, oracle_pairs, memory_runs, algorithm):
-        """With the shard-boundary REUSE handoff the sharded executor
-        repeats the serial run's cell work exactly, not just its pairs."""
+        """One worker chains the unit-boundary REUSE handoff, so the
+        sharded executor repeats the serial run's cell work exactly, not
+        just its pairs."""
         result = run_cij(
             algorithm,
             POINTS_P,
             POINTS_Q,
             storage="memory",
             executor="sharded",
-            workers=3,
-            reuse_handoff="always",
+            workers=1,
         )
         assert set(result.pairs) == oracle_pairs
         assert work_fingerprint(result) == work_fingerprint(memory_runs(algorithm))

@@ -41,10 +41,9 @@ POINTS_P = uniform_points(150, seed=3)
 POINTS_Q = uniform_points(140, seed=11)
 
 
-def make_units(count: int, needs_carry: bool = False):
+def make_units(count: int):
     return [
-        WorkUnit(algorithm="nm", index=i, payload=(100 + i,), needs_carry=needs_carry)
-        for i in range(count)
+        WorkUnit(algorithm="nm", index=i, payload=(100 + i,)) for i in range(count)
     ]
 
 
@@ -58,16 +57,17 @@ class FakeResult:
 
 class TestWorkUnit:
     def test_wire_round_trip(self):
-        unit = WorkUnit(
-            algorithm="fm",
-            index=3,
-            payload=((4, 9), (6, 12)),
-            needs_carry=False,
-        )
+        unit = WorkUnit(algorithm="fm", index=3, payload=((4, 9), (6, 12)))
         assert WorkUnit.from_wire(unit.to_wire()) == unit
 
+    def test_wire_form_names_only_the_unit(self):
+        """Whether units chain is the executor's per-run decision, so the
+        unit's wire form carries no chain flag."""
+        wire = WorkUnit(algorithm="nm", index=2, payload=(17,)).to_wire()
+        assert wire == {"algorithm": "nm", "index": 2, "payload": [17]}
+
     def test_wire_round_trip_scalar_payload(self):
-        unit = WorkUnit(algorithm="nm", index=0, payload=(17,), needs_carry=True)
+        unit = WorkUnit(algorithm="nm", index=0, payload=(17,))
         restored = WorkUnit.from_wire(unit.to_wire())
         assert restored == unit
         assert restored.payload == (17,)
@@ -106,7 +106,7 @@ class TestUnitCoordinator:
         assert [r.index for r in coordinator.results_in_order()] == [0, 1, 2]
 
     def test_chained_mode_is_a_pipeline(self):
-        coordinator = UnitCoordinator(make_units(3, needs_carry=True), chained=True)
+        coordinator = UnitCoordinator(make_units(3), chained=True)
         first = coordinator.next_assignment("a")
         assert first.carry is None
         assert coordinator.await_carry(first) is None
@@ -134,7 +134,7 @@ class TestUnitCoordinator:
         assert handed == [{"cells": 7}]
 
     def test_abort_unblocks_chained_waiters(self):
-        coordinator = UnitCoordinator(make_units(2, needs_carry=True), chained=True)
+        coordinator = UnitCoordinator(make_units(2), chained=True)
         coordinator.next_assignment("a")  # leaves unit 0 outstanding
         handed = []
 
@@ -238,7 +238,7 @@ class TestUnitCoordinator:
 
     def test_chained_release_rewinds_to_predecessor_carry(self):
         coordinator = UnitCoordinator(
-            make_units(3, needs_carry=True), chained=True, max_attempts=2
+            make_units(3), chained=True, max_attempts=2
         )
         first = coordinator.next_assignment("a")
         coordinator.record_result(0, FakeResult(0, carry={"cells": 1}))
@@ -254,7 +254,7 @@ class TestUnitCoordinator:
 
     def test_chained_release_of_first_unit_rewinds_to_none(self):
         coordinator = UnitCoordinator(
-            make_units(2, needs_carry=True), chained=True, max_attempts=2
+            make_units(2), chained=True, max_attempts=2
         )
         coordinator.next_assignment("a")
         coordinator.release(0, error=RuntimeError("node died"))
@@ -267,7 +267,7 @@ class TestUnitCoordinator:
         of k starts from k-1's recorded carry (None for k = 0), and k+1's
         carry is then k's new result."""
         coordinator = UnitCoordinator(
-            make_units(3, needs_carry=True), chained=True, max_attempts=2
+            make_units(3), chained=True, max_attempts=2
         )
         if released == 1:
             zero = coordinator.next_assignment("a")
@@ -292,7 +292,7 @@ class TestUnitCoordinator:
         """Node A dies holding unit 0 while node B waits for its carry: B
         gives way, then runs the whole queue alone, in index order."""
         coordinator = UnitCoordinator(
-            make_units(4, needs_carry=True), chained=True, max_attempts=2
+            make_units(4), chained=True, max_attempts=2
         )
         coordinator.next_assignment("a")
         outcome = []
@@ -330,7 +330,7 @@ class TestUnitCoordinator:
         release already aborts the run, so no lease can give way there;
         two attempts is the smallest budget where giving way can happen.)"""
         coordinator = UnitCoordinator(
-            make_units(2, needs_carry=True), chained=True, max_attempts=2
+            make_units(2), chained=True, max_attempts=2
         )
         coordinator.next_assignment("a")
         waiting = coordinator.next_assignment("b")
@@ -358,7 +358,7 @@ class TestUnitCoordinator:
 
         units = 40
         coordinator = UnitCoordinator(
-            make_units(units, needs_carry=True), chained=True, max_attempts=100
+            make_units(units), chained=True, max_attempts=100
         )
         inbound = {}
 
@@ -404,7 +404,7 @@ class TestUnitCoordinator:
         """With ``max_attempts=1`` a released predecessor aborts the run;
         the waiting lease is unblocked by the abort, not re-queued."""
         coordinator = UnitCoordinator(
-            make_units(2, needs_carry=True), chained=True, max_attempts=1
+            make_units(2), chained=True, max_attempts=1
         )
         coordinator.next_assignment("a")
         waiting = coordinator.next_assignment("b")
@@ -491,23 +491,22 @@ class TestDistributedExecutor:
     def test_forced_steal_with_a_slow_node(self):
         """Slowing node-0 makes node-1 drain the queue — the pull loop *is*
         the work-stealing behaviour — while the merged pairs stay identical
-        to a run with no delay at all."""
+        to a run with no delay at all.  PM's units carry nothing, so no
+        unit waits for its predecessor's REUSE buffer."""
         workload = fresh_workload(POINTS_P, POINTS_Q, storage="file")
         try:
-            fair = DistributedExecutor(
-                EngineConfig(executor="distributed", nodes=2, reuse_handoff="never")
-            )
-            fair_pairs, _ = execute_distributed(fair, workload)
+            fair = DistributedExecutor(EngineConfig(executor="distributed", nodes=2))
+            fair_pairs, _ = execute_distributed(fair, workload, algorithm="pm")
         finally:
             workload.close()
 
         workload = fresh_workload(POINTS_P, POINTS_Q, storage="file")
         try:
             skewed = DistributedExecutor(
-                EngineConfig(executor="distributed", nodes=2, reuse_handoff="never"),
+                EngineConfig(executor="distributed", nodes=2),
                 node_delays=[0.25, 0.0],
             )
-            skewed_pairs, _ = execute_distributed(skewed, workload)
+            skewed_pairs, _ = execute_distributed(skewed, workload, algorithm="pm")
         finally:
             workload.close()
 
@@ -603,7 +602,7 @@ class TestNodeProtocol:
             )
             units = algo.work_units(ctx)
             assert units, "workload produced no leaf units"
-            spec = node_plane.node_init_spec(algo, ctx, handoff=True)
+            spec = node_plane.node_init_spec(algo, ctx)
             node = node_plane.NodeProcess(worker_id="node-t", spec=spec)
             try:
                 node.wait_ready()

@@ -38,6 +38,16 @@ def run(algorithm, **overrides):
     return workload, result
 
 
+def run_without_fork(monkeypatch, algorithm, **overrides):
+    """``run`` where no fork pool can be created: the sharded executor then
+    drains its units in this process (the monkeypatch lasts for the rest
+    of the test, so run any forked comparison first)."""
+    monkeypatch.setattr(ShardedExecutor, "_make_fork_pool", lambda *args: None)
+    workload, result = run(algorithm, **overrides)
+    assert list(default_engine().last_executor.last_assignments) == ["inline-0"]
+    return workload, result
+
+
 class TestEngineAPI:
     def test_registered_algorithms(self):
         assert JoinEngine().algorithm_names() == ["brute", "fm", "nm", "pm"]
@@ -69,10 +79,6 @@ class TestEngineAPI:
             default_engine().run(
                 "brute", workload.tree_p, workload.tree_q, executor="sharded"
             )
-
-    def test_unknown_handoff_mode_rejected(self):
-        with pytest.raises(ValueError, match="unknown reuse_handoff"):
-            EngineConfig(reuse_handoff="sometimes")
 
     def test_custom_algorithm_registration(self):
         engine = JoinEngine()
@@ -127,7 +133,7 @@ class TestShardedExecution:
 
     def test_single_shard_reproduces_serial_costs(self):
         """One worker never forks: the in-process drain pulls every unit and
-        the default handoff chains them, so even the REUSE-dependent cost
+        chains the REUSE buffer through them, so even the REUSE-dependent cost
         counters match the serial run exactly."""
         _, serial = run("nm")
         _, sharded = run("nm", executor="sharded", workers=1)
@@ -154,11 +160,11 @@ class TestShardedExecution:
         the filter/cell work is identical to serial because shard outputs
         never depend on shard boundaries."""
         _, serial = run("nm")
-        _, sharded = run("nm", executor="sharded", workers=1, reuse_handoff="never")
+        _, sharded = run("nm", executor="sharded", workers=3)
         assert sharded.stats.cells_computed_q == serial.stats.cells_computed_q
         assert sharded.stats.filter_candidates == serial.stats.filter_candidates
         assert sharded.stats.filter_true_hits == serial.stats.filter_true_hits
-        # Without the boundary handoff REUSE cannot carry cells across a
+        # Forked units are not chained: REUSE cannot carry cells across a
         # shard boundary, so the sharded run recomputes at least as many P
         # cells as the serial one.
         assert sharded.stats.cells_computed_p >= serial.stats.cells_computed_p
@@ -218,41 +224,35 @@ class TestShardedFM:
 
 
 class TestReuseHandoff:
-    """The shard-boundary REUSE handoff: shard k's final cell buffer seeds
-    shard k+1, restoring the serial reuse chain."""
+    """The unit-boundary REUSE handoff: a single inline worker seeds unit
+    k+1 with unit k's final cell buffer, restoring the serial reuse chain;
+    forked units stay independent."""
 
-    @pytest.mark.parametrize("workers", [3, 1])
-    def test_handoff_restores_serial_reuse_accounting(self, workers):
+    def test_handoff_restores_serial_reuse_accounting(self):
         _, serial = run("nm")
-        _, sharded = run(
-            "nm",
-            executor="sharded",
-            workers=workers,
-            reuse_handoff="always",
-        )
+        _, sharded = run("nm", executor="sharded", workers=1)
         assert sharded.pairs == serial.pairs
         assert sharded.stats.cells_computed_p == serial.stats.cells_computed_p
         assert sharded.stats.cells_reused_p == serial.stats.cells_reused_p
 
-    def test_handoff_reduces_boundary_recomputation(self):
-        """Cache-enabled sharded NM recomputes fewer P cells than the
-        independent-shard run — down to exactly serial levels."""
+    def test_handoff_reduces_boundary_recomputation(self, monkeypatch):
+        """The chained run recomputes fewer P cells than the independent
+        units of the same in-process drain — down to exactly serial
+        levels."""
         _, serial = run("nm")
-        _, independent = run(
-            "nm", executor="sharded", workers=1, reuse_handoff="never"
-        )
-        _, handoff = run(
-            "nm", executor="sharded", workers=1, reuse_handoff="always"
+        _, handoff = run("nm", executor="sharded", workers=1)
+        _, independent = run_without_fork(
+            monkeypatch, "nm", executor="sharded", workers=3
         )
         assert handoff.stats.cells_computed_p == serial.stats.cells_computed_p
-        assert independent.stats.cells_computed_p >= handoff.stats.cells_computed_p
+        assert independent.stats.cells_computed_p > handoff.stats.cells_computed_p
         assert independent.pairs == handoff.pairs == serial.pairs
 
-    def test_auto_handoff_applies_to_single_worker(self):
-        """'auto' resolves from the configured worker count, not the
-        runtime fork fallback, so results stay machine-independent:
-        workers=1 gets the free sequential handoff, more workers keep
-        independent parallel shards."""
+    def test_handoff_applies_to_single_worker_only(self):
+        """The chain follows the configured worker count, not the runtime
+        fork fallback, so results stay machine-independent: workers=1 gets
+        the free sequential handoff, more workers keep independent
+        parallel shards."""
         _, serial = run("nm")
         _, inline = run("nm", executor="sharded", workers=1)
         assert inline.stats.cells_computed_p == serial.stats.cells_computed_p
@@ -261,15 +261,45 @@ class TestReuseHandoff:
         assert trace and all(worker.startswith("fork-") for worker in trace)
         assert forked.stats.cells_computed_p >= serial.stats.cells_computed_p
 
+    def test_distributed_chain_matches_the_inline_chain(self):
+        """Every distributed NM run chains its units, so it charges the
+        same counters as the single-worker sharded chain — both are the
+        serial REUSE chain run unit by unit."""
+        results = {}
+        planes = (("sharded", {"workers": 1}), ("distributed", {"nodes": 2}))
+        for executor, knobs in planes:
+            workload = build_workload(
+                WorkloadConfig(buffer_fraction=0.05, storage="file"),
+                points_p=POINTS_P,
+                points_q=POINTS_Q,
+            )
+            try:
+                results[executor] = default_engine().run(
+                    "nm",
+                    workload.tree_p,
+                    workload.tree_q,
+                    domain=workload.domain,
+                    executor=executor,
+                    **knobs,
+                )
+            finally:
+                workload.close()
+        inline, distributed = results["sharded"], results["distributed"]
+        assert distributed.pairs == inline.pairs
+        for counter in (
+            "mat_page_accesses",
+            "join_page_accesses",
+            "cells_computed_p",
+            "cells_computed_q",
+            "cells_reused_p",
+            "filter_candidates",
+            "filter_true_hits",
+        ):
+            assert getattr(distributed.stats, counter) == getattr(inline.stats, counter)
+
     def test_handoff_noop_without_reuse(self):
         _, serial = run("nm", reuse_cells=False)
-        _, sharded = run(
-            "nm",
-            executor="sharded",
-            workers=1,
-            reuse_handoff="always",
-            reuse_cells=False,
-        )
+        _, sharded = run("nm", executor="sharded", workers=1, reuse_cells=False)
         assert sharded.pairs == serial.pairs
         assert sharded.stats.cells_reused_p == 0
 
@@ -293,55 +323,28 @@ class TestInlineShardIsolation:
         )
 
     @pytest.mark.parametrize("algorithm", ["nm", "pm", "fm"])
-    def test_inline_counters_identical_to_fork(self, algorithm):
-        _, forked = run(
-            algorithm,
-            executor="sharded",
-            workers=3,
-            reuse_handoff="never",
-        )
-        _, inline = run(
-            algorithm,
-            executor="sharded",
-            workers=1,
-            reuse_handoff="never",
+    def test_inline_counters_identical_to_fork(self, monkeypatch, algorithm):
+        _, forked = run(algorithm, executor="sharded", workers=3)
+        _, inline = run_without_fork(
+            monkeypatch, algorithm, executor="sharded", workers=3
         )
         assert inline.pairs == forked.pairs
         assert self.fingerprint(inline) == self.fingerprint(forked)
 
-    def test_chained_handoff_counters_identical_across_pools(self):
-        _, forked = run("nm", executor="sharded", workers=3, reuse_handoff="always")
-        _, inline = run("nm", executor="sharded", workers=1, reuse_handoff="always")
-        assert inline.pairs == forked.pairs
-        assert self.fingerprint(inline) == self.fingerprint(forked)
-
-    def test_parent_buffer_state_identical_to_fork(self):
+    def test_parent_buffer_state_identical_to_fork(self, monkeypatch):
         """A fork parent's buffer never sees worker traffic; after the fix
         the inline fallback leaves the shared buffer in the same
         dispatch-time state instead of whatever the last shard warmed it
-        to — so the post-run buffer contents agree across worker counts."""
-        contents = {}
-        for workers in (3, 1):
-            workload, _ = run("nm", executor="sharded", workers=workers,
-                              reuse_handoff="never")
-            contents[workers] = workload.disk.buffer.contents()
-        assert contents[1] == contents[3]
+        to — so the post-run buffer contents agree across worker planes."""
+        forked, _ = run("nm", executor="sharded", workers=3)
+        inline, _ = run_without_fork(monkeypatch, "nm", executor="sharded", workers=3)
+        assert inline.disk.buffer.contents() == forked.disk.buffer.contents()
 
 
 class TestInProcessRule:
     """Where sharded units run is derived from the inputs, never configured:
     in-process for one worker, one unit or a platform without fork;
     otherwise on ``min(workers, units)`` forks."""
-
-    @pytest.mark.parametrize(
-        "workers, mode, chained",
-        [(1, "auto", True), (3, "auto", False), (3, "always", True), (1, "never", False)],
-    )
-    def test_handoff_follows_the_configured_worker_count(self, workers, mode, chained):
-        executor = ShardedExecutor(
-            EngineConfig(executor="sharded", workers=workers, reuse_handoff=mode)
-        )
-        assert executor._handoff_enabled(NMJoin()) is chained
 
     def test_single_unit_never_forks(self):
         workload = make_workload(POINTS_P, POINTS_Q[:5])
@@ -359,13 +362,11 @@ class TestInProcessRule:
         assert result.pairs == serial.pairs
 
     def test_fork_fallback_keeps_the_configured_handoff(self, monkeypatch):
-        """A platform that cannot fork runs the units in-process, but 'auto'
-        still resolves from workers=3: no handoff, so the counters equal
+        """A platform that cannot fork runs the units in-process, but the
+        chain rule still reads workers=3: no handoff, so the counters equal
         those of a real forked run."""
         _, forked = run("nm", executor="sharded", workers=3)
-        monkeypatch.setattr(ShardedExecutor, "_make_fork_pool", lambda *args: None)
-        _, fallback = run("nm", executor="sharded", workers=3)
-        assert list(default_engine().last_executor.last_assignments) == ["inline-0"]
+        _, fallback = run_without_fork(monkeypatch, "nm", executor="sharded", workers=3)
         assert fallback.pairs == forked.pairs
         assert fallback.stats.cells_computed_p == forked.stats.cells_computed_p
         assert fallback.stats.cells_reused_p == forked.stats.cells_reused_p

@@ -37,7 +37,6 @@ class TestFlatSurface:
             "node_retries",
             "node_min_ready",
             "fault_plan",
-            "reuse_handoff",
             "reuse_cells",
             "use_phi_pruning",
             "domain",
@@ -56,11 +55,23 @@ class TestFlatSurface:
             {"storage": "file"},
             {"storage_path": "/tmp/pages.bin"},
             {"progress_interval": 10},
+            {"reuse_handoff": "always"},
         ],
     )
     def test_removed_knobs_raise_type_error(self, knob):
         with pytest.raises(TypeError):
             EngineConfig(**knob)
+
+    @pytest.mark.parametrize(
+        "module, name",
+        [("repro.engine", "run_join"), ("repro.engine.config", "HANDOFF_MODES")],
+    )
+    def test_removed_names_are_gone(self, module, name):
+        """Joins run through an engine (``default_engine().run``), and no
+        handoff mode is left to list."""
+        import importlib
+
+        assert not hasattr(importlib.import_module(module), name)
 
     def test_removed_knob_fails_common_influence_join_before_any_work(self, monkeypatch):
         """The wrapper builds its config first: an unknown knob raises
@@ -189,31 +200,67 @@ class TestExecutorWiring:
         assert isinstance(executor, cls)
         assert getattr(executor, "config", config) is config
 
-    @pytest.mark.parametrize("mode, chained", [("auto", False), ("always", True)])
-    def test_sharded_reads_workers_and_reuse_handoff(self, monkeypatch, mode, chained):
-        """``workers`` sizes the fork pool and ``reuse_handoff`` decides
-        whether its units chain (the pool request is recorded, then
-        declined so the units run inline)."""
+    @pytest.mark.parametrize(
+        "executor, workers, method, chained",
+        [
+            ("sharded", 1, "nm", True),
+            ("sharded", 3, "nm", False),
+            ("sharded", 3, "pm", False),
+            ("sharded", 3, "fm", False),
+            ("sharded", 1, "pm", False),
+            ("sharded", 1, "fm", False),
+            ("distributed", 2, "nm", True),
+            ("distributed", 2, "pm", False),
+            ("distributed", 2, "fm", False),
+        ],
+    )
+    def test_where_units_run_decides_the_chain(
+        self, monkeypatch, executor, workers, method, chained
+    ):
+        """The REUSE carry is chained from unit to unit exactly where that
+        is free or needed: a sharded run with ``workers == 1``, and every
+        distributed run of an algorithm that carries state (NM).  The
+        sharded rule is on the configuration: ``workers=3`` whose fork
+        pool cannot be created runs inline, still unchained.  ``workers``
+        sizes the pool request either way."""
         from repro.engine import JoinEngine
+        from repro.engine import executors as executors_module
+        from repro.engine import node as node_plane
 
-        requests = []
+        coordinators = []
+
+        class RecordingCoordinator(executors_module.UnitCoordinator):
+            def __init__(self, units, chained=False, max_attempts=1):
+                coordinators.append(chained)
+                super().__init__(units, chained=chained, max_attempts=max_attempts)
+
+        pool_requests = []
+        log = []
+        monkeypatch.setattr(executors_module, "UnitCoordinator", RecordingCoordinator)
         monkeypatch.setattr(
             ShardedExecutor,
             "_make_fork_pool",
-            lambda self, algorithm, ctx, units, handoff, size: requests.append(
-                (size, handoff)
-            ),
+            lambda self, algorithm, ctx, units, size: pool_requests.append(size),
+        )
+        monkeypatch.setattr(
+            node_plane,
+            "NodeProcess",
+            lambda *args, **kwargs: _RecordingNode(log, False, *args, **kwargs),
         )
         with _file_workload() as workload:
             JoinEngine().run(
-                "nm",
+                method,
                 workload.tree_p,
                 workload.tree_q,
-                executor="sharded",
-                workers=3,
-                reuse_handoff=mode,
+                executor=executor,
+                workers=workers,
             )
-        assert requests == [(3, chained)]
+        assert coordinators == [chained]
+        if executor == "sharded":
+            assert pool_requests == ([workers] if workers > 1 else [])
+        else:
+            # The node wire spec tells both ends the same rule.
+            assert {entry[2] for entry in log if entry[0] == "spawn"} == {chained}
 
     def test_distributed_reads_every_node_knob(self, monkeypatch):
         from repro.engine import JoinEngine
@@ -238,15 +285,14 @@ class TestExecutorWiring:
                 node_timeout=12.0,
                 node_min_ready=3,
                 fault_plan=plan,
-                reuse_handoff="never",
             )
         spawned = sorted(entry[1:] for entry in log if entry[0] == "spawn")
         node_one = FaultPlan.from_spec(plan).for_node("node-1")
         assert spawned == [
-            ("node-0", False, []),
-            ("node-1", False, node_one),
-            ("node-2", False, []),
-            ("node-3", False, []),
+            ("node-0", True, []),
+            ("node-1", True, node_one),
+            ("node-2", True, []),
+            ("node-3", True, []),
         ]
         assert {entry[2] for entry in log if entry[0] != "spawn"} == {12.0}
         report = engine.last_executor.last_run_report

@@ -306,6 +306,79 @@ class TestFaultMatrix:
             )
 
 
+class TestNodeStartup:
+    """A node heartbeats only once it has read its init message, so the
+    silence deadline must not cover interpreter start-up."""
+
+    @staticmethod
+    def spawn_instead(monkeypatch, script: str) -> None:
+        """Make every node child run ``script`` in place of ``-m
+        repro.engine.node``."""
+        from repro.engine import node as node_plane
+
+        spawn = node_plane.subprocess.Popen
+
+        def replaced(argv, **kwargs):
+            if argv[-2:] == ["-m", "repro.engine.node"]:
+                argv = argv[:-2] + ["-c", script]
+            return spawn(argv, **kwargs)
+
+        monkeypatch.setattr(node_plane.subprocess, "Popen", replaced)
+
+    @pytest.mark.parametrize("backend", ON_DISK_BACKENDS)
+    def test_slow_node_start_is_not_a_hang(self, monkeypatch, backend):
+        """Each child sleeps past ``node_timeout`` before it even runs the
+        node module — a loaded host's start-up, exaggerated.  The run must
+        finish with no quarantine and serial bytes."""
+        self.spawn_instead(
+            monkeypatch,
+            "import runpy, time; time.sleep(1.5); "
+            "runpy.run_module('repro.engine.node', run_name='__main__')",
+        )
+        result = run_distributed(backend, "nm", nodes=2, node_timeout=1.0)
+        executor = last_executor()
+        assert_identical_to_serial(result, backend, "nm")
+        assert executor.quarantined == {}
+        assert executor.retries == {}
+        assert_children_reaped(executor)
+
+    def test_a_node_that_never_speaks_still_times_out(self, monkeypatch):
+        """The start-up bound replaces ``node_timeout`` for the first
+        message only if it is longer — it is a bound, not an open wait."""
+        import time
+
+        from repro.engine import node as node_plane
+
+        self.spawn_instead(monkeypatch, "import time; time.sleep(60)")
+        monkeypatch.setattr(node_plane.NodeProcess, "STARTUP_TIMEOUT", 0.5)
+        node = node_plane.NodeProcess(worker_id="node-mute", spec={"handoff": False})
+        try:
+            started = time.monotonic()
+            with pytest.raises(node_plane.NodeTimeout, match="silent for 0.5s"):
+                node.wait_ready(timeout=0.1)
+            assert time.monotonic() - started >= 0.5
+        finally:
+            node.quarantine()
+
+    def test_silence_after_the_first_message_uses_node_timeout(self, monkeypatch):
+        """Once a node has spoken — a heartbeat is enough — the silence
+        window is ``node_timeout`` again, however long the start-up bound."""
+        from repro.engine import node as node_plane
+
+        self.spawn_instead(
+            monkeypatch,
+            "import sys, time; sys.stdout.write('{\"type\": \"heartbeat\"}\\n'); "
+            "sys.stdout.flush(); time.sleep(60)",
+        )
+        monkeypatch.setattr(node_plane.NodeProcess, "STARTUP_TIMEOUT", 30.0)
+        node = node_plane.NodeProcess(worker_id="node-stalled", spec={"handoff": False})
+        try:
+            with pytest.raises(node_plane.NodeTimeout, match="silent for 0.3s"):
+                node.wait_ready(timeout=0.3)
+        finally:
+            node.quarantine()
+
+
 class TestAbortPathProcessHygiene:
     """The known abort-path bug: a worker ``error`` reply used to raise
     straight through ``DistributedExecutor`` without draining the sibling

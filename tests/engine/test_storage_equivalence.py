@@ -82,15 +82,14 @@ class TestBackendEquivalence:
 
     @pytest.mark.parametrize("backend", list(STORAGE_BACKENDS))
     def test_cache_enabled_sharded_nm_matches_serial_accounting(self, backend):
-        """With the shard-boundary REUSE handoff the serial reuse chain is
-        restored: every scalar JoinStats counter equals the serial run's
-        (progress samples keep the same pair milestones but different
-        access offsets, because the executor enumerates the leaves up
-        front while the serial run interleaves them)."""
+        """One worker chains the unit-boundary REUSE handoff, which
+        restores the serial reuse chain: every scalar JoinStats counter
+        equals the serial run's (progress samples keep the same pair
+        milestones but different access offsets, because the executor
+        enumerates the leaves up front while the serial run interleaves
+        them)."""
         serial = run_on(backend, "nm")
-        sharded = run_on(
-            backend, "nm", executor="sharded", workers=3, reuse_handoff="always"
-        )
+        sharded = run_on(backend, "nm", executor="sharded", workers=1)
         assert sharded.pairs == serial.pairs
         serial_fp = stats_fingerprint(serial)
         sharded_fp = stats_fingerprint(sharded)
@@ -136,7 +135,7 @@ class TestDistributedEquivalence:
     and the deterministic counters must be byte-identical to the serial
     run on every shared backend the tier supports — the remote page server
     included — and with the REUSE-handoff pipeline, which the distributed
-    executor chains by default.
+    executor always chains.
     """
 
     @pytest.mark.parametrize("backend", SHARED_BACKENDS)
@@ -155,9 +154,9 @@ class TestDistributedEquivalence:
     ):
         """Default distributed NM/PM matches every scalar serial counter.
 
-        For NM that relies on ``reuse_handoff="auto"`` resolving to the
-        chained pipeline on the distributed executor, which restores the
-        serial recomputation counts exactly.  Progress samples keep the
+        For NM that relies on the distributed executor chaining the
+        REUSE handoff, which restores the serial recomputation counts
+        exactly.  Progress samples keep the
         serial pair milestones at different access offsets (the executor
         enumerates the leaf units up front; serial interleaves them).
         """
@@ -176,13 +175,7 @@ class TestDistributedEquivalence:
     def test_distributed_nm_matches_sharded_pipeline_bytes(self, backend):
         """Node subprocesses and in-process sharding run the same chained
         unit pipeline, so the full merged fingerprint agrees between them."""
-        sharded = run_on(
-            backend,
-            "nm",
-            executor="sharded",
-            workers=1,
-            reuse_handoff="always",
-        )
+        sharded = run_on(backend, "nm", executor="sharded", workers=1)
         distributed = run_on(backend, "nm", executor="distributed", nodes=2)
         assert distributed.pairs == sharded.pairs
         assert stats_fingerprint(distributed) == stats_fingerprint(sharded)

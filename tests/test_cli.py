@@ -166,33 +166,15 @@ class TestWorkersValidation:
         assert "--workers 4 has no effect with --executor distributed" in err
 
 
-class TestHandoffValidation:
-    """--reuse-handoff carries NM's REUSE buffer across unit boundaries,
-    which the serial executor does not have."""
+class TestRemovedHandoffFlag:
+    """Where the units run decides whether NM's REUSE buffer crosses unit
+    boundaries; argparse rejects the old flag as an unknown argument."""
 
-    @pytest.mark.parametrize("handoff", ["auto", "always", "never"])
-    def test_reuse_handoff_with_serial_executor_rejected(self, capsys, handoff):
+    def test_reuse_handoff_flag_rejected(self, capsys):
         with pytest.raises(SystemExit) as excinfo:
-            main(["join", "--reuse-handoff", handoff])  # serial is the default
+            main(["join", "--executor", "sharded", "--reuse-handoff", "always"])
         assert excinfo.value.code == 2
-        err = capsys.readouterr().err
-        assert "--reuse-handoff" in err and "--executor serial" in err
-
-    @pytest.mark.parametrize(
-        "method, handoff", [("fm", "always"), ("pm", "never"), ("pm", "auto")]
-    )
-    def test_reuse_handoff_with_carry_free_method_rejected(
-        self, capsys, method, handoff
-    ):
-        """Only NM-CIJ has a REUSE buffer, so PM/FM must not accept the flag."""
-        with pytest.raises(SystemExit) as excinfo:
-            main([
-                "join", "--method", method, "--executor", "sharded",
-                "--reuse-handoff", handoff,
-            ])
-        assert excinfo.value.code == 2
-        err = capsys.readouterr().err
-        assert "--reuse-handoff" in err and f"--method {method}" in err
+        assert "unrecognized arguments" in capsys.readouterr().err
 
 
 class TestRemovedPrefetchFlags:
@@ -266,21 +248,6 @@ class TestUpdateStreams:
         assert excinfo.value.code == 2
         err = capsys.readouterr().err
         assert "--updates requires --executor serial" in err
-
-    def test_updates_with_reuse_handoff_rejected(self, capsys, stream_file):
-        for handoff in ("auto", "always", "never"):
-            with pytest.raises(SystemExit) as excinfo:
-                main(["join", "--updates", stream_file, "--reuse-handoff", handoff])
-            assert excinfo.value.code == 2
-            err = capsys.readouterr().err
-            assert "--reuse-handoff" in err and "--updates" in err
-
-    def test_reuse_handoff_without_updates_still_allowed(self, capsys):
-        assert main([
-            "join", "--n-p", "30", "--n-q", "20",
-            "--executor", "sharded", "--workers", "2", "--reuse-handoff", "always",
-        ]) == 0
-        assert "result pairs" in capsys.readouterr().out
 
     def test_malformed_stream_reports_line_number(self, capsys, tmp_path):
         bad = tmp_path / "bad.txt"
