@@ -139,13 +139,13 @@ def main() -> None:
     #     python -m repro.cli join --storage file --executor distributed --nodes 2
     print()
 
-    print("=== Fault tolerance: nodes may crash, hang, or join late ===")
+    print("=== Fault tolerance: nodes may crash or hang ===")
     # The distributed tier leases units instead of consuming them: a node
     # that dies (or goes silent past node_timeout) is quarantined, its
     # leased unit goes back to the queue, and a surviving node re-runs it
     # — up to node_retries extra attempts per unit.  The run starts once
-    # node_min_ready nodes are up (late nodes join the pull loop mid-run)
-    # and degrades gracefully down to a single survivor.  fault_plan
+    # every node still alive is up and degrades gracefully down to a
+    # single survivor.  fault_plan
     # injects deterministic failures to prove all of this: here node-1 is
     # killed (SIGKILL-equivalent) the moment it starts its first unit.
     # The invariant is absolute: pairs and every deterministic counter
@@ -195,7 +195,8 @@ def main() -> None:
     # page cache stay in front of the wire, which keeps the paper's logical
     # page counters byte-identical to the serial run; the physical RPC
     # traffic is reported separately in storage_stats(): every buffer miss
-    # on a node is one synchronous read_page RPC.
+    # on a node is one synchronous read_page RPC, and each node's bytes
+    # are added to the coordinator's totals when its unit is merged.
     from repro.storage.pageserver import spawn_page_server
 
     server = spawn_page_server(backing="file")
@@ -218,8 +219,7 @@ def main() -> None:
             io = remote_workload.disk.storage_stats()
             print(f"remote NM pairs       : {len(remote.pairs)} "
                   f"(identical to serial: {remote.pairs == result.pairs})")
-            print(f"bytes read on nodes   : {io.extra.get('worker_bytes_read', 0)}"
-                  f" over {io.extra.get('worker_snapshots', 0)} node snapshot(s)")
+            print(f"bytes read over RPC   : {io.bytes_read}")
             print(f"coordinator RPCs      : {io.extra.get('rpc_calls', 0)}")
     finally:
         server.stop()

@@ -56,8 +56,9 @@ class EngineConfig:
         node is a separate interpreter (``python -m repro.engine.node``)
         with its own read-only handle on the shared backend, so the tier
         needs an on-disk store (``file`` or ``sqlite``; ``memory`` is
-        rejected at execution time).  A distributed NM-CIJ always chains
-        its REUSE buffer across units.
+        rejected at execution time).  The run starts once every node still
+        alive is ready.  A distributed NM-CIJ always chains its REUSE
+        buffer across units.
     node_timeout:
         Seconds of per-request *silence* (no reply, no heartbeat) after
         which the distributed executor declares a node hung, quarantines
@@ -71,12 +72,6 @@ class EngineConfig:
         the pre-fault-tolerance behaviour: the first node failure aborts
         the run.  A unit that fails on ``node_retries + 1`` workers is
         treated as poisoned and aborts the run loudly.
-    node_min_ready:
-        Readiness quorum that opens the distributed drive phase.  ``None``
-        (default) waits for every spawned node — the original all-nodes
-        barrier, which keeps unit pulls balanced.  A smaller value starts
-        the run as soon as that many nodes are up; slower nodes join the
-        pull loop mid-run (elastic late join).
     fault_plan:
         Deterministic fault-injection spec for the distributed tier
         (:mod:`repro.engine.faults`), e.g.
@@ -104,7 +99,6 @@ class EngineConfig:
     nodes: int = 2
     node_timeout: float = 60.0
     node_retries: int = 2
-    node_min_ready: Optional[int] = None
     fault_plan: Optional[str] = None
     reuse_cells: bool = True
     use_phi_pruning: bool = True
@@ -124,8 +118,6 @@ class EngineConfig:
             raise ValueError("node_timeout must be positive and finite")
         if self.node_retries < 0:
             raise ValueError("node_retries must be >= 0")
-        if self.node_min_ready is not None and self.node_min_ready < 1:
-            raise ValueError("node_min_ready must be at least 1")
         if self.fault_plan is not None:
             if self.executor != "distributed":
                 raise ValueError(

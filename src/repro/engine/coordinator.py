@@ -279,8 +279,9 @@ class UnitCoordinator:
         progress curve is replayed at the offset of everything that ran
         before it, which keeps the merged curve monotone and identical
         across worker planes.  When the workers charged their own counter
-        copies (fork, node subprocess) their deltas are absorbed into the
-        parent counters so the shared disk's view stays complete.  Only
+        copies (fork, node subprocess) their deltas — page counters and
+        store bytes — are absorbed into the parent disk so its view stays
+        complete.  Only
         *recorded* results are merged — the partial work of a worker that
         died mid-unit was never recorded, so retries cannot double-charge.
         """
@@ -297,6 +298,8 @@ class UnitCoordinator:
                 )
             if absorb_counters:
                 ctx.disk.counters.absorb(shard.counters)
+                ctx.disk.store.bytes_read += shard.bytes_read
+                ctx.disk.store.bytes_written += shard.bytes_written
             base_accesses += shard.counters.page_accesses
             pair_base += len(shard.pairs)
             pairs.extend(shard.pairs)

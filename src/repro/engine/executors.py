@@ -45,9 +45,7 @@ pairs.
 
 from __future__ import annotations
 
-import dataclasses
 import multiprocessing
-import os
 import threading
 import time
 from dataclasses import dataclass
@@ -75,18 +73,15 @@ class ShardResult:
     filter_stats: FilterStats
     #: Page-traffic delta accumulated by this unit (its own snapshot diff).
     counters: IOCounters
+    #: Bytes the unit's store handle moved (its ``bytes_read`` and
+    #: ``bytes_written`` delta), added to the parent's store at merge.
+    bytes_read: int = 0
+    bytes_written: int = 0
     #: Outbound carry state (``supports_handoff`` algorithms).  Inside one
     #: process this is the live REUSE buffer; crossing the node protocol it
     #: is the buffer's JSON wire form, which the coordinator forwards
     #: opaquely to whichever node draws the next chained unit.
     carry: Optional[object] = None
-    #: Worker-side physical transport snapshot riding along with the unit:
-    #: ``{"worker": id, "seq": units-served, "stats": StorageStats dict}``.
-    #: The stats are *cumulative* for the worker handle, so the executor
-    #: keeps only the highest-``seq`` snapshot per worker and absorbs each
-    #: worker's total exactly once — retries and quarantines cannot
-    #: double-count (see ``DiskManager.absorb_worker_storage``).
-    storage: Optional[Dict[str, object]] = None
 
 
 class SerialExecutor:
@@ -107,7 +102,6 @@ def _worker_init(algorithm, ctx, units) -> None:
     _WORKER_STATE["algorithm"] = algorithm
     _WORKER_STATE["ctx"] = ctx
     _WORKER_STATE["units"] = units
-    _WORKER_STATE["served"] = 0
     # The worker's forked buffer copy *is* the parent's dispatch-time
     # state; capture it so every unit this worker picks up starts from
     # it, even when the pool hands one worker many units.
@@ -131,48 +125,7 @@ def _worker_run_shard(index: int) -> ShardResult:
     # Forked units are never chained: keep the (potentially large) REUSE
     # buffer nobody consumes off the result pipe.
     result.carry = None
-    # Cumulative transport snapshot of this worker's own handle (counters
-    # were zeroed at reopen, so the parent's pre-fork traffic is excluded).
-    _WORKER_STATE["served"] += 1
-    result.storage = {
-        "worker": f"fork-{os.getpid()}",
-        "seq": _WORKER_STATE["served"],
-        "stats": storage_stats_snapshot(ctx.disk),
-    }
     return result
-
-
-def storage_stats_snapshot(disk) -> Dict[str, object]:
-    """A worker disk's ``storage_stats()`` as a plain (wire-safe) dict."""
-    return dataclasses.asdict(disk.storage_stats())
-
-
-def collect_worker_snapshot(
-    snapshots: Dict[str, Tuple[int, Dict[str, object]]],
-    lock: threading.Lock,
-    result: ShardResult,
-    worker_id: Optional[str] = None,
-) -> None:
-    """Keep the latest cumulative storage snapshot per worker handle."""
-    if result.storage is None:
-        return
-    worker = str(result.storage.get("worker") or worker_id or "")
-    if not worker:
-        return
-    seq = int(result.storage.get("seq", 0))
-    stats = result.storage.get("stats")
-    if not isinstance(stats, dict):
-        return
-    with lock:
-        if seq >= snapshots.get(worker, (0, None))[0]:
-            snapshots[worker] = (seq, stats)
-
-
-def absorb_worker_snapshots(
-    ctx: JoinContext, snapshots: Dict[str, Tuple[int, Dict[str, object]]]
-) -> None:
-    if snapshots:
-        ctx.disk.absorb_worker_storage([stats for _, stats in snapshots.values()])
 
 
 def _execute_shard(
@@ -187,7 +140,8 @@ def _execute_shard(
     In a forked worker or a node subprocess the disk object is the
     worker's own copy, so the snapshot/diff pair measures exactly this
     unit's traffic; inline, the same snapshot/diff isolates the delta on
-    the shared counters.  ``carry`` seeds the inbound boundary state (the
+    the shared counters.  The store's byte counters are diffed the same
+    way.  ``carry`` seeds the inbound boundary state (the
     previous unit's REUSE buffer) when the units are chained.  The
     :class:`~repro.engine.units.WorkUnit` descriptor is resolved back to a
     runnable object without charging I/O (the dispatcher already charged
@@ -195,7 +149,9 @@ def _execute_shard(
     """
     runnable = algorithm.resolve_unit(parent_ctx, unit)
     disk = parent_ctx.disk
+    store = disk.store
     snapshot = disk.counters.snapshot()
+    bytes_read, bytes_written = store.bytes_read, store.bytes_written
     stats = JoinStats(algorithm=algorithm.display_name)
     cell_stats = CellComputationStats()
     filter_stats = FilterStats()
@@ -219,6 +175,8 @@ def _execute_shard(
         cell_stats=cell_stats,
         filter_stats=filter_stats,
         counters=disk.counters.diff(snapshot),
+        bytes_read=store.bytes_read - bytes_read,
+        bytes_written=store.bytes_written - bytes_written,
         carry=shard_ctx.carry,
     )
 
@@ -283,8 +241,6 @@ class ShardedExecutor:
         if pool is None:
             return False
         errors: List[BaseException] = []
-        snapshots: Dict[str, Tuple[int, Dict[str, object]]] = {}
-        snapshot_lock = threading.Lock()
 
         def drive(worker_id: str) -> None:
             while True:
@@ -297,7 +253,6 @@ class ShardedExecutor:
                     errors.append(error)
                     coordinator.abort(error)
                     return
-                collect_worker_snapshot(snapshots, snapshot_lock, result)
                 coordinator.record_result(assignment.index, result)
 
         with pool:
@@ -311,7 +266,6 @@ class ShardedExecutor:
                 thread.join()
         if errors:
             raise errors[0]
-        absorb_worker_snapshots(ctx, snapshots)
         return True
 
     def _run_units_inline(
@@ -403,12 +357,11 @@ class DistributedExecutor:
     protocol garbage, error reply) quarantines *that node* — killed,
     reaped, recorded in :attr:`quarantined` — and releases its leased unit
     back to the coordinator for any live node; a unit may be retried up to
-    ``node_retries`` times before the run aborts.  Startup uses a
-    min-quorum gate instead of an all-nodes barrier: the drive phase opens
-    once ``node_min_ready`` nodes (default: all spawned) report ready, and
-    slower nodes join the pull loop mid-run when their bootstrap finishes.
-    The run degrades gracefully down to one survivor; only zero live
-    workers with work still outstanding aborts loudly.
+    ``node_retries`` times before the run aborts.  Startup is one barrier:
+    the drive phase opens once every node still alive reports ready (a
+    node that fails during start-up stops counting), so all nodes start
+    pulling together.  The run degrades gracefully down to one survivor;
+    only zero live workers with work still outstanding aborts loudly.
 
     Every knob above is read from the :class:`EngineConfig` the executor
     is built from, which also range-checks it.  ``node_delays`` is a test
@@ -476,24 +429,20 @@ class DistributedExecutor:
         base_accesses = ctx.disk.counters.diff(ctx.start_counters).page_accesses
         spec = node_plane.node_init_spec(algorithm, ctx)
         count = min(config.nodes, len(units))
-        ready = config.node_min_ready
-        quorum = min(ready if ready is not None else count, count)
 
         self.quarantined = {}
         self.node_pids = {}
         nodes: List[node_plane.NodeProcess] = []
         registry_lock = threading.Lock()
-        snapshots: Dict[str, Tuple[int, Dict[str, object]]] = {}
-        snapshot_lock = threading.Lock()
         state_lock = threading.Lock()
         state = {"ready": 0, "live": count}
         start_gate = threading.Event()
         errors: List[BaseException] = []
 
         def reevaluate_gate_locked() -> None:
-            # Failed nodes shrink the quorum denominator: a run must not
-            # wait forever for readiness that can no longer arrive.
-            if state["ready"] >= min(quorum, state["live"]) or state["live"] == 0:
+            # Failed nodes leave the barrier: a run must not wait forever
+            # for readiness that can no longer arrive.
+            if state["ready"] >= state["live"]:
                 start_gate.set()
 
         def mark_failed(
@@ -546,8 +495,6 @@ class DistributedExecutor:
             with state_lock:
                 state["ready"] += 1
                 reevaluate_gate_locked()
-            # Min-quorum start: a node ready after the gate opened simply
-            # sails through and joins the pull loop mid-run (late join).
             start_gate.wait()
             while True:
                 assignment = coordinator.next_assignment(worker_id)
@@ -581,9 +528,6 @@ class DistributedExecutor:
                     return
                 if result is None:
                     continue  # gave way to a released predecessor
-                collect_worker_snapshot(
-                    snapshots, snapshot_lock, result, worker_id=worker_id
-                )
                 coordinator.record_result(assignment.index, result)
 
         try:
@@ -610,7 +554,6 @@ class DistributedExecutor:
         self.last_assignments = dict(coordinator.assignments)
         self.last_run_report = {
             "nodes": count,
-            "quorum": quorum,
             "quarantined": dict(self.quarantined),
             "retries": dict(self.retries),
             "gave_way": dict(coordinator.gave_way),
@@ -622,9 +565,6 @@ class DistributedExecutor:
             raise errors[0]
         if coordinator.error is not None:
             raise coordinator.error
-        # Quarantined nodes' last snapshots are in here too: the traffic
-        # they caused before failing is honest physical cost of the run.
-        absorb_worker_snapshots(ctx, snapshots)
         return coordinator.merge(ctx, base_accesses, absorb_counters=True)
 
 

@@ -20,9 +20,9 @@ Equivalence story, mirroring the fork pool exactly:
   rebuilds the decoded cache with *uncounted* reads and rewinds to that
   state before **every** unit, so a node that pulls many units charges the
   same counters as if each unit ran in a fresh fork;
-* each unit runs against the node's own counter snapshot and the parent
-  absorbs the returned deltas, so merged counters are the exact sum of
-  per-unit work.
+* each unit runs against the node's own counter snapshot (page counters
+  and store bytes alike) and the parent absorbs the returned deltas, so
+  merged counters are the exact sum of per-unit work.
 
 The REUSE carry crosses the wire in an explicit JSON form (a list of
 ``[oid, site_x, site_y, vertices]`` cells) produced and consumed only by
@@ -341,10 +341,6 @@ class NodeProcess:
         tail = self._stderr_tail()
         return f"; stderr: {tail}" if tail else ""
 
-    @property
-    def alive(self) -> bool:
-        return self.process.poll() is None
-
     def _recv(self, timeout: Optional[float] = None) -> Dict[str, Any]:
         """The next non-heartbeat message; the deadline is silence-based.
 
@@ -447,8 +443,9 @@ class NodeProcess:
             cell_stats=CellComputationStats(**message["cell_stats"]),
             filter_stats=FilterStats(**message["filter_stats"]),
             counters=counters_from_wire(message["counters"]),
+            bytes_read=message["bytes_read"],
+            bytes_written=message["bytes_written"],
             carry=message.get("carry"),
-            storage=message.get("storage"),
         )
 
     def quarantine(self) -> None:
@@ -595,7 +592,7 @@ _HANG_SECONDS = 600.0
 
 
 def main() -> int:
-    from repro.engine.executors import _execute_shard, storage_stats_snapshot
+    from repro.engine.executors import _execute_shard
     from repro.engine.faults import FaultInjector
     from repro.engine.units import WorkUnit
 
@@ -634,7 +631,7 @@ def main() -> int:
         heartbeat_interval = float(init.get("heartbeat", 0.0))
         if heartbeat_interval > 0:
             # Start beating before the (potentially slow) bootstrap so a
-            # late-joining node looks alive, not hung, to the parent.
+            # node still starting looks alive, not hung, to the parent.
             threading.Thread(
                 target=heartbeat_loop,
                 args=(heartbeat_interval,),
@@ -678,7 +675,6 @@ def main() -> int:
         return carry_from_wire(message["carry"])
 
     disk = parent_ctx.disk
-    served = 0
     try:
         while True:
             line = inbox.get()
@@ -737,7 +733,6 @@ def main() -> int:
                         stdout.flush()
                     injector.unit_completed()
                     continue
-                served += 1
                 reply(
                     {
                         "type": "result",
@@ -747,14 +742,9 @@ def main() -> int:
                         "cell_stats": record_to_wire(result.cell_stats),
                         "filter_stats": record_to_wire(result.filter_stats),
                         "counters": counters_to_wire(result.counters),
+                        "bytes_read": result.bytes_read,
+                        "bytes_written": result.bytes_written,
                         "carry": carry_to_wire(result.carry) if handoff else None,
-                        # Cumulative transport snapshot of this node's own
-                        # handle; the parent keeps the highest-seq snapshot
-                        # per node and absorbs it exactly once.
-                        "storage": {
-                            "seq": served,
-                            "stats": storage_stats_snapshot(disk),
-                        },
                     }
                 )
                 injector.unit_completed()

@@ -106,18 +106,30 @@ def save_cij_result(path: PathLike, result: CIJResult) -> None:
 
 
 def load_cij_result(path: PathLike) -> CIJResult:
-    """Read a result written by :func:`save_cij_result`."""
+    """Read a result written by :func:`save_cij_result`.
+
+    Raises :class:`ValueError` on a missing ``p_oid,q_oid`` header and on
+    any row that is not exactly two integers, naming the file and line.
+    """
     path = Path(path)
-    pairs: List[Tuple[int, ...]] = []
+    pairs: List[Tuple[int, int]] = []
     with open(path, newline="", encoding="utf-8") as handle:
         reader = csv.reader(handle)
         header = next(reader, None)
         if header is None:
             raise ValueError(f"{path}: empty result file")
+        if [name.strip().lower() for name in header] != ["p_oid", "q_oid"]:
+            raise ValueError(f"{path}: expected a 'p_oid,q_oid' header, found {header}")
         for row in reader:
             if not row:
                 continue
-            pairs.append(tuple(int(value) for value in row))
+            try:
+                p_oid, q_oid = (int(value) for value in row)
+            except ValueError as exc:
+                raise ValueError(
+                    f"{path}: malformed row {reader.line_num}: {row}"
+                ) from exc
+            pairs.append((p_oid, q_oid))
     sidecar = path.with_suffix(path.suffix + ".stats.json")
     stats = JoinStats(algorithm="UNKNOWN")
     if sidecar.exists():

@@ -7,7 +7,7 @@ counters); a :class:`PageStore` owns the *bytes*.  Four backends ship:
   default, with behaviour bit-identical to the pre-backend disk manager.
 * :class:`FilePageStore` — payloads serialized through the binary codecs of
   :mod:`repro.storage.codec` into fixed-size slots of a single file, read
-  through ``mmap`` when available (plain ``seek``/``read`` otherwise).
+  with plain ``seek``/``read``.
   Page updates are written to a fresh slot before the old slot is released,
   so an interrupted write can never leave a torn payload behind: on reopen
   the slot scan keeps, per page, the newest record whose checksum verifies.
@@ -179,6 +179,12 @@ class PageStore(abc.ABC):
 
     name = "abstract"
     supports_worker_reopen = False
+    #: Bytes this handle moved for counted reads and for writes (what
+    #: :meth:`stats` reports; zero for a store that serializes nothing).
+    #: A worker unit reports its own delta of them, and the parent adds
+    #: that delta to its store when it merges the unit.
+    bytes_read = 0
+    bytes_written = 0
 
     @property
     def location(self) -> Optional[str]:
@@ -362,10 +368,6 @@ class FilePageStore(PageStore):
         Bytes per slot.  A payload that outgrows the slot triggers a
         transparent rebuild of the file with doubled slots (atomic via
         ``os.replace``).
-    use_mmap:
-        Read through ``mmap`` when the platform provides it; plain
-        ``seek``/``read`` otherwise.  Writes always go through the file
-        handle.
     """
 
     name = "file"
@@ -375,7 +377,6 @@ class FilePageStore(PageStore):
         self,
         path: Optional[str] = None,
         slot_size: int = DEFAULT_SLOT_SIZE,
-        use_mmap: bool = True,
     ):
         if slot_size < _REC_HEADER.size + 64:
             raise ValueError("slot size too small for a record header")
@@ -384,18 +385,15 @@ class FilePageStore(PageStore):
             fd, path = tempfile.mkstemp(prefix="repro-pages-", suffix=".bin")
             os.close(fd)
         self.path = str(path)
-        self._use_mmap = use_mmap
         self._readonly = False
-        self._mm = None
-        self._mm_size = 0
         self._slot_size = slot_size
         self._seq = 0
         self._slots = 0
         self._free_slots: List[int] = []
         #: page id -> (slot, tag, logical size, payload length)
         self._dir: Dict[int, Tuple[int, str, int, int]] = {}
-        self._bytes_read = 0
-        self._bytes_written = 0
+        self.bytes_read = 0
+        self.bytes_written = 0
         #: Test hook: abort the next record write after this many bytes.
         self._crash_after_bytes: Optional[int] = None
         self._file = open(self.path, "r+b" if os.path.exists(self.path) else "w+b")
@@ -463,8 +461,8 @@ class FilePageStore(PageStore):
         return StorageStats(
             backend=self.name,
             pages=len(self._dir),
-            bytes_read=self._bytes_read,
-            bytes_written=self._bytes_written,
+            bytes_read=self.bytes_read,
+            bytes_written=self.bytes_written,
             file_bytes=_FILE_HEADER.size + self._slots * self._slot_size,
             extra={"slot_size": self._slot_size, "free_slots": len(self._free_slots)},
         )
@@ -485,17 +483,8 @@ class FilePageStore(PageStore):
         self._readonly = True
         self._owns_path = False
         self._finalizer.detach()
-        self._drop_mmap()
-        # A forked worker inherits the parent's byte counters; zero them so
-        # this handle's stats report only the worker's own traffic.  The
-        # executor folds worker snapshots into the parent's report, and the
-        # parent already counted its pre-fork bytes — carrying them here
-        # would double-count them exactly once per worker.
-        self._bytes_read = 0
-        self._bytes_written = 0
 
     def close(self) -> None:
-        self._drop_mmap()
         if not self._file.closed:
             self._file.close()
         self._finalizer.detach()
@@ -605,9 +594,8 @@ class FilePageStore(PageStore):
                     ),
                 )
             )
-        # Release every handle on the old file before os.replace: Windows
-        # refuses to replace a file that is still open or mapped.
-        self._drop_mmap()
+        # Release the handle on the old file before os.replace: Windows
+        # refuses to replace a file that is still open.
         self._file.close()
         tmp_path = self.path + ".rebuild"
         with open(tmp_path, "w+b") as tmp:
@@ -649,7 +637,7 @@ class FilePageStore(PageStore):
         self._file.seek(self._slot_offset(slot))
         self._file.write(b"\x00" * _REC_HEADER.size)
         self._file.flush()
-        self._bytes_written += _REC_HEADER.size
+        self.bytes_written += _REC_HEADER.size
 
     # ------------------------------------------------------------------
     # raw I/O
@@ -664,53 +652,19 @@ class FilePageStore(PageStore):
             written = data[: self._crash_after_bytes]
             self._file.write(written)
             self._file.flush()
-            self._bytes_written += len(written)
+            self.bytes_written += len(written)
             self._crash_after_bytes = None
             raise _SimulatedCrash(f"simulated crash after {len(written)} bytes")
         self._file.write(data)
         self._file.flush()
-        self._bytes_written += len(data)
+        self.bytes_written += len(data)
 
     def _read_at(self, offset: int, length: int, count: bool = True) -> bytes:
-        data = None
-        if self._use_mmap:
-            mm = self._ensure_mmap(offset + length)
-            if mm is not None:
-                data = bytes(mm[offset : offset + length])
-        if data is None:
-            self._file.seek(offset)
-            data = self._file.read(length)
+        self._file.seek(offset)
+        data = self._file.read(length)
         if count:
-            self._bytes_read += len(data)
+            self.bytes_read += len(data)
         return data
-
-    def _ensure_mmap(self, end: int):
-        """A read-only map covering ``end`` bytes, remapped after growth."""
-        try:
-            import mmap
-        except ImportError:  # pragma: no cover - mmap is stdlib everywhere
-            self._use_mmap = False
-            return None
-        size = os.path.getsize(self.path)
-        if end > size:
-            return None
-        if self._mm is None or self._mm_size < size:
-            self._drop_mmap()
-            if size == 0:
-                return None
-            try:
-                self._mm = mmap.mmap(self._file.fileno(), size, access=mmap.ACCESS_READ)
-                self._mm_size = size
-            except (ValueError, OSError):  # pragma: no cover - exotic platforms
-                self._use_mmap = False
-                return None
-        return self._mm
-
-    def _drop_mmap(self) -> None:
-        if self._mm is not None:
-            self._mm.close()
-            self._mm = None
-            self._mm_size = 0
 
 
 def _record_crc(
@@ -770,8 +724,8 @@ class SQLitePageStore(PageStore):
             os.close(fd)
         self.path = str(path)
         self._readonly = False
-        self._bytes_read = 0
-        self._bytes_written = 0
+        self.bytes_read = 0
+        self.bytes_written = 0
         self._conn = sqlite3.connect(
             self.path, isolation_level=None, check_same_thread=not cross_thread
         )
@@ -798,7 +752,7 @@ class SQLitePageStore(PageStore):
             " payload = excluded.payload",
             (page_id, tag, size_bytes, blob),
         )
-        self._bytes_written += len(blob)
+        self.bytes_written += len(blob)
 
     def read_page(self, page_id: int, count: bool = True) -> PageRecord:
         row = self._conn.execute(
@@ -808,7 +762,7 @@ class SQLitePageStore(PageStore):
             raise KeyError(f"page {page_id} has not been allocated")
         tag, size_bytes, blob = row
         if count:
-            self._bytes_read += len(blob)
+            self.bytes_read += len(blob)
         return PageRecord(tag, _codec().decode_page_payload(blob), size_bytes)
 
     def page_meta(self, page_id: int) -> Tuple[str, int]:
@@ -854,8 +808,8 @@ class SQLitePageStore(PageStore):
         return StorageStats(
             backend=self.name,
             pages=self.page_count(),
-            bytes_read=self._bytes_read,
-            bytes_written=self._bytes_written,
+            bytes_read=self.bytes_read,
+            bytes_written=self.bytes_written,
             file_bytes=file_bytes,
         )
 
@@ -871,10 +825,6 @@ class SQLitePageStore(PageStore):
         self._readonly = True
         self._owns_path = False
         self._finalizer.detach()
-        # Zero the inherited counters: worker snapshots must report only
-        # the worker's own traffic (see FilePageStore.reopen_in_worker).
-        self._bytes_read = 0
-        self._bytes_written = 0
 
     def close(self) -> None:
         self._conn.close()

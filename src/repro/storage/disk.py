@@ -33,11 +33,6 @@ from repro.storage.counters import IOCounters
 #: Default page size in bytes (the paper uses 1 KB pages).
 PAGE_SIZE_DEFAULT = 1024
 
-#: StorageStats fields that are per-handle transport *counters* — the ones
-#: worker snapshots contribute to the parent's report.  Gauges (``pages``,
-#: ``file_bytes``) describe the one shared store and are never summed.
-_WORKER_COUNTER_FIELDS = ("bytes_read", "bytes_written")
-
 
 class DiskManager:
     """A page store shared by every index participating in an experiment.
@@ -94,8 +89,6 @@ class DiskManager:
         self._next_id = itertools.count(max(existing, default=0) + 1)
         self._free_ids: List[int] = []
         self._io_enabled = True
-        #: Absorbed worker-side transport totals (see absorb_worker_storage).
-        self._worker_storage: Dict[str, Any] = {}
 
     # ------------------------------------------------------------------
     # page lifecycle
@@ -192,37 +185,13 @@ class DiskManager:
         return self.store.name
 
     def storage_stats(self) -> StorageStats:
-        """Physical byte movement of the backend (zero for ``memory``),
-        including any absorbed worker-side transport totals."""
-        stats = self.store.stats()
-        worker = self._worker_storage
-        if worker:
-            for field in _WORKER_COUNTER_FIELDS:
-                setattr(stats, field, getattr(stats, field) + worker.get(field, 0))
-            stats.extra["worker_bytes_read"] = int(worker.get("bytes_read", 0))
-            stats.extra["worker_snapshots"] = int(worker.get("snapshots", 0))
-        return stats
+        """Physical byte movement of the backend (zero for ``memory``).
 
-    def absorb_worker_storage(self, snapshots) -> None:
-        """Fold worker-side transport counters into ``storage_stats()``.
-
-        ``snapshots`` is one cumulative :class:`StorageStats`-shaped dict
-        per worker handle (fork worker or node process), as collected by
-        the executors.  Each run's totals are absorbed exactly once —
-        executors de-duplicate retried units by keeping only the *latest*
-        cumulative snapshot per worker, so retry and quarantine paths never
-        double-count (a quarantined worker's last snapshot still reports
-        the traffic it really caused).  Totals accumulate across runs,
-        matching the lifetime semantics of every other disk counter.
+        Units run by worker processes count their bytes there; merging a
+        unit adds its delta to this disk's store, so the totals cover the
+        whole run on every executor.
         """
-        for snapshot in snapshots:
-            for field in _WORKER_COUNTER_FIELDS:
-                self._worker_storage[field] = self._worker_storage.get(
-                    field, 0
-                ) + snapshot.get(field, 0)
-            self._worker_storage["snapshots"] = (
-                self._worker_storage.get("snapshots", 0) + 1
-            )
+        return self.store.stats()
 
     def resize_buffer(self, buffer_pages: int) -> None:
         """Resize the LRU buffer (contents are kept up to the new capacity)."""

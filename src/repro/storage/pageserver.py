@@ -420,8 +420,8 @@ class RemotePageStore(PageStore):
         self._reader = None
         self._readonly = False
         self._closed = False
-        self._bytes_read = 0
-        self._bytes_written = 0
+        self.bytes_read = 0
+        self.bytes_written = 0
         self._rpc_calls = 0
 
     # ------------------------------------------------------------------
@@ -510,13 +510,13 @@ class RemotePageStore(PageStore):
                 "blob": base64.b64encode(blob).decode("ascii"),
             }
         )
-        self._bytes_written += len(blob)
+        self.bytes_written += len(blob)
 
     def read_page(self, page_id: int, count: bool = True) -> PageRecord:
         response = self._rpc({"op": "read_page", "page": int(page_id)})
         record, blob_len = self._decode_record(response["record"])
         if count:
-            self._bytes_read += blob_len
+            self.bytes_read += blob_len
         return record
 
     def page_meta(self, page_id: int) -> Tuple[str, int]:
@@ -548,8 +548,8 @@ class RemotePageStore(PageStore):
         return StorageStats(
             backend=self.name,
             pages=int(remote["pages"]),
-            bytes_read=self._bytes_read,
-            bytes_written=self._bytes_written,
+            bytes_read=self.bytes_read,
+            bytes_written=self.bytes_written,
             file_bytes=int(remote["file_bytes"]),
             extra={
                 "backend": str(remote["backend"]),
@@ -572,11 +572,6 @@ class RemotePageStore(PageStore):
         self._server = None
         self._drop_main_connection()
         self._readonly = True
-        # Worker snapshots report only the worker's own wire traffic (see
-        # FilePageStore.reopen_in_worker for the exactly-once argument).
-        self._bytes_read = 0
-        self._bytes_written = 0
-        self._rpc_calls = 0
 
     def close(self) -> None:
         if self._closed:

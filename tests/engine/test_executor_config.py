@@ -4,8 +4,8 @@ Every execution knob is a plain :class:`EngineConfig` field with its one
 default and its one range check in ``__post_init__``; the executors are
 built from the config they serve, so nothing is derived twice or kept in
 sync.  These tests pin that surface, the removed options staying removed,
-the config reaching the executors, and the executors' exactly-once
-absorption of worker transport snapshots.
+the config reaching the executors, and the merge absorbing each recorded
+unit's byte delta once.
 """
 
 from __future__ import annotations
@@ -17,6 +17,9 @@ import types
 import pytest
 
 from repro.engine.config import EngineConfig
+from repro.join.conditional_filter import FilterStats
+from repro.join.result import JoinStats
+from repro.voronoi.single import CellComputationStats
 from repro.engine.executors import (
     DistributedExecutor,
     SerialExecutor,
@@ -35,7 +38,6 @@ class TestFlatSurface:
             "nodes",
             "node_timeout",
             "node_retries",
-            "node_min_ready",
             "fault_plan",
             "reuse_cells",
             "use_phi_pruning",
@@ -56,6 +58,7 @@ class TestFlatSurface:
             {"storage_path": "/tmp/pages.bin"},
             {"progress_interval": 10},
             {"reuse_handoff": "always"},
+            {"node_min_ready": 1},
         ],
     )
     def test_removed_knobs_raise_type_error(self, knob):
@@ -106,7 +109,6 @@ class TestFlatSurface:
     def test_distributed_defaults(self):
         config = EngineConfig()
         assert (config.nodes, config.node_timeout, config.node_retries) == (2, 60.0, 2)
-        assert config.node_min_ready is None
         assert config.fault_plan is None
 
     def test_range_checks(self):
@@ -122,8 +124,6 @@ class TestFlatSurface:
             EngineConfig(node_timeout=math.inf)
         with pytest.raises(ValueError, match="node_retries must be >= 0"):
             EngineConfig(node_retries=-1)
-        with pytest.raises(ValueError, match="node_min_ready must be at least 1"):
-            EngineConfig(node_min_ready=0)
 
     def test_replace_revalidates(self):
         base = EngineConfig(nodes=3)
@@ -283,7 +283,6 @@ class TestExecutorWiring:
                 executor="distributed",
                 nodes=4,
                 node_timeout=12.0,
-                node_min_ready=3,
                 fault_plan=plan,
             )
         spawned = sorted(entry[1:] for entry in log if entry[0] == "spawn")
@@ -296,7 +295,7 @@ class TestExecutorWiring:
         ]
         assert {entry[2] for entry in log if entry[0] != "spawn"} == {12.0}
         report = engine.last_executor.last_run_report
-        assert (report["nodes"], report["quorum"]) == (4, 3)
+        assert report["nodes"] == 4
         assert report["faults_planned"] == plan
 
     def test_distributed_reads_node_retries(self, monkeypatch):
@@ -324,69 +323,50 @@ class TestExecutorWiring:
         assert sum(1 for entry in log if entry[0] == "unit") == 2
 
 
-class TestWorkerSnapshotExactlyOnce:
-    """Cumulative worker transport snapshots are absorbed exactly once.
-
-    Workers ship *cumulative* ``storage_stats()`` snapshots with a per-
-    worker sequence number; the executor keeps only the highest-seq
-    snapshot per worker, so retried units and quarantined nodes cannot
-    double-count bytes.
-    """
+class TestUnitByteDeltas:
+    """A worker reports its store's bytes as a per-unit delta on the
+    :class:`ShardResult`; the merge adds each recorded unit's delta to the
+    parent's store once, and a duplicate result for a recorded unit (a
+    retry finishing late) is dropped with everything else it carries."""
 
     @staticmethod
-    def _result(worker, seq, bytes_read):
-        from repro.engine.executors import ShardResult
-        from repro.join.conditional_filter import FilterStats
-        from repro.join.result import JoinStats
+    def _result(index, bytes_read, bytes_written=0):
         from repro.storage.counters import IOCounters
-        from repro.voronoi.single import CellComputationStats
 
         return ShardResult(
-            index=0,
+            index=index,
             pairs=[],
-            stats=JoinStats(algorithm="nm"),
+            stats=JoinStats(algorithm="NM-CIJ"),
             cell_stats=CellComputationStats(),
             filter_stats=FilterStats(),
             counters=IOCounters(),
-            storage={
-                "worker": worker,
-                "seq": seq,
-                "stats": {"bytes_read": bytes_read, "pages": 5},
-            },
+            bytes_read=bytes_read,
+            bytes_written=bytes_written,
         )
 
-    def test_latest_cumulative_snapshot_wins(self):
-        import threading
+    @pytest.mark.parametrize("absorb", [True, False])
+    def test_merge_adds_each_recorded_delta_once(self, absorb):
+        from repro.engine.coordinator import UnitCoordinator
+        from repro.engine.units import WorkUnit
 
-        from repro.engine.executors import collect_worker_snapshot
-
-        snapshots, lock = {}, threading.Lock()
-        # node-0 serves three units; each snapshot is cumulative.
-        for seq, total in ((1, 100), (2, 250), (3, 260)):
-            collect_worker_snapshot(snapshots, lock, self._result("node-0", seq, total))
-        # A stale retry result delivered late must not regress the total.
-        collect_worker_snapshot(snapshots, lock, self._result("node-0", 2, 250))
-        collect_worker_snapshot(snapshots, lock, self._result("node-1", 1, 40))
-        assert snapshots["node-0"] == (3, {"bytes_read": 260, "pages": 5})
-        assert snapshots["node-1"] == (1, {"bytes_read": 40, "pages": 5})
-
-    def test_absorb_accumulates_counters_but_never_gauges(self):
-        from repro.storage.disk import DiskManager
-
-        disk = DiskManager(buffer_pages=2)
-        try:
-            disk.absorb_worker_storage(
-                [
-                    {"bytes_read": 260, "bytes_written": 30, "pages": 5},
-                    {"bytes_read": 40, "bytes_written": 0, "pages": 5},
-                ]
+        with _file_workload() as workload:
+            disk = workload.disk
+            before = disk.storage_stats()
+            coordinator = UnitCoordinator([WorkUnit("nm", i, (1,)) for i in (0, 1)])
+            coordinator.record_result(0, self._result(0, 100, 7))
+            coordinator.record_result(1, self._result(1, 40))
+            coordinator.record_result(1, self._result(1, 999))  # late duplicate
+            ctx = types.SimpleNamespace(
+                disk=disk,
+                stats=JoinStats(algorithm="NM-CIJ"),
+                cell_stats=CellComputationStats(),
+                filter_stats=FilterStats(),
             )
-            stats = disk.storage_stats()
-            assert stats.extra["worker_bytes_read"] == 300
-            assert stats.bytes_written == 30
-            assert stats.extra["worker_snapshots"] == 2
-            # Gauges (pages/file_bytes) describe the shared store, not
-            # worker traffic: absorbing snapshots must not inflate them.
-            assert stats.pages == 0
-        finally:
-            disk.close()
+            coordinator.merge(ctx, 0, absorb_counters=absorb)
+            after = disk.storage_stats()
+        # Inline units counted their bytes on this very store already.
+        expected = (140, 7) if absorb else (0, 0)
+        assert (
+            after.bytes_read - before.bytes_read,
+            after.bytes_written - before.bytes_written,
+        ) == expected

@@ -2,8 +2,8 @@
 
 Every test here follows one contract: whatever faults fire — nodes
 crashing before or mid-unit, hanging past the timeout, dropping or
-corrupting result lines, dying until one survivor remains, joining the
-run late — the merged pairs and every deterministic ``JoinStats`` counter
+corrupting result lines, dying until one survivor remains, starting
+slowly — the merged pairs and every deterministic ``JoinStats`` counter
 are byte-identical to the serial run, or the run aborts loudly with a
 ``RuntimeError``.  There is no third outcome: no silent pair loss, no
 deadlock, no zombie node interpreters.
@@ -13,9 +13,9 @@ spec travels to each node inside its init message, so each scenario fires
 the same fault at the same point on every run (see the spec grammar in
 :mod:`repro.engine.faults`).
 
-Timing-sensitive scenarios (hang detection races a real timeout;
-late-join races a real readiness delay) are marked ``timing`` so CI can
-quarantine them from the tier-1 legs without losing them.
+Timing-sensitive scenarios (hang detection races a real timeout) are
+marked ``timing`` so CI can quarantine them from the tier-1 legs without
+losing them.
 """
 
 from __future__ import annotations
@@ -79,15 +79,19 @@ def run_distributed(backend: str, algorithm: str, **overrides) -> CIJResult:
     )
 
 
-def assert_identical_to_serial(result: CIJResult, backend: str, algorithm: str):
+def assert_identical_to_serial(
+    result: CIJResult, backend: str, algorithm: str, serial: CIJResult = None
+):
     """Pairs byte-equal, every scalar counter byte-equal.
 
     Progress curves keep the serial pair milestones at shifted access
     offsets (the executor enumerates units up front), exactly as in the
     fault-free distributed equivalence suite — FM has no cross-unit state,
-    so there even the curve matches.
+    so there even the curve matches.  ``serial`` defaults to the baseline
+    on ``POINTS_P``/``POINTS_Q``.
     """
-    serial = serial_baseline(backend, algorithm)
+    if serial is None:
+        serial = serial_baseline(backend, algorithm)
     assert result.pairs == serial.pairs
     result_fp = stats_fingerprint(result)
     serial_fp = stats_fingerprint(serial)
@@ -149,27 +153,36 @@ class TestFaultMatrix:
         assert sum(executor.retries.values()) >= 1
         assert_children_reaped(executor)
 
-    @pytest.mark.timing
     @pytest.mark.parametrize("backend", ON_DISK_BACKENDS)
     def test_crash_holding_nm_carry(self, backend):
         """The hardest release: a chained NM node dies mid-pipeline while
-        holding the REUSE carry.  node-1's readiness delay plus the
-        min-quorum start guarantee node-0 owns the opening units, crashes
-        on unit 2 (computed, never replied), and node-1 — joining late —
-        re-runs it from the *recorded* carry of unit 1."""
-        result = run_distributed(
-            backend,
+        holding the REUSE carry.  node-0 computes its second unit ``k``
+        (``k >= 1``: it needed the recorded carry of unit ``k - 1``) and
+        dies before replying, taking unit ``k``'s outbound carry with it.
+        node-1 re-runs unit ``k`` from the *recorded* carry of unit
+        ``k - 1``: one retry, and counters exactly serial.  400 points per
+        side give 8 NM units, so node-0 reaches a second unit whichever
+        node pulls first."""
+        points_p = uniform_points(400, seed=3)
+        points_q = uniform_points(400, seed=11)
+        result = run_cij(
             "nm",
+            points_p,
+            points_q,
+            storage=backend,
+            executor="distributed",
             nodes=2,
-            node_min_ready=1,
-            fault_plan=(
-                "crash@node-0:unit=2,phase=work;ready_delay@node-1:seconds=1.5"
-            ),
+            fault_plan="crash@node-0:after=1,phase=work",
         )
         executor = last_executor()
-        assert_identical_to_serial(result, backend, "nm")
+        serial = run_cij("nm", points_p, points_q, storage=backend)
+        assert_identical_to_serial(result, backend, "nm", serial=serial)
         assert list(executor.quarantined) == ["node-0"]
-        assert executor.retries.get(2) == 1
+        assert "NodeCrashed" in executor.quarantined["node-0"]
+        (released,) = executor.retries
+        assert executor.retries[released] == 1
+        assert released == executor.last_assignments["node-0"][1] >= 1
+        assert released in executor.last_assignments["node-1"]
         assert_children_reaped(executor)
 
     @pytest.mark.parametrize("backend", ON_DISK_BACKENDS)
@@ -242,25 +255,6 @@ class TestFaultMatrix:
         survivors = set(executor.last_assignments) - set(executor.quarantined)
         assert survivors == {"node-1"}
         assert_children_reaped(executor)
-
-    @pytest.mark.timing
-    @pytest.mark.parametrize("backend", ON_DISK_BACKENDS)
-    def test_late_joining_node_is_admitted_mid_run(self, backend):
-        """min-quorum start: the run begins with one ready node; the
-        delayed node is admitted into the pull loop when it comes up,
-        instead of being a barrier the whole run waits behind."""
-        result = run_distributed(
-            backend,
-            "fm",
-            nodes=2,
-            node_min_ready=1,
-            fault_plan="ready_delay@node-1:seconds=0.6",
-        )
-        executor = last_executor()
-        assert_identical_to_serial(result, backend, "fm")
-        assert executor.quarantined == {}
-        # The punctual node must not have waited for the delayed one.
-        assert executor.last_assignments.get("node-0")
 
     @pytest.mark.parametrize("backend", ON_DISK_BACKENDS)
     def test_dropped_and_corrupted_results_are_retried(self, backend):

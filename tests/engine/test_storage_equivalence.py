@@ -215,6 +215,54 @@ class TestDistributedEquivalence:
             server.stop()
 
 
+class TestByteAccountingAcrossPlanes:
+    """One byte count, whatever plane runs the units.
+
+    A buffer miss moves the same page bytes in the parent, a forked worker
+    or a node subprocess, and each unit reports its own delta, so the
+    disk's ``storage_stats().bytes_read`` grows by the same amount over a
+    join on every executor that reads the same pages as serial.  That is
+    every plane for PM and FM.  For NM it excludes the fork pool: forked
+    units never chain the REUSE carry, so they recompute cells and read
+    other pages.
+    """
+
+    POINTS_P = uniform_points(300, seed=21)
+    POINTS_Q = uniform_points(300, seed=22)
+
+    PLANES = {
+        "sharded-1": {"executor": "sharded", "workers": 1},
+        "fork-2": {"executor": "sharded", "workers": 2},
+        "distributed-2": {"executor": "distributed", "nodes": 2},
+    }
+
+    def traffic(self, backend, algorithm, **overrides):
+        """``(page accesses, bytes read)`` over one join on a fresh workload."""
+        from repro.experiments.drivers.common import fresh_workload
+
+        with fresh_workload(self.POINTS_P, self.POINTS_Q, storage=backend) as workload:
+            before = workload.disk.storage_stats().bytes_read
+            result = default_engine().run(
+                algorithm,
+                workload.tree_p,
+                workload.tree_q,
+                domain=workload.domain,
+                **overrides,
+            )
+            moved = workload.disk.storage_stats().bytes_read - before
+        return result.stats.total_page_accesses, moved
+
+    @pytest.mark.parametrize("algorithm", ["nm", "pm", "fm"])
+    @pytest.mark.parametrize("backend", ["file", "sqlite"])
+    def test_bytes_read_equal_on_every_plane(self, backend, algorithm):
+        serial = self.traffic(backend, algorithm)
+        assert serial[1] > 0
+        for plane, overrides in self.PLANES.items():
+            if algorithm == "nm" and plane == "fork-2":
+                continue  # unchained: other pages, other bytes
+            assert self.traffic(backend, algorithm, **overrides) == serial, plane
+
+
 class TestSkewedWorkloadScheduling:
     """Pull scheduling balances a skewed workload without changing bytes.
 

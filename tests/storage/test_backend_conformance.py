@@ -342,19 +342,11 @@ class TestFileStoreSpecifics:
         finally:
             store.close()
 
-    def test_seek_read_fallback_matches_mmap(self, tmp_path):
-        plain = FilePageStore(str(tmp_path / "plain.bin"), use_mmap=False)
-        mapped = FilePageStore(str(tmp_path / "mapped.bin"), use_mmap=True)
-        try:
-            node = make_cell_node()
-            plain.write_page(1, "RP", node, 1024)
-            mapped.write_page(1, "RP", node, 1024)
-            a = plain.read_page(1).payload.entries[0].payload
-            b = mapped.read_page(1).payload.entries[0].payload
-            assert a.polygon.vertices == b.polygon.vertices
-        finally:
-            plain.close()
-            mapped.close()
+    def test_one_read_path_without_mmap_option(self, tmp_path):
+        """The file store has one read path, seek/read, and takes no
+        option to pick another."""
+        with pytest.raises(TypeError):
+            FilePageStore(str(tmp_path / "mapped.bin"), use_mmap=True)
 
     def test_memory_backend_rejects_storage_path(self):
         with pytest.raises(ValueError, match="storage_path requires"):

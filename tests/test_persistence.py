@@ -78,6 +78,27 @@ class TestCIJResultRoundTrip:
         with pytest.raises(ValueError):
             load_cij_result(path)
 
+    @pytest.mark.parametrize(
+        "text, line",
+        [
+            ("p_oid,q_oid\n1,2\n3\n", 3),  # one value
+            ("p_oid,q_oid\n1,2\n4,5,6\n", 3),  # three values
+            ("p_oid,q_oid\n1,2\n\n7,x\n", 4),  # not an integer
+        ],
+    )
+    def test_load_rejects_rows_that_are_not_two_integers(self, tmp_path, text, line):
+        path = tmp_path / "malformed.csv"
+        path.write_text(text, encoding="utf-8")
+        with pytest.raises(ValueError, match=rf"malformed\.csv: malformed row {line}"):
+            load_cij_result(path)
+
+    def test_load_requires_the_header(self, tmp_path):
+        """A headerless file must not silently lose its first pair."""
+        path = tmp_path / "headerless.csv"
+        path.write_text("7,8\n9,10\n", encoding="utf-8")
+        with pytest.raises(ValueError, match="p_oid,q_oid"):
+            load_cij_result(path)
+
 
 class TestExperimentResultRoundTrip:
     def test_round_trip(self, tmp_path):
