@@ -53,5 +53,5 @@ def test_ablation_batch_vs_single(benchmark, experiment_runner):
 
     points = uniform_points(500, seed=22)
     tree = build_indexed_pointset(DiskManager(), "RP", points, domain=DOMAIN)
-    leaf = next(tree.iter_leaf_nodes(order="hilbert"))
+    leaf = next(tree.iter_leaf_nodes())
     benchmark(lambda: compute_cells_for_leaf(tree, leaf.entries, DOMAIN))

@@ -187,8 +187,8 @@ def main() -> None:
     print()
 
     print("=== Remote storage: a page server instead of a shared filesystem ===")
-    # storage="remote" moves the backing store behind a page-server process
-    # that owns the file (or SQLite database) and serves read_page over the
+    # storage="remote" moves the page file behind a page-server process
+    # that owns it and serves read_page over the
     # same NDJSON framing as repro.service — so distributed nodes no longer
     # need to share a local filesystem with the coordinator: each one opens
     # its own socket to the server.  The node-side LRU buffer and decoded-
@@ -199,7 +199,7 @@ def main() -> None:
     # are added to the coordinator's totals when its unit is merged.
     from repro.storage.pageserver import spawn_page_server
 
-    server = spawn_page_server(backing="file")
+    server = spawn_page_server()
     try:
         remote_workload = build_workload(
             WorkloadConfig(
@@ -224,11 +224,10 @@ def main() -> None:
     finally:
         server.stop()
     # From two shells — no shared filesystem needed between them:
-    #     python -m repro.storage.pageserver --backing file --port 9321
-    #     python -m repro.cli join --page-server 127.0.0.1:9321 \
-    #         --executor distributed --nodes 2
-    # (--storage remote+sqlite spawns a private SQLite-backed server when
-    # no --page-server address is given.)
+    #     python -m repro.storage.pageserver --port 9321
+    #     python -m repro.cli join --storage remote \
+    #         --storage-path 127.0.0.1:9321 --executor distributed --nodes 2
+    # (--storage remote without --storage-path spawns a private server.)
     print()
 
     # Boundary ties: a pair joins only when the two influence regions

@@ -131,9 +131,7 @@ def common_influence_join(
         Storage parameters (paper defaults: 2 % LRU buffer, 1 KB pages).
     storage, storage_path:
         Page-store backend the workload is built on (``"memory"``,
-        ``"file"``, ``"sqlite"``, ``"remote"`` — or ``"remote+file"``/
-        ``"remote+sqlite"`` to pick a spawned page server's backing store)
-        and its backing path (for ``"remote"``: the ``HOST:PORT`` of a
+        ``"file"``, ``"sqlite"`` or ``"remote"``) and its backing path (for ``"remote"``: the ``HOST:PORT`` of a
         running page server, or ``None`` to spawn a private one).  The
         default honours ``$REPRO_STORAGE`` and falls back to memory; the
         serializing backends let the join page real bytes off disk for

@@ -42,12 +42,11 @@ Same join with pages stored in (and read back from) a real file::
 
 Remote storage: serve pages from a separate page-server process, then run
 a two-node distributed join against it — no shared filesystem needed
-(``--storage remote`` alone spawns a private server; ``remote+sqlite``
-picks the server's backing store)::
+(``--storage remote`` without ``--storage-path`` spawns a private server)::
 
-    python -m repro.storage.pageserver --backing file --port 9321 &
-    python -m repro.cli join --n-p 500 --n-q 500 --page-server 127.0.0.1:9321 \
-        --executor distributed --nodes 2
+    python -m repro.storage.pageserver --port 9321 &
+    python -m repro.cli join --n-p 500 --n-q 500 --storage remote \
+        --storage-path 127.0.0.1:9321 --executor distributed --nodes 2
 
 Apply a dynamic update stream after the initial join and print the pair
 delta of every batch (see :mod:`repro.dynamic.updates` for the file
@@ -67,14 +66,8 @@ from typing import List, Optional
 from repro import common_influence_join, uniform_points
 from repro.engine.config import resolve_config
 from repro.experiments import list_experiments, run_experiment
-from repro.storage.backends import REMOTE_BACKINGS, STORAGE_BACKENDS
+from repro.storage.backends import STORAGE_BACKENDS
 from repro.storage.pageserver import PageServerError
-
-#: Everything --storage accepts: the four base backends plus the
-#: "remote+backing" forms that pick a spawned page server's own store.
-_STORAGE_CHOICES = tuple(STORAGE_BACKENDS) + tuple(
-    f"remote+{backing}" for backing in REMOTE_BACKINGS
-)
 
 
 def _int_range(low: int, high: Optional[int] = None):
@@ -186,11 +179,9 @@ def build_parser() -> argparse.ArgumentParser:
     join.add_argument(
         "--storage",
         default=None,
-        choices=_STORAGE_CHOICES,
+        choices=STORAGE_BACKENDS,
         help="page-store backend (default: $REPRO_STORAGE or memory); "
-        "remote serves pages from a page-server process over TCP "
-        "(remote+file / remote+sqlite pick the spawned server's backing "
-        "store)",
+        "remote serves pages from a page-server process over TCP",
     )
     join.add_argument(
         "--storage-path",
@@ -198,14 +189,6 @@ def build_parser() -> argparse.ArgumentParser:
         help="backing file for --storage file|sqlite, or HOST:PORT of an "
         "already-running page server for --storage remote (default: owned "
         "temp file / a freshly spawned server)",
-    )
-    join.add_argument(
-        "--page-server",
-        default=None,
-        metavar="HOST:PORT",
-        help="attach to an already-running page server "
-        "(python -m repro.storage.pageserver); shorthand for "
-        "--storage remote --storage-path HOST:PORT",
     )
 
     serve = subparsers.add_parser(
@@ -230,7 +213,7 @@ def build_parser() -> argparse.ArgumentParser:
     serve.add_argument(
         "--storage",
         default=None,
-        choices=_STORAGE_CHOICES,
+        choices=STORAGE_BACKENDS,
         help="page-store backend (default: $REPRO_STORAGE or memory)",
     )
     serve.add_argument(
@@ -352,36 +335,6 @@ def _validate_fault_tolerance(
             parser.error(f"--fault-plan: {error}")
 
 
-def _resolve_storage(
-    parser: argparse.ArgumentParser, args: argparse.Namespace
-) -> "tuple[Optional[str], Optional[str]]":
-    """Fold ``--page-server`` into the (storage, storage_path) pair.
-
-    ``--page-server HOST:PORT`` is shorthand for attaching to a running
-    page server; contradictions with an explicit ``--storage``/
-    ``--storage-path`` are rejected loudly instead of being ignored.
-    """
-    storage, storage_path = args.storage, args.storage_path
-    address = getattr(args, "page_server", None)
-    if address is None:
-        return storage, storage_path
-    host, sep, port = address.rpartition(":")
-    if not sep or not host or not port.isdigit():
-        parser.error(f"--page-server expects HOST:PORT (got {address!r})")
-    if storage is not None and storage != "remote":
-        parser.error(
-            f"--page-server attaches to a running server and contradicts "
-            f"--storage {storage}; the backing store is the server's "
-            "business (drop --storage, or pass --storage remote)"
-        )
-    if storage_path is not None and storage_path != address:
-        parser.error(
-            "--page-server and --storage-path name the same server address "
-            "two ways; pass one of them"
-        )
-    return "remote", address
-
-
 def _validate_updates(parser: argparse.ArgumentParser, args: argparse.Namespace) -> None:
     """Reject a parallel executor combined with ``--updates``.
 
@@ -445,7 +398,7 @@ def _cmd_join(
         return 2
     except PageServerError as error:
         # An unreachable, dead or misbehaving page server is an operator
-        # problem (wrong --page-server address, server not running), not
+        # problem (wrong --storage-path address, server not running), not
         # an internal failure: surface it like the other usage errors.
         print(f"error: {error}", file=sys.stderr)
         return 2
@@ -611,7 +564,6 @@ def main(argv: Optional[List[str]] = None) -> int:
         _validate_nodes(parser, args)
         _validate_fault_tolerance(parser, args)
         _validate_updates(parser, args)
-        storage, storage_path = _resolve_storage(parser, args)
         return _cmd_join(
             args.n_p,
             args.n_q,
@@ -620,8 +572,8 @@ def main(argv: Optional[List[str]] = None) -> int:
             args.executor,
             args.workers,
             args.nodes,
-            storage,
-            storage_path,
+            args.storage,
+            args.storage_path,
             args.updates,
             args.node_timeout,
             args.node_retries,

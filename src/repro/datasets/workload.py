@@ -39,11 +39,9 @@ class WorkloadConfig:
     seed: int = 0
     #: Space domain.
     domain: Rect = DOMAIN
-    #: Page-store backend (``memory``/``file``/``sqlite``/``remote``, or
-    #: ``remote+file``/``remote+sqlite`` to pick a spawned page server's
-    #: backing store); ``None`` uses ``$REPRO_STORAGE`` or memory, so a CI
-    #: matrix can retarget every workload-built test without touching the
-    #: tests.
+    #: Page-store backend (``memory``/``file``/``sqlite``/``remote``);
+    #: ``None`` uses ``$REPRO_STORAGE`` or memory, so a CI matrix can
+    #: retarget every workload-built test without touching the tests.
     storage: Optional[str] = None
     #: Backing path for the file/sqlite backends, or ``HOST:PORT`` of an
     #: already-running page server for ``remote`` (``None`` = owned temp

@@ -21,12 +21,10 @@ at a cost proportional to the *influence* of the batch instead:
    already-updated source tree.
 3. **Delta join** — only pairs incident to a dirty cell are re-evaluated.
    Deleted sites retract their recorded pairs outright.  For each dirty
-   site the candidate partners are found either with the paper's
+   site the candidate partners are found with the paper's
    ConditionalFilter against the opposite source tree (complete: every
-   point whose exact cell intersects the target polygon is admitted) or by
-   an MBR scan of the maintained opposite cells
-   (:attr:`EngineConfig.delta_candidates`), and the recorded partner set is
-   diffed against the fresh one.
+   point whose exact cell intersects the target polygon is admitted), and
+   the recorded partner set is diffed against the fresh one.
 
 A pair's membership depends only on its two cells, and every cell that can
 change is invalidated, so the maintained pair set after ``apply_updates``
@@ -89,17 +87,11 @@ class DynamicJoinSession:
         tree_q: RTree,
         domain: Optional[Rect] = None,
         config: Optional[EngineConfig] = None,
-        owns_disk: bool = False,
     ):
         if tree_p.disk is not tree_q.disk:
             raise ValueError("both input trees must share one DiskManager")
         self.tree_p = tree_p
         self.tree_q = tree_q
-        #: When True, :meth:`close` also closes the shared DiskManager
-        #: (and with it the file/sqlite page-store handles).  False by
-        #: default: sessions opened over a caller-built workload must not
-        #: pull the disk out from under it.
-        self.owns_disk = owns_disk
         self._closed = False
         self.config = config if config is not None else EngineConfig()
         if self.config.executor != "serial":
@@ -131,14 +123,13 @@ class DynamicJoinSession:
         """Materialise both diagrams and derive the initial pair set.
 
         Partner discovery goes through :meth:`_partners_for_group`, one
-        group per ``R_P`` leaf — NM-CIJ's amortisation: with the default
-        tree filter each leaf batch costs a single pruned ``R_Q`` descent
-        instead of one per cell (or the quadratic all-pairs MBR scan).
+        group per ``R_P`` leaf — NM-CIJ's amortisation: each leaf batch
+        costs a single pruned ``R_Q`` descent instead of one per cell.
         """
         with self.tree_p.disk.suspend_io_accounting():
             leaf_groups: List[List[VoronoiCell]] = []
             if not self.tree_p.is_empty():
-                for leaf in self.tree_p.iter_leaf_nodes(order="hilbert"):
+                for leaf in self.tree_p.iter_leaf_nodes():
                     computed = compute_cells_for_leaf(
                         self.tree_p, leaf.entries, self.domain, stats=self.cell_stats
                     )
@@ -163,7 +154,7 @@ class DynamicJoinSession:
         cells: Dict[int, VoronoiCell] = {}
         if tree.is_empty():
             return cells
-        for leaf in tree.iter_leaf_nodes(order="hilbert"):
+        for leaf in tree.iter_leaf_nodes():
             cells.update(
                 compute_cells_for_leaf(
                     tree, leaf.entries, self.domain, stats=self.cell_stats
@@ -407,20 +398,14 @@ class DynamicJoinSession:
     ) -> Dict[int, Set[int]]:
         """Opposite-side partners of each cell in ``group``, per oid.
 
-        With the default ``"filter"`` strategy the whole group shares one
-        ConditionalFilter descent of the opposite tree (the filter is
-        complete per target: every opposite point whose exact cell
-        intersects some group polygon is admitted), and each cell then
-        tests only the admitted candidates; ``"scan"`` checks each cell
-        against the full maintained opposite diagram instead.
+        The whole group shares one ConditionalFilter descent of the
+        opposite tree (the filter is complete per target: every opposite
+        point whose exact cell intersects some group polygon is admitted),
+        and each cell then tests only the admitted candidates.
         """
         result: Dict[int, Set[int]] = {cell.oid: set() for cell in group}
         opposite_cells, opposite_tree = self._side("Q" if side == "P" else "P")
         if not group or not opposite_cells:
-            return result
-        if self.config.delta_candidates == "scan":
-            for cell in group:
-                result[cell.oid] = self._partners_by_scan(cell, opposite_cells)
             return result
         candidates = batch_conditional_filter(
             [cell.polygon for cell in group],
@@ -441,18 +426,6 @@ class DynamicJoinSession:
                 if mbr.intersects(other_mbr) and cell.intersects(other)
             }
         return result
-
-    @staticmethod
-    def _partners_by_scan(
-        cell: VoronoiCell, opposite_cells: Dict[int, VoronoiCell]
-    ) -> Set[int]:
-        """MBR-prefiltered scan of the maintained opposite diagram."""
-        mbr = cell.mbr()
-        return {
-            oid
-            for oid, other in opposite_cells.items()
-            if mbr.intersects(other.mbr()) and cell.intersects(other)
-        }
 
     def _add_pair(self, pair, added, removed) -> None:
         if pair not in self.pairs:
@@ -517,27 +490,22 @@ class DynamicJoinSession:
         return self._closed
 
     def close(self) -> None:
-        """Release the maintained state; with ``owns_disk`` also the disk.
+        """Release the maintained state.
 
-        A long-running server cycles many sessions over the same storage
-        path — without an explicit close the old session keeps its trees,
-        diagrams, and (transitively) the backend's file/sqlite handles
-        alive until GC, which under load becomes real fd exhaustion.
-        Closing is idempotent; a closed session rejects further
+        The trees' DiskManager stays open: it belongs to whoever built the
+        workload, who closes it after the session (as the join service
+        does).  Closing is idempotent; a closed session rejects further
         :meth:`apply_updates`/:meth:`window_pairs`.
         """
         if self._closed:
             return
         self._closed = True
-        disk = self.tree_p.disk if self.owns_disk else None
         self.cells_p.clear()
         self.cells_q.clear()
         self._partners_p.clear()
         self._partners_q.clear()
         self._reaches = {"P": {}, "Q": {}}
         self.pairs.clear()
-        if disk is not None:
-            disk.close()
 
     def __enter__(self) -> "DynamicJoinSession":
         return self

@@ -25,8 +25,7 @@ hands its REUSE buffer across unit boundaries, restoring the serial
 cell-reuse chain: a sharded run with ``workers=1`` and every distributed
 run chain it, a fork pool's units stay independent.  Every page fetch,
 whatever the executor, is the page store's synchronous read — the paper's
-cost model.  :func:`default_engine` serves callers that do not need their
-own registry.
+cost model.  :func:`default_engine` is the shared process-wide engine.
 """
 
 from repro.engine.algorithms import (

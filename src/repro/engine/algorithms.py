@@ -102,7 +102,7 @@ class JoinAlgorithm:
         return [
             WorkUnit(algorithm=self.name, index=index, payload=(page_id,))
             for index, (page_id, _node) in enumerate(
-                ctx.tree_q.iter_leaf_nodes_with_pages(order="hilbert")
+                ctx.tree_q.iter_leaf_nodes_with_pages()
             )
         ]
 
@@ -123,7 +123,7 @@ class JoinAlgorithm:
         :meth:`process_units`, preserving the paper's interleaving of leaf
         I/O and result output.
         """
-        return self.process_units(ctx, ctx.tree_q.iter_leaf_nodes(order="hilbert"))
+        return self.process_units(ctx, ctx.tree_q.iter_leaf_nodes())
 
     def process_units(
         self, ctx: JoinContext, units: Iterable[object]

@@ -9,6 +9,8 @@ A config can be shared between runs, copied with
 :func:`dataclasses.replace` (which re-runs the checks) and safely inherited
 by forked workers.  Where the pages live is not a run knob: the trees'
 :class:`~repro.storage.disk.DiskManager` is the one record of the backend.
+Nor is how a dynamic session finds the partners of a dirty cell: it always
+probes the opposite tree with the paper's ConditionalFilter.
 """
 
 from __future__ import annotations
@@ -22,10 +24,6 @@ from repro.geometry.rect import Rect
 
 #: Executor identifiers accepted by :attr:`EngineConfig.executor`.
 EXECUTORS = ("serial", "sharded", "distributed")
-
-#: Candidate-discovery strategies of the dynamic delta join
-#: (:attr:`EngineConfig.delta_candidates`).
-DELTA_CANDIDATES = ("filter", "scan")
 
 
 @dataclass(frozen=True)
@@ -85,13 +83,6 @@ class EngineConfig:
         NM-CIJ's Lemma-3 non-leaf pruning rule.
     domain:
         Space domain ``U``; defaults to the union of the two tree MBRs.
-    delta_candidates:
-        How a :class:`~repro.dynamic.DynamicJoinSession` finds the
-        candidate partners of a dirty cell during incremental maintenance:
-        ``"filter"`` (default) probes the opposite source tree with the
-        paper's ConditionalFilter, ``"scan"`` MBR-scans the maintained
-        opposite diagram (an independent path the differential tests use
-        to cross-check the filter).
     """
 
     executor: str = "serial"
@@ -103,7 +94,6 @@ class EngineConfig:
     reuse_cells: bool = True
     use_phi_pruning: bool = True
     domain: Optional[Rect] = None
-    delta_candidates: str = "filter"
 
     def __post_init__(self) -> None:
         if self.executor not in EXECUTORS:
@@ -127,11 +117,6 @@ class EngineConfig:
             from repro.engine.faults import FaultPlan
 
             FaultPlan.from_spec(self.fault_plan)  # fail fast on a bad spec
-        if self.delta_candidates not in DELTA_CANDIDATES:
-            raise ValueError(
-                f"unknown delta_candidates {self.delta_candidates!r}; "
-                f"expected one of {DELTA_CANDIDATES}"
-            )
 
 
 def resolve_config(

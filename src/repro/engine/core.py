@@ -14,7 +14,10 @@ engine owns the run lifecycle:
 
 The classic entry points (:func:`repro.join.nm_cij.nm_cij` and friends)
 are thin wrappers over :func:`default_engine`, so every experiment driver,
-example and test runs through this one code path.
+example and test runs through this one code path.  The engine's algorithm
+set is fixed (NM, PM, FM and the brute-force baseline), and
+:meth:`JoinEngine.open_dynamic` is a stateless factory: the engine keeps
+no dynamic session of its own.
 """
 
 from __future__ import annotations
@@ -33,13 +36,12 @@ from repro.engine.executors import executor_for
 
 
 class JoinEngine:
-    """Registry of join algorithms plus the shared execution plumbing."""
+    """The stock join algorithms plus the shared execution plumbing."""
 
-    def __init__(self, algorithms: Optional[List[JoinAlgorithm]] = None):
-        stock = algorithms if algorithms is not None else default_algorithms()
-        self._algorithms: Dict[str, JoinAlgorithm] = {a.name: a for a in stock}
-        #: The currently open dynamic session (see :meth:`open_dynamic`).
-        self._session = None
+    def __init__(self):
+        self._algorithms: Dict[str, JoinAlgorithm] = {
+            a.name: a for a in default_algorithms()
+        }
         #: The executor instance of the most recent :meth:`run` — a
         #: diagnostics hook: the sharded/distributed executors record
         #: their pull-scheduling trace on ``last_assignments``, which the
@@ -48,14 +50,8 @@ class JoinEngine:
         self.last_executor = None
 
     def algorithm_names(self) -> List[str]:
-        """The registered algorithm identifiers, sorted."""
+        """The algorithm identifiers, sorted."""
         return sorted(self._algorithms)
-
-    def register(self, algorithm: JoinAlgorithm) -> None:
-        """Add (or replace) an algorithm under its ``name``."""
-        if not algorithm.name:
-            raise ValueError("algorithm must define a non-empty name")
-        self._algorithms[algorithm.name] = algorithm
 
     def run(
         self,
@@ -70,7 +66,7 @@ class JoinEngine:
         Parameters
         ----------
         algorithm:
-            A registered identifier (``"nm"``, ``"pm"``, ``"fm"``,
+            An algorithm identifier (``"nm"``, ``"pm"``, ``"fm"``,
             ``"brute"``) or a :class:`JoinAlgorithm` instance.
         tree_p, tree_q:
             Source R-trees sharing one :class:`~repro.storage.disk.DiskManager`.
@@ -138,67 +134,23 @@ class JoinEngine:
         tree_p: RTree,
         tree_q: RTree,
         config: Optional[EngineConfig] = None,
-        owns_disk: bool = False,
         **overrides,
     ):
         """Open a :class:`~repro.dynamic.DynamicJoinSession` on two trees.
 
         The session materialises both Voronoi diagrams, derives the current
         pair set, and then absorbs insert/delete batches incrementally
-        (:meth:`apply_updates`).  ``config``/``overrides`` follow the same
-        semantics as :meth:`run`; the session requires the serial executor.
-
-        The engine keeps the session open (and its trees and diagrams
-        alive) until the next :meth:`open_dynamic` or an explicit
-        :meth:`close_dynamic` — on the shared :func:`default_engine` only
-        one session is current at a time (latest wins, and the replaced
-        session is closed), so a caller juggling several sessions should
-        call ``session.apply_updates`` on the objects directly.
-
-        ``owns_disk=True`` transfers ownership of the trees' DiskManager
-        to the session: closing the session then also closes the backend
-        handles — what a long-running server wants when it builds the
-        workload solely for the session.
+        (``session.apply_updates``).  ``config``/``overrides`` follow the
+        same semantics as :meth:`run`; the session requires the serial
+        executor.  The engine keeps no reference to the session: the caller
+        closes it, and then the workload its trees belong to.
         """
         from repro.dynamic.maintenance import DynamicJoinSession
 
         effective = resolve_config(config, overrides)
-        session = DynamicJoinSession(
-            tree_p,
-            tree_q,
-            domain=effective.domain,
-            config=effective,
-            owns_disk=owns_disk,
+        return DynamicJoinSession(
+            tree_p, tree_q, domain=effective.domain, config=effective
         )
-        previous, self._session = self._session, session
-        if previous is not None and previous is not session:
-            previous.close()
-        return session
-
-    def apply_updates(self, batch):
-        """Apply an update batch to the engine's open dynamic session.
-
-        Returns the :class:`~repro.dynamic.PairDelta` of the batch.  A
-        session must have been opened with :meth:`open_dynamic` (and not
-        yet replaced or closed); see there for the single-session caveat.
-        """
-        if self._session is None:
-            raise ValueError(
-                "no dynamic session is open; call "
-                "engine.open_dynamic(tree_p, tree_q) before apply_updates"
-            )
-        return self._session.apply_updates(batch)
-
-    def close_dynamic(self) -> None:
-        """Close and forget the open dynamic session.
-
-        The session's maintained state is released immediately (and, if it
-        owns its disk, the backend handles with it) rather than waiting
-        for GC.  A no-op when no session is open.
-        """
-        session, self._session = self._session, None
-        if session is not None:
-            session.close()
 
     # ------------------------------------------------------------------
     def _resolve(self, algorithm: Union[str, JoinAlgorithm]) -> JoinAlgorithm:

@@ -96,7 +96,7 @@ def ablation_batch_vs_single(scale: ExperimentScale) -> ExperimentResult:
     points = uniform_points(scale.base_cardinality, seed=22)
     disk = DiskManager()
     tree = build_indexed_pointset(disk, "RP", points, domain=DOMAIN)
-    leaves = list(tree.iter_leaf_nodes(order="hilbert"))
+    leaves = list(tree.iter_leaf_nodes())
     rng = random.Random(3)
     sample = rng.sample(leaves, min(10, len(leaves)))
     for method in ("BATCH", "SINGLE"):

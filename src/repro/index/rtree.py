@@ -13,8 +13,8 @@ The class supports the operations the CIJ algorithms need:
   the way to the root), which is what the dynamic-workload maintenance
   layer (:mod:`repro.dynamic`) uses to keep the source trees current,
 * rectangle range search (PM-CIJ probes ``R'_P`` with batch range queries),
-* depth-first and Hilbert-ordered leaf iteration (Algorithms 3, 4 and 6
-  visit the leaves of a source tree in Hilbert order of their centroids),
+* Hilbert-ordered leaf iteration (Algorithms 3, 4 and 6 visit the leaves
+  of a source tree in Hilbert order of their centroids),
 * raw node access for the best-first traversals in :mod:`repro.query` and
   :mod:`repro.voronoi`.
 """
@@ -250,20 +250,17 @@ class RTree:
     # ------------------------------------------------------------------
     # traversal
     # ------------------------------------------------------------------
-    def iter_leaf_nodes(self, order: str = "dfs") -> Iterator[Node]:
-        """Yield leaf nodes, charging I/O for every node visited.
+    def iter_leaf_nodes(self) -> Iterator[Node]:
+        """Yield leaf nodes in Hilbert order, charging I/O per node visited.
 
-        ``order`` may be ``"dfs"`` (plain depth-first) or ``"hilbert"``
-        (children visited in Hilbert order of their MBR centres, the order
-        used by the CIJ algorithms so that consecutive leaves are spatially
-        close and the LRU buffer is effective).
+        Children are visited in Hilbert order of their MBR centres, the
+        order the CIJ algorithms use so that consecutive leaves are
+        spatially close and the LRU buffer is effective.
         """
-        for _, node in self.iter_leaf_nodes_with_pages(order=order):
+        for _, node in self.iter_leaf_nodes_with_pages():
             yield node
 
-    def iter_leaf_nodes_with_pages(
-        self, order: str = "dfs"
-    ) -> Iterator[Tuple[int, Node]]:
+    def iter_leaf_nodes_with_pages(self) -> Iterator[Tuple[int, Node]]:
         """Yield ``(page_id, leaf node)`` pairs, charging I/O per node.
 
         The same charged traversal as :meth:`iter_leaf_nodes`; the page id
@@ -273,9 +270,7 @@ class RTree:
         """
         if self.root_page is None:
             return
-        if order not in ("dfs", "hilbert"):
-            raise ValueError(f"unknown traversal order: {order!r}")
-        domain = self.domain() if order == "hilbert" else None
+        domain = self.domain()
         stack: List[int] = [self.root_page]
         while stack:
             page_id = stack.pop()
@@ -283,11 +278,11 @@ class RTree:
             if node.is_leaf:
                 yield page_id, node
                 continue
-            children = list(node.entries)
-            if order == "hilbert":
-                children.sort(
-                    key=lambda e: hilbert_value(e.mbr.center(), domain), reverse=True
-                )
+            children = sorted(
+                node.entries,
+                key=lambda e: hilbert_value(e.mbr.center(), domain),
+                reverse=True,
+            )
             stack.extend(e.child_page for e in children)
 
     def iter_all_nodes(self) -> Iterator[Node]:

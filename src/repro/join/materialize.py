@@ -23,7 +23,6 @@ def materialize_voronoi_rtree(
     source_tree: RTree,
     domain: Rect,
     tag: str,
-    strategy: str = "batch",
     stats: Optional[CellComputationStats] = None,
 ) -> Tuple[RTree, int]:
     """Compute the Voronoi diagram of ``source_tree`` and index it.
@@ -37,9 +36,6 @@ def materialize_voronoi_rtree(
     tag:
         Page tag of the new tree (e.g. ``"RP_vor"``), used by experiments to
         attribute materialisation I/O.
-    strategy:
-        ``"batch"`` (Algorithm 2 per leaf, the default used by FM/PM-CIJ)
-        or ``"iter"`` (Algorithm 1 per point).
     stats:
         Optional cell-computation work counters.
 
@@ -51,7 +47,7 @@ def materialize_voronoi_rtree(
     voronoi_tree = RTree(source_tree.disk, tag, page_size=source_tree.page_size)
     loader = StreamingBulkLoader(voronoi_tree)
     count = 0
-    for cell in iter_diagram_cells(source_tree, domain, strategy=strategy, stats=stats):
+    for cell in iter_diagram_cells(source_tree, domain, stats=stats):
         loader.append(
             LeafEntry.for_cell(cell.oid, cell.mbr(), cell, cell.vertex_count())
         )

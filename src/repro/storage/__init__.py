@@ -24,7 +24,6 @@ subpackage provides exactly that substrate:
 """
 
 from repro.storage.backends import (
-    REMOTE_BACKINGS,
     STORAGE_BACKENDS,
     STORAGE_ENV_VAR,
     FilePageStore,
@@ -78,6 +77,5 @@ __all__ = [
     "create_page_store",
     "default_storage_backend",
     "STORAGE_BACKENDS",
-    "REMOTE_BACKINGS",
     "STORAGE_ENV_VAR",
 ]

@@ -15,18 +15,18 @@ counters); a :class:`PageStore` owns the *bytes*.  Four backends ship:
   durable and readable by other processes.
 * :class:`~repro.storage.pageserver.RemotePageStore` — a client for the
   NDJSON page-server process (:mod:`repro.storage.pageserver`), which owns
-  a file/sqlite store and serves it over TCP so workers need no shared
+  a file store and serves it over TCP so workers need no shared
   filesystem at all.
 
-The contract is one ABC, :class:`PageStore`: every backend inherits it,
-implements the abstract page operations and overrides the defaults its
-byte layout makes cheaper.  The capability flag ``supports_worker_reopen``
-plus the ``location`` property replace the old scattered
-``hasattr``/backend-name string checks: the engine asks a store what it can
-do instead of guessing from its name.
+The contract is one ABC, :class:`PageStore`: every backend inherits it and
+implements its abstract page operations.  The capability flag
+``supports_worker_reopen`` plus the ``location`` property replace the old
+scattered ``hasattr``/backend-name string checks: the engine asks a store
+what it can do instead of guessing from its name.
 
 Backend selection routes through one factory, :func:`create_page_store`,
-which takes the ``(backend, path)`` pair a workload is built from.  The
+which takes the ``(backend, path)`` pair a workload is built from; the
+backend is one of the four names in :data:`STORAGE_BACKENDS`.  The
 ``REPRO_STORAGE`` environment variable overrides the default so the whole
 test tier can run against any backend (the CI matrix does exactly that).
 """
@@ -46,87 +46,59 @@ from typing import Any, Dict, List, Optional, Tuple
 #: Backend identifiers accepted by :func:`create_page_store`.
 STORAGE_BACKENDS = ("memory", "file", "sqlite", "remote")
 
-#: Backings the remote page server can serve (``remote+file`` spawns a
-#: file-backed server, ``remote+sqlite`` an SQLite-backed one).
-REMOTE_BACKINGS = ("file", "sqlite")
-
 #: Environment variable selecting the default backend (used by CI).
 STORAGE_ENV_VAR = "REPRO_STORAGE"
 
 
 def canonical_backend(name: str) -> str:
-    """The base backend a storage name resolves to, validated.
-
-    ``"remote+sqlite"`` → ``"remote"``; plain names pass through.  This is
-    the single place a storage name is parsed, so the engine config, the
-    workload builder and :meth:`~repro.storage.disk.DiskManager.storage_backend`
-    comparisons all agree on what counts as the same backend.
-    """
-    base, _, backing = name.strip().lower().partition("+")
-    if base not in STORAGE_BACKENDS:
+    """A storage name, normalised and validated against ``STORAGE_BACKENDS``."""
+    backend = name.strip().lower()
+    if backend not in STORAGE_BACKENDS:
         raise ValueError(
             f"unknown storage backend {name!r}; expected one of {STORAGE_BACKENDS}"
-            " (the remote backend also accepts remote+file / remote+sqlite)"
         )
-    if backing:
-        if base != "remote":
-            raise ValueError(
-                f"storage backend {name!r} does not take a '+backing' suffix; "
-                "only the remote page server does (remote+file, remote+sqlite)"
-            )
-        if backing not in REMOTE_BACKINGS:
-            raise ValueError(
-                f"unknown remote backing {backing!r} in {name!r}; "
-                f"expected one of {REMOTE_BACKINGS}"
-            )
-    return base
+    return backend
 
 
 def default_storage_backend() -> str:
     """The backend used when none is requested: ``$REPRO_STORAGE`` or memory."""
     backend = os.environ.get(STORAGE_ENV_VAR, "memory").strip().lower() or "memory"
-    try:
-        canonical_backend(backend)
-    except ValueError:
+    if backend not in STORAGE_BACKENDS:
         raise ValueError(
             f"{STORAGE_ENV_VAR}={backend!r} is not a known backend; "
             f"expected one of {STORAGE_BACKENDS}"
-        ) from None
+        )
     return backend
 
 
 def create_page_store(
-    backend: Optional[str] = None, path: Optional[str] = None, **options
+    backend: Optional[str] = None, path: Optional[str] = None
 ) -> "PageStore":
     """Instantiate a backend by name (``None`` resolves the default).
 
     For the remote backend, ``path`` carries the page server's
-    ``HOST:PORT`` address; ``None`` spawns an owned server process (backed
-    by ``remote+file`` / ``remote+sqlite``, default file) that is shut
-    down when the store is closed.
+    ``HOST:PORT`` address; ``None`` spawns an owned server process that is
+    shut down when the store is closed.
     """
-    backend = backend if backend is not None else default_storage_backend()
-    backend = backend.strip().lower()
-    base = canonical_backend(backend)
-    if base == "memory":
+    backend = canonical_backend(
+        backend if backend is not None else default_storage_backend()
+    )
+    if backend == "memory":
         if path is not None:
             raise ValueError(
                 "the memory backend keeps no file: storage_path requires "
                 "storage='file', 'sqlite' or 'remote'"
             )
         return MemoryPageStore()
-    if base == "file":
-        return FilePageStore(path, **options)
-    if base == "sqlite":
-        return SQLitePageStore(path, **options)
-    # base == "remote": imported lazily — the page-server client pulls in
+    if backend == "file":
+        return FilePageStore(path)
+    if backend == "sqlite":
+        return SQLitePageStore(path)
+    # backend == "remote": imported lazily — the page-server client pulls in
     # socket/subprocess machinery local backends never need.
     from repro.storage.pageserver import RemotePageStore
 
-    _, _, backing = backend.partition("+")
-    if backing:
-        options.setdefault("backing", backing)
-    return RemotePageStore(address=path, **options)
+    return RemotePageStore(address=path)
 
 
 @dataclass
@@ -213,10 +185,9 @@ class PageStore(abc.ABC):
         that buffer misses pulled.
         """
 
+    @abc.abstractmethod
     def page_meta(self, page_id: int) -> Tuple[str, int]:
         """``(tag, size_bytes)`` of a page without decoding its payload."""
-        record = self.read_page(page_id, count=False)
-        return record.tag, record.size_bytes
 
     @abc.abstractmethod
     def free_page(self, page_id: int) -> bool:
@@ -226,19 +197,13 @@ class PageStore(abc.ABC):
     def page_ids(self) -> List[int]:
         """All stored page ids (unordered)."""
 
+    @abc.abstractmethod
     def page_count(self, tag: Optional[str] = None) -> int:
         """Number of stored pages, optionally restricted to one tag."""
-        if tag is None:
-            return len(self.page_ids())
-        return sum(1 for page_id in self.page_ids() if self.page_meta(page_id)[0] == tag)
 
+    @abc.abstractmethod
     def data_size_bytes(self, tag: Optional[str] = None) -> int:
         """Sum of the *logical* page sizes, optionally restricted to a tag."""
-        return sum(
-            self.page_meta(page_id)[1]
-            for page_id in self.page_ids()
-            if tag is None or self.page_meta(page_id)[0] == tag
-        )
 
     @abc.abstractmethod
     def stats(self) -> StorageStats:
@@ -703,21 +668,15 @@ class SQLitePageStore(PageStore):
     journal provides the old-or-new guarantee the file backend implements
     by hand.  ``None`` as path creates an owned temporary database deleted
     on :meth:`close`.
-
-    ``cross_thread=True`` opens the main connection with
-    ``check_same_thread=False`` for callers that serialize access under
-    their own lock from several threads — the page server's
-    thread-per-connection handlers are the one such caller.
     """
 
     name = "sqlite"
     supports_worker_reopen = True
 
-    def __init__(self, path: Optional[str] = None, cross_thread: bool = False):
+    def __init__(self, path: Optional[str] = None):
         import sqlite3
 
         self._sqlite3 = sqlite3
-        self._cross_thread = cross_thread
         self._owns_path = path is None
         if path is None:
             fd, path = tempfile.mkstemp(prefix="repro-pages-", suffix=".sqlite")
@@ -726,9 +685,7 @@ class SQLitePageStore(PageStore):
         self._readonly = False
         self.bytes_read = 0
         self.bytes_written = 0
-        self._conn = sqlite3.connect(
-            self.path, isolation_level=None, check_same_thread=not cross_thread
-        )
+        self._conn = sqlite3.connect(self.path, isolation_level=None)
         self._conn.execute(
             "CREATE TABLE IF NOT EXISTS pages ("
             " page_id INTEGER PRIMARY KEY,"
@@ -844,7 +801,6 @@ __all__ = [
     "create_page_store",
     "default_storage_backend",
     "STORAGE_BACKENDS",
-    "REMOTE_BACKINGS",
     "STORAGE_ENV_VAR",
     "DEFAULT_SLOT_SIZE",
 ]

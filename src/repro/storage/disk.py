@@ -54,10 +54,9 @@ class DiskManager:
         allocation above the highest stored id.
     storage, storage_path:
         Convenience alternative to ``store``: a backend name
-        (``"memory" | "file" | "sqlite" | "remote"``, the last also as
-        ``remote+file`` / ``remote+sqlite``) and the backing path —
-        for the remote backend the page server's ``HOST:PORT`` address —
-        (``None`` = owned temporary file / spawned server).
+        (``"memory" | "file" | "sqlite" | "remote"``) and the backing
+        path — for the remote backend the page server's ``HOST:PORT``
+        address — (``None`` = owned temporary file / spawned server).
 
     Every physical fetch is the store's synchronous ``read_page``.
     """

@@ -3,8 +3,9 @@
 ROADMAP item 3's last rung: every distributed tier so far still assumed
 all workers could reopen the same local file/sqlite path.  This module
 removes that assumption.  A :class:`PageServer` process owns the one
-writable backing store (file or sqlite) and serves it over TCP using the
-same newline-delimited canonical-JSON framing as the join service
+writable :class:`~repro.storage.backends.FilePageStore` — the paper's disk
+model — and serves it over TCP using the same newline-delimited
+canonical-JSON framing as the join service
 (:mod:`repro.service.protocol`); a :class:`RemotePageStore` plugs into
 :class:`~repro.storage.disk.DiskManager` behind the ordinary
 :class:`~repro.storage.backends.PageStore` seam, so the node-local LRU
@@ -18,9 +19,8 @@ Wire format (one request line, one response line)::
     {"ok": true, "op": "read_page", "record": {"tag": "R", "size": 412,
      "blob": "<base64 of the codec-encoded payload>"}}
 
-Ops: ``hello``, ``read_page``, ``write_page``, ``free_page``,
-``page_meta``, ``page_ids``, ``page_count``, ``data_size``, ``stats``,
-``shutdown``.
+Ops: ``read_page``, ``write_page``, ``free_page``, ``page_meta``,
+``page_ids``, ``page_count``, ``data_size``, ``stats``, ``shutdown``.
 Unknown pages answer the structured error code ``unknown_page``, which
 the client re-raises as the ``KeyError`` every backend contract promises.
 
@@ -44,7 +44,6 @@ import weakref
 from typing import Any, Dict, List, Optional, Tuple
 
 from repro.service.protocol import (
-    PROTOCOL_VERSION,
     ServiceError,
     decode_line,
     encode_line,
@@ -52,17 +51,16 @@ from repro.service.protocol import (
     ok_response,
 )
 from repro.storage.backends import (
-    REMOTE_BACKINGS,
+    FilePageStore,
     PageRecord,
     PageStore,
     StorageStats,
     _codec,
-    create_page_store,
 )
 
-#: Default socket timeout for one RPC; a server that neither answers nor
-#: closes the connection within this window surfaces a loud error instead
-#: of hanging the join.
+#: Socket timeout for one RPC; a server that neither answers nor closes the
+#: connection within this window surfaces a loud error instead of hanging
+#: the join.
 DEFAULT_RPC_TIMEOUT = 60.0
 
 
@@ -105,11 +103,11 @@ def _record_to_wire(record: PageRecord) -> Dict[str, Any]:
 # server
 # ----------------------------------------------------------------------
 class PageServer:
-    """Serves one writable backing store to any number of TCP clients.
+    """Serves one writable page store to any number of TCP clients.
 
     One thread per connection; every store operation runs under a single
     lock, so cross-connection writes are immediately visible to every
-    reader — the same old-or-new guarantee the backings give processes
+    reader — the same old-or-new guarantee the file store gives processes
     sharing a local path.  The server reads pages uncounted
     (``count=False``): byte accounting belongs to each client's transport
     counters, not to the shared store.
@@ -125,13 +123,6 @@ class PageServer:
     @property
     def address(self) -> str:
         return f"{self.host}:{self.port}"
-
-    def start(self) -> None:
-        """Accept connections on a background thread (in-process use)."""
-        thread = threading.Thread(
-            target=self.serve_forever, name="repro-pageserver-accept", daemon=True
-        )
-        thread.start()
 
     def serve_forever(self) -> None:
         """Accept loop; returns after :meth:`stop` (or the shutdown op)."""
@@ -197,13 +188,6 @@ class PageServer:
 
     def _dispatch(self, op: str, request: Dict[str, Any]) -> Dict[str, Any]:
         store = self._store
-        if op == "hello" or op == "ping":
-            with self._lock:
-                return {
-                    "version": PROTOCOL_VERSION,
-                    "backend": store.name,
-                    "pages": store.page_count(),
-                }
         if op == "read_page":
             page_id = _int_field(request, "page")
             with self._lock:
@@ -300,27 +284,22 @@ class SpawnedPageServer:
 
 
 def spawn_page_server(
-    backing: str = "file",
     path: Optional[str] = None,
     host: str = "127.0.0.1",
 ) -> SpawnedPageServer:
     """Start ``python -m repro.storage.pageserver`` and wait for its address.
 
-    With ``path=None`` the server owns a temporary backing file and deletes
+    With ``path=None`` the server owns a temporary page file and deletes
     it when it exits cleanly.  The child announces ``{"type": "listening",
-    "host": ..., "port": ...}`` on stdout once it accepts connections.
+    "host": ..., "port": ...}`` on stdout once it accepts connections.  A
+    child that exits or announces garbage instead is reaped, and its pipe
+    closed, before :class:`PageServerError` is raised.
     """
-    if backing not in REMOTE_BACKINGS:
-        raise ValueError(
-            f"unknown page-server backing {backing!r}; expected one of {REMOTE_BACKINGS}"
-        )
     command = [
         sys.executable,
         "-u",
         "-m",
         "repro.storage.pageserver",
-        "--backing",
-        backing,
         "--host",
         host,
         "--port",
@@ -347,27 +326,31 @@ def spawn_page_server(
     except OSError as error:
         stderr.close()
         raise PageServerError(f"could not spawn the page server: {error}") from None
-    line = process.stdout.readline()
-    if not line:
-        process.wait()
-        stderr.seek(0)
-        detail = stderr.read().decode("utf-8", errors="replace").strip()
-        stderr.close()
-        raise PageServerError(
-            "page server exited before announcing its address"
-            + (f": {detail}" if detail else "")
-        )
-    stderr.close()  # unlinked; the OS reclaims it when the child exits
+    server = SpawnedPageServer(process, host, 0)
     try:
-        announce = decode_line(line)
-        server_host = str(announce["host"])
-        port = int(announce["port"])
-    except (ServiceError, KeyError, ValueError, TypeError):
-        process.terminate()
-        raise PageServerError(
-            f"page server announced garbage: {line!r}"
-        ) from None
-    return SpawnedPageServer(process, server_host, port)
+        line = process.stdout.readline()
+        if not line:
+            process.wait()
+            stderr.seek(0)
+            detail = stderr.read().decode("utf-8", errors="replace").strip()
+            raise PageServerError(
+                "page server exited before announcing its address"
+                + (f": {detail}" if detail else "")
+            )
+        try:
+            announce = decode_line(line)
+            server.host = str(announce["host"])
+            server.port = int(announce["port"])
+        except (ServiceError, KeyError, ValueError, TypeError):
+            raise PageServerError(
+                f"page server announced garbage: {line!r}"
+            ) from None
+    except BaseException:
+        server.stop()
+        raise
+    finally:
+        stderr.close()  # unlinked; the OS reclaims it when the child exits
+    return server
 
 
 def _reap_server(process) -> None:
@@ -383,8 +366,8 @@ def _reap_server(process) -> None:
 class RemotePageStore(PageStore):
     """Client-side :class:`PageStore` speaking to a :class:`PageServer`.
 
-    ``address=None`` spawns an owned server (backed by ``backing``) and
-    shuts it down on :meth:`close`; an explicit ``HOST:PORT`` attaches to
+    ``address=None`` spawns an owned server and shuts it down on
+    :meth:`close`; an explicit ``HOST:PORT`` attaches to
     a running one and leaves it alive.  All counters are client-side
     transport counters: counted reads land in ``bytes_read`` — the server
     itself counts nothing, so any number of attached nodes report only
@@ -394,16 +377,11 @@ class RemotePageStore(PageStore):
     name = "remote"
     supports_worker_reopen = True
 
-    def __init__(
-        self,
-        address: Optional[str] = None,
-        backing: str = "file",
-        rpc_timeout: float = DEFAULT_RPC_TIMEOUT,
-    ):
+    def __init__(self, address: Optional[str] = None):
         self._server: Optional[SpawnedPageServer] = None
         self._finalizer = None
         if address is None:
-            self._server = spawn_page_server(backing)
+            self._server = spawn_page_server()
             address = self._server.address
             self._finalizer = weakref.finalize(
                 self, _reap_server, self._server.process
@@ -414,7 +392,6 @@ class RemotePageStore(PageStore):
         #: finds the reopen address.
         self.path = self.address
         self._host, self._port = parse_address(self.address)
-        self._rpc_timeout = rpc_timeout
         self._lock = threading.Lock()
         self._sock = None
         self._reader = None
@@ -430,7 +407,7 @@ class RemotePageStore(PageStore):
     def _connect(self):
         try:
             sock = socket.create_connection(
-                (self._host, self._port), timeout=self._rpc_timeout
+                (self._host, self._port), timeout=DEFAULT_RPC_TIMEOUT
             )
         except OSError as error:
             raise PageServerError(
@@ -579,7 +556,7 @@ class RemotePageStore(PageStore):
         self._closed = True
         if self._server is not None:
             # Graceful first — the server closes (and, when owned, deletes)
-            # its backing store on the way out; then make sure it is gone.
+            # its page file on the way out; then make sure it is gone.
             try:
                 self._rpc({"op": "shutdown"})
             except (PageServerError, ServiceError):
@@ -598,13 +575,12 @@ class RemotePageStore(PageStore):
 def main(argv: Optional[List[str]] = None) -> int:
     parser = argparse.ArgumentParser(
         prog="python -m repro.storage.pageserver",
-        description="Serve one file/sqlite page store over NDJSON TCP.",
+        description="Serve one file page store over NDJSON TCP.",
     )
-    parser.add_argument("--backing", choices=REMOTE_BACKINGS, default="file")
     parser.add_argument(
         "--path",
         default=None,
-        help="backing file (created if missing); default: an owned temp file "
+        help="page file (created if missing); default: an owned temp file "
         "deleted when the server exits cleanly",
     )
     parser.add_argument("--host", default="127.0.0.1")
@@ -612,13 +588,12 @@ def main(argv: Optional[List[str]] = None) -> int:
     args = parser.parse_args(argv)
 
     # SIGTERM (the spawner's fallback) exits through the finally below so
-    # an owned temporary backing is still deleted.
+    # an owned temporary page file is still deleted.
     import signal
 
     signal.signal(signal.SIGTERM, lambda *_: sys.exit(0))
 
-    options = {"cross_thread": True} if args.backing == "sqlite" else {}
-    store = create_page_store(args.backing, args.path, **options)
+    store = FilePageStore(args.path)
     server = PageServer(store, host=args.host, port=args.port)
     sys.stdout.write(
         encode_line(

@@ -89,7 +89,6 @@ def compute_voronoi_diagram(
     tree: RTree,
     domain: Rect,
     strategy: str = "batch",
-    leaf_order: str = "hilbert",
     stats: Optional[CellComputationStats] = None,
 ) -> VoronoiDiagram:
     """Build the full Voronoi diagram of an R-tree-indexed pointset.
@@ -103,27 +102,12 @@ def compute_voronoi_diagram(
     strategy:
         ``"batch"`` (Algorithm 2 per leaf) or ``"iter"`` (Algorithm 1 per
         point), matching the ITER/BATCH comparison of Figure 6.
-    leaf_order:
-        Order in which source leaves are visited (``"hilbert"`` or
-        ``"dfs"``); Hilbert order keeps consecutive groups spatially close.
     stats:
         Optional shared work counters.
     """
-    if strategy not in ("batch", "iter"):
-        raise ValueError(f"unknown diagram strategy: {strategy!r}")
     diagram = VoronoiDiagram(domain)
-    stats = stats if stats is not None else CellComputationStats()
-    for leaf in tree.iter_leaf_nodes(order=leaf_order):
-        if strategy == "batch":
-            cells = compute_cells_for_leaf(tree, leaf.entries, domain, stats=stats)
-            for cell in cells.values():
-                diagram.add(cell)
-        else:
-            for entry in leaf.entries:
-                cell = compute_voronoi_cell(
-                    tree, entry.payload, domain, site_oid=entry.oid, stats=stats
-                )
-                diagram.add(cell)
+    for cell in iter_diagram_cells(tree, domain, strategy=strategy, stats=stats):
+        diagram.add(cell)
     return diagram
 
 
@@ -131,23 +115,23 @@ def iter_diagram_cells(
     tree: RTree,
     domain: Rect,
     strategy: str = "batch",
-    leaf_order: str = "hilbert",
     stats: Optional[CellComputationStats] = None,
 ) -> Iterator[VoronoiCell]:
     """Stream the cells of the diagram leaf-group by leaf-group.
 
-    FM-CIJ and PM-CIJ consume the cells in this order and pack them straight
-    into the bulk loader, so the full diagram never needs to be held in
-    memory at once.
+    Source leaves are visited in Hilbert order, which keeps consecutive
+    groups spatially close.  FM-CIJ and PM-CIJ consume the cells in this
+    order and pack them straight into the bulk loader, so the full diagram
+    never needs to be held in memory at once.
     """
     if strategy not in ("batch", "iter"):
         raise ValueError(f"unknown diagram strategy: {strategy!r}")
     stats = stats if stats is not None else CellComputationStats()
-    for leaf in tree.iter_leaf_nodes(order=leaf_order):
+    for leaf in tree.iter_leaf_nodes():
         if strategy == "batch":
-            cells = compute_cells_for_leaf(tree, leaf.entries, domain, stats=stats)
-            for cell in cells.values():
-                yield cell
+            yield from compute_cells_for_leaf(
+                tree, leaf.entries, domain, stats=stats
+            ).values()
         else:
             for entry in leaf.entries:
                 yield compute_voronoi_cell(

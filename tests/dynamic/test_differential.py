@@ -9,8 +9,7 @@ the subsystem's correctness contract: incremental == rebuild, always.
 
 Backends: the session-side workloads honour ``$REPRO_STORAGE`` (the CI
 tier-1 matrix), and one scenario additionally parametrizes all three
-backends explicitly.  Both ``delta_candidates`` strategies (tree filter /
-diagram scan) are exercised against the same streams.
+backends explicitly.
 """
 
 import pytest
@@ -88,9 +87,8 @@ class TestScriptedStreams:
         assert session.pair_set() == _rebuild_pairs(engine, session)
         assert session.pair_set() == _oracle_pairs(session)
 
-    @pytest.mark.parametrize("delta_candidates", ["filter", "scan"])
-    def test_mixed_stream_both_candidate_strategies(self, engine, delta_candidates):
-        workload, session = self._open(engine, delta_candidates=delta_candidates)
+    def test_mixed_stream(self, engine):
+        workload, session = self._open(engine)
         batches = generate_update_batches(
             workload,
             DynamicWorkloadConfig(batches=4, batch_size=6, seed=21),

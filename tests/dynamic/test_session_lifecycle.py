@@ -5,10 +5,9 @@ same ``--storage-path``; before PR 7 a replaced or dropped session kept
 its trees, diagrams, and (transitively) the backend's file/sqlite handles
 alive until GC — real fd exhaustion in a long-running process.  These
 tests pin the explicit lifecycle: ``close()`` is idempotent, the context
-manager closes, ``open_dynamic`` closes the session it replaces,
-``close_dynamic`` closes rather than just forgetting, and an
-``owns_disk`` session releases the backend so the same storage path can
-be reopened immediately.
+manager closes, closing leaves the caller's disk usable, and the
+service's order — close the session, then the workload — releases the
+backend so the same storage path can be reopened immediately.
 """
 
 import os
@@ -17,7 +16,7 @@ import pytest
 
 from repro.datasets.workload import WorkloadConfig, build_workload
 from repro.dynamic.updates import Update, UpdateBatch
-from repro.engine import EngineConfig, JoinEngine
+from repro.engine import JoinEngine
 from repro.geometry.point import Point
 from repro.geometry.rect import Rect
 
@@ -82,57 +81,33 @@ class TestSessionClose:
             assert result.pair_set() == expected
 
 
-class TestEngineLifecycleHooks:
-    def test_open_dynamic_closes_the_replaced_session(self):
-        workload = _workload()
-        with workload:
-            engine = JoinEngine()
-            first = engine.open_dynamic(
-                workload.tree_p, workload.tree_q, domain=workload.domain
-            )
-            second = engine.open_dynamic(
-                workload.tree_p, workload.tree_q, domain=workload.domain
-            )
-            assert first.closed and not second.closed
-            assert second.apply_updates(_one_insert(second)) is not None
-
-    def test_close_dynamic_closes_not_just_forgets(self):
-        workload = _workload()
-        with workload:
-            engine = JoinEngine()
-            session = engine.open_dynamic(
-                workload.tree_p, workload.tree_q, domain=workload.domain
-            )
-            engine.close_dynamic()
-            assert session.closed
-            with pytest.raises(ValueError, match="no dynamic session"):
-                engine.apply_updates(_one_insert(session))
-            engine.close_dynamic()  # idempotent with nothing open
-
-
 class TestBackendHandleRelease:
-    @pytest.mark.parametrize("storage", ["file", "sqlite"])
-    def test_owning_session_reopens_the_same_storage_path(self, storage, tmp_path):
-        """The server's cycle: open over a path, close, reopen the same
-        path.  With ``owns_disk`` the close releases the backend handles,
-        so the reopen sees a fresh, working store instead of fighting a
-        leaked one."""
-        path = str(tmp_path / f"lifecycle.{storage}")
-        engine = JoinEngine()
-        answers = []
-        for cycle in range(3):
-            workload = _workload(storage=storage, path=path, seed=7)
-            session = engine.open_dynamic(
-                workload.tree_p,
-                workload.tree_q,
-                EngineConfig(),
-                owns_disk=True,
-                domain=workload.domain,
-            )
+    @staticmethod
+    def _cycle(storage, path):
+        """One service cycle: open a session over a fresh workload on
+        ``path``, apply one insert, then close the session and the
+        workload, in that order."""
+        workload = _workload(storage=storage, path=path, seed=7)
+        session = JoinEngine().open_dynamic(
+            workload.tree_p, workload.tree_q, domain=workload.domain
+        )
+        try:
             session.apply_updates(_one_insert(session))
-            answers.append(session.pair_set())
-            engine.close_dynamic()
-            assert session.closed
+            pairs = session.pair_set()
+        finally:
+            session.close()
+            workload.close()
+        assert session.closed
+        return pairs
+
+    @pytest.mark.parametrize("storage", ["file", "sqlite"])
+    def test_closed_cycle_reopens_the_same_storage_path(self, storage, tmp_path):
+        """The server's cycle: open over a path, close, reopen the same
+        path.  Closing the session and then the workload releases the
+        backend handles, so the reopen sees a fresh, working store instead
+        of fighting a leaked one."""
+        path = str(tmp_path / f"lifecycle.{storage}")
+        answers = [self._cycle(storage, path) for _ in range(3)]
         # Same seed, same single insert: every cycle is a clean slate.
         assert answers[0] == answers[1] == answers[2]
 
@@ -143,19 +118,9 @@ class TestBackendHandleRelease:
         fd_dir = "/proc/self/fd"
         if not os.path.isdir(fd_dir):
             pytest.skip("requires /proc/self/fd")
-        engine = JoinEngine()
 
         def cycle(index):
-            path = str(tmp_path / f"cycle{index}.{storage}")
-            workload = _workload(storage=storage, path=path, seed=7)
-            engine.open_dynamic(
-                workload.tree_p,
-                workload.tree_q,
-                EngineConfig(),
-                owns_disk=True,
-                domain=workload.domain,
-            )
-            engine.close_dynamic()
+            self._cycle(storage, str(tmp_path / f"cycle{index}.{storage}"))
 
         cycle(0)  # warm-up: lazy module/file state settles
         before = len(os.listdir(fd_dir))

@@ -19,7 +19,6 @@ from hypothesis import strategies as st
 from repro.datasets.synthetic import DOMAIN
 from repro.datasets.workload import WorkloadConfig, build_workload
 from repro.dynamic import DynamicJoinSession, Update, UpdateBatch
-from repro.engine import EngineConfig
 from repro.join.baseline import brute_force_cij_pairs
 from tests.conftest import distinct_pointsets, grid_points_strategy
 
@@ -69,12 +68,9 @@ class TestRandomStreams:
         distinct_pointsets(min_size=3, max_size=8),
         distinct_pointsets(min_size=3, max_size=8),
         _streams,
-        st.sampled_from(["filter", "scan"]),
     )
     @settings(max_examples=20, deadline=None)
-    def test_incremental_equals_oracle_after_every_batch(
-        self, points_p, points_q, stream, delta_candidates
-    ):
+    def test_incremental_equals_oracle_after_every_batch(self, points_p, points_q, stream):
         workload = build_workload(
             WorkloadConfig(buffer_fraction=0.05), points_p=points_p, points_q=points_q
         )
@@ -82,7 +78,6 @@ class TestRandomStreams:
             workload.tree_p,
             workload.tree_q,
             domain=DOMAIN,
-            config=EngineConfig(delta_candidates=delta_candidates),
         )
         live = {
             "P": dict(enumerate(points_p)),

@@ -123,11 +123,6 @@ class TestStreamFormat:
 
 
 class TestSessionGuards:
-    def test_engine_apply_updates_without_session_fails(self):
-        engine = JoinEngine()
-        with pytest.raises(ValueError, match="no dynamic session is open"):
-            engine.apply_updates(UpdateBatch([Update("delete", "P", 1)]))
-
     def test_sharded_config_rejected(self, small_workload):
         engine = JoinEngine()
         with pytest.raises(ValueError, match="serial executor"):

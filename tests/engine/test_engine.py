@@ -7,7 +7,6 @@ from repro.datasets.workload import WorkloadConfig, build_workload
 from repro.engine import (
     EngineConfig,
     JoinEngine,
-    NMJoin,
     ShardedExecutor,
     default_engine,
     executor_for,
@@ -79,21 +78,6 @@ class TestEngineAPI:
             default_engine().run(
                 "brute", workload.tree_p, workload.tree_q, executor="sharded"
             )
-
-    def test_custom_algorithm_registration(self):
-        engine = JoinEngine()
-
-        class Renamed(NMJoin):
-            name = "nm-custom"
-            display_name = "NM-CUSTOM"
-
-        engine.register(Renamed())
-        workload = make_workload()
-        result = engine.run(
-            "nm-custom", workload.tree_p, workload.tree_q, domain=workload.domain
-        )
-        assert result.stats.algorithm == "NM-CUSTOM"
-        assert result.pairs
 
     def test_executor_factory(self):
         assert executor_for(EngineConfig()).name == "serial"

@@ -42,7 +42,6 @@ class TestFlatSurface:
             "reuse_cells",
             "use_phi_pruning",
             "domain",
-            "delta_candidates",
         )
 
     @pytest.mark.parametrize(
@@ -59,6 +58,7 @@ class TestFlatSurface:
             {"progress_interval": 10},
             {"reuse_handoff": "always"},
             {"node_min_ready": 1},
+            {"delta_candidates": "scan"},
         ],
     )
     def test_removed_knobs_raise_type_error(self, knob):

@@ -23,7 +23,7 @@ POINTS_Q = uniform_points(210, seed=11)
 
 #: Backends a node subprocess can reopen (the distributed tier's domain):
 #: shared files, shared databases, and the remote page server.
-SHARED_BACKENDS = ("file", "sqlite", "remote+file")
+SHARED_BACKENDS = ("file", "sqlite", "remote")
 
 
 def stats_fingerprint(result: CIJResult) -> dict:
@@ -191,7 +191,7 @@ class TestDistributedEquivalence:
         from repro.datasets.workload import WorkloadConfig, build_workload
         from repro.storage.pageserver import PageServerError, spawn_page_server
 
-        server = spawn_page_server(backing="file")
+        server = spawn_page_server()
         try:
             config = WorkloadConfig(
                 storage="remote",

@@ -111,17 +111,21 @@ class TestTraversal:
         assert sorted(oids) == list(range(200))
 
     def test_hilbert_order_covers_all_leaves(self):
+        """The Hilbert traversal reaches the same leaf pages as a plain
+        depth-first walk of the tree, each exactly once."""
         points = uniform_points(200, seed=6)
         _, tree = build_tree(points)
-        dfs_oids = sorted(e.oid for leaf in tree.iter_leaf_nodes("dfs") for e in leaf.entries)
-        hil_oids = sorted(e.oid for leaf in tree.iter_leaf_nodes("hilbert") for e in leaf.entries)
-        assert dfs_oids == hil_oids
-
-    def test_unknown_traversal_order_rejected(self):
-        points = uniform_points(20, seed=6)
-        _, tree = build_tree(points)
-        with pytest.raises(ValueError):
-            list(tree.iter_leaf_nodes(order="bogus"))
+        hilbert_pages = [page for page, _ in tree.iter_leaf_nodes_with_pages()]
+        stack, dfs_pages = [tree.root_page], []
+        while stack:
+            page = stack.pop()
+            node = tree.peek_node(page)
+            if node.is_leaf:
+                dfs_pages.append(page)
+            else:
+                stack.extend(e.child_page for e in node.entries)
+        assert len(hilbert_pages) == len(set(hilbert_pages))
+        assert sorted(hilbert_pages) == sorted(dfs_pages)
 
     def test_iter_all_nodes_counts_match_node_count(self):
         points = uniform_points(150, seed=7)

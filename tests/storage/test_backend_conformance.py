@@ -406,29 +406,34 @@ class TestCapabilityContract:
         finally:
             store.close()
 
-    def test_factory_rejects_unknown_backends(self):
+    @pytest.mark.parametrize(
+        "missing", ["page_meta", "page_count", "data_size_bytes"]
+    )
+    def test_metadata_methods_are_abstract(self, missing):
+        """A store must define its own page metadata: the PageStore ABC
+        has no default body for these methods."""
+        stubs = {
+            name: (lambda self, *args, **kwargs: None)
+            for name in PageStore.__abstractmethods__
+            if name != missing
+        }
+        partial = type("PartialStore", (PageStore,), stubs)
+        with pytest.raises(TypeError, match=missing):
+            partial()
+
+    @pytest.mark.parametrize("name", ["carbonite", "remote+sqlite"])
+    def test_factory_rejects_unknown_backends(self, name):
         with pytest.raises(ValueError, match="unknown storage backend"):
-            create_page_store("carbonite")
+            create_page_store(name)
 
 
 class TestRemotePageServer:
     """Remote-specific behaviour on top of the shared conformance runs."""
 
-    def test_remote_sqlite_backing_round_trip(self):
-        disk = DiskManager(buffer_pages=2, storage="remote+sqlite")
-        try:
-            assert disk.storage_backend == "remote"
-            assert disk.store.stats().extra["backend"] == "sqlite"
-            page = disk.allocate("RP", make_leaf_node())
-            disk.buffer.clear()
-            assert [e.oid for e in disk.read(page).entries] == [7, 9]
-        finally:
-            disk.close()
-
     def test_two_clients_share_one_server(self):
         from repro.storage.pageserver import RemotePageStore, spawn_page_server
 
-        server = spawn_page_server(backing="file")
+        server = spawn_page_server()
         try:
             writer = RemotePageStore(address=f"{server.host}:{server.port}")
             reader = RemotePageStore(address=f"{server.host}:{server.port}")
@@ -446,7 +451,7 @@ class TestRemotePageServer:
     def test_server_killed_mid_run_fails_loudly(self):
         from repro.storage.pageserver import PageServerError, RemotePageStore
 
-        store = RemotePageStore(backing="file")
+        store = RemotePageStore()
         store.write_page(1, "RP", "still there?", 1024)
         try:
             store._server.process.kill()
@@ -455,3 +460,58 @@ class TestRemotePageServer:
                 store.read_page(1)
         finally:
             store.close()
+
+
+class TestSpawnFailureReapsTheChild:
+    """A page-server child that exits or announces garbage instead of its
+    address is reaped, and its stdout pipe closed, before the spawner
+    raises — no zombie, no leaked descriptor."""
+
+    @staticmethod
+    def spawn_instead(monkeypatch, script: str) -> list:
+        """Make every page-server child run ``script`` in place of ``-m
+        repro.storage.pageserver``; returns the spawned ``Popen`` objects."""
+        from repro.storage import pageserver
+
+        spawn = pageserver.subprocess.Popen
+        children = []
+
+        def replaced(argv, **kwargs):
+            at = argv.index("-m")
+            argv = argv[:at] + ["-c", script] + argv[at + 2:]
+            children.append(spawn(argv, **kwargs))
+            return children[-1]
+
+        monkeypatch.setattr(pageserver.subprocess, "Popen", replaced)
+        return children
+
+    @pytest.mark.parametrize(
+        "script, message",
+        [
+            (
+                "import time; print('not json', flush=True); time.sleep(60)",
+                "announced garbage",
+            ),
+            (
+                "import sys; sys.stderr.write('boom'); sys.exit(3)",
+                "exited before announcing its address: boom",
+            ),
+        ],
+        ids=["garbage", "early-exit"],
+    )
+    def test_failed_spawn_reaps_the_child(self, monkeypatch, script, message):
+        from repro.storage.pageserver import PageServerError, spawn_page_server
+
+        children = self.spawn_instead(monkeypatch, script)
+        try:
+            with pytest.raises(PageServerError, match=message):
+                spawn_page_server()
+            [child] = children
+            assert child.returncode is not None
+            assert child.stdout.closed
+        finally:
+            for child in children:
+                if child.poll() is None:
+                    child.kill()
+                    child.wait()
+                child.stdout.close()

@@ -196,6 +196,25 @@ class TestRemovedPrefetchFlags:
         assert "unrecognized arguments" in capsys.readouterr().err
 
 
+class TestRemovedStorageSpellings:
+    """One name per page store: ``--storage remote --storage-path
+    HOST:PORT`` is the only way to attach to a page server, and the server
+    always serves a file store."""
+
+    @pytest.mark.parametrize(
+        "argv, message",
+        [
+            (["--page-server", "127.0.0.1:1"], "unrecognized arguments"),
+            (["--storage", "remote+sqlite"], "invalid choice"),
+        ],
+    )
+    def test_removed_spellings_rejected(self, capsys, argv, message):
+        with pytest.raises(SystemExit) as excinfo:
+            main(["join", *argv])
+        assert excinfo.value.code == 2
+        assert message in capsys.readouterr().err
+
+
 class TestNumericArgumentValidation:
     """Bad numbers are usage errors at parse time (exit 2), never a
     traceback from deep inside the run."""
@@ -341,7 +360,7 @@ class TestDistributedFlags:
         # operator error (wrong address / server down), not a traceback.
         assert main([
             "join", "--n-p", "30", "--n-q", "20",
-            "--page-server", "127.0.0.1:1",
+            "--storage", "remote", "--storage-path", "127.0.0.1:1",
         ]) == 2
         assert "could not reach the page server" in capsys.readouterr().err
 

@@ -106,7 +106,7 @@ class TestBatchVoronoiCost:
     def test_batch_reads_fewer_nodes_than_repeated_single(self):
         points = uniform_points(400, seed=38)
         disk, tree = indexed(points)
-        leaf = next(tree.iter_leaf_nodes(order="hilbert"))
+        leaf = next(tree.iter_leaf_nodes())
         group = [(e.oid, e.payload) for e in leaf.entries]
 
         disk.buffer.clear()

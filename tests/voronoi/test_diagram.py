@@ -114,6 +114,17 @@ class TestIndexDrivenDiagram:
         diagram = compute_voronoi_diagram(tree, DOMAIN)
         assert set(streamed) == set(diagram.cells)
 
+    @pytest.mark.parametrize("strategy", ["batch", "iter"])
+    def test_diagram_keeps_the_streamed_cells_and_order(self, strategy):
+        """The diagram is built from the cell stream: same cells, same
+        order, for both strategies."""
+        points = uniform_points(90, seed=72)
+        _, tree = indexed(points)
+        streamed = list(iter_diagram_cells(tree, DOMAIN, strategy=strategy))
+        diagram = compute_voronoi_diagram(tree, DOMAIN, strategy=strategy)
+        assert [c.oid for c in diagram] == [c.oid for c in streamed]
+        assert [c.polygon for c in diagram] == [c.polygon for c in streamed]
+
     def test_batch_io_close_to_lower_bound_with_buffer(self):
         """Figure 6a claim: with a reasonable buffer BATCH I/O approaches the
         cost of scanning the tree once (LB).  At this reduced scale a single
