@@ -16,8 +16,8 @@ points whose Voronoi cells *may* intersect ``T``:
 The batch variant processes all cells of one ``R_Q`` leaf at once, which is
 what Algorithm 6 uses.
 
-Two exact shortcuts keep the per-point cost down; neither changes a single
-decision, clip or counter of the plain formulation:
+Three shortcuts keep the per-point cost down.  The first two change no
+decision, clip or counter of the plain formulation; the third keeps pairs:
 
 * **Squared pre-test.**  Every distance comparison first compares the
   squared distances, which need no square root: ``dist(a, v) < d`` is
@@ -38,6 +38,16 @@ decision, clip or counter of the plain formulation:
   there.  The slack (``BOUNDARY_EPS`` times the coordinate magnitude)
   covers the rounding of the interpolated coordinates, a few ulps per
   clip.
+* **Point dominance.**  Lemma 3 for a point (a degenerate MBR): ``p`` is
+  rejected unbuilt when some candidate ``c`` beats it at every vertex ``v``
+  of the hull of the target vertices by a margin: ``(p-c).(p+c-2v)``, which
+  is ``2|p-c|`` times the signed distance of ``v`` from their bisector,
+  exceeds ``2m(|p-c| + M)``, with ``M`` the coordinate magnitude, ``m`` the
+  early-exit slack and ``m*M/|p-c|`` covering the rounding of a bisector of
+  close sites.  Pairs are unchanged: ``V(p, P) ⊆ V(p, C_P) ⊆ H(p, c)``, computed
+  cells stay within rounding of ``H(p, c)``, and a dropped ``p`` only
+  enlarges later approximate cells.  Counters are not proved identical: the
+  SAT can show slivers meeting tip to tip as touching and admit ``p``.
 """
 
 from __future__ import annotations
@@ -117,8 +127,8 @@ def batch_conditional_filter(
     use_phi_pruning:
         When ``False`` the Lemma-3 non-leaf pruning rule is disabled and
         every non-leaf entry is expanded; provided for the ablation bench
-        that quantifies the rule's benefit.  Candidate admission (the
-        approximate-cell test) is unaffected, so the result set is the same.
+        that quantifies the rule's benefit.  Admission (point dominance and
+        the approximate cell) is unaffected, so the result set is the same.
     stats:
         Optional shared work counters.
 
@@ -145,12 +155,16 @@ def batch_conditional_filter(
     magnitude = max(
         1.0, abs(domain.xmin), abs(domain.ymin), abs(domain.xmax), abs(domain.ymax)
     )
-    reach_box = targets_mbr.expanded(BOUNDARY_EPS * magnitude)
-    # All target vertices, flattened once: the Lemma-3 pruning test only
-    # needs per-vertex distance comparisons (see _entry_pruned).
+    margin = BOUNDARY_EPS * magnitude
+    reach_box = targets_mbr.expanded(margin)
+    # All target vertices, flattened once: the Lemma-3 tests compare per
+    # vertex.  Their hull decides point dominance and screens _entry_pruned.
     target_vertices = [v for polygon in polygons for v in polygon.vertices]
+    hull = _convex_hull(target_vertices)
+    hull2 = [(2.0 * v.x, 2.0 * v.y) for v in hull]
 
     candidates: List[Tuple[int, Point]] = []
+    dominators: List[Point] = []  # the admitted points, latest useful first
     counter = itertools.count()
     heap: List[tuple] = []
 
@@ -167,23 +181,73 @@ def batch_conditional_filter(
         if kind == _POINT:
             stats.points_examined += 1
             point: Point = entry.payload
+            if _dominated(point, dominators, hull2, margin, magnitude):
+                continue
             approx = _approximate_cell(point, candidates, domain, reach_box)
             if approx is not None and _polygon_hits_any_target(
                 approx, targets_mbr, target_mbrs, polygons
             ):
                 candidates.append((entry.oid, point))
+                dominators.insert(0, point)
                 stats.points_admitted += 1
         else:
             if _entry_overlaps_targets(entry.mbr, targets_mbr, target_mbrs, polygons):
                 stats.entries_expanded += 1
                 push_node(tree_p.read_node(entry.child_page))
                 continue
-            if use_phi_pruning and _entry_pruned(entry.mbr, target_vertices, candidates):
+            if use_phi_pruning and _entry_pruned(entry.mbr, hull, candidates) and (
+                _entry_pruned(entry.mbr, target_vertices, candidates)
+            ):
                 stats.entries_pruned_phi += 1
                 continue
             stats.entries_expanded += 1
             push_node(tree_p.read_node(entry.child_page))
     return candidates
+
+
+def _convex_hull(points: Sequence[Point]) -> List[Point]:
+    """The convex hull vertices among ``points`` (Andrew's monotone chain)."""
+    ordered = sorted(set(points))
+    if len(ordered) < 3:
+        return ordered
+    hull: List[Point] = []
+    for chain in (ordered, ordered[::-1]):
+        start = len(hull)
+        for p in chain:
+            while len(hull) >= start + 2:
+                o, a = hull[-2], hull[-1]
+                if (a.x - o.x) * (p.y - o.y) > (a.y - o.y) * (p.x - o.x):
+                    break  # a left turn at ``a``: keep it
+                hull.pop()
+            hull.append(p)
+        hull.pop()
+    return hull
+
+
+def _dominated(
+    point: Point,
+    dominators: List[Point],
+    hull2: Sequence[Tuple[float, float]],
+    margin: float,
+    magnitude: float,
+) -> bool:
+    """Point dominance (module docstring) over the doubled hull vertices
+    ``hull2``; a dominating site moves to the front of ``dominators``."""
+    px = point.x
+    py = point.y
+    for i, site in enumerate(dominators):
+        dx = px - site.x
+        dy = py - site.y
+        sx = px + site.x
+        sy = py + site.y
+        bound = 2.0 * margin * (math.sqrt(dx * dx + dy * dy) + magnitude)
+        for vx2, vy2 in hull2:
+            if dx * (sx - vx2) + dy * (sy - vy2) <= bound:
+                break
+        else:
+            dominators.insert(0, dominators.pop(i))
+            return True
+    return False
 
 
 def _approximate_cell(
@@ -337,6 +401,9 @@ def _entry_pruned(
     uses that equivalent form; :func:`repro.geometry.influence.polygon_within_phi`
     implements the literal per-side formulation and the test-suite checks
     that the two agree.
+
+    The filter tries the hull vertices first: the blocked region is convex,
+    and failing on a subset (same float expressions) fails on all of them.
     """
     sqrt = math.sqrt
     xmin, ymin, xmax, ymax = mbr.xmin, mbr.ymin, mbr.xmax, mbr.ymax

@@ -329,29 +329,22 @@ class FilePageStore(PageStore):
         Backing file; created if missing.  ``None`` creates an owned
         temporary file that is deleted on :meth:`close` (or when the store
         is garbage collected by the process that created it).
-    slot_size:
-        Bytes per slot.  A payload that outgrows the slot triggers a
-        transparent rebuild of the file with doubled slots (atomic via
-        ``os.replace``).
+
+    A payload that outgrows its slot triggers a transparent rebuild of the
+    file with doubled slots (atomic via ``os.replace``).
     """
 
     name = "file"
     supports_worker_reopen = True
 
-    def __init__(
-        self,
-        path: Optional[str] = None,
-        slot_size: int = DEFAULT_SLOT_SIZE,
-    ):
-        if slot_size < _REC_HEADER.size + 64:
-            raise ValueError("slot size too small for a record header")
+    def __init__(self, path: Optional[str] = None):
         self._owns_path = path is None
         if path is None:
             fd, path = tempfile.mkstemp(prefix="repro-pages-", suffix=".bin")
             os.close(fd)
         self.path = str(path)
         self._readonly = False
-        self._slot_size = slot_size
+        self._slot_size = DEFAULT_SLOT_SIZE
         self._seq = 0
         self._slots = 0
         self._free_slots: List[int] = []

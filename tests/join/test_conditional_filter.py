@@ -1,13 +1,16 @@
 """Tests for the ConditionalFilter (Algorithm 5) and its batch variant."""
 
 import heapq
+import importlib
 import itertools
+import math
 import random
 
 import pytest
 
 from repro.datasets.synthetic import DOMAIN, clustered_points, uniform_points
-from repro.datasets.workload import build_indexed_pointset
+from repro.datasets.workload import WorkloadConfig, build_indexed_pointset, build_workload
+from repro.engine import default_engine
 from repro.geometry.influence import entry_pruned_by_candidate, polygon_within_phi, rect_sides
 from repro.geometry.point import Point, centroid
 from repro.geometry.polygon import ConvexPolygon
@@ -26,6 +29,10 @@ from repro.storage.disk import DiskManager
 from repro.voronoi.batch import compute_cells_for_leaf
 from repro.voronoi.cell import VoronoiCell
 from repro.voronoi.diagram import brute_force_cell, brute_force_diagram
+
+# ``repro.join`` re-exports the function ``conditional_filter``, which shadows
+# the module of the same name as an attribute of the package.
+conditional_filter_module = importlib.import_module("repro.join.conditional_filter")
 
 
 def indexed(points):
@@ -214,26 +221,121 @@ def integer_grid_points(n, seed, step=250):
     return [Point(float(i * step), float(j * step)) for i, j in chosen]
 
 
+def near_duplicate_points(n, seed):
+    """``n // 2`` uniform sites, each with a twin within ``1e-5``: the
+    bisector of a twin pair is badly conditioned."""
+    rng = random.Random(seed)
+    points = []
+    for p in uniform_points(n // 2, seed=seed):
+        points.append(p)
+        points.append(Point(p.x + rng.uniform(-1e-5, 1e-5), p.y + rng.uniform(-1e-5, 1e-5)))
+    return points
+
+
+def sliver_points(n, seed, rows=4):
+    """Sites 10 to 40 units apart on a few near-horizontal rows (a ``1e-4``
+    jitter): their cells are thin slivers that meet tip to tip."""
+    rng = random.Random(seed)
+    points = []
+    for row in range(rows):
+        y0, slope = rng.uniform(500, 9500), rng.uniform(-0.01, 0.01)
+        x = rng.uniform(0, 40)
+        for _ in range(n // rows):
+            points.append(Point(x, y0 + slope * x + rng.uniform(-1e-4, 1e-4)))
+            x += rng.uniform(10, 40)
+    return points
+
+
+def ring_points(n, seed, per_ring=12):
+    """Rings of ``per_ring`` co-circular sites: Voronoi vertices of degree
+    ``per_ring`` at every ring centre."""
+    rng = random.Random(seed)
+    points = []
+    while len(points) + per_ring <= n:
+        cx, cy, r = rng.uniform(1000, 9000), rng.uniform(1000, 9000), rng.uniform(50, 600)
+        for k in range(per_ring):
+            angle = 2.0 * math.pi * k / per_ring
+            points.append(Point(cx + r * math.cos(angle), cy + r * math.sin(angle)))
+    return points
+
+
+def boundary_points(n, seed):
+    """Sites on the four edges of the domain, corners included."""
+    rng = random.Random(seed)
+    points = [Point(DOMAIN.xmin, DOMAIN.ymin), Point(DOMAIN.xmax, DOMAIN.ymax)]
+    for i in range(n - len(points)):
+        t = rng.uniform(0, DOMAIN.width)
+        side = i % 4
+        points.append(
+            Point(t, DOMAIN.ymin) if side == 0
+            else Point(DOMAIN.xmax, t) if side == 1
+            else Point(t, DOMAIN.ymax) if side == 2
+            else Point(DOMAIN.xmin, t)
+        )
+    return points
+
+
+def leaf_cell_batches(points_q):
+    """The target batches of Algorithm 6: the cells of each ``R_Q`` leaf."""
+    tree_q = build_indexed_pointset(DiskManager(), "RQ", points_q, domain=DOMAIN)
+    for leaf in tree_q.iter_leaf_nodes():
+        cells = compute_cells_for_leaf(tree_q, leaf.entries, DOMAIN)
+        yield [cells[entry.oid].polygon for entry in leaf.entries]
+
+
+def window_batches(windows):
+    """One single-rectangle target per batch, as ``window_pairs`` passes."""
+    return [[ConvexPolygon.from_rect(window)] for window in windows]
+
+
+#: ``P`` and the target batches filtered against it.
 FILTER_INPUTS = {
-    "uniform": lambda: (uniform_points(220, seed=141), uniform_points(120, seed=142)),
+    "uniform": lambda: (
+        uniform_points(220, seed=141),
+        leaf_cell_batches(uniform_points(120, seed=142)),
+    ),
     "clustered": lambda: (
         clustered_points(220, clusters=4, seed=143),
-        clustered_points(120, clusters=3, seed=144),
+        leaf_cell_batches(clustered_points(120, clusters=3, seed=144)),
     ),
-    "integer-grid": lambda: (integer_grid_points(220, 145), integer_grid_points(120, 146)),
+    "integer-grid": lambda: (
+        integer_grid_points(220, 145),
+        leaf_cell_batches(integer_grid_points(120, 146)),
+    ),
+    "near-duplicates": lambda: (
+        near_duplicate_points(220, 147),
+        leaf_cell_batches(near_duplicate_points(120, 148)),
+    ),
+    "slivers": lambda: (sliver_points(220, 149), leaf_cell_batches(sliver_points(120, 150))),
+    "co-circular": lambda: (ring_points(220, 151), leaf_cell_batches(ring_points(120, 152))),
+    "domain-boundary": lambda: (
+        boundary_points(220, 153),
+        leaf_cell_batches(boundary_points(120, 154)),
+    ),
+    "windows": lambda: (
+        uniform_points(220, seed=155),
+        window_batches(
+            [
+                Rect(4000.0, 4000.0, 4600.0, 4500.0),
+                Rect(0.0, 0.0, 300.0, 10000.0),
+                Rect(9990.0, 9990.0, 10000.0, 10000.0),
+            ]
+        ),
+    ),
 }
+
+
+def indexed_filter_input(inputs):
+    points_p, target_batches = FILTER_INPUTS[inputs]()
+    tree_p = build_indexed_pointset(DiskManager(), "RP", points_p, domain=DOMAIN)
+    return tree_p, target_batches
 
 
 @pytest.mark.parametrize("inputs", sorted(FILTER_INPUTS))
 def test_batch_filter_matches_plain_reference(inputs):
-    points_p, points_q = FILTER_INPUTS[inputs]()
-    disk = DiskManager()
-    tree_p = build_indexed_pointset(disk, "RP", points_p, domain=DOMAIN)
-    tree_q = build_indexed_pointset(disk, "RQ", points_q, domain=DOMAIN)
+    tree_p, target_batches = indexed_filter_input(inputs)
     batches = 0
-    for leaf in tree_q.iter_leaf_nodes():
-        cells = compute_cells_for_leaf(tree_q, leaf.entries, DOMAIN)
-        targets = [cells[entry.oid].polygon for entry in leaf.entries]
+    for targets in target_batches:
         stats = FilterStats()
         candidates = batch_conditional_filter(targets, tree_p, DOMAIN, stats=stats)
         expected, expected_stats = reference_filter(targets, tree_p, DOMAIN)
@@ -241,3 +343,43 @@ def test_batch_filter_matches_plain_reference(inputs):
         assert stats == expected_stats
         batches += 1
     assert batches > 1
+
+
+@pytest.mark.parametrize("inputs", sorted(FILTER_INPUTS))
+def test_phi_pruning_does_not_change_the_candidates(inputs):
+    """Lemma 3 only saves work: with the point-dominance shortcut in place,
+    the ablation without it still admits the same candidate set."""
+    tree_p, target_batches = indexed_filter_input(inputs)
+    for targets in target_batches:
+        with_phi = batch_conditional_filter(targets, tree_p, DOMAIN)
+        without_phi = batch_conditional_filter(
+            targets, tree_p, DOMAIN, use_phi_pruning=False
+        )
+        assert sorted(with_phi) == sorted(without_phi)
+
+
+def test_dominated_points_skip_the_approximate_cell(monkeypatch):
+    """Most rejected points are dominated and never build ``V(p, C_P)``.
+
+    Serial NM at 600 points per side built 1,126 approximate cells for 861
+    admitted and 2,559 rejected points: 2,294 rejections (90%) came from
+    the dominance test alone.  Every digest would still match with the
+    shortcut disabled, so this count is what pins it.
+    """
+    calls = []
+    approximate_cell = conditional_filter_module._approximate_cell
+
+    def counted(*args, **kwargs):
+        calls.append(None)
+        return approximate_cell(*args, **kwargs)
+
+    monkeypatch.setattr(conditional_filter_module, "_approximate_cell", counted)
+    config = WorkloadConfig(seed=0, buffer_fraction=0.02, storage="memory")
+    points_p, points_q = uniform_points(600, seed=11), uniform_points(600, seed=12)
+    with build_workload(config, points_p=points_p, points_q=points_q) as workload:
+        result = default_engine().run("nm", workload.tree_p, workload.tree_q, domain=DOMAIN)
+    stats = result.filter_stats
+    rejected = stats.points_examined - stats.points_admitted
+    skipped = stats.points_examined - len(calls)
+    assert rejected > 1000
+    assert 0.8 * rejected < skipped <= rejected

@@ -16,6 +16,7 @@ from repro.geometry.polygon import ConvexPolygon
 from repro.geometry.rect import Rect
 from repro.index.entries import BranchEntry, LeafEntry, Node
 from repro.storage.backends import (
+    DEFAULT_SLOT_SIZE,
     STORAGE_BACKENDS,
     FilePageStore,
     PageStore,
@@ -317,14 +318,14 @@ class TestPersistenceAcrossReopen:
 
 class TestFileStoreSpecifics:
     def test_payload_larger_than_slot_triggers_rebuild(self, tmp_path):
-        store = FilePageStore(str(tmp_path / "grow.bin"), slot_size=256)
+        store = FilePageStore(str(tmp_path / "grow.bin"))
         try:
             store.write_page(1, "RP", "small", 1024)
-            big = "x" * 4096
+            big = "x" * (2 * DEFAULT_SLOT_SIZE)
             store.write_page(2, "RP", big, 1024)
             assert store.read_page(1).payload == "small"
             assert store.read_page(2).payload == big
-            assert store.stats().extra["slot_size"] >= 4096
+            assert store.stats().extra["slot_size"] > 2 * DEFAULT_SLOT_SIZE
         finally:
             store.close()
 
