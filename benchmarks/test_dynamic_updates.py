@@ -29,6 +29,7 @@ from repro.datasets.workload import (
     build_workload,
     generate_update_batches,
 )
+from repro.dynamic import DynamicJoinSession
 from repro.engine import JoinEngine
 
 # .txt tables carry wall clocks -> untracked sidecar (see conftest.py).
@@ -44,9 +45,7 @@ def _run_stream(batch_size: int):
     """Absorb one stream incrementally, counting rebuild cost alongside."""
     engine = JoinEngine()
     workload = build_workload(WorkloadConfig(n_p=N_POINTS, n_q=N_POINTS, seed=29))
-    session = engine.open_dynamic(
-        workload.tree_p, workload.tree_q, domain=workload.domain
-    )
+    session = DynamicJoinSession(workload.tree_p, workload.tree_q, domain=workload.domain)
     batches = generate_update_batches(
         workload,
         DynamicWorkloadConfig(batches=BATCHES, batch_size=batch_size, seed=71),

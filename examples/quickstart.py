@@ -272,10 +272,10 @@ def main() -> None:
     # (bounded by the Lemma-1 influence radius) are recomputed, and only
     # pairs incident to those dirty cells are re-evaluated.  Each batch
     # returns the exact pair delta.
-    from repro import Point, Update, UpdateBatch
+    from repro import DynamicJoinSession, Point, Update, UpdateBatch
 
     workload = build_workload(WorkloadConfig(), points_p=restaurants, points_q=cinemas)
-    session = engine.open_dynamic(workload.tree_p, workload.tree_q, domain=workload.domain)
+    session = DynamicJoinSession(workload.tree_p, workload.tree_q, domain=workload.domain)
     print(f"initial pairs         : {len(session.pairs)}")
     delta = session.apply_updates(UpdateBatch([
         Update("insert", "P", 900, Point(4300.0, 5200.0)),   # a new restaurant

@@ -31,8 +31,8 @@ buffer from unit to unit, so its P-cell counts equal the serial run's
     python -m repro.cli join --executor sharded --workers 1
 
 Distributed join: the same work units pulled over NDJSON by two node
-subprocesses that reopen the shared on-disk backend read-only (needs
---storage file or sqlite; merged output is byte-identical to serial)::
+subprocesses that reopen the shared backend read-only (needs --storage
+file, sqlite or remote; merged output is byte-identical to serial)::
 
     python -m repro.cli join --n-p 500 --n-q 500 --storage file --executor distributed --nodes 2
 
@@ -58,16 +58,21 @@ format)::
 from __future__ import annotations
 
 import argparse
-import math
 import sys
 import time
 from typing import List, Optional
 
 from repro import common_influence_join, uniform_points
-from repro.engine.config import resolve_config
+from repro.engine.config import EngineConfig, resolve_config
 from repro.experiments import list_experiments, run_experiment
 from repro.storage.backends import STORAGE_BACKENDS
 from repro.storage.pageserver import PageServerError
+
+
+#: The ``join`` flags that are :class:`EngineConfig` fields of the same name.
+_JOIN_KNOBS = (
+    "executor", "workers", "nodes", "node_timeout", "node_retries", "fault_plan"
+)
 
 
 def _int_range(low: int, high: Optional[int] = None):
@@ -126,7 +131,7 @@ def build_parser() -> argparse.ArgumentParser:
         help="engine executor: serial (paper semantics), sharded "
         "(R_Q leaves for nm/pm, top-level R'_P partitions for fm, local "
         "workers), or distributed (the same units pulled by node "
-        "subprocesses over the shared file/sqlite backend)",
+        "subprocesses over the shared file, sqlite or remote backend)",
     )
     join.add_argument(
         "--workers",
@@ -261,90 +266,38 @@ def _cmd_run_all(scale: str, markdown: Optional[str]) -> int:
     return 0
 
 
-def _validate_workers(parser: argparse.ArgumentParser, args: argparse.Namespace) -> None:
-    """Validate the --workers/--executor combination.
+def _validate_executor_flags(
+    parser: argparse.ArgumentParser, args: argparse.Namespace
+) -> None:
+    """Reject flags that the chosen executor would silently ignore.
 
-    ``--workers`` only means something to the sharded executor; more than
-    one worker with any other executor is rejected loudly instead of being
-    ignored, as is a non-positive worker count with any executor.
+    These are the flag-combination rules :class:`EngineConfig` cannot see
+    (it only sees values, with its own defaults filled in): ``--workers``
+    above 1 sizes only the sharded executor, ``--nodes``,
+    ``--node-timeout`` and ``--node-retries`` configure only the
+    distributed one, and ``--updates`` mutates the source trees, which
+    shard workers must never do.  Value ranges, fault-plan specs and
+    ``fault_plan``'s executor rule are :class:`EngineConfig`'s.
     """
-    if args.workers is not None and args.workers < 1:
-        parser.error(f"--workers must be at least 1 (got {args.workers})")
     if args.executor != "sharded" and args.workers is not None and args.workers > 1:
         parser.error(
             f"--workers {args.workers} has no effect with --executor "
             f"{args.executor}; use --executor sharded to run shards in "
             "parallel (--nodes sizes the distributed executor)"
         )
-
-
-def _validate_nodes(parser: argparse.ArgumentParser, args: argparse.Namespace) -> None:
-    """Validate the --nodes/--executor/--method combination.
-
-    ``--nodes`` only means something to the distributed executor, and the
-    distributed executor only runs algorithms that shard — both
-    contradictions are rejected loudly instead of being ignored.
-    """
-    if args.nodes is not None and args.nodes < 1:
-        parser.error(f"--nodes must be at least 1 (got {args.nodes})")
-    if args.executor != "distributed" and args.nodes is not None:
-        parser.error(
-            f"--nodes {args.nodes} has no effect with --executor "
-            f"{args.executor}; use --executor distributed to run units on "
-            "node subprocesses"
-        )
-    if args.executor == "distributed" and args.method == "brute":
-        parser.error(
-            "--executor distributed cannot run --method brute: the oracle "
-            "baseline does not shard into work units (use --method nm|pm|fm, "
-            "or --executor serial for brute)"
-        )
-
-
-def _validate_fault_tolerance(
-    parser: argparse.ArgumentParser, args: argparse.Namespace
-) -> None:
-    """Validate the distributed fault-tolerance flags.
-
-    All three only mean something to the distributed executor; a bad
-    fault-plan spec is rejected at parse time, not deep inside a run.
-    """
-    for flag, value in (
-        ("--node-timeout", args.node_timeout),
-        ("--node-retries", args.node_retries),
-        ("--fault-plan", args.fault_plan),
-    ):
-        if value is not None and args.executor != "distributed":
-            parser.error(
-                f"{flag} configures distributed node fault tolerance and has "
-                f"no effect with --executor {args.executor}; use "
-                "--executor distributed"
-            )
-    if args.node_timeout is not None and not 0 < args.node_timeout < math.inf:
-        parser.error(
-            f"--node-timeout must be positive and finite (got {args.node_timeout})"
-        )
-    if args.node_retries is not None and args.node_retries < 0:
-        parser.error(f"--node-retries must be >= 0 (got {args.node_retries})")
-    if args.fault_plan is not None:
-        from repro.engine.faults import FaultPlan
-
-        try:
-            FaultPlan.from_spec(args.fault_plan)
-        except ValueError as error:
-            parser.error(f"--fault-plan: {error}")
-
-
-def _validate_updates(parser: argparse.ArgumentParser, args: argparse.Namespace) -> None:
-    """Reject a parallel executor combined with ``--updates``.
-
-    Incremental maintenance mutates the shared source trees, which shard
-    workers must never do — the contradiction fails loudly instead of
-    being ignored.
-    """
-    if args.updates is None:
-        return
-    if args.executor != "serial":
+    if args.executor != "distributed":
+        for flag, value in (
+            ("--nodes", args.nodes),
+            ("--node-timeout", args.node_timeout),
+            ("--node-retries", args.node_retries),
+        ):
+            if value is not None:
+                parser.error(
+                    f"{flag} configures the distributed executor and has no "
+                    f"effect with --executor {args.executor}; use "
+                    "--executor distributed"
+                )
+    if args.updates is not None and args.executor != "serial":
         parser.error(
             f"--updates requires --executor serial: incremental maintenance "
             f"mutates the source trees, which {args.executor!r} shard workers "
@@ -352,43 +305,19 @@ def _validate_updates(parser: argparse.ArgumentParser, args: argparse.Namespace)
         )
 
 
-def _cmd_join(
-    n_p: int,
-    n_q: int,
-    seed: int,
-    method: str,
-    executor: str,
-    workers: Optional[int],
-    nodes: Optional[int],
-    storage: Optional[str],
-    storage_path: Optional[str],
-    updates: Optional[str] = None,
-    node_timeout: Optional[float] = None,
-    node_retries: Optional[int] = None,
-    fault_plan: Optional[str] = None,
-) -> int:
-    points_p = uniform_points(n_p, seed=seed)
-    points_q = uniform_points(n_q, seed=seed + 10_000)
-    if updates is not None:
-        return _cmd_join_with_updates(points_p, points_q, storage, storage_path, updates)
-    try:
-        # The one config the run uses; the report below prints from it, so
-        # unset flags show EngineConfig's own defaults.
-        config = resolve_config(
-            None,
-            {
-                "executor": executor,
-                "workers": workers,
-                "nodes": nodes,
-                "node_timeout": node_timeout,
-                "node_retries": node_retries,
-                "fault_plan": fault_plan,
-            },
+def _cmd_join(args: argparse.Namespace, config: EngineConfig) -> int:
+    points_p = uniform_points(args.n_p, seed=args.seed)
+    points_q = uniform_points(args.n_q, seed=args.seed + 10_000)
+    storage, storage_path = args.storage, args.storage_path
+    if args.updates is not None:
+        return _cmd_join_with_updates(
+            points_p, points_q, storage, storage_path, args.updates
         )
+    try:
         result = common_influence_join(
             points_p,
             points_q,
-            method=method,
+            method=args.method,
             storage=storage,
             storage_path=storage_path,
             config=config,
@@ -406,7 +335,7 @@ def _cmd_join(
     print(f"algorithm       : {stats.algorithm}")
     if config.executor == "distributed":
         print(f"executor        : distributed ({config.nodes} nodes)")
-        _print_fault_report(fault_plan)
+        _print_fault_report(config.fault_plan)
     elif config.executor == "sharded":
         print(f"executor        : sharded ({config.workers} workers)")
     if storage is not None:
@@ -463,9 +392,9 @@ def _cmd_join_with_updates(
     The maintenance bootstrap derives the initial answer itself (it is
     algorithm-independent), so ``--method`` does not apply here.
     """
-    from repro import DOMAIN, Rect, default_engine
+    from repro import DOMAIN, Rect
     from repro.datasets.workload import WorkloadConfig, build_workload
-    from repro.dynamic import load_update_stream
+    from repro.dynamic import DynamicJoinSession, load_update_stream
 
     try:
         batches = load_update_stream(updates_path)
@@ -477,11 +406,10 @@ def _cmd_join_with_updates(
         return 2
     domain = DOMAIN.union(Rect.from_points(list(points_p) + list(points_q)))
     config = WorkloadConfig(domain=domain, storage=storage, storage_path=storage_path)
-    engine = default_engine()
     with build_workload(config, points_p=points_p, points_q=points_q) as workload:
         # The session bootstrap *is* the initial join (every algorithm
         # returns the same pair set), so no separate measured run is paid.
-        session = engine.open_dynamic(workload.tree_p, workload.tree_q, domain=domain)
+        session = DynamicJoinSession(workload.tree_p, workload.tree_q, domain=domain)
         print("algorithm       : delta-CIJ (incremental maintenance)")
         print(f"initial pairs   : {len(session.pairs)}")
         for number, batch in enumerate(batches, start=1):
@@ -560,25 +488,17 @@ def main(argv: Optional[List[str]] = None) -> int:
     if args.command == "serve":
         return _cmd_serve(args)
     if args.command == "join":
-        _validate_workers(parser, args)
-        _validate_nodes(parser, args)
-        _validate_fault_tolerance(parser, args)
-        _validate_updates(parser, args)
-        return _cmd_join(
-            args.n_p,
-            args.n_q,
-            args.seed,
-            args.method,
-            args.executor,
-            args.workers,
-            args.nodes,
-            args.storage,
-            args.storage_path,
-            args.updates,
-            args.node_timeout,
-            args.node_retries,
-            args.fault_plan,
-        )
+        _validate_executor_flags(parser, args)
+        try:
+            # The join's one config, resolved before any work: unset flags
+            # keep EngineConfig's defaults, and a bad value is reported with
+            # the config's own message, which names the field.
+            config = resolve_config(
+                None, {knob: getattr(args, knob) for knob in _JOIN_KNOBS}
+            )
+        except ValueError as error:
+            parser.error(str(error))
+        return _cmd_join(args, config)
     parser.error(f"unhandled command {args.command!r}")
     return 2
 

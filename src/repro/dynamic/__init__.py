@@ -4,15 +4,20 @@ The paper's CIJ variants assume static pointsets; this subsystem keeps the
 join answer current under insert/delete streams against ``P`` and ``Q``
 without full recomputation::
 
-    from repro import default_engine
-    from repro.dynamic import Update, UpdateBatch
+    from repro import DOMAIN, Point
+    from repro.dynamic import DynamicJoinSession, Update, UpdateBatch
 
-    session = default_engine().open_dynamic(tree_p, tree_q)
+    session = DynamicJoinSession(tree_p, tree_q, domain=DOMAIN)
     delta = session.apply_updates(UpdateBatch([
         Update("insert", "P", 500, Point(1250.0, 7300.0)),
         Update("delete", "Q", 17),
     ]))
     # delta.added / delta.removed — exactly the pairs that changed
+
+The caller builds the session on two trees that share one DiskManager and
+closes it (then the workload) when done.  A batch the session rejects — an
+unknown oid, a duplicate location, a point outside the domain — changes
+nothing.
 
 Only cells whose nearest-neighbour set can change are recomputed (bounded
 by the Lemma-1 influence radius), and only pairs incident to those dirty
@@ -35,7 +40,7 @@ from repro.dynamic.updates import (
 
 def __getattr__(name: str):
     # The update records above are dependency-light (geometry only) and
-    # imported eagerly; the session pulls in the engine/join/voronoi stack,
+    # imported eagerly; the session pulls in the index/join/voronoi stack,
     # so it loads lazily (PEP 562) — stream generators such as
     # repro.datasets.workload can build update streams without it.
     if name == "DynamicJoinSession":

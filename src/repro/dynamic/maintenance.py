@@ -43,8 +43,7 @@ from __future__ import annotations
 
 from typing import Dict, List, Optional, Sequence, Set, Tuple
 
-from repro.dynamic.updates import PairDelta, Update, UpdateBatch, UpdateStats
-from repro.engine.config import EngineConfig
+from repro.dynamic.updates import SIDES, PairDelta, Update, UpdateBatch, UpdateStats
 from repro.geometry.point import Point, dist
 from repro.geometry.polygon import ConvexPolygon
 from repro.geometry.rect import Rect
@@ -61,14 +60,23 @@ from repro.voronoi.single import CellComputationStats
 #: recomputation then proves unchanged, so correctness never depends on it.
 _TIE_TOLERANCE = TIE_SLACK
 
+_OTHER = {"P": "Q", "Q": "P"}
+
+
+def _pair(side: str, oid: int, other: int) -> Tuple[int, int]:
+    """The ``(p_oid, q_oid)`` result pair of ``oid`` on ``side`` and its
+    opposite-side partner ``other``."""
+    return (oid, other) if side == "P" else (other, oid)
+
 
 class DynamicJoinSession:
     """A maintained CIJ answer that absorbs insert/delete batches.
 
-    Build one through :meth:`repro.engine.JoinEngine.open_dynamic` (or
-    directly); the session materialises both Voronoi diagrams once, derives
-    the initial pair set from them, and then keeps both current under
-    :meth:`apply_updates` without full recomputation.
+    The session materialises both Voronoi diagrams once, derives the
+    initial pair set from them, and then keeps both current under
+    :meth:`apply_updates` without full recomputation.  It runs in the
+    calling thread and owns no executor: incremental maintenance mutates
+    the source trees, which no parallel worker may do.
 
     Attributes
     ----------
@@ -81,24 +89,12 @@ class DynamicJoinSession:
         from any measured engine run.
     """
 
-    def __init__(
-        self,
-        tree_p: RTree,
-        tree_q: RTree,
-        domain: Optional[Rect] = None,
-        config: Optional[EngineConfig] = None,
-    ):
+    def __init__(self, tree_p: RTree, tree_q: RTree, domain: Optional[Rect] = None):
         if tree_p.disk is not tree_q.disk:
             raise ValueError("both input trees must share one DiskManager")
         self.tree_p = tree_p
         self.tree_q = tree_q
         self._closed = False
-        self.config = config if config is not None else EngineConfig()
-        if self.config.executor != "serial":
-            raise ValueError(
-                "dynamic maintenance requires the serial executor; shard "
-                "workers cannot mutate the shared source trees"
-            )
         if domain is None:
             domain = tree_p.domain().union(tree_q.domain())
         self.domain = domain
@@ -111,8 +107,8 @@ class DynamicJoinSession:
         #: invalidation scan costs one distance test per (cell, changed
         #: site) instead of rebuilding every cell's vertex distances.
         self._reaches: Dict[str, Dict[int, float]] = {"P": {}, "Q": {}}
-        self._partners_p: Dict[int, Set[int]] = {}
-        self._partners_q: Dict[int, Set[int]] = {}
+        #: Per side, each maintained oid's recorded opposite-side partners.
+        self._partners: Dict[str, Dict[int, Set[int]]] = {"P": {}, "Q": {}}
         self.pairs: Set[Tuple[int, int]] = set()
         self._bootstrap()
 
@@ -127,40 +123,36 @@ class DynamicJoinSession:
         costs a single pruned ``R_Q`` descent instead of one per cell.
         """
         with self.tree_p.disk.suspend_io_accounting():
-            leaf_groups: List[List[VoronoiCell]] = []
-            if not self.tree_p.is_empty():
-                for leaf in self.tree_p.iter_leaf_nodes():
-                    computed = compute_cells_for_leaf(
-                        self.tree_p, leaf.entries, self.domain, stats=self.cell_stats
-                    )
-                    self.cells_p.update(computed)
-                    leaf_groups.append(list(computed.values()))
-            self.cells_q = self._compute_all_cells(self.tree_q)
-            for group in leaf_groups:
+            leaf_groups = {side: self._leaf_cells(side) for side in SIDES}
+            partners_p, partners_q = self._partners["P"], self._partners["Q"]
+            for group in leaf_groups["P"]:
                 for p_oid, partners in self._partners_for_group(group, "P").items():
-                    self._partners_p[p_oid] = partners
+                    partners_p[p_oid] = partners
                     for q_oid in partners:
-                        self._partners_q.setdefault(q_oid, set()).add(p_oid)
+                        partners_q.setdefault(q_oid, set()).add(p_oid)
                         self.pairs.add((p_oid, q_oid))
             for q_oid in self.cells_q:
-                self._partners_q.setdefault(q_oid, set())
-            for side, cells in (("P", self.cells_p), ("Q", self.cells_q)):
+                partners_q.setdefault(q_oid, set())
+            for side in SIDES:
                 self._reaches[side] = {
-                    oid: self._cell_reach(cell) for oid, cell in cells.items()
+                    oid: self._cell_reach(cell)
+                    for oid, cell in self._side(side)[0].items()
                 }
 
-    def _compute_all_cells(self, tree: RTree) -> Dict[int, VoronoiCell]:
-        """Exact cells of every stored point, one BatchVoronoi pass per leaf."""
-        cells: Dict[int, VoronoiCell] = {}
+    def _leaf_cells(self, side: str) -> List[List[VoronoiCell]]:
+        """Exact cells of one side's stored points, one BatchVoronoi pass
+        per leaf: recorded in the side's diagram and returned per leaf."""
+        cells, tree = self._side(side)
+        groups: List[List[VoronoiCell]] = []
         if tree.is_empty():
-            return cells
+            return groups
         for leaf in tree.iter_leaf_nodes():
-            cells.update(
-                compute_cells_for_leaf(
-                    tree, leaf.entries, self.domain, stats=self.cell_stats
-                )
+            computed = compute_cells_for_leaf(
+                tree, leaf.entries, self.domain, stats=self.cell_stats
             )
-        return cells
+            cells.update(computed)
+            groups.append(list(computed.values()))
+        return groups
 
     @staticmethod
     def _cell_reach(cell: VoronoiCell) -> float:
@@ -183,9 +175,11 @@ class DynamicJoinSession:
         batch_stats = UpdateStats(batches_applied=1, updates_applied=len(batch))
         self._validate(batch)
         with self.tree_p.disk.suspend_io_accounting():
-            dirty_p = self._apply_side(batch.by_side("P"), "P", batch_stats)
-            dirty_q = self._apply_side(batch.by_side("Q"), "Q", batch_stats)
-            added, removed = self._delta_join(batch, dirty_p, dirty_q, batch_stats)
+            dirty = {
+                side: self._apply_side(batch.by_side(side), side, batch_stats)
+                for side in SIDES
+            }
+            added, removed = self._delta_join(batch, dirty, batch_stats)
         self.stats.accumulate(batch_stats)
         return PairDelta(
             added=tuple(sorted(added)),
@@ -201,11 +195,13 @@ class DynamicJoinSession:
         may legally re-insert a new point at a location it deletes.  Insert
         locations are then checked against the remaining sites *and* the
         batch's own earlier inserts: coincident sites have no well-defined
-        Voronoi cells, whether the twin is stored or pending.
+        Voronoi cells, whether the twin is stored or pending.  An insert
+        outside the session's (closed) domain is rejected as well: its cell
+        cannot be clipped to the domain.
         """
         coords = {
             side: {(c.site.x, c.site.y) for c in self._side(side)[0].values()}
-            for side in ("P", "Q")
+            for side in SIDES
         }
         for update in batch:
             if update.op != "delete":
@@ -232,6 +228,12 @@ class DynamicJoinSession:
                 raise ValueError(
                     f"cannot insert {update.side} oid {update.oid}: "
                     "the id is already stored"
+                )
+            if not self.domain.contains_point(update.point):
+                raise ValueError(
+                    f"cannot insert {update.side} oid {update.oid}: "
+                    f"{update.point.as_tuple()} lies outside the session "
+                    f"domain {self.domain}"
                 )
             location = (update.point.x, update.point.y)
             if location in coords[update.side]:
@@ -337,8 +339,7 @@ class DynamicJoinSession:
     def _delta_join(
         self,
         batch: UpdateBatch,
-        dirty_p: Set[int],
-        dirty_q: Set[int],
+        dirty: Dict[str, Set[int]],
         batch_stats: UpdateStats,
     ) -> Tuple[Set[Tuple[int, int]], Set[Tuple[int, int]]]:
         """Re-evaluate only pairs incident to dirty cells."""
@@ -349,45 +350,34 @@ class DynamicJoinSession:
         for update in batch:
             if update.op != "delete":
                 continue
-            if update.side == "P":
-                for q_oid in self._partners_p.pop(update.oid, set()):
-                    self._partners_q[q_oid].discard(update.oid)
-                    self._drop_pair((update.oid, q_oid), added, removed)
-            else:
-                for p_oid in self._partners_q.pop(update.oid, set()):
-                    self._partners_p[p_oid].discard(update.oid)
-                    self._drop_pair((p_oid, update.oid), added, removed)
+            opposite = self._partners[_OTHER[update.side]]
+            for other in self._partners[update.side].pop(update.oid, set()):
+                opposite[other].discard(update.oid)
+                self._drop_pair(
+                    _pair(update.side, update.oid, other), added, removed
+                )
 
         # Dirty cells re-derive their partner sets against the (now fully
         # current) opposite diagram — one grouped filter descent per side —
         # and both orientations agree on shared pairs because they test the
         # same two cells.
-        fresh_p = self._partners_for_group(
-            [self.cells_p[oid] for oid in sorted(dirty_p)], "P"
-        )
-        for p_oid in sorted(dirty_p):
-            fresh = fresh_p[p_oid]
-            stale = self._partners_p.get(p_oid, set())
-            for q_oid in fresh - stale:
-                self._partners_q.setdefault(q_oid, set()).add(p_oid)
-                self._add_pair((p_oid, q_oid), added, removed)
-            for q_oid in stale - fresh:
-                self._partners_q[q_oid].discard(p_oid)
-                self._drop_pair((p_oid, q_oid), added, removed)
-            self._partners_p[p_oid] = fresh
-        fresh_q = self._partners_for_group(
-            [self.cells_q[oid] for oid in sorted(dirty_q)], "Q"
-        )
-        for q_oid in sorted(dirty_q):
-            fresh = fresh_q[q_oid]
-            stale = self._partners_q.get(q_oid, set())
-            for p_oid in fresh - stale:
-                self._partners_p.setdefault(p_oid, set()).add(q_oid)
-                self._add_pair((p_oid, q_oid), added, removed)
-            for p_oid in stale - fresh:
-                self._partners_p[p_oid].discard(q_oid)
-                self._drop_pair((p_oid, q_oid), added, removed)
-            self._partners_q[q_oid] = fresh
+        for side in SIDES:
+            cells = self._side(side)[0]
+            own, opposite = self._partners[side], self._partners[_OTHER[side]]
+            oids = sorted(dirty[side])
+            fresh_partners = self._partners_for_group(
+                [cells[oid] for oid in oids], side
+            )
+            for oid in oids:
+                fresh = fresh_partners[oid]
+                stale = own.get(oid, set())
+                for other in fresh - stale:
+                    opposite.setdefault(other, set()).add(oid)
+                    self._add_pair(_pair(side, oid, other), added, removed)
+                for other in stale - fresh:
+                    opposite[other].discard(oid)
+                    self._drop_pair(_pair(side, oid, other), added, removed)
+                own[oid] = fresh
 
         batch_stats.pairs_emitted += len(added)
         batch_stats.pairs_retracted += len(removed)
@@ -404,14 +394,13 @@ class DynamicJoinSession:
         and each cell then tests only the admitted candidates.
         """
         result: Dict[int, Set[int]] = {cell.oid: set() for cell in group}
-        opposite_cells, opposite_tree = self._side("Q" if side == "P" else "P")
+        opposite_cells, opposite_tree = self._side(_OTHER[side])
         if not group or not opposite_cells:
             return result
         candidates = batch_conditional_filter(
             [cell.polygon for cell in group],
             opposite_tree,
             self.domain,
-            use_phi_pruning=self.config.use_phi_pruning,
             stats=self.filter_stats,
         )
         candidate_cells = [
@@ -467,11 +456,10 @@ class DynamicJoinSession:
                 [window_poly],
                 self.tree_p,
                 self.domain,
-                use_phi_pruning=self.config.use_phi_pruning,
                 stats=self.filter_stats,
             )
         for p_oid, _ in candidates:
-            partners = self._partners_p.get(p_oid)
+            partners = self._partners["P"].get(p_oid)
             if not partners:
                 continue
             cell_p = self.cells_p[p_oid]
@@ -502,8 +490,7 @@ class DynamicJoinSession:
         self._closed = True
         self.cells_p.clear()
         self.cells_q.clear()
-        self._partners_p.clear()
-        self._partners_q.clear()
+        self._partners = {"P": {}, "Q": {}}
         self._reaches = {"P": {}, "Q": {}}
         self.pairs.clear()
 
@@ -527,18 +514,16 @@ class DynamicJoinSession:
 
     def check_consistency(self) -> None:
         """Assert internal bookkeeping invariants (used by the test-suite)."""
-        assert set(self._partners_p) == set(self.cells_p)
-        assert set(self._partners_q) == set(self.cells_q)
-        assert set(self._reaches["P"]) == set(self.cells_p)
-        assert set(self._reaches["Q"]) == set(self.cells_q)
+        for side in SIDES:
+            cells, tree = self._side(side)
+            assert set(self._partners[side]) == set(cells)
+            assert set(self._reaches[side]) == set(cells)
+            assert len(tree) == len(cells)
+            tree.check_invariants()
         from_p = {
-            (p, q) for p, partners in self._partners_p.items() for q in partners
+            (p, q) for p, partners in self._partners["P"].items() for q in partners
         }
         from_q = {
-            (p, q) for q, partners in self._partners_q.items() for p in partners
+            (p, q) for q, partners in self._partners["Q"].items() for p in partners
         }
         assert from_p == from_q == self.pairs
-        assert len(self.tree_p) == len(self.cells_p)
-        assert len(self.tree_q) == len(self.cells_q)
-        self.tree_p.check_invariants()
-        self.tree_q.check_invariants()

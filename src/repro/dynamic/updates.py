@@ -11,7 +11,7 @@ pairs that appeared and disappeared.
 The module is dependency-light (geometry only), and the package ``__init__``
 exposes the session lazily, so the workload generators in
 :mod:`repro.datasets.workload` build update streams without pulling in the
-engine stack.
+join and Voronoi stack.
 
 Update-stream files
 -------------------
@@ -31,6 +31,7 @@ stored point.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, fields
 from typing import Iterable, List, Optional, Sequence, Set, Tuple
 
@@ -48,7 +49,10 @@ class Update:
 
     ``point`` is required for inserts; for deletes it may be omitted when
     the maintenance layer can resolve the oid itself (the CLI stream format
-    does exactly that), but a given point must match the stored one.
+    does exactly that), but a given point must match the stored one.  A
+    given point must be finite: a NaN or infinite coordinate has no Voronoi
+    cell, and rejecting it here makes a stream line carrying one a parse
+    error rather than a failed batch.
     """
 
     op: str
@@ -65,6 +69,12 @@ class Update:
             )
         if self.op == "insert" and self.point is None:
             raise ValueError("insert updates must carry the point to insert")
+        if self.point is not None and not (
+            math.isfinite(self.point.x) and math.isfinite(self.point.y)
+        ):
+            raise ValueError(
+                f"update coordinates must be finite, got {self.point.as_tuple()}"
+            )
 
 
 @dataclass(frozen=True)
@@ -234,7 +244,10 @@ def parse_update_stream(lines: Iterable[str]) -> List[UpdateBatch]:
                 "dashes between them)",
             )
         touched.add((op, side, oid))
-        current.append(Update(op=op, side=side, oid=oid, point=point))
+        try:
+            current.append(Update(op=op, side=side, oid=oid, point=point))
+        except ValueError as error:
+            raise UpdateStreamError(line_number, str(error)) from None
     flush(line_number + 1)
     return batches
 

@@ -38,8 +38,8 @@ class EngineConfig:
         ordered ``R_Q`` leaves for NM-CIJ/PM-CIJ, top-level ``R'_P`` join
         partitions for FM-CIJ — across local workers through the pull-based
         coordinator; ``"distributed"`` runs the same coordinator over
-        ``nodes`` worker subprocesses that reopen the shared file/sqlite
-        backend read-only and speak the NDJSON unit protocol
+        ``nodes`` worker subprocesses that reopen the shared file, sqlite
+        or remote backend read-only and speak the NDJSON unit protocol
         (:mod:`repro.engine.node`).  Merged pairs and deterministic
         counters are byte-identical to serial for every executor.
     workers:
@@ -53,8 +53,8 @@ class EngineConfig:
         Number of worker subprocesses for the distributed executor.  Each
         node is a separate interpreter (``python -m repro.engine.node``)
         with its own read-only handle on the shared backend, so the tier
-        needs an on-disk store (``file`` or ``sqlite``; ``memory`` is
-        rejected at execution time).  The run starts once every node still
+        needs a store a subprocess can reopen (``file``, ``sqlite`` or
+        ``remote``; ``memory`` is rejected at execution time).  The run starts once every node still
         alive is ready.  A distributed NM-CIJ always chains its REUSE
         buffer across units.
     node_timeout:
@@ -116,7 +116,10 @@ class EngineConfig:
                 )
             from repro.engine.faults import FaultPlan
 
-            FaultPlan.from_spec(self.fault_plan)  # fail fast on a bad spec
+            try:
+                FaultPlan.from_spec(self.fault_plan)  # fail fast on a bad spec
+            except ValueError as error:
+                raise ValueError(f"fault_plan: {error}") from None
 
 
 def resolve_config(

@@ -5,7 +5,8 @@ four standalone functions with duplicated counter/timing plumbing.  The
 engine owns the run lifecycle:
 
 1. resolve the algorithm and the effective :class:`EngineConfig`,
-2. validate that both trees share one disk manager and resolve the domain,
+2. validate that both trees share one disk manager, that a parallel
+   executor gets an algorithm with work units, and resolve the domain,
 3. snapshot the I/O counters and time the MAT phase (``prepare``),
 4. hand the join phase to the configured executor (serial or sharded),
 5. finalise the :class:`JoinStats` breakdown and return a
@@ -15,9 +16,9 @@ engine owns the run lifecycle:
 The classic entry points (:func:`repro.join.nm_cij.nm_cij` and friends)
 are thin wrappers over :func:`default_engine`, so every experiment driver,
 example and test runs through this one code path.  The engine's algorithm
-set is fixed (NM, PM, FM and the brute-force baseline), and
-:meth:`JoinEngine.open_dynamic` is a stateless factory: the engine keeps
-no dynamic session of its own.
+set is fixed (NM, PM, FM and the brute-force baseline).  Dynamic
+maintenance is not an engine run: callers build a
+:class:`~repro.dynamic.DynamicJoinSession` on the trees directly.
 """
 
 from __future__ import annotations
@@ -82,6 +83,11 @@ class JoinEngine:
         effective = resolve_config(config, overrides)
         if tree_p.disk is not tree_q.disk:
             raise ValueError("both input trees must share one DiskManager")
+        if effective.executor != "serial" and not algo.supports_sharding:
+            raise ValueError(
+                f"{algo.display_name} does not support {effective.executor} "
+                "execution; its join phase has no shard units"
+            )
         executor = executor_for(effective)
         self.last_executor = executor
         domain = effective.domain
@@ -124,32 +130,6 @@ class JoinEngine:
             cell_stats=ctx.cell_stats,
             filter_stats=ctx.filter_stats,
             storage=disk.storage_stats(),
-        )
-
-    # ------------------------------------------------------------------
-    # dynamic workloads
-    # ------------------------------------------------------------------
-    def open_dynamic(
-        self,
-        tree_p: RTree,
-        tree_q: RTree,
-        config: Optional[EngineConfig] = None,
-        **overrides,
-    ):
-        """Open a :class:`~repro.dynamic.DynamicJoinSession` on two trees.
-
-        The session materialises both Voronoi diagrams, derives the current
-        pair set, and then absorbs insert/delete batches incrementally
-        (``session.apply_updates``).  ``config``/``overrides`` follow the
-        same semantics as :meth:`run`; the session requires the serial
-        executor.  The engine keeps no reference to the session: the caller
-        closes it, and then the workload its trees belong to.
-        """
-        from repro.dynamic.maintenance import DynamicJoinSession
-
-        effective = resolve_config(config, overrides)
-        return DynamicJoinSession(
-            tree_p, tree_q, domain=effective.domain, config=effective
         )
 
     # ------------------------------------------------------------------

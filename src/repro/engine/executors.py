@@ -17,9 +17,9 @@
   sum of the per-unit deltas.
 * :class:`DistributedExecutor` runs the same coordinator over ``nodes``
   worker *subprocesses* (:mod:`repro.engine.node`) that reopen the shared
-  file/sqlite backend read-only and exchange units and results over an
-  NDJSON pipe protocol — the process-simulated form of an elastic worker
-  tier over shared storage.
+  file, sqlite or remote backend read-only and exchange units and results
+  over an NDJSON pipe protocol — the process-simulated form of an elastic
+  worker tier over shared storage.
 
 Parallel-correctness argument: the pairs a unit reports depend only on the
 unit itself, the two source trees and the domain — never on buffer state,
@@ -199,11 +199,6 @@ class ShardedExecutor:
         self.last_assignments: Optional[Dict[str, List[int]]] = None
 
     def execute(self, algorithm: JoinAlgorithm, ctx: JoinContext) -> List[Tuple[int, int]]:
-        if not algorithm.supports_sharding:
-            raise ValueError(
-                f"{algorithm.display_name} does not support sharded execution; "
-                "its join phase has no shard units"
-            )
         # Enumerating the units is part of the join and is charged to the
         # parent, once, before any worker starts.
         units = algorithm.work_units(ctx)
@@ -335,9 +330,9 @@ class DistributedExecutor:
     """Run the coordinator over node subprocesses on a shared backend.
 
     Each node is a separate interpreter (``python -m repro.engine.node``)
-    that reopens the run's file/sqlite store read-only, rebuilds the
-    dispatch-time buffer state, and executes whatever units it pulls from
-    the coordinator over an NDJSON pipe protocol
+    that reopens the run's file, sqlite or remote store read-only, rebuilds
+    the dispatch-time buffer state, and executes whatever units it pulls
+    from the coordinator over an NDJSON pipe protocol
     (:mod:`repro.engine.node`).  Results merge in unit order, so pairs,
     statistics and deterministic counters are byte-identical to the serial
     run no matter how units were assigned.
@@ -404,11 +399,6 @@ class DistributedExecutor:
     def execute(self, algorithm: JoinAlgorithm, ctx: JoinContext) -> List[Tuple[int, int]]:
         from repro.engine import node as node_plane
 
-        if not algorithm.supports_sharding:
-            raise ValueError(
-                f"{algorithm.display_name} does not support distributed "
-                "execution; its join phase has no shard units"
-            )
         store = ctx.disk.store
         if not store.supports_worker_reopen or store.location is None:
             raise ValueError(

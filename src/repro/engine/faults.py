@@ -224,24 +224,19 @@ class FaultInjector:
 
     The node's main loop consults it at the three injection points —
     readiness, unit receipt, and reply — and counts completed units so
-    ``after`` clauses arm deterministically.  ``fired`` records what
-    actually went off (reported back only by faults that leave the node
-    alive, which is why the parent also infers fired faults from observed
-    failures).
+    ``after`` clauses arm deterministically.  Each fault fires at most once.
     """
 
     def __init__(self, faults: Sequence[Dict[str, Any]]):
         self._faults = [Fault.from_wire(wire) for wire in faults or ()]
         self._armed = list(self._faults)
         self.units_completed = 0
-        self.fired: List[Fault] = []
 
     def ready_delay(self) -> float:
         """Total pre-ready sleep; consumes the ``ready_delay`` faults."""
         delays = [f for f in self._armed if f.kind == "ready_delay"]
         for fault in delays:
             self._armed.remove(fault)
-            self.fired.append(fault)
         return sum(f.seconds for f in delays)
 
     def on_unit(self, unit_index: int) -> Optional[Fault]:
@@ -254,7 +249,6 @@ class FaultInjector:
             if fault.unit is not None and fault.unit != unit_index:
                 continue
             self._armed.remove(fault)
-            self.fired.append(fault)
             return fault
         return None
 

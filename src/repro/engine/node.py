@@ -14,7 +14,8 @@ byte-reproducible across runs and nodes.
 Equivalence story, mirroring the fork pool exactly:
 
 * the node opens the *same* pages the parent's workload wrote — the
-  file/sqlite store is reopened read-only
+  file or sqlite store is reopened read-only, and a remote store opens
+  its own socket to the page server
   (:meth:`~repro.storage.disk.DiskManager.reopen_for_worker`);
 * the dispatch-time LRU residency travels in the init spec; the node
   rebuilds the decoded cache with *uncounted* reads and rewinds to that

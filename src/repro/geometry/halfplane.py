@@ -54,17 +54,6 @@ class Halfplane:
         tol = eps * (norm if norm > 0.0 else max(1.0, abs(self.c)))
         return self.value(p) <= tol
 
-    def signed_distance(self, p: Point) -> float:
-        """Euclidean signed distance of ``p`` to the boundary line.
-
-        Negative inside the halfplane, positive outside.  Raises
-        :class:`ValueError` for a degenerate (zero-normal) halfplane.
-        """
-        norm = math.hypot(self.a, self.b)
-        if norm == 0.0:
-            raise ValueError("degenerate halfplane with zero normal vector")
-        return self.value(p) / norm
-
     def boundary_points(self, span: float = 1.0) -> Tuple[Point, Point]:
         """Two distinct points on the boundary line, ``2*span`` apart.
 

@@ -48,16 +48,6 @@ class Point:
         dy = self.y - other.y
         return math.sqrt(dx * dx + dy * dy)
 
-    def distance_sq_to(self, other: "Point") -> float:
-        """Squared Euclidean distance to ``other`` (avoids the sqrt)."""
-        dx = self.x - other.x
-        dy = self.y - other.y
-        return dx * dx + dy * dy
-
-    def translated(self, dx: float, dy: float) -> "Point":
-        """Return a copy of this point shifted by ``(dx, dy)``."""
-        return Point(self.x + dx, self.y + dy)
-
     def as_tuple(self) -> tuple:
         """Return ``(x, y)`` as a plain tuple."""
         return (self.x, self.y)

@@ -314,15 +314,6 @@ class ConvexPolygon:
         _drop_closing_duplicates(out_x, out_y)
         return ConvexPolygon._from_ring(tuple(out_x), tuple(out_y))
 
-    def clip_rect(self, rect: Rect) -> "ConvexPolygon":
-        """Clip the polygon to a rectangle (intersection with the domain)."""
-        result = self
-        for hp in _rect_halfplanes(rect):
-            result = result.clip_halfplane(hp)
-            if result.is_empty():
-                break
-        return result
-
     def intersection(self, other: "ConvexPolygon") -> "ConvexPolygon":
         """Exact intersection of two convex polygons.
 
@@ -387,15 +378,6 @@ def _shoelace(xs: Sequence[float], ys: Sequence[float]) -> float:
         j = i + 1 if i + 1 < n else 0
         total += xs[i] * ys[j] - xs[j] * ys[i]
     return total
-
-
-def _rect_halfplanes(rect: Rect) -> List[Halfplane]:
-    return [
-        Halfplane(-1.0, 0.0, -rect.xmin),
-        Halfplane(1.0, 0.0, rect.xmax),
-        Halfplane(0.0, -1.0, -rect.ymin),
-        Halfplane(0.0, 1.0, rect.ymax),
-    ]
 
 
 def _separating_axis_exists(

@@ -167,18 +167,6 @@ class Rect:
         # (hypot may differ from it by one ulp).
         return math.sqrt(dx * dx + dy * dy)
 
-    def mindist_sq_point(self, p: Point) -> float:
-        """Squared ``mindist`` to a point."""
-        dx = max(self.xmin - p.x, 0.0, p.x - self.xmax)
-        dy = max(self.ymin - p.y, 0.0, p.y - self.ymax)
-        return dx * dx + dy * dy
-
-    def maxdist_point(self, p: Point) -> float:
-        """Maximum distance from ``p`` to any location inside the rectangle."""
-        dx = max(abs(p.x - self.xmin), abs(p.x - self.xmax))
-        dy = max(abs(p.y - self.ymin), abs(p.y - self.ymax))
-        return math.hypot(dx, dy)
-
     def mindist_rect(self, other: "Rect") -> float:
         """Minimum distance between any two locations of the two rectangles."""
         dx = max(self.xmin - other.xmax, 0.0, other.xmin - self.xmax)

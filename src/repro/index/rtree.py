@@ -21,7 +21,7 @@ The class supports the operations the CIJ algorithms need:
 
 from __future__ import annotations
 
-from typing import Any, Callable, Iterator, List, Optional, Sequence, Tuple
+from typing import Any, Iterator, List, Optional, Sequence, Tuple
 
 from repro.geometry.hilbert import hilbert_value
 from repro.geometry.point import Point
@@ -95,12 +95,6 @@ class RTree:
     def peek_node(self, page_id: int) -> Node:
         """Read a node without charging I/O (oracle/maintenance access)."""
         return self.disk.peek(page_id)
-
-    def read_root(self) -> Node:
-        """Read the root node; raises if the tree is empty."""
-        if self.root_page is None:
-            raise ValueError("the tree is empty")
-        return self.read_node(self.root_page)
 
     def domain(self) -> Rect:
         """MBR of the whole tree (root MBR), without charging I/O."""
@@ -237,16 +231,6 @@ class RTree:
                 )
         return results
 
-    def range_search_where(
-        self, region: Rect, predicate: Callable[[LeafEntry], bool]
-    ) -> List[LeafEntry]:
-        """Range search with an extra refinement predicate on leaf entries."""
-        return [e for e in self.range_search(region) if predicate(e)]
-
-    def count_in_range(self, region: Rect) -> int:
-        """Number of leaf entries intersecting ``region``."""
-        return len(self.range_search(region))
-
     # ------------------------------------------------------------------
     # traversal
     # ------------------------------------------------------------------
@@ -284,17 +268,6 @@ class RTree:
                 reverse=True,
             )
             stack.extend(e.child_page for e in children)
-
-    def iter_all_nodes(self) -> Iterator[Node]:
-        """Yield every node of the tree depth-first, charging I/O."""
-        if self.root_page is None:
-            return
-        stack = [self.root_page]
-        while stack:
-            node = self.read_node(stack.pop())
-            yield node
-            if not node.is_leaf:
-                stack.extend(e.child_page for e in node.entries)
 
     def all_leaf_entries(self) -> List[LeafEntry]:
         """Every leaf entry, *without* charging I/O (used by oracles/tests)."""

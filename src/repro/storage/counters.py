@@ -76,12 +76,6 @@ class IOCounters:
         out.by_tag = {tag: count for tag, count in out.by_tag.items() if count}
         return out
 
-    def merged_with(self, other: "IOCounters") -> "IOCounters":
-        """Sum of two counter sets (used to aggregate per-phase costs)."""
-        out = self.snapshot()
-        out.absorb(other)
-        return out
-
     def absorb(self, other: "IOCounters") -> None:
         """Add another counter set into this one in place.
 

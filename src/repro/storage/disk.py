@@ -45,18 +45,13 @@ class DiskManager:
     buffer_pages:
         Capacity of the LRU buffer in pages.  May be resized later with
         :meth:`resize_buffer` (Figure 8a sweeps this).
-    counters:
-        Optional externally-owned counters; a fresh set is created otherwise.
-    store:
-        Backend instance holding the page bytes; defaults to a fresh
-        :class:`~repro.storage.backends.MemoryPageStore`.  Attaching a
-        non-empty store (a reopened file or database) resumes page-id
-        allocation above the highest stored id.
     storage, storage_path:
-        Convenience alternative to ``store``: a backend name
-        (``"memory" | "file" | "sqlite" | "remote"``) and the backing
-        path — for the remote backend the page server's ``HOST:PORT``
-        address — (``None`` = owned temporary file / spawned server).
+        The page store's backend name (``"memory" | "file" | "sqlite" |
+        "remote"``, default ``"memory"``) and the backing path — for the
+        remote backend the page server's ``HOST:PORT`` address — (``None``
+        = owned temporary file / spawned server).  Opening a non-empty
+        store (a reopened file or database) resumes page-id allocation
+        above the highest stored id.
 
     Every physical fetch is the store's synchronous ``read_page``.
     """
@@ -65,21 +60,15 @@ class DiskManager:
         self,
         page_size: int = PAGE_SIZE_DEFAULT,
         buffer_pages: int = 0,
-        counters: Optional[IOCounters] = None,
-        store: Optional[PageStore] = None,
         storage: Optional[str] = None,
         storage_path: Optional[str] = None,
     ):
         if page_size <= 0:
             raise ValueError("page size must be positive")
-        if store is not None and storage is not None:
-            raise ValueError("pass either a store instance or a backend name, not both")
         self.page_size = page_size
-        self.counters = counters if counters is not None else IOCounters()
-        self.store: PageStore = (
-            store
-            if store is not None
-            else create_page_store(storage if storage is not None else "memory", storage_path)
+        self.counters = IOCounters()
+        self.store: PageStore = create_page_store(
+            storage if storage is not None else "memory", storage_path
         )
         #: Decoded payloads for the pages currently held by the LRU buffer.
         self._cache: Dict[int, PageRecord] = {}

@@ -51,20 +51,6 @@ class VoronoiDiagram:
         """The cell of a given generator identifier."""
         return self.cells[oid]
 
-    def locate(self, location: Point) -> Optional[VoronoiCell]:
-        """The cell containing ``location`` (ties broken arbitrarily).
-
-        Linear in the number of cells; intended for examples and tests, not
-        for the join algorithms (which never need point location).
-        """
-        best: Optional[VoronoiCell] = None
-        best_dist = float("inf")
-        for cell in self.cells.values():
-            d = cell.site.distance_to(location)
-            if d < best_dist:
-                best, best_dist = cell, d
-        return best
-
     def total_area(self) -> float:
         """Sum of cell areas; equals the domain area for an exact diagram."""
         return sum(cell.area() for cell in self.cells.values())

@@ -12,6 +12,8 @@ tier-1 matrix), and one scenario additionally parametrizes all three
 backends explicitly.
 """
 
+import random
+
 import pytest
 
 from repro.datasets.workload import (
@@ -20,10 +22,10 @@ from repro.datasets.workload import (
     build_workload,
     generate_update_batches,
 )
-from repro.engine import EngineConfig, JoinEngine
+from repro.engine import JoinEngine
 from repro.geometry.point import Point
 from repro.join.baseline import brute_force_cij_pairs
-from repro.dynamic import Update, UpdateBatch
+from repro.dynamic import DynamicJoinSession, Update, UpdateBatch
 
 
 def _live_points(session, side):
@@ -74,21 +76,20 @@ def engine():
 
 
 class TestScriptedStreams:
-    def _open(self, engine, n_p=60, n_q=50, seed=3, **config_overrides):
+    def _open(self, n_p=60, n_q=50, seed=3):
         workload = build_workload(WorkloadConfig(n_p=n_p, n_q=n_q, seed=seed))
-        config = EngineConfig(**config_overrides) if config_overrides else None
-        session = engine.open_dynamic(
-            workload.tree_p, workload.tree_q, config, domain=workload.domain
+        session = DynamicJoinSession(
+            workload.tree_p, workload.tree_q, domain=workload.domain
         )
         return workload, session
 
     def test_bootstrap_matches_engine_and_oracle(self, engine):
-        _, session = self._open(engine)
+        _, session = self._open()
         assert session.pair_set() == _rebuild_pairs(engine, session)
         assert session.pair_set() == _oracle_pairs(session)
 
     def test_mixed_stream(self, engine):
-        workload, session = self._open(engine)
+        workload, session = self._open()
         batches = generate_update_batches(
             workload,
             DynamicWorkloadConfig(batches=4, batch_size=6, seed=21),
@@ -96,7 +97,7 @@ class TestScriptedStreams:
         _replay(session, batches, engine)
 
     def test_insert_only_stream(self, engine):
-        workload, session = self._open(engine)
+        workload, session = self._open()
         batches = generate_update_batches(
             workload,
             DynamicWorkloadConfig(batches=3, batch_size=5, insert_fraction=1.0, seed=5),
@@ -104,7 +105,7 @@ class TestScriptedStreams:
         _replay(session, batches, engine)
 
     def test_delete_only_stream(self, engine):
-        workload, session = self._open(engine)
+        workload, session = self._open()
         batches = generate_update_batches(
             workload,
             DynamicWorkloadConfig(batches=4, batch_size=8, insert_fraction=0.0, seed=6),
@@ -113,7 +114,7 @@ class TestScriptedStreams:
         _replay(session, batches, engine)
 
     def test_single_side_stream(self, engine):
-        workload, session = self._open(engine)
+        workload, session = self._open()
         batches = generate_update_batches(
             workload,
             DynamicWorkloadConfig(batches=3, batch_size=6, sides="P", seed=8),
@@ -124,7 +125,7 @@ class TestScriptedStreams:
     def test_boundary_targeting_batches(self, engine):
         """Inserts landing on maintained cell vertices and edge midpoints —
         the configurations where the tie convention matters most."""
-        workload, session = self._open(engine, n_p=40, n_q=35, seed=9)
+        workload, session = self._open(n_p=40, n_q=35, seed=9)
         # Collect boundary locations of the current diagram before mutating.
         targets = []
         for cell in list(session.cells_p.values())[:6]:
@@ -152,7 +153,7 @@ class TestScriptedStreams:
         """Deletes release their coordinates within the batch (application
         order is deletes-then-inserts), so replacing a point under a fresh
         oid in one atomic batch is legal — and still exactly differential."""
-        _, session = self._open(engine)
+        _, session = self._open()
         victim = min(session.cells_p)
         location = session.cells_p[victim].site
         batch = UpdateBatch(
@@ -167,7 +168,7 @@ class TestScriptedStreams:
     def test_churn_shrinks_then_regrows_a_side(self, engine):
         """Delete P down to the minimum, then regrow it — the session must
         survive near-empty diagrams (single cells cover the whole domain)."""
-        workload, session = self._open(engine, n_p=10, n_q=8, seed=12)
+        workload, session = self._open(n_p=10, n_q=8, seed=12)
         live = sorted(session.cells_p)
         down = [
             UpdateBatch([Update("delete", "P", oid)]) for oid in live[: len(live) - 1]
@@ -183,6 +184,62 @@ class TestScriptedStreams:
         _replay(session, regrow, engine)
 
 
+def _grid_stream(seed, batches=6, batch_size=5):
+    """Initial sites and a mixed insert/delete stream on a 500-step integer
+    grid over the domain.  Q starts with copies of some P sites and every
+    other insert lands on a live opposite-side site, so the stream is full
+    of cross-side duplicate coordinates, co-circular sites and exactly
+    colinear bisectors (same-side duplicates are invalid and never drawn)."""
+    rng = random.Random(seed)
+    grid = [Point(500.0 * i, 500.0 * j) for i in range(21) for j in range(21)]
+    points_p = rng.sample(grid, 30)
+    points_q = rng.sample(points_p, 8) + rng.sample(
+        [g for g in grid if g not in points_p], 17
+    )
+    live = {"P": dict(enumerate(points_p)), "Q": dict(enumerate(points_q))}
+    next_oid = {"P": 1000, "Q": 1000}
+    stream = []
+    for _ in range(batches):
+        updates = []
+        touched = set()
+        for _ in range(batch_size):
+            side = rng.choice("PQ")
+            other = "Q" if side == "P" else "P"
+            deletable = [oid for oid in sorted(live[side]) if (side, oid) not in touched]
+            if rng.random() < 0.4 and len(deletable) > 3:
+                oid = rng.choice(deletable)
+                del live[side][oid]
+                updates.append(Update("delete", side, oid))
+            else:
+                taken = set(live[side].values())
+                pool = list(live[other].values()) if rng.random() < 0.5 else grid
+                free = [g for g in pool if g not in taken]
+                if not free:
+                    continue
+                oid = next_oid[side]
+                next_oid[side] += 1
+                live[side][oid] = rng.choice(free)
+                updates.append(Update("insert", side, oid, live[side][oid]))
+            touched.add((side, oid))
+        stream.append(UpdateBatch(updates))
+    return points_p, points_q, stream
+
+
+class TestIntegerGridStreams:
+    @pytest.mark.parametrize("seed", range(6))
+    def test_grid_stream_with_cross_side_duplicates(self, engine, seed):
+        points_p, points_q, stream = _grid_stream(seed)
+        workload = build_workload(
+            WorkloadConfig(buffer_fraction=0.05), points_p=points_p, points_q=points_q
+        )
+        with workload:
+            session = DynamicJoinSession(
+                workload.tree_p, workload.tree_q, domain=workload.domain
+            )
+            assert session.pair_set() == _oracle_pairs(session)
+            _replay(session, stream, engine)
+
+
 @pytest.mark.parametrize("storage", ["memory", "file", "sqlite"])
 class TestAcrossBackends:
     def test_stream_on_backend(self, engine, storage, tmp_path):
@@ -195,7 +252,7 @@ class TestAcrossBackends:
             WorkloadConfig(n_p=45, n_q=40, seed=4, storage=storage, storage_path=path)
         )
         with workload:
-            session = engine.open_dynamic(
+            session = DynamicJoinSession(
                 workload.tree_p, workload.tree_q, domain=workload.domain
             )
             batches = generate_update_batches(
@@ -210,7 +267,7 @@ class TestUpdateAccounting:
         """The point of the subsystem: a small batch invalidates a small
         neighbourhood, not the ``|P| + |Q|`` cells a rebuild recomputes."""
         workload = build_workload(WorkloadConfig(n_p=150, n_q=150, seed=13))
-        session = engine.open_dynamic(
+        session = DynamicJoinSession(
             workload.tree_p, workload.tree_q, domain=workload.domain
         )
         rebuild_cells = len(session.cells_p) + len(session.cells_q)
@@ -225,7 +282,7 @@ class TestUpdateAccounting:
 
     def test_delta_stats_ride_on_each_batch(self, engine):
         workload = build_workload(WorkloadConfig(n_p=40, n_q=40, seed=14))
-        session = engine.open_dynamic(
+        session = DynamicJoinSession(
             workload.tree_p, workload.tree_q, domain=workload.domain
         )
         [batch] = generate_update_batches(

@@ -16,6 +16,7 @@ import pytest
 
 from repro.datasets.workload import WorkloadConfig, build_workload
 from repro.dynamic.updates import Update, UpdateBatch
+from repro.dynamic.maintenance import DynamicJoinSession
 from repro.engine import JoinEngine
 from repro.geometry.point import Point
 from repro.geometry.rect import Rect
@@ -36,7 +37,7 @@ class TestSessionClose:
     def test_close_is_idempotent_and_observable(self):
         workload = _workload()
         with workload:
-            session = JoinEngine().open_dynamic(
+            session = DynamicJoinSession(
                 workload.tree_p, workload.tree_q, domain=workload.domain
             )
             assert not session.closed
@@ -47,7 +48,7 @@ class TestSessionClose:
     def test_closed_session_rejects_further_work(self):
         workload = _workload()
         with workload:
-            session = JoinEngine().open_dynamic(
+            session = DynamicJoinSession(
                 workload.tree_p, workload.tree_q, domain=workload.domain
             )
             session.close()
@@ -59,7 +60,7 @@ class TestSessionClose:
     def test_context_manager_closes(self):
         workload = _workload()
         with workload:
-            with JoinEngine().open_dynamic(
+            with DynamicJoinSession(
                 workload.tree_p, workload.tree_q, domain=workload.domain
             ) as session:
                 session.apply_updates(_one_insert(session))
@@ -71,7 +72,7 @@ class TestSessionClose:
         workload = _workload()
         with workload:
             engine = JoinEngine()
-            session = engine.open_dynamic(
+            session = DynamicJoinSession(
                 workload.tree_p, workload.tree_q, domain=workload.domain
             )
             expected = session.pair_set()
@@ -88,7 +89,7 @@ class TestBackendHandleRelease:
         ``path``, apply one insert, then close the session and the
         workload, in that order."""
         workload = _workload(storage=storage, path=path, seed=7)
-        session = JoinEngine().open_dynamic(
+        session = DynamicJoinSession(
             workload.tree_p, workload.tree_q, domain=workload.domain
         )
         try:

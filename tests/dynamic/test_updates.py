@@ -12,8 +12,11 @@ from repro.dynamic import (
     load_update_stream,
     parse_update_stream,
 )
-from repro.engine import EngineConfig, JoinEngine
+from repro.datasets.synthetic import DOMAIN
+from repro.datasets.workload import WorkloadConfig, build_workload
+from repro.dynamic.maintenance import DynamicJoinSession
 from repro.geometry.point import Point
+from repro.join.baseline import brute_force_cij_pairs
 
 
 class TestUpdateRecords:
@@ -26,6 +29,13 @@ class TestUpdateRecords:
             Update("upsert", "P", 1, Point(1, 2))
         with pytest.raises(ValueError, match="unknown update side"):
             Update("insert", "R", 1, Point(1, 2))
+
+    @pytest.mark.parametrize("x", [float("nan"), float("inf"), float("-inf")])
+    def test_non_finite_coordinates_rejected(self, x):
+        with pytest.raises(ValueError, match="must be finite"):
+            Update("insert", "P", 1, Point(x, 500.0))
+        with pytest.raises(ValueError, match="must be finite"):
+            Update("delete", "Q", 1, Point(500.0, x))
 
     def test_empty_batch_rejected(self):
         with pytest.raises(ValueError, match="at least one update"):
@@ -101,6 +111,8 @@ class TestStreamFormat:
             ("insert P one 2 3", "object id must be an integer"),
             ("insert P 1 two 3", "coordinates must be numbers"),
             ("insert P 1 2", "takes 4 arguments"),
+            ("insert P 999 nan 500", "coordinates must be finite"),
+            ("insert P 999 500 -inf", "coordinates must be finite"),
             ("delete P 1 2.0 3.0", "takes 2 arguments"),
         ],
     )
@@ -123,25 +135,13 @@ class TestStreamFormat:
 
 
 class TestSessionGuards:
-    def test_sharded_config_rejected(self, small_workload):
-        engine = JoinEngine()
-        with pytest.raises(ValueError, match="serial executor"):
-            engine.open_dynamic(
-                small_workload.tree_p,
-                small_workload.tree_q,
-                EngineConfig(executor="sharded"),
-            )
-
     def test_trees_must_share_a_disk(self, small_workload):
-        from repro.datasets.workload import WorkloadConfig, build_workload
-
         other = build_workload(WorkloadConfig(n_p=20, n_q=20))
         with pytest.raises(ValueError, match="share one DiskManager"):
-            JoinEngine().open_dynamic(small_workload.tree_p, other.tree_q)
+            DynamicJoinSession(small_workload.tree_p, other.tree_q)
 
     def test_invalid_updates_rejected_before_any_state_change(self, small_workload):
-        engine = JoinEngine()
-        session = engine.open_dynamic(
+        session = DynamicJoinSession(
             small_workload.tree_p, small_workload.tree_q, domain=small_workload.domain
         )
         pairs_before = session.pair_set()
@@ -174,3 +174,52 @@ class TestSessionGuards:
         assert session.pair_set() == pairs_before
         assert 88_000 not in session.cells_q
         assert 88_100 not in session.cells_p and 88_101 not in session.cells_p
+
+
+class TestRejectedBatchLeavesNoTrace:
+    """A batch the session rejects changes nothing: no tree write, no cell,
+    no pair — the session still equals a rebuild and accepts later work."""
+
+    @staticmethod
+    def _session():
+        workload = build_workload(WorkloadConfig(n_p=60, n_q=50, seed=3))
+        assert workload.domain == DOMAIN
+        return DynamicJoinSession(workload.tree_p, workload.tree_q, domain=DOMAIN)
+
+    @pytest.mark.parametrize(
+        "point", [Point(20_000.0, 20_000.0), Point(-0.5, 500.0), Point(500.0, 10_000.5)]
+    )
+    def test_insert_outside_the_domain_is_rejected_before_any_write(self, point):
+        session = self._session()
+        pairs_before = session.pair_set()
+        sizes_before = (len(session.tree_p), len(session.tree_q))
+        batch = UpdateBatch(
+            [
+                Update("insert", "Q", 88_000, Point(123.0, 456.0)),
+                Update("insert", "P", 999, point),
+            ]
+        )
+        with pytest.raises(ValueError, match="outside the session domain"):
+            session.apply_updates(batch)
+        session.check_consistency()
+        assert session.pair_set() == pairs_before
+        assert (len(session.tree_p), len(session.tree_q)) == sizes_before
+        assert 999 not in session.cells_p and 88_000 not in session.cells_q
+        assert session.stats.batches_applied == 0
+
+    def test_insert_on_the_domain_boundary_is_accepted(self):
+        # The domain is closed: a site on its edge has a well-defined cell.
+        session = self._session()
+        session.apply_updates(
+            UpdateBatch([Update("insert", "P", 999, Point(10_000.0, 500.0))])
+        )
+        session.check_consistency()
+        points_p = {oid: cell.site for oid, cell in session.cells_p.items()}
+        points_q = {oid: cell.site for oid, cell in session.cells_q.items()}
+        assert session.pair_set() == brute_force_cij_pairs(
+            list(points_p.values()),
+            list(points_q.values()),
+            DOMAIN,
+            oids_p=list(points_p),
+            oids_q=list(points_q),
+        )

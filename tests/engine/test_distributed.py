@@ -23,6 +23,7 @@ from repro.engine import (
     Assignment,
     DistributedExecutor,
     EngineConfig,
+    JoinEngine,
     UnitCoordinator,
     WorkUnit,
     default_algorithms,
@@ -544,13 +545,17 @@ class TestDistributedExecutor:
         assert len(executor.last_assignments) <= 16
 
     def test_rejects_brute(self):
+        # The engine owns the shardable check: it rejects the unit-less
+        # oracle before MAT, before any node is spawned.
         workload = fresh_workload(POINTS_P[:30], POINTS_Q[:30], storage="file")
         try:
-            with pytest.raises(ValueError, match="distributed"):
-                execute_distributed(
-                    DistributedExecutor(EngineConfig(executor="distributed", nodes=2)),
-                    workload,
-                    algorithm="brute",
+            with pytest.raises(ValueError, match="does not support distributed"):
+                JoinEngine().run(
+                    "brute",
+                    workload.tree_p,
+                    workload.tree_q,
+                    executor="distributed",
+                    nodes=2,
                 )
         finally:
             workload.close()

@@ -17,15 +17,6 @@ class TestHalfplane:
         assert not hp.contains(Point(5.1, 0.0))
         assert hp.value(Point(7.0, 0.0)) == pytest.approx(2.0)
 
-    def test_signed_distance_matches_geometry(self):
-        hp = Halfplane(0.0, 2.0, 4.0)  # 2y <= 4, i.e. y <= 2
-        assert hp.signed_distance(Point(0.0, 5.0)) == pytest.approx(3.0)
-        assert hp.signed_distance(Point(0.0, -1.0)) == pytest.approx(-3.0)
-
-    def test_degenerate_halfplane_rejected_for_distance(self):
-        with pytest.raises(ValueError):
-            Halfplane(0.0, 0.0, 1.0).signed_distance(Point(0.0, 0.0))
-
     def test_boundary_points_lie_on_boundary(self):
         hp = Halfplane(1.0, 2.0, 3.0)
         for p in hp.boundary_points(span=5.0):

@@ -20,11 +20,6 @@ class TestPoint:
         b = Point(-3.0, 7.0)
         assert a.distance_to(b) == pytest.approx(b.distance_to(a))
 
-    def test_distance_sq_is_square_of_distance(self):
-        a = Point(1.0, 2.0)
-        b = Point(4.0, 6.0)
-        assert a.distance_sq_to(b) == pytest.approx(a.distance_to(b) ** 2)
-
     def test_distance_to_self_is_zero(self):
         p = Point(12.0, -8.0)
         assert p.distance_to(p) == 0.0
@@ -37,9 +32,6 @@ class TestPoint:
         p = Point(1.0, 2.0)
         with pytest.raises(AttributeError):
             p.x = 5.0
-
-    def test_translated_moves_by_offsets(self):
-        assert Point(1.0, 2.0).translated(3.0, -1.0) == Point(4.0, 1.0)
 
     def test_as_tuple_and_iteration(self):
         p = Point(7.0, 9.0)

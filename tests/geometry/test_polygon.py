@@ -185,13 +185,6 @@ class TestClipping:
         assert cell.area() == pytest.approx(25.0)
         assert not cell.contains_point(Point(6.0, 6.0))
 
-    def test_clip_rect_matches_intersection_with_rect_polygon(self):
-        tri = ConvexPolygon([Point(-5, -5), Point(15, 0), Point(5, 15)])
-        window = Rect(0, 0, 10, 10)
-        a = tri.clip_rect(window)
-        b = tri.intersection(ConvexPolygon.from_rect(window))
-        assert a.area() == pytest.approx(b.area(), rel=1e-9)
-
 
 class TestIntersection:
     def test_overlapping_squares_intersect(self):

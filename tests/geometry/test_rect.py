@@ -111,10 +111,6 @@ class TestDistances:
         r = Rect(0, 0, 1, 1)
         assert r.mindist_point(Point(0.5, 3.0)) == pytest.approx(2.0)
 
-    def test_maxdist_reaches_far_corner(self):
-        r = Rect(0, 0, 1, 1)
-        assert r.maxdist_point(Point(0.0, 0.0)) == pytest.approx(2 ** 0.5)
-
     def test_mindist_rect_zero_when_overlapping(self):
         assert Rect(0, 0, 2, 2).mindist_rect(Rect(1, 1, 3, 3)) == 0.0
 
@@ -142,9 +138,3 @@ class TestRectProperties:
         if common is not None:
             assert a.contains_rect(common)
             assert b.contains_rect(common)
-
-    @given(rects_strategy(), points_strategy())
-    def test_mindist_sq_matches_mindist(self, rect, query):
-        assert rect.mindist_sq_point(query) == pytest.approx(
-            rect.mindist_point(query) ** 2, abs=1e-6
-        )

@@ -42,7 +42,7 @@ class TestInsertionAndStructure:
         assert len(tree) == 0
         assert tree.node_count() == 0
         with pytest.raises(ValueError):
-            tree.read_root()
+            tree.domain()
 
     def test_single_point_tree(self):
         _, tree = build_tree([Point(5.0, 5.0)])
@@ -92,14 +92,6 @@ class TestRangeSearch:
         tree = RTree(DiskManager(), "RP")
         assert tree.range_search(Rect(0, 0, 1, 1)) == []
 
-    def test_count_in_range_and_predicate_filter(self):
-        points = [Point(float(i), float(i)) for i in range(10)]
-        _, tree = build_tree(points)
-        region = Rect(0, 0, 4.5, 4.5)
-        assert tree.count_in_range(region) == 5
-        odd = tree.range_search_where(region, lambda e: e.oid % 2 == 1)
-        assert {e.oid for e in odd} == {1, 3}
-
 
 class TestTraversal:
     def test_iter_leaf_nodes_visits_every_leaf_once(self):
@@ -126,11 +118,6 @@ class TestTraversal:
                 stack.extend(e.child_page for e in node.entries)
         assert len(hilbert_pages) == len(set(hilbert_pages))
         assert sorted(hilbert_pages) == sorted(dfs_pages)
-
-    def test_iter_all_nodes_counts_match_node_count(self):
-        points = uniform_points(150, seed=7)
-        _, tree = build_tree(points)
-        assert len(list(tree.iter_all_nodes())) == tree.node_count()
 
 
 class TestIOAccounting:

@@ -359,6 +359,55 @@ class TestProtocolErrors:
         )
         assert response["error"]["code"] == "update_rejected"
 
+    def test_rejected_updates_leave_the_dataset_unchanged(self):
+        """Non-finite coordinates are a ``bad_request``; a batch inserting
+        outside the domain is an ``update_rejected`` that writes nothing.
+        Neither bumps the version, and a later join equals the serial
+        replay of the accepted batch alone."""
+        rejected_batches = [
+            ["insert P 999 nan 500"],
+            ["insert P 999 inf 500"],
+            ["insert Q 998 123.5 456.5", "insert P 999 20000 20000"],
+        ]
+        accepted_batch = ["insert P 999 500 500"]
+
+        async def scenario():
+            service = JoinService([DatasetSpec(name="d", n_p=60, n_q=50, seed=3)])
+            host, port = await service.start()
+            try:
+                async with await ServiceClient.connect(host, port) as client:
+                    rejected = [
+                        await client.request(
+                            {"op": "update", "dataset": "d", "updates": lines}
+                        )
+                        for lines in rejected_batches
+                    ]
+                    before = await client.join("d")
+                    accepted = await client.update(accepted_batch, "d")
+                    after = await client.join("d")
+                return rejected, before, accepted, after
+            finally:
+                await service.close()
+
+        rejected, before, accepted, after = asyncio.run(scenario())
+        codes = [response["error"]["code"] for response in rejected]
+        assert codes == ["bad_request", "bad_request", "update_rejected"]
+        assert "finite" in rejected[0]["error"]["message"]
+        assert "outside the session domain" in rejected[2]["error"]["message"]
+        assert before["version"] == 0 and accepted["version"] == 1
+        assert after["version"] == 1
+
+        workload = build_workload(WorkloadConfig(n_p=60, n_q=50, seed=3))
+        with workload:
+            session = DynamicJoinSession(
+                workload.tree_p, workload.tree_q, domain=workload.domain
+            )
+            assert before["pairs"] == pairs_payload(session.pairs)
+            [batch] = parse_update_stream(accepted_batch)
+            session.apply_updates(batch)
+            assert after["pairs"] == pairs_payload(session.pairs)
+            session.check_consistency()
+
     def test_multi_batch_update_is_rejected(self):
         response = self._run_one(
             {

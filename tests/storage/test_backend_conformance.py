@@ -287,7 +287,7 @@ class TestPersistenceAcrossReopen:
         disk.free(ids[2])
         disk.store.close()
 
-        reopened = DiskManager(store=create_page_store(backend_name, path))
+        reopened = DiskManager(storage=backend_name, storage_path=path)
         try:
             assert sorted(reopened.store.page_ids()) == sorted(
                 [i for i in ids if i != ids[2]] + [node_page]

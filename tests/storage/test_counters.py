@@ -60,15 +60,3 @@ class TestIOCounters:
         snap = counters.snapshot()
         delta = counters.diff(snap)
         assert delta.by_tag == {}
-
-    def test_merged_with_sums_fields(self):
-        a = IOCounters()
-        a.record_read("x", hit=False)
-        b = IOCounters()
-        b.record_write("x")
-        b.record_read("y", hit=True)
-        merged = a.merged_with(b)
-        assert merged.reads == 1
-        assert merged.writes == 1
-        assert merged.buffer_hits == 1
-        assert merged.by_tag == {"x": 2}

@@ -132,7 +132,7 @@ class TestWorkersValidation:
             with pytest.raises(SystemExit) as excinfo:
                 main(argv)
             assert excinfo.value.code == 2
-            assert "--workers must be at least 1" in capsys.readouterr().err
+            assert "workers must be at least 1" in capsys.readouterr().err
 
     def test_workers_with_serial_executor_rejected(self, capsys):
         with pytest.raises(SystemExit) as excinfo:
@@ -258,6 +258,12 @@ class TestUpdateStreams:
         assert "cells invalidated" in out
         assert "final pairs" in out and "update totals" in out
 
+    def test_updates_path_resolves_the_config_first(self, capsys, stream_file):
+        with pytest.raises(SystemExit) as excinfo:
+            main(["join", "--updates", stream_file, "--workers", "0"])
+        assert excinfo.value.code == 2
+        assert "workers must be at least 1" in capsys.readouterr().err
+
     def test_updates_with_sharded_executor_rejected(self, capsys, stream_file):
         with pytest.raises(SystemExit) as excinfo:
             main([
@@ -325,17 +331,16 @@ class TestDistributedFlags:
         with pytest.raises(SystemExit) as excinfo:
             main(["join", "--executor", "distributed", "--nodes", "0"])
         assert excinfo.value.code == 2
-        assert "--nodes must be at least 1" in capsys.readouterr().err
+        assert "nodes must be at least 1" in capsys.readouterr().err
 
     def test_distributed_brute_rejected(self, capsys):
-        with pytest.raises(SystemExit) as excinfo:
-            main([
-                "join", "--method", "brute",
-                "--storage", "file", "--executor", "distributed",
-            ])
-        assert excinfo.value.code == 2
+        # The engine's shardable check rejects the oracle before MAT.
+        assert main([
+            "join", "--n-p", "30", "--n-q", "20", "--method", "brute",
+            "--storage", "file", "--executor", "distributed",
+        ]) == 2
         err = capsys.readouterr().err
-        assert "cannot run --method brute" in err
+        assert "does not support distributed execution" in err
 
     def test_distributed_with_updates_rejected(self, capsys, stream_file):
         with pytest.raises(SystemExit) as excinfo:
@@ -374,17 +379,23 @@ class TestFaultToleranceFlags:
     """
 
     @pytest.mark.parametrize(
-        "flag, value",
-        [("--node-timeout", "5"), ("--node-retries", "1"),
-         ("--fault-plan", "crash@node-0")],
+        "flag, value", [("--node-timeout", "5"), ("--node-retries", "1")]
     )
     def test_flags_require_distributed_executor(self, capsys, flag, value):
         with pytest.raises(SystemExit) as excinfo:
             main(["join", flag, value])  # serial is the default
         assert excinfo.value.code == 2
         err = capsys.readouterr().err
-        assert f"{flag} configures distributed node fault tolerance" in err
+        assert f"{flag} configures the distributed executor" in err
         assert "no effect with --executor serial" in err
+
+    def test_fault_plan_requires_distributed_executor(self, capsys):
+        with pytest.raises(SystemExit) as excinfo:
+            main(["join", "--fault-plan", "crash@node-0"])  # serial default
+        assert excinfo.value.code == 2
+        assert "fault_plan injects node faults and requires executor='distributed'" in (
+            capsys.readouterr().err
+        )
 
     def test_nonpositive_node_timeout_rejected(self, capsys):
         # A NaN deadline never fires and an infinite one overflows the
@@ -393,13 +404,13 @@ class TestFaultToleranceFlags:
             with pytest.raises(SystemExit) as excinfo:
                 main(["join", "--executor", "distributed", "--node-timeout", value])
             assert excinfo.value.code == 2
-            assert "--node-timeout must be positive" in capsys.readouterr().err
+            assert "node_timeout must be positive" in capsys.readouterr().err
 
     def test_negative_node_retries_rejected(self, capsys):
         with pytest.raises(SystemExit) as excinfo:
             main(["join", "--executor", "distributed", "--node-retries", "-1"])
         assert excinfo.value.code == 2
-        assert "--node-retries must be >= 0" in capsys.readouterr().err
+        assert "node_retries must be >= 0" in capsys.readouterr().err
 
     def test_malformed_fault_plan_rejected_at_parse_time(self, capsys):
         with pytest.raises(SystemExit) as excinfo:
@@ -409,7 +420,7 @@ class TestFaultToleranceFlags:
             ])
         assert excinfo.value.code == 2
         err = capsys.readouterr().err
-        assert "--fault-plan:" in err
+        assert "fault_plan:" in err
         assert "meteor" in err
 
     def test_faulted_run_reports_quarantine_and_retries(self, capsys, tmp_path):

@@ -39,17 +39,6 @@ class TestVoronoiDiagramContainer:
         with pytest.raises(ValueError):
             diagram.add(cell)
 
-    def test_locate_returns_nearest_site_cell(self):
-        points = uniform_points(40, seed=61)
-        diagram = brute_force_diagram(points, DOMAIN)
-        probe = Point(1234.0, 4321.0)
-        located = diagram.locate(probe)
-        nearest = min(range(len(points)), key=lambda i: points[i].distance_to(probe))
-        assert located.oid == nearest
-
-    def test_locate_on_empty_diagram(self):
-        assert VoronoiDiagram(DOMAIN).locate(Point(0, 0)) is None
-
 
 class TestBruteForceDiagram:
     def test_cells_partition_domain(self):
