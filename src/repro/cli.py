@@ -120,9 +120,9 @@ def build_parser() -> argparse.ArgumentParser:
     join.add_argument("--seed", type=int, default=0, help="random seed")
     join.add_argument(
         "--method",
-        default="nm",
+        default=None,
         choices=("nm", "pm", "fm", "brute"),
-        help="algorithm (brute = the quadratic oracle baseline)",
+        help="algorithm (default nm; brute = the quadratic oracle baseline)",
     )
     join.add_argument(
         "--executor",
@@ -275,9 +275,10 @@ def _validate_executor_flags(
     (it only sees values, with its own defaults filled in): ``--workers``
     above 1 sizes only the sharded executor, ``--nodes``,
     ``--node-timeout`` and ``--node-retries`` configure only the
-    distributed one, and ``--updates`` mutates the source trees, which
-    shard workers must never do.  Value ranges, fault-plan specs and
-    ``fault_plan``'s executor rule are :class:`EngineConfig`'s.
+    distributed one, ``--updates`` mutates the source trees, which shard
+    workers must never do, and its maintenance ignores ``--method``.  Value
+    ranges, fault-plan specs and ``fault_plan``'s executor rule are
+    :class:`EngineConfig`'s.
     """
     if args.executor != "sharded" and args.workers is not None and args.workers > 1:
         parser.error(
@@ -303,6 +304,11 @@ def _validate_executor_flags(
             f"mutates the source trees, which {args.executor!r} shard workers "
             "cannot do (drop --executor, or apply the updates first)"
         )
+    if args.updates is not None and args.method is not None:
+        parser.error(
+            f"--method {args.method} has no effect with --updates: incremental "
+            "maintenance is algorithm-independent (drop --method)"
+        )
 
 
 def _cmd_join(args: argparse.Namespace, config: EngineConfig) -> int:
@@ -317,7 +323,7 @@ def _cmd_join(args: argparse.Namespace, config: EngineConfig) -> int:
         result = common_influence_join(
             points_p,
             points_q,
-            method=args.method,
+            method=args.method or "nm",
             storage=storage,
             storage_path=storage_path,
             config=config,
@@ -390,7 +396,7 @@ def _cmd_join_with_updates(
     """Initial join plus an incremental update stream, printing pair deltas.
 
     The maintenance bootstrap derives the initial answer itself (it is
-    algorithm-independent), so ``--method`` does not apply here.
+    algorithm-independent), so ``--method`` is rejected with ``--updates``.
     """
     from repro import DOMAIN, Rect
     from repro.datasets.workload import WorkloadConfig, build_workload

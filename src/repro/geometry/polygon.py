@@ -10,19 +10,24 @@ perpendicular-bisector halfplanes (Equation 2).  The paper's algorithms need:
   itself and the filter steps of Algorithms 5 and 6).
 
 The CCW ring is stored flat, as parallel float tuples ``_xs``/``_ys``;
-clipping, the separating-axis tests, containment and the MBR loop over
-those floats, and :class:`Point` objects are built only when a caller reads
-:attr:`ConvexPolygon.vertices`.  The loops evaluate the same expressions in
-the same order as a plain ``Point``-ring formulation (the test-suite's
-reference: the pinned ``sqrt(a*a + b*b)``, ``a*x + b*y - c``, the clamped
-``t``, the ``eps * norm`` margins), so rings are bit-identical to it.  The SAT
-stops scanning the other ring at the first projection ``<= bound``, which
-is exact: ``min(projections) > bound`` iff every projection is ``> bound``.
+the separating-axis tests, containment and the MBR loop over those floats,
+and :class:`Point` objects are built only when a caller reads
+:attr:`ConvexPolygon.vertices`.  One clip loop, :func:`_clip`, walks a ring
+of vertex records: ``(x, y)`` pairs for :meth:`ConvexPolygon.clip_halfplane`
+and ``(x, y, d2, d)`` for a :class:`RunningCell`, the cell under refinement
+that BatchVoronoi and the ConditionalFilter share.  The loops evaluate the
+same expressions in the same order as a plain ``Point``-ring formulation
+(the test-suite's reference: the pinned ``sqrt(a*a + b*b)``,
+``a*x + b*y - c``, the clamped ``t``, the ``eps * norm`` margins), so rings
+are bit-identical to it.  The SAT stops scanning the other ring at the
+first projection ``<= bound``, which is exact: ``min(projections) > bound``
+iff every projection is ``> bound``.
 """
 
 from __future__ import annotations
 
 import math
+from operator import itemgetter
 from typing import Iterable, List, Sequence, Tuple
 
 from repro.geometry.halfplane import Halfplane
@@ -35,6 +40,9 @@ from repro.geometry.tolerance import BOUNDARY_EPS
 _EPS = BOUNDARY_EPS
 
 Ring = Tuple[float, ...]
+
+#: The ``d2`` field of a :class:`RunningCell` vertex record.
+_D2 = itemgetter(2)
 
 
 class ConvexPolygon:
@@ -257,62 +265,7 @@ class ConvexPolygon:
         Returns a new polygon; the result may be empty.  This is the cell
         refinement operation ``V_c(p_i) := V_c(p_i) ∩ ⊥(p_i, p_j)``.
         """
-        xs, ys = self._xs, self._ys
-        n = len(xs)
-        if n < 3:
-            return self
-        a, b, c = hp.a, hp.b, hp.c
-        # The tolerance is expressed in geometric units: |value| / |(a, b)|
-        # is the distance to the boundary line, so scaling the epsilon by the
-        # normal's norm keeps the behaviour stable for both huge and tiny
-        # halfplane coefficients (e.g. bisectors of nearly-coincident sites).
-        # sqrt(a*a + b*b) rather than math.hypot: the formula is pinned so
-        # pairs and counters stay byte-identical to the committed baselines;
-        # hypot may differ from it by one ulp.
-        norm = math.sqrt(a * a + b * b)
-        tol = _EPS * (norm if norm > 0.0 else max(1.0, abs(c)))
-        values = [a * x + b * y - c for x, y in zip(xs, ys)]
-        # The values are finite, so max/min decide "every value <= tol" and
-        # "every value >= -tol" exactly.
-        if max(values) <= tol:
-            return self
-        if min(values) >= -tol:
-            # Entire polygon on or outside the boundary: at best a segment
-            # remains, which has no interior.
-            return ConvexPolygon.empty()
-        out_x: List[float] = []
-        out_y: List[float] = []
-        for i in range(n):
-            j = i + 1 if i + 1 < n else 0
-            vc, vn = values[i], values[j]
-            cur_in = vc <= tol
-            # _clean_ring's de-duplication, inlined (same test, same order).
-            if cur_in:
-                x, y = xs[i], ys[i]
-                if not out_x or abs(out_x[-1] - x) > _EPS or abs(out_y[-1] - y) > _EPS:
-                    out_x.append(x)
-                    out_y.append(y)
-            if cur_in != (vn <= tol):
-                # Clamped: a vertex kept within the tolerance (0 < value <=
-                # tol) next to an outside one puts t below 0, and the
-                # unclamped point would be extrapolated past the edge.  With
-                # t in [0, 1] every new vertex lies on an input edge, so
-                # clipping never grows the polygon.
-                t = vc / (vc - vn)
-                if t < 0.0:
-                    t = 0.0
-                elif t > 1.0:
-                    t = 1.0
-                x = xs[i] + t * (xs[j] - xs[i])
-                y = ys[i] + t * (ys[j] - ys[i])
-                if not out_x or abs(out_x[-1] - x) > _EPS or abs(out_y[-1] - y) > _EPS:
-                    out_x.append(x)
-                    out_y.append(y)
-        # Clipping a CCW convex ring with a halfplane yields a CCW convex
-        # ring whose only possible defect is consecutive (near-)duplicate
-        # vertices, so the orientation check of __init__ is skipped.
-        _drop_closing_duplicates(out_x, out_y)
-        return ConvexPolygon._from_ring(tuple(out_x), tuple(out_y))
+        return self._clip_all((hp,))
 
     def intersection(self, other: "ConvexPolygon") -> "ConvexPolygon":
         """Exact intersection of two convex polygons.
@@ -324,12 +277,21 @@ class ConvexPolygon:
         """
         if self.is_empty() or other.is_empty():
             return ConvexPolygon.empty()
-        result = self
-        for hp in other.edge_halfplanes():
-            result = result.clip_halfplane(hp)
-            if result.is_empty():
+        return self._clip_all(other.edge_halfplanes())
+
+    def _clip_all(self, halfplanes: Iterable[Halfplane]) -> "ConvexPolygon":
+        """Clip by each halfplane in turn, on one ring of ``(x, y)`` records,
+        until the ring has no interior; ``self`` if nothing is cut."""
+        ring = records = list(zip(self._xs, self._ys))
+        for hp in halfplanes:
+            ring = _clip(ring, hp.a, hp.b, hp.c, _xy)
+            if len(ring) < 3:
                 break
-        return result
+        if ring is records:
+            return self
+        return ConvexPolygon._from_ring(
+            tuple([r[0] for r in ring]), tuple([r[1] for r in ring])
+        )
 
     def edge_halfplanes(self) -> List[Halfplane]:
         """Halfplanes whose intersection is this polygon (one per edge)."""
@@ -350,24 +312,163 @@ class ConvexPolygon:
 
 
 # ----------------------------------------------------------------------
+# the running cell of a site
+# ----------------------------------------------------------------------
+class RunningCell:
+    """A site's cell under refinement (BatchVoronoi, the ConditionalFilter).
+
+    The CCW ring is a list of vertex records ``(x, y, d2, d)``, ``d2`` the
+    squared site-to-vertex distance and ``d = sqrt(d2)`` the pinned one.  A
+    clip keeps the kept vertices' records, so it takes a root only for its
+    new vertices.  ``reach = 2 * max d`` is the influence radius and
+    ``reach2 = 4 * max d2`` its square, exactly.  The ring stays bit-identical
+    to ``clip_halfplane(bisector_halfplane(site, other))``.
+    """
+
+    __slots__ = ("site", "sx", "sy", "records", "reach", "reach2")
+
+    def __init__(self, site: Point, polygon: ConvexPolygon):
+        self.site = site
+        self.sx = site.x
+        self.sy = site.y
+        self.records = list(map(self._record, *polygon.ring()))
+        self._set_reach()
+
+    def _record(self, x: float, y: float) -> Tuple[float, float, float, float]:
+        dx = self.sx - x
+        dy = self.sy - y
+        d2 = dx * dx + dy * dy
+        return (x, y, d2, math.sqrt(d2))
+
+    def _set_reach(self) -> None:
+        farthest = max(self.records, key=_D2, default=(0.0, 0.0, 0.0, 0.0))
+        self.reach = 2.0 * farthest[3]
+        self.reach2 = 4.0 * farthest[2]
+
+    @property
+    def polygon(self) -> ConvexPolygon:
+        """The current cell as a :class:`ConvexPolygon`."""
+        records = self.records
+        return ConvexPolygon._from_ring(
+            tuple([r[0] for r in records]), tuple([r[1] for r in records])
+        )
+
+    def point_can_refine(self, other: Point) -> bool:
+        """Lemma 1 with the radius pre-check, each ``dist < d`` evaluated as
+        ``a2 < d2 and sqrt(a2) < d`` (exact: ``sqrt`` is monotone)."""
+        sqrt = math.sqrt
+        ox = other.x
+        oy = other.y
+        dx = self.sx - ox
+        dy = self.sy - oy
+        s2 = dx * dx + dy * dy
+        if s2 > self.reach2 and sqrt(s2) > self.reach:
+            return False
+        for vx, vy, d2, d in self.records:
+            ax = ox - vx
+            ay = oy - vy
+            a2 = ax * ax + ay * ay
+            if a2 < d2 and sqrt(a2) < d:
+                return True
+        return False
+
+    def refine(self, other: Point) -> None:
+        """Clip the cell by the bisector with ``other``; ``a, b, c`` are
+        :func:`~repro.geometry.halfplane.bisector_halfplane`'s expressions."""
+        sx = self.sx
+        sy = self.sy
+        ox = other.x
+        oy = other.y
+        a = 2.0 * (ox - sx)
+        b = 2.0 * (oy - sy)
+        c = (ox * ox + oy * oy) - (sx * sx + sy * sy)
+        records = _clip(self.records, a, b, c, self._record)
+        if records is not self.records:
+            self.records = records
+            self._set_reach()
+
+
+# ----------------------------------------------------------------------
 # module-level helpers
 # ----------------------------------------------------------------------
+def _xy(x: float, y: float) -> Tuple[float, float]:
+    return (x, y)
+
+
+def _clip(records: List[tuple], a: float, b: float, c: float, make) -> List[tuple]:
+    """Clip a CCW ring of records (``r[0], r[1]`` the coordinates) by the
+    closed halfplane ``a*x + b*y <= c``.  Kept vertices keep their records,
+    ``make(x, y)`` builds each new one, and the input list itself comes back
+    when nothing is cut (or the ring has under three vertices)."""
+    n = len(records)
+    if n < 3:
+        return records
+    # The tolerance is expressed in geometric units: |value| / |(a, b)| is
+    # the distance to the boundary line, so scaling the epsilon by the
+    # normal's norm keeps the behaviour stable for both huge and tiny
+    # halfplane coefficients (e.g. bisectors of nearly-coincident sites).
+    # sqrt(a*a + b*b) rather than math.hypot: the formula is pinned so pairs
+    # and counters stay byte-identical to the committed baselines; hypot may
+    # differ from it by one ulp.
+    norm = math.sqrt(a * a + b * b)
+    tol = _EPS * (norm if norm > 0.0 else max(1.0, abs(c)))
+    values = [a * r[0] + b * r[1] - c for r in records]
+    # The values are finite, so max/min decide "every value <= tol" and
+    # "every value >= -tol" exactly.
+    if max(values) <= tol:
+        return records
+    if min(values) >= -tol:
+        # Entire polygon on or outside the boundary: at best a segment
+        # remains, which has no interior.
+        return []
+    out: List[tuple] = []
+    for i in range(n):
+        j = i + 1 if i + 1 < n else 0
+        vc, vn = values[i], values[j]
+        cur_in = vc <= tol
+        # _clean_ring's de-duplication, inlined (same test, same order).
+        if cur_in:
+            r = records[i]
+            if not out or abs(out[-1][0] - r[0]) > _EPS or abs(out[-1][1] - r[1]) > _EPS:
+                out.append(r)
+        if cur_in != (vn <= tol):
+            # Clamped: a vertex kept within the tolerance (0 < value <= tol)
+            # next to an outside one puts t below 0, and the unclamped point
+            # would be extrapolated past the edge.  With t in [0, 1] every
+            # new vertex lies on an input edge, so clipping never grows the
+            # polygon.
+            t = vc / (vc - vn)
+            if t < 0.0:
+                t = 0.0
+            elif t > 1.0:
+                t = 1.0
+            xi, yi = records[i][0], records[i][1]
+            x = xi + t * (records[j][0] - xi)
+            y = yi + t * (records[j][1] - yi)
+            if not out or abs(out[-1][0] - x) > _EPS or abs(out[-1][1] - y) > _EPS:
+                out.append(make(x, y))
+    # Clipping a CCW convex ring with a halfplane yields a CCW convex ring
+    # whose only possible defect is consecutive (near-)duplicate vertices,
+    # so the orientation check of ConvexPolygon.__init__ is skipped.
+    _drop_closing_duplicates(out)
+    return out
+
+
 def _clean_ring(xs: Sequence[float], ys: Sequence[float]) -> Tuple[List[float], ...]:
     """Drop consecutive (near-)duplicate vertices, the closing pair included."""
-    out_x: List[float] = []
-    out_y: List[float] = []
+    out: List[Tuple[float, float]] = []
     for x, y in zip(xs, ys):
-        if not out_x or abs(out_x[-1] - x) > _EPS or abs(out_y[-1] - y) > _EPS:
-            out_x.append(x)
-            out_y.append(y)
-    _drop_closing_duplicates(out_x, out_y)
-    return out_x, out_y
+        if not out or abs(out[-1][0] - x) > _EPS or abs(out[-1][1] - y) > _EPS:
+            out.append((x, y))
+    _drop_closing_duplicates(out)
+    return [r[0] for r in out], [r[1] for r in out]
 
 
-def _drop_closing_duplicates(xs: List[float], ys: List[float]) -> None:
-    while len(xs) > 1 and not (abs(xs[0] - xs[-1]) > _EPS or abs(ys[0] - ys[-1]) > _EPS):
-        xs.pop()
-        ys.pop()
+def _drop_closing_duplicates(ring: List[tuple]) -> None:
+    while len(ring) > 1 and not (
+        abs(ring[0][0] - ring[-1][0]) > _EPS or abs(ring[0][1] - ring[-1][1]) > _EPS
+    ):
+        ring.pop()
 
 
 def _shoelace(xs: Sequence[float], ys: Sequence[float]) -> float:

@@ -19,16 +19,21 @@ what Algorithm 6 uses.
 Three shortcuts keep the per-point cost down.  The first two change no
 decision, clip or counter of the plain formulation; the third keeps pairs:
 
-* **Squared pre-test.**  Every distance comparison first compares the
-  squared distances, which need no square root: ``dist(a, v) < d`` is
-  evaluated as ``a2 < d2 and sqrt(a2) < d``, where ``d2`` is the sum of
-  squares whose root is ``d``.  ``sqrt`` is correctly rounded and
-  monotone, so ``a2 >= d2`` implies ``sqrt(a2) >= d`` and the squared
-  test can only reject pairs the plain test rejects too.  The Lemma-3
-  ``<=`` test is ``a2 <= m2 or sqrt(a2) <= m`` for the same reason
-  (``a2 <= m2`` implies ``sqrt(a2) <= m``).  Both sides keep the pinned
-  ``sqrt(dx*dx + dy*dy)`` formula, so the roots are bit-identical to
-  :meth:`Point.distance_to` and :meth:`Rect.mindist_point`.
+* **Running cell.**  The approximate cell is a
+  :class:`~repro.geometry.polygon.RunningCell`, as in BatchVoronoi: each
+  vertex record carries its squared distance ``d2`` to the examined point
+  and the pinned root ``d = sqrt(d2)``, and a bisector clip keeps the
+  records of the kept vertices, so a clip takes a root only for its new
+  vertices.  Every distance comparison first compares the squared
+  distances: ``dist(a, v) < d`` is evaluated as ``a2 < d2 and sqrt(a2) <
+  d``.  ``sqrt`` is correctly rounded and monotone, so ``a2 >= d2`` implies
+  ``sqrt(a2) >= d`` and the squared test can only reject pairs the plain
+  test rejects too.  The Lemma-3 ``<=`` test is ``a2 <= m2 or sqrt(a2) <=
+  m`` for the same reason (``a2 <= m2`` implies ``sqrt(a2) <= m``).  Both
+  sides keep the pinned ``sqrt(dx*dx + dy*dy)`` formula, so the roots are
+  bit-identical to :meth:`Point.distance_to` and
+  :meth:`Rect.mindist_point`, and the ring to
+  ``clip_halfplane(bisector_halfplane(p, c))``.
 * **Early exit.**  The approximate cell of an examined point only ever
   shrinks as bisectors clip it: the clamped interpolation of
   :meth:`ConvexPolygon.clip_halfplane` places every new vertex on an edge
@@ -57,11 +62,10 @@ import itertools
 import math
 from dataclasses import dataclass
 from operator import itemgetter
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, Iterable, Iterator, List, Optional, Sequence, Tuple
 
-from repro.geometry.halfplane import bisector_halfplane
 from repro.geometry.point import Point, centroid
-from repro.geometry.polygon import ConvexPolygon
+from repro.geometry.polygon import ConvexPolygon, RunningCell
 from repro.geometry.rect import Rect
 from repro.geometry.tolerance import BOUNDARY_EPS
 from repro.index.rtree import RTree
@@ -195,8 +199,10 @@ def batch_conditional_filter(
                 stats.entries_expanded += 1
                 push_node(tree_p.read_node(entry.child_page))
                 continue
-            if use_phi_pruning and _entry_pruned(entry.mbr, hull, candidates) and (
-                _entry_pruned(entry.mbr, target_vertices, candidates)
+            # Confirm on all target vertices only what passes on the hull, as
+            # the screen yields it: the rest fails on every vertex too.
+            if use_phi_pruning and _entry_pruned(
+                entry.mbr, target_vertices, _blockers(entry.mbr, hull, candidates)
             ):
                 stats.entries_pruned_phi += 1
                 continue
@@ -279,67 +285,29 @@ def _approximate_cell(
         if ox != px or oy != py:
             dx = px - ox
             dy = py - oy
-            ordered.append((sqrt(dx * dx + dy * dy), ox, oy, other))
+            ordered.append((sqrt(dx * dx + dy * dy), other))
     ordered.sort(key=itemgetter(0))
-    polygon = ConvexPolygon.from_rect(domain)
-    # Per cell vertex: its coordinates, its squared distance to the examined
-    # point and that distance itself, so the Lemma-1 test costs one squared
-    # distance per (candidate, vertex) and a root only when it is close.
-    vertices, reach, _ = _vertex_distances(px, py, *polygon.ring())
-    for distance, ox, oy, other in ordered:
-        if distance > reach:
+    cell = RunningCell(point, ConvexPolygon.from_rect(domain))
+    for distance, other in ordered:
+        if distance > cell.reach:
             break
-        for vx, vy, d2, d in vertices:
-            ax = ox - vx
-            ay = oy - vy
-            a2 = ax * ax + ay * ay
-            if a2 < d2 and sqrt(a2) < d:
-                break
-        else:
+        if not cell.point_can_refine(other):
             continue
-        polygon = polygon.clip_halfplane(bisector_halfplane(point, other))
-        if polygon.is_empty():
+        cell.refine(other)
+        records = cell.records
+        if len(records) < 3:
             break
-        vertices, reach, (xlo, ylo, xhi, yhi) = _vertex_distances(
-            px, py, *polygon.ring()
-        )
-        if reach_box is not None and (
-            xhi < reach_box.xmin
-            or xlo > reach_box.xmax
-            or yhi < reach_box.ymin
-            or ylo > reach_box.ymax
-        ):
-            return None
-    return polygon
-
-
-def _vertex_distances(
-    px: float, py: float, xs: Sequence[float], ys: Sequence[float]
-) -> Tuple[List[Tuple[float, float, float, float]], float, Tuple[float, ...]]:
-    """``(vx, vy, d2, d)`` per vertex of a non-empty flat ring, the influence
-    radius ``2 * max d`` and the ring's MBR as ``(xmin, ymin, xmax, ymax)``."""
-    sqrt = math.sqrt
-    vertices = []
-    farthest = 0.0
-    xlo = xhi = xs[0]
-    ylo = yhi = ys[0]
-    for vx, vy in zip(xs, ys):
-        dx = px - vx
-        dy = py - vy
-        d2 = dx * dx + dy * dy
-        d = sqrt(d2)
-        vertices.append((vx, vy, d2, d))
-        if d > farthest:
-            farthest = d
-        if vx < xlo:
-            xlo = vx
-        elif vx > xhi:
-            xhi = vx
-        if vy < ylo:
-            ylo = vy
-        elif vy > yhi:
-            yhi = vy
-    return vertices, 2.0 * farthest, (xlo, ylo, xhi, yhi)
+        if reach_box is not None:
+            xs = [r[0] for r in records]
+            ys = [r[1] for r in records]
+            if (
+                max(xs) < reach_box.xmin
+                or min(xs) > reach_box.xmax
+                or max(ys) < reach_box.ymin
+                or min(ys) > reach_box.ymax
+            ):
+                return None
+    return cell.polygon
 
 
 def _polygon_hits_any_target(
@@ -385,11 +353,16 @@ def _entry_overlaps_targets(
 
 
 def _entry_pruned(
-    mbr: Rect,
-    target_vertices: Sequence[Point],
-    candidates: Sequence[Tuple[int, Point]],
+    mbr: Rect, target_vertices: Sequence[Point], candidates: Iterable
 ) -> bool:
-    """Lemma-3 pruning: some candidate blocks the whole subtree.
+    """Lemma-3 pruning: some candidate blocks the whole subtree."""
+    return next(_blockers(mbr, target_vertices, candidates), None) is not None
+
+
+def _blockers(
+    mbr: Rect, target_vertices: Sequence[Point], candidates: Iterable
+) -> Iterator:
+    """The candidates that block the whole subtree below ``mbr``, lazily.
 
     The paper states the rule as "every target polygon T falls inside
     Φ(L, p) for every side L of the entry MBR".  Because the targets reaching
@@ -407,18 +380,21 @@ def _entry_pruned(
     """
     sqrt = math.sqrt
     xmin, ymin, xmax, ymax = mbr.xmin, mbr.ymin, mbr.xmax, mbr.ymax
-    # mindist(MBR, v) per target vertex, once per entry, with its square.
-    bounds = []
-    for v in target_vertices:
-        vx = v.x
-        vy = v.y
-        dx = xmin - vx if vx < xmin else (vx - xmax if vx > xmax else 0.0)
-        dy = ymin - vy if vy < ymin else (vy - ymax if vy > ymax else 0.0)
-        m2 = dx * dx + dy * dy
-        bounds.append((vx, vy, m2, sqrt(m2)))
-    for _, candidate in candidates:
-        cx = candidate.x
-        cy = candidate.y
+    bounds = None
+    for item in candidates:
+        if bounds is None:
+            # mindist(MBR, v) per target vertex with its square, once per
+            # entry and only once there is a candidate to test.
+            bounds = []
+            for v in target_vertices:
+                vx = v.x
+                vy = v.y
+                dx = xmin - vx if vx < xmin else (vx - xmax if vx > xmax else 0.0)
+                dy = ymin - vy if vy < ymin else (vy - ymax if vy > ymax else 0.0)
+                m2 = dx * dx + dy * dy
+                bounds.append((vx, vy, m2, sqrt(m2)))
+        cx = item[1].x
+        cy = item[1].y
         for vx, vy, m2, m in bounds:
             ax = cx - vx
             ay = cy - vy
@@ -426,8 +402,7 @@ def _entry_pruned(
             if a2 > m2 and sqrt(a2) > m:
                 break
         else:
-            return True
-    return False
+            yield item
 
 
 def candidate_cells_from_buffer(

@@ -41,17 +41,17 @@ see the Figure 7 breakdown):
   answer False are skipped, so cells and counters stay identical.  Active
   members run the point pre-check inline, before the vertex test is called.
 
-The Lemma-1/2 vertex loops and the radius pre-check run on plain floats
-with a squared pre-test.  Each member caches ``(vx, vy, d2, d)`` per vertex,
-where ``d = sqrt(d2)`` is the pinned ``sqrt(dx*dx + dy*dy)`` distance, and
-a test ``dist < d`` is evaluated as ``a2 < d2 and sqrt(a2) < d`` (``a2`` the
-squared distance of the probe).  This is exact, not an approximation:
-``sqrt`` is correctly rounded and monotone, so ``a2 >= d2`` implies
-``sqrt(a2) >= d`` and the squared test rejects only what the plain test
-rejects; the root is taken only for the few probes that pass it, and it is
-bit-identical to :meth:`Point.distance_to` and :meth:`Rect.mindist_point`.
-The radius test ``dist > reach`` uses ``reach2 = 4 * max d2``, whose root
-is ``reach = 2 * max d`` exactly, so ``sqrt(s2) > reach`` alone decides it.
+Each member is a :class:`~repro.geometry.polygon.RunningCell`: vertex
+records ``(x, y, d2, d)``, ``d = sqrt(d2)`` the pinned site-to-vertex
+distance, that a refinement clips (only new vertices take a root); the
+polygon is built when the traversal ends.  The Lemma-1/2 loops and the
+radius pre-check evaluate ``dist < d`` as ``a2 < d2 and sqrt(a2) < d``
+(``a2`` the probe's squared distance).  This is exact: ``sqrt`` is
+correctly rounded and monotone, so ``a2 >= d2`` implies ``sqrt(a2) >= d``;
+the root is bit-identical to :meth:`Point.distance_to` and
+:meth:`Rect.mindist_point`.  The radius test ``dist > reach`` uses ``reach2
+= 4 * max d2``, whose root is ``reach = 2 * max d`` exactly, so
+``sqrt(s2) > reach`` alone decides it.
 """
 
 from __future__ import annotations
@@ -62,9 +62,8 @@ import math
 from operator import itemgetter
 from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
-from repro.geometry.halfplane import bisector_halfplane
 from repro.geometry.point import Point, centroid
-from repro.geometry.polygon import ConvexPolygon
+from repro.geometry.polygon import ConvexPolygon, RunningCell
 from repro.geometry.rect import Rect
 from repro.geometry.tolerance import BOUNDARY_EPS
 from repro.index.entries import LeafEntry
@@ -76,63 +75,15 @@ _POINT = 0
 _CHILD = 1
 
 
-class _MemberState:
-    """Mutable per-member state: the running cell and its influence radius."""
+class _MemberState(RunningCell):
+    """A group member: its running cell plus the Lemma-2 test and the
+    distance to the group centroid that retirement reads."""
 
-    __slots__ = (
-        "oid", "site", "sx", "sy", "polygon", "reach", "reach2", "vertex_dists", "center_dist"
-    )
+    __slots__ = ("oid", "center_dist")
 
     def __init__(self, oid: int, site: Point, polygon: ConvexPolygon):
+        super().__init__(site, polygon)
         self.oid = oid
-        self.site = site
-        self.sx = site.x
-        self.sy = site.y
-        self.polygon = polygon
-        self.update_reach()
-
-    def update_reach(self) -> None:
-        """Recompute the cached vertex distances and the influence radius.
-
-        ``vertex_dists`` holds ``(vx, vy, d2, d)`` per vertex: ``d`` is the
-        site-to-vertex distance and ``d2`` the sum of squares it is the root
-        of.  ``reach2`` is the same sum for ``reach``: ``4 * max d2`` has
-        the root ``2 * max d`` exactly (sqrt is monotone and commutes with
-        scaling by four).
-        """
-        sqrt = math.sqrt
-        sx = self.sx
-        sy = self.sy
-        cache = []
-        farthest2 = 0.0
-        for vx, vy in zip(*self.polygon.ring()):
-            dx = sx - vx
-            dy = sy - vy
-            d2 = dx * dx + dy * dy
-            cache.append((vx, vy, d2, sqrt(d2)))
-            if d2 > farthest2:
-                farthest2 = d2
-        self.vertex_dists = cache
-        self.reach = 2.0 * sqrt(farthest2)
-        self.reach2 = 4.0 * farthest2
-
-    def point_can_refine(self, other: Point) -> bool:
-        """Lemma 1 with the cheap radius pre-check."""
-        sqrt = math.sqrt
-        ox = other.x
-        oy = other.y
-        dx = self.sx - ox
-        dy = self.sy - oy
-        s2 = dx * dx + dy * dy
-        if s2 > self.reach2 and sqrt(s2) > self.reach:
-            return False
-        for vx, vy, d2, d in self.vertex_dists:
-            ax = ox - vx
-            ay = oy - vy
-            a2 = ax * ax + ay * ay
-            if a2 < d2 and sqrt(a2) < d:
-                return True
-        return False
 
     def mbr_can_refine(self, mbr: Rect) -> bool:
         """Lemma 2 with the cheap radius pre-check."""
@@ -145,18 +96,13 @@ class _MemberState:
         s2 = dx * dx + dy * dy
         if s2 > self.reach2 and sqrt(s2) > self.reach:
             return False
-        for vx, vy, d2, d in self.vertex_dists:
+        for vx, vy, d2, d in self.records:
             dx = xmin - vx if vx < xmin else (vx - xmax if vx > xmax else 0.0)
             dy = ymin - vy if vy < ymin else (vy - ymax if vy > ymax else 0.0)
             a2 = dx * dx + dy * dy
             if a2 < d2 and sqrt(a2) < d:
                 return True
         return False
-
-    def refine(self, other: Point) -> None:
-        """Clip the running cell by the bisector with ``other``."""
-        self.polygon = self.polygon.clip_halfplane(bisector_halfplane(self.site, other))
-        self.update_reach()
 
 
 def compute_voronoi_cells(

@@ -7,6 +7,9 @@ work counters, and the disk's page-access counters.  The expected digests
 are literals, so any change to a clip, an intersection test, a Lemma test or
 a traversal order that alters a single pair, counter or page access fails
 here — a geometry rewrite that claims byte-identical output must keep them.
+A second digest hashes the ``float.hex`` of every ring coordinate of the
+cells FM materialises (both diagrams), so a one-ulp clip difference fails
+too, even when it flips no pair.
 
 Regenerate (only for a change that is *meant* to alter results) with::
 
@@ -30,6 +33,7 @@ from repro.datasets import (
 )
 from repro.engine import default_engine
 from repro.geometry.point import Point
+from repro.voronoi.diagram import iter_diagram_cells
 
 _TIMING_FIELDS = {"mat_cpu_seconds", "join_cpu_seconds"}
 
@@ -95,6 +99,19 @@ def join_digests(method: str, inputs: str) -> dict:
         "work": _sha(work),
         "io": _sha(io),
     }
+
+
+def ring_digest(inputs: str) -> str:
+    """SHA-256 over every cell ring of both diagrams, in FM's leaf order."""
+    points_p, points_q = INPUTS[inputs]()
+    config = WorkloadConfig(seed=0, buffer_fraction=0.02, storage="memory")
+    with build_workload(config, points_p=points_p, points_q=points_q) as workload:
+        rings = [
+            [cell.oid, [[x.hex(), y.hex()] for x, y in zip(*cell.polygon.ring())]]
+            for tree in (workload.tree_p, workload.tree_q)
+            for cell in iter_diagram_cells(tree, DOMAIN)
+        ]
+    return _sha(rings)
 
 
 # Computed on the commit before the flat-coordinate polygon core landed. The
@@ -165,6 +182,20 @@ def test_serial_join_matches_pinned_digests(case):
     assert join_digests(method, inputs) == EXPECTED[case]
 
 
+# Computed on the commit before the running cell carried vertex distances
+# through the clip.
+EXPECTED_RINGS = {
+    'uniform': '7af4bcdcc85bff2ce52ae02ee107a688bae086e27dda897ca3d1162b73c36d16',
+    'gaussian': 'ea2369f50cd8b2f761f8125f390d662e143459de929fa292ddb9a622051438b8',
+    'grid': '82982cef2197d909cb7be62b8a221eec182b8f7890c19594a6015db4f0c2fb61',
+}
+
+
+@pytest.mark.parametrize("inputs", sorted(EXPECTED_RINGS))
+def test_materialised_cell_rings_match_pinned_digest(inputs):
+    assert ring_digest(inputs) == EXPECTED_RINGS[inputs]
+
+
 if __name__ == "__main__":  # pragma: no cover - regeneration helper
     print("EXPECTED = {")
     for method in ("nm", "pm", "fm"):
@@ -173,4 +204,8 @@ if __name__ == "__main__":  # pragma: no cover - regeneration helper
             for key, digest in join_digests(method, inputs).items():
                 print(f"        {key!r}: {digest!r},")
             print("    },")
+    print("}")
+    print("EXPECTED_RINGS = {")
+    for inputs in INPUTS:
+        print(f"    {inputs!r}: {ring_digest(inputs)!r},")
     print("}")

@@ -31,8 +31,10 @@ class TestParser:
         assert args.scale == "tiny"
 
     def test_join_command_defaults(self):
+        # --method stays unset (None) so --updates can reject an explicit
+        # one; the join resolves it to nm (test_join_without_method_runs_nm).
         args = build_parser().parse_args(["join"])
-        assert args.n_p == 500 and args.n_q == 500 and args.method == "nm"
+        assert args.n_p == 500 and args.n_q == 500 and args.method is None
 
 
 class TestCommands:
@@ -273,6 +275,22 @@ class TestUpdateStreams:
         assert excinfo.value.code == 2
         err = capsys.readouterr().err
         assert "--updates requires --executor serial" in err
+
+    @pytest.mark.parametrize("method", ["fm", "nm"])
+    def test_updates_with_explicit_method_rejected(self, capsys, stream_file, method):
+        with pytest.raises(SystemExit) as excinfo:
+            main([
+                "join", "--n-p", "30", "--n-q", "20", "--updates", stream_file,
+                "--method", method,
+            ])
+        assert excinfo.value.code == 2
+        err = capsys.readouterr().err
+        assert f"--method {method} has no effect with --updates" in err
+        assert "algorithm-independent" in err
+
+    def test_join_without_method_runs_nm(self, capsys):
+        assert main(["join", "--n-p", "30", "--n-q", "20"]) == 0
+        assert "algorithm       : NM" in capsys.readouterr().out
 
     def test_malformed_stream_reports_line_number(self, capsys, tmp_path):
         bad = tmp_path / "bad.txt"
