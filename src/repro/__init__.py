@@ -52,8 +52,6 @@ from repro.join import (
     brute_force_cij,
     epsilon_distance_join,
     fm_cij,
-    k_closest_pairs,
-    multiway_cij,
     nm_cij,
     pm_cij,
 )
@@ -76,10 +74,8 @@ __all__ = [
     "fm_cij",
     "pm_cij",
     "nm_cij",
-    "multiway_cij",
     "brute_force_cij",
     "epsilon_distance_join",
-    "k_closest_pairs",
     "uniform_points",
     "gaussian_points",
     "clustered_points",

@@ -32,7 +32,6 @@ from repro.dynamic.updates import (
     UpdateBatch,
     UpdateStats,
     UpdateStreamError,
-    format_update_stream,
     load_update_stream,
     parse_update_stream,
 )
@@ -57,7 +56,6 @@ __all__ = [
     "UpdateBatch",
     "UpdateStats",
     "UpdateStreamError",
-    "format_update_stream",
     "load_update_stream",
     "parse_update_stream",
 ]

@@ -33,7 +33,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, fields
-from typing import Iterable, List, Optional, Sequence, Set, Tuple
+from typing import Iterable, List, Optional, Set, Tuple
 
 from repro.geometry.point import Point
 
@@ -256,20 +256,3 @@ def load_update_stream(path: str) -> List[UpdateBatch]:
     """Read and parse an update-stream file."""
     with open(path, "r", encoding="utf-8") as handle:
         return parse_update_stream(handle)
-
-
-def format_update_stream(batches: Sequence[UpdateBatch]) -> str:
-    """Render batches in the stream format ``parse_update_stream`` reads."""
-    blocks: List[str] = []
-    for batch in batches:
-        lines = []
-        for update in batch:
-            if update.op == "insert":
-                lines.append(
-                    f"insert {update.side} {update.oid} "
-                    f"{update.point.x!r} {update.point.y!r}"
-                )
-            else:
-                lines.append(f"delete {update.side} {update.oid}")
-        blocks.append("\n".join(lines))
-    return "\n---\n".join(blocks) + "\n"

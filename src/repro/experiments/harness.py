@@ -102,11 +102,6 @@ class ExperimentResult:
         notes = "".join(f"\n- {note}" for note in self.notes)
         return header + body + ("\n" + notes if notes else "")
 
-    def column(self, name: str) -> List:
-        """All values of one column (used by benchmark assertions)."""
-        index = self.columns.index(name)
-        return [row[index] for row in self.rows]
-
 
 DriverFn = Callable[[ExperimentScale], ExperimentResult]
 _REGISTRY: Dict[str, DriverFn] = {}

@@ -7,38 +7,31 @@ paper relies on:
 * :class:`~repro.geometry.point.Point` and distance helpers,
 * :class:`~repro.geometry.rect.Rect` minimum bounding rectangles with the
   ``mindist`` lower bounds used by best-first R-tree traversals,
-* :class:`~repro.geometry.halfplane.Halfplane` and perpendicular bisectors
-  (Equation 1 of the paper),
+* :class:`~repro.geometry.halfplane.Halfplane` and perpendicular-bisector
+  halfplanes (Equation 1 of the paper),
 * :class:`~repro.geometry.polygon.ConvexPolygon` with halfplane clipping —
   the representation of Voronoi cells (Equation 2),
-* the Φ(L, p) influence region of Equation 3 used to prune non-leaf R-tree
-  entries (Lemma 3), in :mod:`repro.geometry.influence`,
 * a Hilbert space-filling curve used to order leaves when bulk-loading the
   Voronoi R-trees of FM-CIJ / PM-CIJ.
+
+The Φ(L, p) influence region of Equation 3 needs no module of its own: the
+ConditionalFilter applies Lemma 3 in an equivalent per-vertex form, and the
+literal per-side formulation is the test-suite's oracle (``tests/oracles.py``).
 """
 
-from repro.geometry.point import Point, centroid, dist, dist_sq, midpoint
+from repro.geometry.point import Point, centroid, dist
 from repro.geometry.rect import Rect
-from repro.geometry.segment import Segment
-from repro.geometry.halfplane import Halfplane, bisector_halfplane, perpendicular_bisector
+from repro.geometry.halfplane import Halfplane, bisector_halfplane
 from repro.geometry.polygon import ConvexPolygon
-from repro.geometry.influence import phi_contains_point, polygon_within_phi, rect_sides
 from repro.geometry.hilbert import hilbert_index
 
 __all__ = [
     "Point",
     "Rect",
-    "Segment",
     "Halfplane",
     "ConvexPolygon",
     "dist",
-    "dist_sq",
-    "midpoint",
     "centroid",
     "bisector_halfplane",
-    "perpendicular_bisector",
-    "phi_contains_point",
-    "polygon_within_phi",
-    "rect_sides",
     "hilbert_index",
 ]

@@ -10,7 +10,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Tuple
 
 from repro.geometry.point import Point
 from repro.geometry.tolerance import BOUNDARY_EPS
@@ -54,26 +53,6 @@ class Halfplane:
         tol = eps * (norm if norm > 0.0 else max(1.0, abs(self.c)))
         return self.value(p) <= tol
 
-    def boundary_points(self, span: float = 1.0) -> Tuple[Point, Point]:
-        """Two distinct points on the boundary line, ``2*span`` apart.
-
-        Useful for plotting and for tests that need explicit boundary
-        geometry.
-        """
-        norm = math.hypot(self.a, self.b)
-        if norm == 0.0:
-            raise ValueError("degenerate halfplane with zero normal vector")
-        # Foot of the perpendicular from the origin onto the boundary.
-        fx = self.a * self.c / (norm * norm)
-        fy = self.b * self.c / (norm * norm)
-        # Unit direction along the boundary.
-        ux = -self.b / norm
-        uy = self.a / norm
-        return (
-            Point(fx - span * ux, fy - span * uy),
-            Point(fx + span * ux, fy + span * uy),
-        )
-
 
 def bisector_halfplane(p: Point, q: Point) -> Halfplane:
     """The halfplane ``⊥_p(p, q)`` of locations closer to ``p`` than ``q``.
@@ -94,14 +73,3 @@ def bisector_halfplane(p: Point, q: Point) -> Halfplane:
     b = 2.0 * (q.y - p.y)
     c = (q.x * q.x + q.y * q.y) - (p.x * p.x + p.y * p.y)
     return Halfplane(a, b, c)
-
-
-def perpendicular_bisector(p: Point, q: Point) -> Tuple[Point, Point]:
-    """Two points spanning the perpendicular bisector line of ``pq``.
-
-    Provided for visualisation and for the TP-VOR baseline, which needs the
-    crossing parameter of a bisector with a query segment.
-    """
-    hp = bisector_halfplane(p, q)
-    span = max(1.0, p.distance_to(q))
-    return hp.boundary_points(span=span)

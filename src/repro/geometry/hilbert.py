@@ -9,7 +9,7 @@ for point R-trees.
 
 from __future__ import annotations
 
-from typing import Sequence, Tuple
+from typing import Tuple
 
 from repro.geometry.point import Point
 from repro.geometry.rect import Rect
@@ -72,8 +72,3 @@ def hilbert_value(point: Point, domain: Rect, order: int = DEFAULT_ORDER) -> int
     gx = min(side - 1, max(0, gx))
     gy = min(side - 1, max(0, gy))
     return hilbert_index(gx, gy, order)
-
-
-def hilbert_sorted(points: Sequence[Point], domain: Rect, order: int = DEFAULT_ORDER):
-    """Indices of ``points`` sorted by Hilbert value over ``domain``."""
-    return sorted(range(len(points)), key=lambda i: hilbert_value(points[i], domain, order))

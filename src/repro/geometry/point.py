@@ -66,18 +66,6 @@ def dist(a: Point, b: Point) -> float:
     return math.sqrt(dx * dx + dy * dy)
 
 
-def dist_sq(a: Point, b: Point) -> float:
-    """Squared Euclidean distance between two points."""
-    dx = a.x - b.x
-    dy = a.y - b.y
-    return dx * dx + dy * dy
-
-
-def midpoint(a: Point, b: Point) -> Point:
-    """Midpoint of the segment ``ab``."""
-    return Point((a.x + b.x) / 2.0, (a.y + b.y) / 2.0)
-
-
 def centroid(points: Sequence[Point] | Iterable[Point]) -> Point:
     """Arithmetic centroid of a non-empty collection of points.
 

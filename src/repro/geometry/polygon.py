@@ -28,7 +28,7 @@ from __future__ import annotations
 
 import math
 from operator import itemgetter
-from typing import Iterable, List, Sequence, Tuple
+from typing import Iterable, Iterator, List, Sequence, Tuple
 
 from repro.geometry.halfplane import Halfplane
 from repro.geometry.point import Point
@@ -265,26 +265,27 @@ class ConvexPolygon:
         Returns a new polygon; the result may be empty.  This is the cell
         refinement operation ``V_c(p_i) := V_c(p_i) ∩ ⊥(p_i, p_j)``.
         """
-        return self._clip_all((hp,))
+        return self._clip_all(((hp.a, hp.b, hp.c),))
 
     def intersection(self, other: "ConvexPolygon") -> "ConvexPolygon":
         """Exact intersection of two convex polygons.
 
-        Implemented by clipping ``self`` against every edge halfplane of
-        ``other``.  Used when an application needs the actual common
+        Implemented by clipping ``self`` against the halfplane of every edge
+        of ``other``.  Used when an application needs the actual common
         influence region ``R(p, q)`` (e.g. the collaborative-promotion
         example), not just the boolean join predicate.
         """
         if self.is_empty() or other.is_empty():
             return ConvexPolygon.empty()
-        return self._clip_all(other.edge_halfplanes())
+        return self._clip_all(_edge_coefficients(other._xs, other._ys))
 
-    def _clip_all(self, halfplanes: Iterable[Halfplane]) -> "ConvexPolygon":
-        """Clip by each halfplane in turn, on one ring of ``(x, y)`` records,
+    def _clip_all(self, halfplanes: Iterable[Tuple[float, float, float]]) -> "ConvexPolygon":
+        """Clip by each halfplane ``a*x + b*y <= c``, given as an
+        ``(a, b, c)`` triple, in turn, on one ring of ``(x, y)`` records,
         until the ring has no interior; ``self`` if nothing is cut."""
         ring = records = list(zip(self._xs, self._ys))
-        for hp in halfplanes:
-            ring = _clip(ring, hp.a, hp.b, hp.c, _xy)
+        for a, b, c in halfplanes:
+            ring = _clip(ring, a, b, c, _xy)
             if len(ring) < 3:
                 break
         if ring is records:
@@ -292,23 +293,6 @@ class ConvexPolygon:
         return ConvexPolygon._from_ring(
             tuple([r[0] for r in ring]), tuple([r[1] for r in ring])
         )
-
-    def edge_halfplanes(self) -> List[Halfplane]:
-        """Halfplanes whose intersection is this polygon (one per edge)."""
-        hps: List[Halfplane] = []
-        xs, ys = self._xs, self._ys
-        n = len(xs)
-        if n < 3:
-            return hps
-        for i in range(n):
-            j = i + 1 if i + 1 < n else 0
-            # Interior lies to the left of edge v->w (CCW ring), i.e.
-            # cross((w - v), (x - v)) >= 0.  Rewrite as a*x + b*y <= c.
-            a = ys[j] - ys[i]
-            b = xs[i] - xs[j]
-            c = a * xs[i] + b * ys[i]
-            hps.append(Halfplane(a, b, c))
-        return hps
 
 
 # ----------------------------------------------------------------------
@@ -393,6 +377,19 @@ class RunningCell:
 # ----------------------------------------------------------------------
 def _xy(x: float, y: float) -> Tuple[float, float]:
     return (x, y)
+
+
+def _edge_coefficients(xs: Ring, ys: Ring) -> Iterator[Tuple[float, float, float]]:
+    """``(a, b, c)`` of each edge's halfplane ``a*x + b*y <= c`` of a CCW
+    ring: the polygon is their intersection."""
+    n = len(xs)
+    for i in range(n):
+        j = i + 1 if i + 1 < n else 0
+        # Interior lies to the left of edge v->w (CCW ring), i.e.
+        # cross((w - v), (x - v)) >= 0.  Rewrite as a*x + b*y <= c.
+        a = ys[j] - ys[i]
+        b = xs[i] - xs[j]
+        yield a, b, a * xs[i] + b * ys[i]
 
 
 def _clip(records: List[tuple], a: float, b: float, c: float, make) -> List[tuple]:

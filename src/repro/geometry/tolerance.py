@@ -31,7 +31,10 @@ truth; the constants are grouped by the *kind* of comparison they guard:
     which compares two already-computed *distances*.  Distances are
     non-negative and well-conditioned, so this tolerance can be much
     tighter than the boundary epsilon; it only needs to absorb the final
-    rounding of the two square roots being compared.
+    rounding of the two square roots being compared.  The library itself
+    applies Lemma 3 in an exact per-vertex form without a slack; the
+    literal per-side Φ test is the test-suite's oracle
+    (``tests/oracles.py``), which reads its slack from here.
 
 ``TIE_SLACK``
     Slack of the dynamic-maintenance invalidation scan, which must decide
@@ -49,7 +52,8 @@ from __future__ import annotations
 #: units per unit of normal length (see module docstring).
 BOUNDARY_EPS = 1e-7
 
-#: Distance-comparison slack of the Φ influence-region test.
+#: Distance-comparison slack of the Φ influence-region test (the oracle
+#: in ``tests/oracles.py``).
 CONTAINMENT_EPS = 1e-9
 
 #: One-sided tie slack of the dynamic-maintenance invalidation scan.

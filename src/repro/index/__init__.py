@@ -15,7 +15,7 @@ R-trees over Voronoi cells.  This subpackage provides:
 
 from repro.index.entries import BranchEntry, LeafEntry, Node
 from repro.index.rtree import RTree, capacities_for_page
-from repro.index.bulkload import StreamingBulkLoader, bulk_load_points, bulk_load_records
+from repro.index.bulkload import StreamingBulkLoader, bulk_load_points
 
 __all__ = [
     "RTree",
@@ -24,6 +24,5 @@ __all__ = [
     "Node",
     "capacities_for_page",
     "bulk_load_points",
-    "bulk_load_records",
     "StreamingBulkLoader",
 ]

@@ -5,7 +5,7 @@ Two flavours are provided:
 * :func:`bulk_load_points` — Hilbert-sort-and-pack loading for point
   datasets, used when an experiment wants a well-clustered source tree
   without paying Guttman insertion writes.
-* :class:`StreamingBulkLoader` / :func:`bulk_load_records` — the
+* :class:`StreamingBulkLoader` — the
   "optimized construction of R'_P and R'_Q" of Section III-C: records
   (Voronoi cells) arrive in Hilbert order of their generators and are packed
   sequentially into fixed-size leaf pages; upper levels are then packed from
@@ -16,7 +16,7 @@ Two flavours are provided:
 
 from __future__ import annotations
 
-from typing import Iterable, List, Optional, Sequence
+from typing import List, Optional, Sequence
 
 from repro.geometry.point import Point
 from repro.geometry.rect import Rect
@@ -65,26 +65,6 @@ def bulk_load_points(
     return tree
 
 
-def bulk_load_records(
-    disk: DiskManager,
-    tag: str,
-    entries: Iterable[LeafEntry],
-    page_size: Optional[int] = None,
-) -> RTree:
-    """Build a packed R-tree from prepared leaf entries, in arrival order.
-
-    The caller is responsible for presenting the entries in a spatially
-    coherent order (the CIJ algorithms use Hilbert order of the source
-    leaves); this function just packs them into pages.
-    """
-    tree = RTree(disk, tag, page_size=page_size)
-    loader = StreamingBulkLoader(tree)
-    for entry in entries:
-        loader.append(entry)
-    loader.finish()
-    return tree
-
-
 class StreamingBulkLoader:
     """Pack leaf entries into pages as they arrive, then build upper levels.
 
@@ -117,11 +97,6 @@ class StreamingBulkLoader:
         self._pending.append(entry)
         self._pending_bytes += entry.size_bytes
         self._total += 1
-
-    def extend(self, entries: Iterable[LeafEntry]) -> None:
-        """Append many entries."""
-        for entry in entries:
-            self.append(entry)
 
     def finish(self) -> RTree:
         """Flush the last leaf page and pack the internal levels."""

@@ -1,25 +1,18 @@
-"""Ground-truth CIJ oracle.
+"""Brute-force CIJ baseline (``--method brute``).
 
-The oracle computes both Voronoi diagrams directly from Equation 2 (clipping
-the domain by every bisector) and tests all cell pairs for intersection.  It
-is quadratic and index-free, which makes it slow but trivially correct; the
-whole test-suite validates the three R-tree algorithms against it.
-
-A second, independently-derived oracle based on the *definition* of the join
-(there exists a location closer to ``p`` than all of ``P`` and closer to
-``q`` than all of ``Q``) is also provided: for each candidate pair the
-common region is computed and a witness location inside it is checked by
-exhaustive nearest-neighbour comparison.  Having two oracles that agree
-protects the tests against a bug shared by the polygon machinery.
+The baseline computes both Voronoi diagrams directly from Equation 2
+(clipping the domain by every bisector) and tests all cell pairs for
+intersection.  It is quadratic and index-free, which makes it slow but
+trivially correct; the test-suite validates the three R-tree algorithms
+against it.
 """
 
 from __future__ import annotations
 
-from typing import Optional, Sequence, Set, Tuple
+from typing import Optional, Sequence
 
-from repro.geometry.point import Point, dist
+from repro.geometry.point import Point
 from repro.geometry.rect import Rect
-from repro.geometry.tolerance import TIE_SLACK
 from repro.join.result import CIJResult, JoinStats
 from repro.voronoi.diagram import brute_force_diagram
 
@@ -37,66 +30,3 @@ def brute_force_cij(
     pairs = diagram_p.intersecting_pairs(diagram_q)
     stats = JoinStats(algorithm="BRUTE")
     return CIJResult(pairs=pairs, stats=stats)
-
-
-def brute_force_cij_pairs(
-    points_p: Sequence[Point],
-    points_q: Sequence[Point],
-    domain: Rect,
-    oids_p: Optional[Sequence[int]] = None,
-    oids_q: Optional[Sequence[int]] = None,
-) -> Set[Tuple[int, int]]:
-    """The oracle result as a set of ``(p_oid, q_oid)`` pairs."""
-    return brute_force_cij(points_p, points_q, domain, oids_p, oids_q).pair_set()
-
-
-def definitional_cij_pairs(
-    points_p: Sequence[Point],
-    points_q: Sequence[Point],
-    domain: Rect,
-    oids_p: Optional[Sequence[int]] = None,
-    oids_q: Optional[Sequence[int]] = None,
-) -> Set[Tuple[int, int]]:
-    """Second oracle: verify each intersecting pair by a witness location.
-
-    For every pair whose common region has positive area, the centroid of
-    that region is used as a witness ``r`` and checked to be at least as
-    close to ``p`` as to every other point of ``P`` (and symmetrically for
-    ``q``).  Pairs whose cells only touch in a zero-area contact (a
-    degenerate segment or point region) are excluded — the library-wide
-    boundary-tie convention shared with :meth:`VoronoiCell.intersects`.
-    """
-    if oids_p is None:
-        oids_p = list(range(len(points_p)))
-    if oids_q is None:
-        oids_q = list(range(len(points_q)))
-    diagram_p = brute_force_diagram(points_p, domain, oids=oids_p)
-    diagram_q = brute_force_diagram(points_q, domain, oids=oids_q)
-    # The witness test compares two distances with a tie slack; like the
-    # dynamic invalidation scan it must use the library-wide constant, not
-    # a private epsilon (this literal escaped the PR 6 unification).
-    tolerance = TIE_SLACK
-    result: Set[Tuple[int, int]] = set()
-    for cell_p in diagram_p:
-        for cell_q in diagram_q:
-            region = cell_p.common_region(cell_q)
-            if region.is_empty() or region.area() <= tolerance:
-                # A degenerate region (fewer than three vertices, or three
-                # or more colinear ones with vanishing area) is a zero-area
-                # contact, which the tie convention excludes from the join.
-                continue
-            witness = region.centroid()
-            if _is_witness(witness, cell_p.site, points_p, tolerance) and _is_witness(
-                witness, cell_q.site, points_q, tolerance
-            ):
-                result.add((cell_p.oid, cell_q.oid))
-    return result
-
-
-def _is_witness(location: Point, site: Point, points: Sequence[Point], tol: float) -> bool:
-    """Whether ``location`` is (weakly) closer to ``site`` than to all points."""
-    base = dist(location, site)
-    for other in points:
-        if dist(location, other) < base - tol:
-            return False
-    return True

@@ -94,23 +94,6 @@ class FilterStats:
         self.entries_expanded += other.entries_expanded
 
 
-def conditional_filter(
-    target: ConvexPolygon,
-    tree_p: RTree,
-    domain: Rect,
-    use_phi_pruning: bool = True,
-    stats: Optional[FilterStats] = None,
-) -> List[Tuple[int, Point]]:
-    """Candidate points of ``P`` whose cells may intersect ``target``."""
-    return batch_conditional_filter(
-        [target],
-        tree_p,
-        domain,
-        use_phi_pruning=use_phi_pruning,
-        stats=stats,
-    )
-
-
 def batch_conditional_filter(
     targets: Sequence[ConvexPolygon],
     tree_p: RTree,
@@ -166,6 +149,8 @@ def batch_conditional_filter(
     target_vertices = [v for polygon in polygons for v in polygon.vertices]
     hull = _convex_hull(target_vertices)
     hull2 = [(2.0 * v.x, 2.0 * v.y) for v in hull]
+    # Every approximate cell starts from the domain polygon, built once.
+    domain_polygon = ConvexPolygon.from_rect(domain)
 
     candidates: List[Tuple[int, Point]] = []
     dominators: List[Point] = []  # the admitted points, latest useful first
@@ -187,7 +172,7 @@ def batch_conditional_filter(
             point: Point = entry.payload
             if _dominated(point, dominators, hull2, margin, magnitude):
                 continue
-            approx = _approximate_cell(point, candidates, domain, reach_box)
+            approx = _approximate_cell(point, candidates, domain_polygon, reach_box)
             if approx is not None and _polygon_hits_any_target(
                 approx, targets_mbr, target_mbrs, polygons
             ):
@@ -259,10 +244,11 @@ def _dominated(
 def _approximate_cell(
     point: Point,
     candidates: Sequence[Tuple[int, Point]],
-    domain: Rect,
+    domain_polygon: ConvexPolygon,
     reach_box: Optional[Rect] = None,
 ) -> Optional[ConvexPolygon]:
-    """``V(p, C_P)``: the cell of ``p`` induced by the current candidates.
+    """``V(p, C_P)``: the cell of ``p`` induced by the current candidates,
+    starting from ``domain_polygon``, the space domain as a polygon.
 
     Because ``C_P ⊆ P``, this polygon is a superset of the exact cell
     ``V(p, P)``; if it already misses every target, the exact cell misses
@@ -287,7 +273,7 @@ def _approximate_cell(
             dy = py - oy
             ordered.append((sqrt(dx * dx + dy * dy), other))
     ordered.sort(key=itemgetter(0))
-    cell = RunningCell(point, ConvexPolygon.from_rect(domain))
+    cell = RunningCell(point, domain_polygon)
     for distance, other in ordered:
         if distance > cell.reach:
             break
@@ -371,9 +357,9 @@ def _blockers(
     ``dist(p, v) <= mindist(MBR, v)`` for every target vertex ``v``: the
     binding side of Φ is always the one nearest to ``v``, and the distance to
     that side equals the distance to the rectangle itself.  The test below
-    uses that equivalent form; :func:`repro.geometry.influence.polygon_within_phi`
-    implements the literal per-side formulation and the test-suite checks
-    that the two agree.
+    uses that equivalent form; the test-suite's Φ oracle
+    (``tests/oracles.py``) implements the literal per-side formulation and
+    checks that the two agree.
 
     The filter tries the hull vertices first: the blocked region is convex,
     and failing on a subset (same float expressions) fails on all of them.

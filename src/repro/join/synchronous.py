@@ -9,15 +9,16 @@ The implementation also handles trees of different heights (the shorter
 subtree is held fixed while the taller one is descended), which occurs when
 the two Voronoi R-trees have different page counts.
 
-Besides the classic single-stack :func:`synchronous_join`, the traversal is
-exposed in *partitioned* form for the engine's sharded executor: the join
-decomposes into one independent depth-first traversal per top-level entry
-of ``tree_a`` (:func:`partitioned_join_seeds`), each seeded with that
-entry's MBR-pruned fan-in of top-level ``tree_b`` entries and replayed by
+The traversal is exposed in *partitioned* form, which every FM-CIJ run
+uses, serial or sharded: the join decomposes into one independent
+depth-first traversal per top-level entry of ``tree_a``
+(:func:`partitioned_join_seeds`), each seeded with that entry's MBR-pruned
+fan-in of top-level ``tree_b`` entries and replayed by
 :func:`join_from_seeds`.  The partitions are ordered so that concatenating
-their outputs reproduces :func:`synchronous_join`'s pair sequence — and its
-page-access sequence — byte for byte, which is what lets a parallel FM-CIJ
-merge shard results into the exact serial answer.
+their outputs reproduces the pair sequence — and the page-access sequence —
+of the classic single-stack traversal (:func:`join_from_seeds` seeded with
+the root pair) byte for byte, which is what lets a parallel FM-CIJ merge
+shard results into the exact serial answer.
 """
 
 from __future__ import annotations
@@ -86,7 +87,7 @@ def partitioned_join_seeds(tree_a: RTree, tree_b: RTree) -> List[JoinPartition]:
 
     Reads each root once (charged like the traversal's own first step) and
     returns independent partitions whose concatenated depth-first outputs
-    equal :func:`synchronous_join`'s sequence exactly:
+    equal the single-stack traversal's sequence exactly:
 
     * the single-stack traversal pushes the root fan-out in entry order and
       pops it LIFO, fully exploring each seed's subtree before the next —
@@ -133,33 +134,3 @@ def partitioned_join_seeds(tree_a: RTree, tree_b: RTree) -> List[JoinPartition]:
         if seeds:
             partitions.append(JoinPartition(seeds=seeds))
     return partitions
-
-
-def synchronous_join(
-    tree_a: RTree,
-    tree_b: RTree,
-    refine: Optional[RefinePredicate] = None,
-) -> Iterator[Tuple[LeafEntry, LeafEntry]]:
-    """Yield pairs of leaf entries with intersecting MBRs from both trees.
-
-    Parameters
-    ----------
-    tree_a, tree_b:
-        The two indexes to join.
-    refine:
-        Optional exact predicate applied to MBR-intersecting leaf pairs
-        (e.g. convex polygon intersection).  When omitted, MBR intersection
-        alone qualifies a pair.
-    """
-    if tree_a.is_empty() or tree_b.is_empty():
-        return
-    yield from join_from_seeds(
-        tree_a, tree_b, ((tree_a.root_page, tree_b.root_page),), refine=refine
-    )
-
-
-def count_join_pairs(
-    tree_a: RTree, tree_b: RTree, refine: Optional[RefinePredicate] = None
-) -> int:
-    """Number of qualifying pairs (convenience wrapper for tests)."""
-    return sum(1 for _ in synchronous_join(tree_a, tree_b, refine=refine))

@@ -1,16 +1,12 @@
-"""Persistence helpers: datasets, join results and experiment reports.
+"""Export helpers: pointsets and join results as plain files.
 
-A downstream user of the library typically wants to (a) run a join on their
-own coordinate files, and (b) keep the result and the cost statistics next
-to the data.  This module provides the small amount of I/O needed for that:
+A downstream user of the library typically wants to keep the input points,
+the result and the cost statistics next to each other in formats any tool
+reads.  This module writes them:
 
-* pointsets as two-column CSV (``x,y`` with an optional ``id`` column),
-* CIJ results as CSV pair lists plus a JSON sidecar with the statistics,
-* experiment results (from :mod:`repro.experiments`) as JSON,
-* the binary page codecs (:func:`encode_page_payload` /
-  :func:`decode_page_payload`, re-exported from
-  :mod:`repro.storage.codec`) that the file and SQLite storage backends
-  use to move R-tree nodes as real bytes.
+* pointsets as CSV with the columns ``id,x,y``,
+* CIJ results as a ``p_oid,q_oid`` CSV pair list plus a JSON sidecar with
+  the statistics.
 
 Only the standard library is used; all functions take ``pathlib.Path`` or
 plain string paths.
@@ -21,12 +17,10 @@ from __future__ import annotations
 import csv
 import json
 from pathlib import Path
-from typing import List, Optional, Sequence, Tuple, Union
+from typing import Optional, Sequence, Union
 
-from repro.experiments.harness import ExperimentResult
 from repro.geometry.point import Point
-from repro.join.result import CIJResult, JoinStats, ProgressSample
-from repro.storage.codec import decode_page_payload, encode_page_payload
+from repro.join.result import CIJResult
 
 PathLike = Union[str, Path]
 
@@ -45,34 +39,6 @@ def save_pointset(path: PathLike, points: Sequence[Point], oids: Optional[Sequen
         writer.writerow(["id", "x", "y"])
         for oid, point in zip(oids, points):
             writer.writerow([oid, repr(point.x), repr(point.y)])
-
-
-def load_pointset(path: PathLike) -> Tuple[List[int], List[Point]]:
-    """Read a pointset written by :func:`save_pointset` (or any ``x,y`` CSV).
-
-    Files without an ``id`` column get sequential identifiers.  Raises
-    :class:`ValueError` on rows that cannot be parsed.
-    """
-    oids: List[int] = []
-    points: List[Point] = []
-    with open(path, newline="", encoding="utf-8") as handle:
-        reader = csv.DictReader(handle)
-        if reader.fieldnames is None:
-            raise ValueError(f"{path}: empty pointset file")
-        fields = {name.strip().lower() for name in reader.fieldnames}
-        if not {"x", "y"} <= fields:
-            raise ValueError(f"{path}: expected at least 'x' and 'y' columns, found {sorted(fields)}")
-        for index, row in enumerate(reader):
-            normalised = {key.strip().lower(): value for key, value in row.items() if key}
-            try:
-                x = float(normalised["x"])
-                y = float(normalised["y"])
-            except (KeyError, TypeError, ValueError) as exc:
-                raise ValueError(f"{path}: malformed row {index + 2}: {row}") from exc
-            oid = int(normalised["id"]) if normalised.get("id") not in (None, "") else index
-            oids.append(oid)
-            points.append(Point(x, y))
-    return oids, points
 
 
 # ----------------------------------------------------------------------
@@ -103,83 +69,3 @@ def save_cij_result(path: PathLike, result: CIJResult) -> None:
     }
     sidecar = path.with_suffix(path.suffix + ".stats.json")
     sidecar.write_text(json.dumps(payload, indent=2), encoding="utf-8")
-
-
-def load_cij_result(path: PathLike) -> CIJResult:
-    """Read a result written by :func:`save_cij_result`.
-
-    Raises :class:`ValueError` on a missing ``p_oid,q_oid`` header and on
-    any row that is not exactly two integers, naming the file and line.
-    """
-    path = Path(path)
-    pairs: List[Tuple[int, int]] = []
-    with open(path, newline="", encoding="utf-8") as handle:
-        reader = csv.reader(handle)
-        header = next(reader, None)
-        if header is None:
-            raise ValueError(f"{path}: empty result file")
-        if [name.strip().lower() for name in header] != ["p_oid", "q_oid"]:
-            raise ValueError(f"{path}: expected a 'p_oid,q_oid' header, found {header}")
-        for row in reader:
-            if not row:
-                continue
-            try:
-                p_oid, q_oid = (int(value) for value in row)
-            except ValueError as exc:
-                raise ValueError(
-                    f"{path}: malformed row {reader.line_num}: {row}"
-                ) from exc
-            pairs.append((p_oid, q_oid))
-    sidecar = path.with_suffix(path.suffix + ".stats.json")
-    stats = JoinStats(algorithm="UNKNOWN")
-    if sidecar.exists():
-        payload = json.loads(sidecar.read_text(encoding="utf-8"))
-        stats = JoinStats(
-            algorithm=payload.get("algorithm", "UNKNOWN"),
-            mat_page_accesses=payload.get("mat_page_accesses", 0),
-            join_page_accesses=payload.get("join_page_accesses", 0),
-            mat_cpu_seconds=payload.get("mat_cpu_seconds", 0.0),
-            join_cpu_seconds=payload.get("join_cpu_seconds", 0.0),
-            cells_computed_p=payload.get("cells_computed_p", 0),
-            cells_computed_q=payload.get("cells_computed_q", 0),
-            cells_reused_p=payload.get("cells_reused_p", 0),
-            filter_candidates=payload.get("filter_candidates", 0),
-            filter_true_hits=payload.get("filter_true_hits", 0),
-        )
-        stats.progress = [
-            ProgressSample(int(pages), int(count))
-            for pages, count in payload.get("progress", [])
-        ]
-    return CIJResult(pairs=pairs, stats=stats)
-
-
-# ----------------------------------------------------------------------
-# experiment results
-# ----------------------------------------------------------------------
-def save_experiment_result(path: PathLike, result: ExperimentResult) -> None:
-    """Write an experiment result (rows + metadata) as JSON."""
-    payload = {
-        "experiment_id": result.experiment_id,
-        "title": result.title,
-        "paper_reference": result.paper_reference,
-        "columns": result.columns,
-        "rows": result.rows,
-        "notes": result.notes,
-    }
-    Path(path).write_text(json.dumps(payload, indent=2), encoding="utf-8")
-
-
-def load_experiment_result(path: PathLike) -> ExperimentResult:
-    """Read an experiment result written by :func:`save_experiment_result`."""
-    payload = json.loads(Path(path).read_text(encoding="utf-8"))
-    result = ExperimentResult(
-        experiment_id=payload["experiment_id"],
-        title=payload["title"],
-        paper_reference=payload["paper_reference"],
-        columns=list(payload["columns"]),
-    )
-    for row in payload["rows"]:
-        result.add_row(*row)
-    for note in payload.get("notes", []):
-        result.add_note(note)
-    return result

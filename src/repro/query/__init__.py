@@ -4,24 +4,15 @@ These are the building blocks the CIJ algorithms borrow from earlier work:
 
 * best-first (incremental) nearest-neighbour search [Hjaltason & Samet 1999],
   whose priority-queue discipline also drives BF-VOR and ConditionalFilter,
-* k-NN and constrained (quadrant) NN variants used by the approximate
-  Voronoi-cell baseline of Stanoi et al.,
 * the time-parameterised NN query [Tao & Papadias 2002] needed by the
   TP-VOR baseline of Zhang et al.
 """
 
-from repro.query.nearest import (
-    incremental_nearest,
-    k_nearest_neighbors,
-    nearest_neighbor,
-    quadrant_nearest_neighbors,
-)
+from repro.query.nearest import incremental_nearest, nearest_neighbor
 from repro.query.tpnn import tp_nearest_neighbor
 
 __all__ = [
     "incremental_nearest",
     "nearest_neighbor",
-    "k_nearest_neighbors",
-    "quadrant_nearest_neighbors",
     "tp_nearest_neighbor",
 ]

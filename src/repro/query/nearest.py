@@ -46,57 +46,6 @@ def nearest_neighbor(tree: RTree, query: Point) -> Optional[Tuple[float, LeafEnt
     return None
 
 
-def k_nearest_neighbors(tree: RTree, query: Point, k: int) -> List[Tuple[float, LeafEntry]]:
-    """The ``k`` nearest entries to ``query`` in ascending distance order."""
-    if k <= 0:
-        return []
-    results: List[Tuple[float, LeafEntry]] = []
-    for result in incremental_nearest(tree, query):
-        results.append(result)
-        if len(results) == k:
-            break
-    return results
-
-
-def quadrant_nearest_neighbors(
-    tree: RTree, query: Point, exclude_oid: Optional[int] = None
-) -> List[Optional[LeafEntry]]:
-    """Nearest neighbour of ``query`` in each of the four axis quadrants.
-
-    This implements the constrained NN queries used by the approximate
-    Voronoi-cell construction of Stanoi et al. [7]: the four quadrants are
-    defined by the rectilinear lines through the query point, and the
-    bisectors with the four quadrant NNs form a superset of the true cell.
-    Entries whose ``oid`` equals ``exclude_oid`` (the query point itself,
-    when it belongs to the indexed set) are skipped.
-
-    Returns a list of four entries (or ``None`` where a quadrant is empty)
-    ordered ``[NE, NW, SW, SE]``.
-    """
-    found: List[Optional[LeafEntry]] = [None, None, None, None]
-    remaining = 4
-    for _, entry in incremental_nearest(tree, query):
-        if exclude_oid is not None and entry.oid == exclude_oid:
-            continue
-        p = entry.payload
-        if not isinstance(p, Point):
-            p = entry.mbr.center()
-        if p.x >= query.x and p.y >= query.y:
-            quadrant = 0
-        elif p.x < query.x and p.y >= query.y:
-            quadrant = 1
-        elif p.x < query.x and p.y < query.y:
-            quadrant = 2
-        else:
-            quadrant = 3
-        if found[quadrant] is None:
-            found[quadrant] = entry
-            remaining -= 1
-            if remaining == 0:
-                break
-    return found
-
-
 _KIND_POINT = 0
 _KIND_NODE = 1
 

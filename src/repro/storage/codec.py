@@ -10,9 +10,6 @@ coordinates for point entries, child pointer + MBR for branch entries,
 vertex rings for Voronoi-cell entries).  Any other payload (test fixtures,
 ad-hoc records) falls back to a pickle envelope, so the page store accepts
 exactly what :class:`~repro.storage.disk.DiskManager` accepted before.
-
-The public entry points are also re-exported by :mod:`repro.persistence`
-next to the CSV/JSON dataset codecs.
 """
 
 from __future__ import annotations

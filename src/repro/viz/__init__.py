@@ -7,6 +7,6 @@ with no third-party dependencies, which the examples use to make the join
 output inspectable.
 """
 
-from repro.viz.svg import SVGCanvas, render_cij, render_pointsets, render_voronoi_diagram
+from repro.viz.svg import SVGCanvas, render_cij, render_voronoi_diagram
 
-__all__ = ["SVGCanvas", "render_pointsets", "render_voronoi_diagram", "render_cij"]
+__all__ = ["SVGCanvas", "render_voronoi_diagram", "render_cij"]

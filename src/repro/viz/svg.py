@@ -8,7 +8,7 @@ fixed-size canvas with the y-axis flipped so that north is up.
 
 from __future__ import annotations
 
-from typing import Dict, Iterable, List, Optional, Sequence, Tuple
+from typing import Iterable, List, Optional, Tuple
 
 from repro.geometry.point import Point
 from repro.geometry.polygon import ConvexPolygon
@@ -72,14 +72,6 @@ class SVGCanvas:
             f'stroke="{stroke}" stroke-width="{stroke_width}" />'
         )
 
-    def add_rect(self, rect: Rect, stroke: str = "gray", stroke_width: float = 0.5) -> None:
-        """Draw an axis-aligned rectangle outline (e.g. an MBR)."""
-        self.add_polygon(ConvexPolygon.from_rect(rect), stroke=stroke, stroke_width=stroke_width)
-
-    def element_count(self) -> int:
-        """Number of drawing elements added so far (used by tests)."""
-        return len(self._elements)
-
     # ------------------------------------------------------------------
     # output
     # ------------------------------------------------------------------
@@ -91,28 +83,6 @@ class SVGCanvas:
         )
         background = f'<rect width="{self.width}" height="{self.height}" fill="white" />'
         return "\n".join([header, background, *self._elements, "</svg>"])
-
-    def save(self, path) -> None:
-        """Write the document to ``path``."""
-        with open(path, "w", encoding="utf-8") as handle:
-            handle.write(self.to_svg())
-
-
-def render_pointsets(
-    pointsets: Dict[str, Sequence[Point]],
-    domain: Rect,
-    colors: Optional[Dict[str, str]] = None,
-    width: int = 640,
-    height: int = 640,
-) -> str:
-    """Render one or more named pointsets as coloured dots."""
-    palette = ["#1f77b4", "#d62728", "#2ca02c", "#9467bd", "#ff7f0e"]
-    canvas = SVGCanvas(domain, width=width, height=height)
-    for index, (name, points) in enumerate(pointsets.items()):
-        color = (colors or {}).get(name, palette[index % len(palette)])
-        for point in points:
-            canvas.add_point(point, radius=2.5, color=color)
-    return canvas.to_svg()
 
 
 def render_voronoi_diagram(

@@ -8,8 +8,6 @@ This subpackage contains the paper's side contribution and its baselines:
   (Algorithm 2): concurrent cell computation for a group of nearby points,
 * :func:`~repro.voronoi.tpvor.compute_voronoi_cell_tpvor` — the TP-VOR
   baseline [Zhang et al. 2003] driven by repeated TPNN traversals,
-* :func:`~repro.voronoi.approx.approximate_cell_quadrants` — the quadrant-NN
-  approximation of Stanoi et al. [2001] (superset of the exact cell),
 * :class:`~repro.voronoi.diagram.VoronoiDiagram` and builders (ITER, BATCH
   and a brute-force oracle) used by FM-CIJ, PM-CIJ and the test-suite.
 """
@@ -18,7 +16,6 @@ from repro.voronoi.cell import VoronoiCell
 from repro.voronoi.single import compute_voronoi_cell
 from repro.voronoi.batch import compute_voronoi_cells
 from repro.voronoi.tpvor import compute_voronoi_cell_tpvor
-from repro.voronoi.approx import approximate_cell_quadrants
 from repro.voronoi.diagram import (
     VoronoiDiagram,
     brute_force_cell,
@@ -31,7 +28,6 @@ __all__ = [
     "compute_voronoi_cell",
     "compute_voronoi_cells",
     "compute_voronoi_cell_tpvor",
-    "approximate_cell_quadrants",
     "VoronoiDiagram",
     "compute_voronoi_diagram",
     "brute_force_cell",

@@ -24,7 +24,7 @@ from repro.datasets.workload import (
 )
 from repro.engine import JoinEngine
 from repro.geometry.point import Point
-from repro.join.baseline import brute_force_cij_pairs
+from tests.oracles import brute_force_cij_pairs
 from repro.dynamic import DynamicJoinSession, Update, UpdateBatch
 
 

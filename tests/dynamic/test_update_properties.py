@@ -19,7 +19,7 @@ from hypothesis import strategies as st
 from repro.datasets.synthetic import DOMAIN
 from repro.datasets.workload import WorkloadConfig, build_workload
 from repro.dynamic import DynamicJoinSession, Update, UpdateBatch
-from repro.join.baseline import brute_force_cij_pairs
+from tests.oracles import brute_force_cij_pairs
 from tests.conftest import distinct_pointsets, grid_points_strategy
 
 #: An op template: (kind, side selector, payload draw).  Deletes pick a live

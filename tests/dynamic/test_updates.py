@@ -8,7 +8,6 @@ from repro.dynamic import (
     UpdateBatch,
     UpdateStats,
     UpdateStreamError,
-    format_update_stream,
     load_update_stream,
     parse_update_stream,
 )
@@ -16,7 +15,7 @@ from repro.datasets.synthetic import DOMAIN
 from repro.datasets.workload import WorkloadConfig, build_workload
 from repro.dynamic.maintenance import DynamicJoinSession
 from repro.geometry.point import Point
-from repro.join.baseline import brute_force_cij_pairs
+from tests.oracles import brute_force_cij_pairs
 
 
 class TestUpdateRecords:
@@ -89,12 +88,13 @@ class TestStreamFormat:
         assert batches[0].updates[0] == Update("insert", "P", 10, Point(1.5, 2.5))
         assert batches[0].updates[1] == Update("delete", "Q", 3)
 
-    def test_format_parse_roundtrip(self):
+    def test_parse_yields_equal_batches(self):
         batches = [
             UpdateBatch([Update("insert", "P", 1, Point(0.125, 9_999.75))]),
             UpdateBatch([Update("delete", "Q", 2), Update("insert", "Q", 3, Point(1, 2))]),
         ]
-        parsed = parse_update_stream(format_update_stream(batches).splitlines())
+        text = "insert P 1 0.125 9999.75\n---\ndelete Q 2\ninsert Q 3 1.0 2.0\n"
+        parsed = parse_update_stream(text.splitlines())
         assert parsed == batches
 
     def test_load_update_stream_reads_files(self, tmp_path):
@@ -128,6 +128,17 @@ class TestStreamFormat:
     def test_insert_delete_conflict_reported_at_its_own_line(self):
         with pytest.raises(UpdateStreamError, match="line 3.*both inserts and deletes"):
             parse_update_stream(["delete P 1", "insert Q 5 1.0 2.0", "delete Q 5"])
+
+    def test_operation_and_side_are_case_insensitive(self):
+        (batch,) = parse_update_stream(["INSERT p 4 1.0 2.0", "Delete q 9"])
+        assert batch.updates == (
+            Update("insert", "P", 4, Point(1.0, 2.0)),
+            Update("delete", "Q", 9),
+        )
+
+    def test_repeated_separators_make_no_empty_batches(self):
+        batches = parse_update_stream(["---", "-", "delete P 1", "-----", "", "---"])
+        assert [len(b) for b in batches] == [1]
 
     def test_separator_resets_batch_consistency_tracking(self):
         batches = parse_update_stream(["delete Q 7", "---", "delete Q 7"])

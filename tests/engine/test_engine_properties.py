@@ -12,7 +12,7 @@ from hypothesis import given, settings
 from repro.datasets.synthetic import DOMAIN
 from repro.datasets.workload import WorkloadConfig, build_workload
 from repro.engine import default_engine
-from repro.join.baseline import brute_force_cij_pairs, definitional_cij_pairs
+from tests.oracles import brute_force_cij_pairs, definitional_cij_pairs
 from tests.conftest import distinct_pointsets
 
 

@@ -29,7 +29,7 @@ from hypothesis import strategies as st
 
 from repro.datasets.synthetic import uniform_points
 from repro.engine import DistributedExecutor, FaultPlan, default_engine
-from repro.engine.faults import Fault
+from repro.engine.faults import Fault, FaultInjector
 from repro.experiments.drivers.common import run_cij
 from repro.join.result import CIJResult
 
@@ -526,3 +526,58 @@ class TestRandomFaultPlans:
     def test_unknown_fault_kind_rejected(self):
         with pytest.raises(ValueError, match="unknown fault kind"):
             Fault("meltdown", "node-0")
+
+
+class TestFaultInjector:
+    """The node-side arming rules, checked in-process on wire-form plans."""
+
+    @staticmethod
+    def injector(spec, node="node-0"):
+        return FaultInjector(FaultPlan.from_spec(spec).for_node(node))
+
+    def test_wire_form_round_trips_every_fault(self):
+        plan = FaultPlan.random(11, nodes=2, count=6, unit_count=8)
+        for fault in plan.faults:
+            assert Fault.from_wire(fault.to_wire()) == fault
+
+    def test_only_the_named_node_receives_its_faults(self):
+        plan = FaultPlan.from_spec("crash@node-1:after=0;error@node-0:after=0")
+        assert [w["kind"] for w in plan.for_node("node-0")] == ["error"]
+        assert [w["kind"] for w in plan.for_node("node-1")] == ["crash"]
+        assert plan.for_node("node-2") == []
+
+    def test_each_fault_fires_at_most_once(self):
+        injector = self.injector("drop@node-0:after=0")
+        assert injector.on_unit(0).kind == "drop"
+        assert injector.on_unit(0) is None
+        assert injector.on_unit(1) is None
+
+    def test_after_counts_completed_units(self):
+        injector = self.injector("error@node-0:after=2")
+        for unit in range(2):
+            assert injector.on_unit(unit) is None
+            injector.unit_completed()
+        assert injector.on_unit(2).kind == "error"
+
+    def test_unit_pins_the_global_index_at_any_local_count(self):
+        injector = self.injector("hang@node-0:unit=3")
+        for unit in (0, 5, 1):
+            assert injector.on_unit(unit) is None
+            injector.unit_completed()
+        assert injector.on_unit(3).kind == "hang"
+
+    def test_after_and_unit_must_both_match(self):
+        injector = self.injector("corrupt@node-0:after=1,unit=4")
+        assert injector.on_unit(4) is None  # no unit completed yet
+        injector.unit_completed()
+        assert injector.on_unit(2) is None  # the count matches, the unit does not
+        assert injector.on_unit(4).kind == "corrupt"
+
+    def test_ready_delays_sum_once_and_never_fire_on_a_unit(self):
+        injector = self.injector(
+            "ready_delay@node-0:seconds=0.25;ready_delay@node-0:seconds=0.5;"
+            "crash@node-0:after=0"
+        )
+        assert injector.on_unit(0).kind == "crash"
+        assert injector.ready_delay() == pytest.approx(0.75)
+        assert injector.ready_delay() == 0.0

@@ -40,12 +40,6 @@ class TestExperimentResult:
         with pytest.raises(ValueError):
             result.add_row(1)
 
-    def test_column_extraction(self):
-        result = ExperimentResult("x", "t", "ref", columns=["algo", "pages"])
-        result.add_row("NM", 10)
-        result.add_row("FM", 30)
-        assert result.column("pages") == [10, 30]
-
     def test_text_and_markdown_render(self):
         result = ExperimentResult("fig0", "demo", "nowhere", columns=["a"])
         result.add_row(1)
@@ -73,3 +67,7 @@ class TestRegistry:
     def test_unknown_experiment_rejected(self):
         with pytest.raises(ValueError):
             run_experiment("fig99")
+
+    def test_unknown_scale_rejected_for_a_known_experiment(self):
+        with pytest.raises(ValueError, match="unknown scale"):
+            run_experiment("fig5", scale="galactic")

@@ -1,10 +1,13 @@
 """Tests for repro.geometry.halfplane."""
 
+import pickle
+
 import pytest
 from hypothesis import assume, given
 
-from repro.geometry.halfplane import Halfplane, bisector_halfplane, perpendicular_bisector
-from repro.geometry.point import Point, dist, midpoint
+from repro.geometry.halfplane import Halfplane, bisector_halfplane
+from repro.geometry.point import Point, dist
+from repro.geometry.tolerance import BOUNDARY_EPS
 from tests.conftest import points_strategy
 
 
@@ -17,10 +20,19 @@ class TestHalfplane:
         assert not hp.contains(Point(5.1, 0.0))
         assert hp.value(Point(7.0, 0.0)) == pytest.approx(2.0)
 
-    def test_boundary_points_lie_on_boundary(self):
-        hp = Halfplane(1.0, 2.0, 3.0)
-        for p in hp.boundary_points(span=5.0):
-            assert hp.value(p) == pytest.approx(0.0, abs=1e-9)
+    @pytest.mark.parametrize("scale", [1.0, 1e-3, 1e4])
+    def test_tolerance_is_a_distance_to_the_line(self, scale):
+        # 3x + 4y <= 0 has a unit normal of (0.6, 0.8); the verdict for a
+        # point just outside depends on its distance to the line, not on
+        # how the coefficients happen to be scaled.
+        hp = Halfplane(3.0 * scale, 4.0 * scale, 0.0)
+        assert hp.contains(Point(0.6 * 0.5 * BOUNDARY_EPS, 0.8 * 0.5 * BOUNDARY_EPS))
+        assert not hp.contains(Point(0.6 * 2.0 * BOUNDARY_EPS, 0.8 * 2.0 * BOUNDARY_EPS))
+
+    def test_pickle_round_trip(self):
+        hp = bisector_halfplane(Point(1.0, 2.0), Point(-3.5, 0.25))
+        clone = pickle.loads(pickle.dumps(hp, protocol=pickle.HIGHEST_PROTOCOL))
+        assert clone == hp
 
 
 class TestBisector:
@@ -37,12 +49,18 @@ class TestBisector:
     def test_midpoint_on_boundary(self):
         p, q = Point(0.0, 0.0), Point(4.0, 2.0)
         hp = bisector_halfplane(p, q)
-        assert hp.value(midpoint(p, q)) == pytest.approx(0.0, abs=1e-9)
+        midpoint = Point((p.x + q.x) / 2.0, (p.y + q.y) / 2.0)
+        assert hp.value(midpoint) == pytest.approx(0.0, abs=1e-9)
 
-    def test_perpendicular_bisector_points_are_equidistant(self):
+    def test_points_along_the_boundary_are_equidistant(self):
         p, q = Point(1.0, 7.0), Point(5.0, -1.0)
-        a, b = perpendicular_bisector(p, q)
-        for x in (a, b):
+        hp = bisector_halfplane(p, q)
+        mx, my = (p.x + q.x) / 2.0, (p.y + q.y) / 2.0
+        # The boundary runs through the midpoint, perpendicular to pq.
+        dx, dy = -(q.y - p.y), q.x - p.x
+        for t in (-3.0, -0.5, 0.0, 1.0, 10.0):
+            x = Point(mx + t * dx, my + t * dy)
+            assert hp.value(x) == pytest.approx(0.0, abs=1e-9)
             assert dist(x, p) == pytest.approx(dist(x, q), rel=1e-9)
 
 

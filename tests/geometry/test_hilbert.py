@@ -4,7 +4,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from repro.geometry.hilbert import hilbert_index, hilbert_sorted, hilbert_value
+from repro.geometry.hilbert import hilbert_index, hilbert_value
 from repro.geometry.point import Point
 from repro.geometry.rect import Rect
 
@@ -24,6 +24,16 @@ class TestHilbertIndex:
         side = 1 << order
         values = {hilbert_index(x, y, order) for x in range(side) for y in range(side)}
         assert values == set(range(side * side))
+
+    @pytest.mark.parametrize("order", [1, 2, 3, 4, 5])
+    def test_consecutive_indices_are_adjacent_cells(self, order):
+        # The defining property of the curve: it visits every cell of the
+        # grid once, each step moving to an edge-adjacent cell.
+        side = 1 << order
+        cell_at = {hilbert_index(x, y, order): (x, y) for x in range(side) for y in range(side)}
+        path = [cell_at[d] for d in range(side * side)]
+        for (x0, y0), (x1, y1) in zip(path, path[1:]):
+            assert abs(x1 - x0) + abs(y1 - y0) == 1
 
     def test_out_of_range_coordinates_rejected(self):
         with pytest.raises(ValueError):
@@ -48,16 +58,22 @@ class TestHilbertValue:
         outside = hilbert_value(Point(-500.0, -500.0), DOMAIN)
         assert inside == outside
 
+    def test_curve_runs_from_south_west_to_south_east_corner(self):
+        order = 4
+        last = (1 << order) ** 2 - 1
+        assert hilbert_value(Point(DOMAIN.xmin, DOMAIN.ymin), DOMAIN, order) == 0
+        assert hilbert_value(Point(DOMAIN.xmax, DOMAIN.ymin), DOMAIN, order) == last
+
     def test_sorted_indices_cover_all_points(self):
         points = [Point(100.0 * i, 50.0 * i) for i in range(20)]
-        order = hilbert_sorted(points, DOMAIN)
+        order = sorted(range(len(points)), key=lambda i: hilbert_value(points[i], DOMAIN))
         assert sorted(order) == list(range(20))
 
     def test_spatially_close_points_are_close_in_order(self):
         cluster_a = [Point(10.0 + i, 10.0 + i) for i in range(5)]
         cluster_b = [Point(9000.0 + i, 9000.0 + i) for i in range(5)]
         points = cluster_a + cluster_b
-        order = hilbert_sorted(points, DOMAIN)
+        order = sorted(range(len(points)), key=lambda i: hilbert_value(points[i], DOMAIN))
         positions_a = [order.index(i) for i in range(5)]
         positions_b = [order.index(i) for i in range(5, 10)]
         # All of cluster A appears contiguously before or after all of B.

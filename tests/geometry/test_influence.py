@@ -3,18 +3,18 @@
 import pytest
 from hypothesis import given, settings
 
-from repro.geometry.influence import (
+from repro.geometry.point import Point
+from repro.geometry.polygon import ConvexPolygon
+from repro.geometry.rect import Rect
+from tests.conftest import points_strategy
+from tests.oracles import (
+    Segment,
     entry_pruned_by_candidate,
     phi_contains_point,
     phi_contains_point_piecewise,
     polygon_within_phi,
     rect_sides,
 )
-from repro.geometry.point import Point
-from repro.geometry.polygon import ConvexPolygon
-from repro.geometry.rect import Rect
-from repro.geometry.segment import Segment
-from tests.conftest import points_strategy
 
 
 class TestPhiMembership:

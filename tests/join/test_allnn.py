@@ -45,7 +45,7 @@ class TestAllNN:
     def test_grouped_nearest_pairs_are_subset_of_cij(self):
         """The paper's Grouped-NN application: every (hospital, park) pair
         with at least one house must be a CIJ pair."""
-        from repro.join.baseline import brute_force_cij_pairs
+        from tests.oracles import brute_force_cij_pairs
 
         houses = uniform_points(150, seed=127)
         hospitals = uniform_points(7, seed=128)

@@ -1,13 +1,10 @@
 """Tests for the brute-force CIJ oracles."""
 
 
-from repro.datasets.synthetic import DOMAIN, uniform_points
+from repro.datasets.synthetic import DOMAIN, gaussian_points, uniform_points
 from repro.geometry.point import Point
-from repro.join.baseline import (
-    brute_force_cij,
-    brute_force_cij_pairs,
-    definitional_cij_pairs,
-)
+from repro.join.baseline import brute_force_cij
+from tests.oracles import brute_force_cij_pairs, definitional_cij_pairs
 
 
 class TestBruteForceCIJ:
@@ -72,3 +69,21 @@ class TestOracleCrossValidation:
         assert brute_force_cij_pairs(points_p, points_q, DOMAIN) == definitional_cij_pairs(
             points_p, points_q, DOMAIN
         )
+
+    def test_oracles_agree_on_skewed_against_uniform_data(self):
+        points_p = gaussian_points(18, seed=91)
+        points_q = uniform_points(15, seed=92)
+        assert brute_force_cij_pairs(points_p, points_q, DOMAIN) == definitional_cij_pairs(
+            points_p, points_q, DOMAIN
+        )
+
+    def test_oracles_agree_under_custom_oids(self):
+        points_p = uniform_points(10, seed=93)
+        points_q = uniform_points(8, seed=94)
+        oids_p = [1000 + 3 * i for i in range(10)]
+        oids_q = [500 - i for i in range(8)]
+        by_polygons = brute_force_cij_pairs(points_p, points_q, DOMAIN, oids_p, oids_q)
+        by_definition = definitional_cij_pairs(points_p, points_q, DOMAIN, oids_p, oids_q)
+        assert by_polygons == by_definition
+        assert {p for p, _ in by_definition} == set(oids_p)
+        assert {q for _, q in by_definition} == set(oids_q)

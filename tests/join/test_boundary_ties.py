@@ -22,7 +22,7 @@ from repro.geometry.halfplane import bisector_halfplane
 from repro.geometry.point import Point
 from repro.geometry.polygon import ConvexPolygon
 from repro.geometry.rect import Rect
-from repro.join.baseline import brute_force_cij_pairs, definitional_cij_pairs
+from tests.oracles import brute_force_cij_pairs, definitional_cij_pairs
 from repro.voronoi.diagram import brute_force_diagram
 
 #: The ROADMAP's exact degenerate input: the bisector of the two P points

@@ -4,7 +4,7 @@ import pytest
 
 from repro.datasets.synthetic import DOMAIN, clustered_points, gaussian_points, uniform_points
 from repro.datasets.workload import WorkloadConfig, build_workload
-from repro.join.baseline import brute_force_cij_pairs
+from tests.oracles import brute_force_cij_pairs
 from repro.join.fm_cij import fm_cij
 from repro.join.lower_bound import lower_bound_io
 from repro.join.nm_cij import nm_cij

@@ -4,7 +4,7 @@ from hypothesis import given, settings
 
 from repro.datasets.synthetic import DOMAIN
 from repro.datasets.workload import WorkloadConfig, build_workload
-from repro.join.baseline import brute_force_cij_pairs
+from tests.oracles import brute_force_cij_pairs
 from repro.join.fm_cij import fm_cij
 from repro.join.nm_cij import nm_cij
 from repro.join.pm_cij import pm_cij

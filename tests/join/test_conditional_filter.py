@@ -1,17 +1,16 @@
 """Tests for the ConditionalFilter (Algorithm 5) and its batch variant."""
 
 import heapq
-import importlib
 import itertools
 import math
 import random
 
 import pytest
 
+import repro.join.conditional_filter as conditional_filter_module
 from repro.datasets.synthetic import DOMAIN, clustered_points, uniform_points
 from repro.datasets.workload import WorkloadConfig, build_indexed_pointset, build_workload
 from repro.engine import default_engine
-from repro.geometry.influence import entry_pruned_by_candidate, polygon_within_phi, rect_sides
 from repro.geometry.point import Point, centroid
 from repro.geometry.polygon import ConvexPolygon
 from repro.geometry.rect import Rect
@@ -23,16 +22,12 @@ from repro.join.conditional_filter import (
     _polygon_hits_any_target,
     batch_conditional_filter,
     candidate_cells_from_buffer,
-    conditional_filter,
 )
 from repro.storage.disk import DiskManager
 from repro.voronoi.batch import compute_cells_for_leaf
 from repro.voronoi.cell import VoronoiCell
 from repro.voronoi.diagram import brute_force_cell, brute_force_diagram
-
-# ``repro.join`` re-exports the function ``conditional_filter``, which shadows
-# the module of the same name as an attribute of the package.
-conditional_filter_module = importlib.import_module("repro.join.conditional_filter")
+from tests.oracles import entry_pruned_by_candidate, polygon_within_phi, rect_sides
 
 
 def indexed(points):
@@ -50,7 +45,7 @@ class TestConditionalFilterCompleteness:
         diagram_p = brute_force_diagram(points_p, DOMAIN)
         for q_oid in (0, 7, 23):
             target = brute_force_cell(points_q[q_oid], points_q, DOMAIN).polygon
-            candidates = {oid for oid, _ in conditional_filter(target, tree_p, DOMAIN)}
+            candidates = {oid for oid, _ in batch_conditional_filter([target], tree_p, DOMAIN)}
             true_partners = {
                 cell.oid for cell in diagram_p if cell.polygon.intersects(target)
             }
@@ -60,7 +55,7 @@ class TestConditionalFilterCompleteness:
         points_p = uniform_points(100, seed=133)
         _, tree_p = indexed(points_p)
         target = ConvexPolygon.from_rect(Rect(2000.0, 2000.0, 5000.0, 5000.0))
-        candidates = {oid for oid, _ in conditional_filter(target, tree_p, DOMAIN)}
+        candidates = {oid for oid, _ in batch_conditional_filter([target], tree_p, DOMAIN)}
         inside = {
             oid for oid, p in enumerate(points_p) if target.contains_point(p)
         }
@@ -74,7 +69,7 @@ class TestConditionalFilterCompleteness:
 
     def test_empty_tree_gives_no_candidates(self):
         target = ConvexPolygon.from_rect(Rect(0, 0, 100, 100))
-        assert conditional_filter(target, RTree(DiskManager(), "RP"), DOMAIN) == []
+        assert batch_conditional_filter([target], RTree(DiskManager(), "RP"), DOMAIN) == []
 
     def test_batch_filter_covers_union_of_single_filters(self):
         points_p = uniform_points(150, seed=135)
@@ -99,7 +94,7 @@ class TestConditionalFilterSelectivity:
         points_p = uniform_points(300, seed=137)
         _, tree_p = indexed(points_p)
         target = ConvexPolygon.from_rect(Rect(4800.0, 4800.0, 5200.0, 5200.0))
-        candidates = conditional_filter(target, tree_p, DOMAIN)
+        candidates = batch_conditional_filter([target], tree_p, DOMAIN)
         assert len(candidates) < len(points_p) / 4
 
     def test_phi_pruning_reduces_expanded_entries(self):
@@ -196,7 +191,7 @@ def reference_filter(targets, tree_p, domain):
         stats.heap_pops += 1
         if is_point:
             stats.points_examined += 1
-            cell = _approximate_cell(entry.payload, candidates, domain)
+            cell = _approximate_cell(entry.payload, candidates, ConvexPolygon.from_rect(domain))
             if _polygon_hits_any_target(cell, targets_mbr, target_mbrs, polygons):
                 candidates.append((entry.oid, entry.payload))
                 stats.points_admitted += 1

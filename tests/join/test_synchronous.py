@@ -4,16 +4,12 @@
 from repro.datasets.synthetic import uniform_points
 from repro.geometry.polygon import ConvexPolygon
 from repro.geometry.rect import Rect
-from repro.index.bulkload import bulk_load_records
+from repro.index.bulkload import StreamingBulkLoader
 from repro.index.entries import LeafEntry
 from repro.index.rtree import RTree
-from repro.join.synchronous import (
-    count_join_pairs,
-    join_from_seeds,
-    partitioned_join_seeds,
-    synchronous_join,
-)
+from repro.join.synchronous import join_from_seeds, partitioned_join_seeds
 from repro.storage.disk import DiskManager
+from tests.oracles import synchronous_join
 
 
 def rect_tree(disk, tag, rects, leaf_capacity=4):
@@ -22,7 +18,16 @@ def rect_tree(disk, tag, rects, leaf_capacity=4):
         LeafEntry(i, rect, ConvexPolygon.from_rect(rect), size_bytes=40)
         for i, rect in enumerate(rects)
     ]
-    return bulk_load_records(disk, tag, entries)
+    tree = RTree(disk, tag)
+    loader = StreamingBulkLoader(tree)
+    for entry in entries:
+        loader.append(entry)
+    loader.finish()
+    return tree
+
+
+def count_pairs(tree_a, tree_b, refine=None):
+    return sum(1 for _ in synchronous_join(tree_a, tree_b, refine=refine))
 
 
 class TestSynchronousJoin:
@@ -58,8 +63,8 @@ class TestSynchronousJoin:
         disk = DiskManager()
         tree_a = rect_tree(disk, "A", rects_a)
         tree_b = rect_tree(disk, "B", rects_b)
-        assert count_join_pairs(tree_a, tree_b) == 2
-        none = count_join_pairs(tree_a, tree_b, refine=lambda a, b: False)
+        assert count_pairs(tree_a, tree_b) == 2
+        none = count_pairs(tree_a, tree_b, refine=lambda a, b: False)
         assert none == 0
 
     def test_empty_inputs_yield_nothing(self):
@@ -77,8 +82,8 @@ class TestSynchronousJoin:
         short = rect_tree(disk, "B", short_rects)
         assert tall.height > short.height
         expected = sum(1 for r in tall_rects if r.intersects(short_rects[0]))
-        assert count_join_pairs(tall, short) == expected
-        assert count_join_pairs(short, tall) == expected
+        assert count_pairs(tall, short) == expected
+        assert count_pairs(short, tall) == expected
 
     def test_partitioned_traversal_is_byte_identical(self):
         """Concatenating the partitions' DFS outputs must reproduce the
@@ -145,4 +150,4 @@ class TestSynchronousJoin:
             # B holds every other point of A, so exactly those 50 coincide.
             if oid % 2 == 0:
                 tree_b.insert_point(oid, point)
-        assert count_join_pairs(tree_a, tree_b) == 50
+        assert count_pairs(tree_a, tree_b) == 50

@@ -1,6 +1,7 @@
 """Tests for best-first nearest-neighbour search."""
 
 import random
+from itertools import islice
 
 import pytest
 
@@ -8,12 +9,7 @@ from repro.datasets.synthetic import DOMAIN, uniform_points
 from repro.datasets.workload import build_indexed_pointset
 from repro.geometry.point import Point, dist
 from repro.index.rtree import RTree
-from repro.query.nearest import (
-    incremental_nearest,
-    k_nearest_neighbors,
-    nearest_neighbor,
-    quadrant_nearest_neighbors,
-)
+from repro.query.nearest import incremental_nearest, nearest_neighbor
 from repro.storage.disk import DiskManager
 
 
@@ -67,44 +63,33 @@ class TestNearestNeighborHelpers:
     def test_nearest_neighbor_on_empty_tree(self):
         assert nearest_neighbor(RTree(DiskManager(), "RP"), Point(0, 0)) is None
 
-    def test_k_nearest_sizes_and_order(self, indexed_points):
-        points, _, tree = indexed_points
-        query = Point(9000.0, 1000.0)
-        results = k_nearest_neighbors(tree, query, 10)
+
+class TestFirstKOfIncrementalNearest:
+    """The k-nearest query is a prefix of the incremental ranking."""
+
+    def test_first_k_are_sorted_and_sized(self, indexed_points):
+        _, _, tree = indexed_points
+        results = list(islice(incremental_nearest(tree, Point(9000.0, 1000.0)), 10))
         assert len(results) == 10
         assert [d for d, _ in results] == sorted(d for d, _ in results)
-
-    def test_k_nearest_with_nonpositive_k(self, indexed_points):
-        _, _, tree = indexed_points
-        assert k_nearest_neighbors(tree, Point(0, 0), 0) == []
-        assert k_nearest_neighbors(tree, Point(0, 0), -3) == []
 
     def test_k_larger_than_dataset_returns_all(self):
         points = uniform_points(15, seed=3)
         tree = build_indexed_pointset(DiskManager(), "RP", points, domain=DOMAIN)
-        assert len(k_nearest_neighbors(tree, Point(0, 0), 100)) == 15
+        results = list(islice(incremental_nearest(tree, Point(0, 0)), 100))
+        assert sorted(entry.oid for _, entry in results) == list(range(15))
 
+    def test_reported_distance_is_the_distance_to_the_payload(self, indexed_points):
+        _, _, tree = indexed_points
+        query = Point(2500.0, 7500.0)
+        for d, entry in islice(incremental_nearest(tree, query), 25):
+            assert d == pytest.approx(dist(entry.payload, query))
 
-class TestQuadrantNN:
-    def test_each_result_is_in_its_quadrant(self, indexed_points):
-        points, _, tree = indexed_points
-        query = Point(5000.0, 5000.0)
-        ne, nw, sw, se = quadrant_nearest_neighbors(tree, query)
-        assert ne.payload.x >= query.x and ne.payload.y >= query.y
-        assert nw.payload.x < query.x and nw.payload.y >= query.y
-        assert sw.payload.x < query.x and sw.payload.y < query.y
-        assert se.payload.x >= query.x and se.payload.y < query.y
-
-    def test_exclude_oid_is_respected(self):
-        points = [Point(10.0, 10.0), Point(20.0, 20.0), Point(5.0, 5.0), Point(30.0, 5.0), Point(5.0, 30.0)]
-        tree = build_indexed_pointset(DiskManager(), "RP", points, domain=DOMAIN)
-        results = quadrant_nearest_neighbors(tree, points[0], exclude_oid=0)
-        found_oids = {entry.oid for entry in results if entry is not None}
-        assert 0 not in found_oids
-
-    def test_empty_quadrants_return_none(self):
-        points = [Point(10.0, 10.0)]
-        tree = build_indexed_pointset(DiskManager(), "RP", points, domain=DOMAIN)
-        results = quadrant_nearest_neighbors(tree, Point(0.0, 0.0))
-        assert results[0] is not None  # NE quadrant holds the only point
-        assert results[1] is None and results[2] is None and results[3] is None
+    def test_nearest_neighbor_is_the_first_incremental_result(self, indexed_points):
+        _, _, tree = indexed_points
+        rng = random.Random(7)
+        for _ in range(5):
+            query = Point(rng.uniform(0, 10_000), rng.uniform(0, 10_000))
+            d, entry = nearest_neighbor(tree, query)
+            first_d, first_entry = next(incremental_nearest(tree, query))
+            assert (d, entry.oid) == (first_d, first_entry.oid)

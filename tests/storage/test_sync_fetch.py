@@ -16,6 +16,7 @@ from __future__ import annotations
 import functools
 import threading
 from dataclasses import asdict
+from itertools import islice
 
 import pytest
 
@@ -23,7 +24,7 @@ from repro.datasets.synthetic import uniform_points
 from repro.engine import default_engine
 from repro.experiments.drivers.common import fresh_workload
 from repro.geometry.rect import Rect
-from repro.query.nearest import k_nearest_neighbors
+from repro.query.nearest import incremental_nearest
 from repro.storage.backends import STORAGE_BACKENDS
 
 POINTS_P = uniform_points(240, seed=3)
@@ -54,7 +55,7 @@ def _windows(workload):
 
 def _nearest(workload):
     for point in workload.points_q[:20]:
-        k_nearest_neighbors(workload.tree_p, point, 3)
+        list(islice(incremental_nearest(workload.tree_p, point), 3))
 
 
 #: Every disk consumer, by name: joins serial and through in-process

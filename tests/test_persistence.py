@@ -1,115 +1,117 @@
-"""Tests for dataset / result persistence."""
+"""Tests for the export format of pointsets and join results.
+
+Nothing in the library reads these files back, so the tests pin the files
+themselves: the CSV headers, the rows, and the keys of the statistics
+sidecar that ``examples/visualize_and_export.py`` writes.
+"""
+
+import csv
+import json
 
 import pytest
 
-from repro.datasets.synthetic import uniform_points
-from repro.experiments.harness import ExperimentResult
-from repro.join.result import CIJResult, JoinStats
-from repro.persistence import (
-    load_cij_result,
-    load_experiment_result,
-    load_pointset,
-    save_cij_result,
-    save_experiment_result,
-    save_pointset,
-)
 from repro import common_influence_join
+from repro.datasets.synthetic import uniform_points
+from repro.geometry.point import Point
+from repro.join.result import CIJResult, JoinStats
+from repro.persistence import save_cij_result, save_pointset
+
+SIDECAR_KEYS = {
+    "algorithm",
+    "mat_page_accesses",
+    "join_page_accesses",
+    "mat_cpu_seconds",
+    "join_cpu_seconds",
+    "cells_computed_p",
+    "cells_computed_q",
+    "cells_reused_p",
+    "filter_candidates",
+    "filter_true_hits",
+    "progress",
+    "pair_count",
+}
 
 
-class TestPointsetRoundTrip:
-    def test_round_trip_preserves_points_and_ids(self, tmp_path):
+def _rows(path):
+    with open(path, newline="", encoding="utf-8") as handle:
+        return list(csv.reader(handle))
+
+
+class TestPointsetExport:
+    def test_header_ids_and_exact_coordinates(self, tmp_path):
         points = uniform_points(50, seed=401)
         path = tmp_path / "points.csv"
         save_pointset(path, points, oids=list(range(100, 150)))
-        oids, loaded = load_pointset(path)
-        assert oids == list(range(100, 150))
-        assert loaded == points
+        header, *rows = _rows(path)
+        assert header == ["id", "x", "y"]
+        assert [int(oid) for oid, _, _ in rows] == list(range(100, 150))
+        # Coordinates are written with repr, so float() restores every bit.
+        assert [Point(float(x), float(y)) for _, x, y in rows] == points
+
+    def test_default_ids_are_positions(self, tmp_path):
+        path = tmp_path / "points.csv"
+        save_pointset(path, [Point(1.5, 2.5), Point(0.1, 1e-12)])
+        assert _rows(path) == [["id", "x", "y"], ["0", "1.5", "2.5"], ["1", "0.1", "1e-12"]]
 
     def test_mismatched_oids_rejected(self, tmp_path):
         with pytest.raises(ValueError):
             save_pointset(tmp_path / "x.csv", uniform_points(3, seed=1), oids=[1])
 
-    def test_load_without_id_column_assigns_sequential_ids(self, tmp_path):
-        path = tmp_path / "xy.csv"
-        path.write_text("x,y\n1.5,2.5\n3.0,4.0\n", encoding="utf-8")
-        oids, points = load_pointset(path)
-        assert oids == [0, 1]
-        assert points[1].x == 3.0
+    @pytest.mark.parametrize(
+        "value", [0.1, 1.0 / 3.0, 9_999.999999999998, 5e-324, -1234.5678e-9]
+    )
+    def test_coordinate_survives_the_text_round_trip(self, tmp_path, value):
+        path = tmp_path / "points.csv"
+        save_pointset(path, [Point(value, -value)])
+        (_, x, y), = _rows(path)[1:]
+        assert (float(x), float(y)) == (value, -value)
 
-    def test_load_rejects_missing_columns(self, tmp_path):
-        path = tmp_path / "bad.csv"
-        path.write_text("lon,lat\n1,2\n", encoding="utf-8")
-        with pytest.raises(ValueError):
-            load_pointset(path)
+    def test_empty_pointset_writes_header_only(self, tmp_path):
+        path = tmp_path / "points.csv"
+        save_pointset(path, [])
+        assert _rows(path) == [["id", "x", "y"]]
 
-    def test_load_rejects_malformed_rows(self, tmp_path):
-        path = tmp_path / "bad2.csv"
-        path.write_text("x,y\n1.0,not-a-number\n", encoding="utf-8")
-        with pytest.raises(ValueError):
-            load_pointset(path)
+    def test_plain_string_path_accepted(self, tmp_path):
+        path = str(tmp_path / "points.csv")
+        save_pointset(path, [Point(1.0, 2.0)])
+        assert _rows(path)[1] == ["0", "1.0", "2.0"]
 
 
-class TestCIJResultRoundTrip:
-    def test_round_trip_preserves_pairs_and_stats(self, tmp_path):
+class TestCIJResultExport:
+    def test_pairs_and_sidecar(self, tmp_path):
         points_p = uniform_points(30, seed=402)
         points_q = uniform_points(25, seed=403)
         result = common_influence_join(points_p, points_q, method="nm")
         path = tmp_path / "result.csv"
         save_cij_result(path, result)
-        loaded = load_cij_result(path)
-        assert loaded.pair_set() == result.pair_set()
-        assert loaded.stats.algorithm == "NM-CIJ"
-        assert loaded.stats.total_page_accesses == result.stats.total_page_accesses
-        assert [s.page_accesses for s in loaded.stats.progress] == [
-            s.page_accesses for s in result.stats.progress
+        header, *rows = _rows(path)
+        assert header == ["p_oid", "q_oid"]
+        assert [(int(p), int(q)) for p, q in rows] == list(result.pairs)
+        payload = json.loads((tmp_path / "result.csv.stats.json").read_text("utf-8"))
+        assert set(payload) == SIDECAR_KEYS
+        assert payload["algorithm"] == "NM-CIJ"
+        assert payload["pair_count"] == len(result.pairs)
+        assert (
+            payload["mat_page_accesses"] + payload["join_page_accesses"]
+            == result.stats.total_page_accesses
+        )
+        assert payload["progress"] == [
+            [s.page_accesses, s.pairs_reported] for s in result.stats.progress
         ]
 
-    def test_load_without_sidecar_still_returns_pairs(self, tmp_path):
+    def test_empty_result_writes_header_only(self, tmp_path):
         path = tmp_path / "pairs.csv"
-        save_cij_result(path, CIJResult(pairs=[(1, 2), (3, 4)], stats=JoinStats("NM-CIJ")))
-        (tmp_path / "pairs.csv.stats.json").unlink()
-        loaded = load_cij_result(path)
-        assert loaded.pair_set() == {(1, 2), (3, 4)}
-        assert loaded.stats.algorithm == "UNKNOWN"
+        save_cij_result(path, CIJResult(pairs=[], stats=JoinStats("NM-CIJ")))
+        assert _rows(path) == [["p_oid", "q_oid"]]
+        payload = json.loads((tmp_path / "pairs.csv.stats.json").read_text("utf-8"))
+        assert payload["pair_count"] == 0
 
-    def test_load_empty_file_rejected(self, tmp_path):
-        path = tmp_path / "empty.csv"
-        path.write_text("", encoding="utf-8")
-        with pytest.raises(ValueError):
-            load_cij_result(path)
-
-    @pytest.mark.parametrize(
-        "text, line",
-        [
-            ("p_oid,q_oid\n1,2\n3\n", 3),  # one value
-            ("p_oid,q_oid\n1,2\n4,5,6\n", 3),  # three values
-            ("p_oid,q_oid\n1,2\n\n7,x\n", 4),  # not an integer
-        ],
-    )
-    def test_load_rejects_rows_that_are_not_two_integers(self, tmp_path, text, line):
-        path = tmp_path / "malformed.csv"
-        path.write_text(text, encoding="utf-8")
-        with pytest.raises(ValueError, match=rf"malformed\.csv: malformed row {line}"):
-            load_cij_result(path)
-
-    def test_load_requires_the_header(self, tmp_path):
-        """A headerless file must not silently lose its first pair."""
-        path = tmp_path / "headerless.csv"
-        path.write_text("7,8\n9,10\n", encoding="utf-8")
-        with pytest.raises(ValueError, match="p_oid,q_oid"):
-            load_cij_result(path)
-
-
-class TestExperimentResultRoundTrip:
-    def test_round_trip(self, tmp_path):
-        result = ExperimentResult("fig0", "demo", "nowhere", columns=["algo", "pages"])
-        result.add_row("NM-CIJ", 12)
-        result.add_row("FM-CIJ", 40)
-        result.add_note("shape holds")
-        path = tmp_path / "fig0.json"
-        save_experiment_result(path, result)
-        loaded = load_experiment_result(path)
-        assert loaded.experiment_id == "fig0"
-        assert loaded.columns == ["algo", "pages"]
-        assert loaded.rows == [["NM-CIJ", 12], ["FM-CIJ", 40]]
-        assert loaded.notes == ["shape holds"]
+    def test_sidecar_name_appends_to_the_full_file_name(self, tmp_path):
+        # A path without a suffix still gets its sidecar beside it, and a
+        # plain string path is accepted like a Path.
+        path = str(tmp_path / "pairs")
+        save_cij_result(path, CIJResult(pairs=[(3, 4)], stats=JoinStats("FM-CIJ")))
+        assert _rows(path) == [["p_oid", "q_oid"], ["3", "4"]]
+        payload = json.loads((tmp_path / "pairs.stats.json").read_text("utf-8"))
+        assert payload["algorithm"] == "FM-CIJ"
+        assert payload["pair_count"] == 1

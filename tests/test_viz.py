@@ -8,8 +8,8 @@ from repro.datasets.synthetic import DOMAIN, uniform_points
 from repro.geometry.point import Point
 from repro.geometry.polygon import ConvexPolygon
 from repro.geometry.rect import Rect
-from repro.join.baseline import brute_force_cij_pairs
-from repro.viz.svg import SVGCanvas, render_cij, render_pointsets, render_voronoi_diagram
+from tests.oracles import brute_force_cij_pairs
+from repro.viz.svg import SVGCanvas, render_cij, render_voronoi_diagram
 from repro.voronoi.diagram import brute_force_diagram
 
 SVG_NS = "{http://www.w3.org/2000/svg}"
@@ -35,33 +35,34 @@ class TestSVGCanvas:
         canvas = SVGCanvas(DOMAIN)
         canvas.add_point(Point(5000.0, 5000.0))
         canvas.add_polygon(ConvexPolygon.from_rect(Rect(0, 0, 100, 100)))
-        canvas.add_rect(Rect(200, 200, 300, 300))
+        canvas.add_polygon(ConvexPolygon.from_rect(Rect(200, 200, 300, 300)))
         root = parse(canvas.to_svg())
         assert root.tag == f"{SVG_NS}svg"
-        assert canvas.element_count() == 3
+        # The white background rectangle plus the three drawn elements.
+        assert len(root) == 1 + 3
+
+    def test_point_label_is_drawn_beside_the_point(self):
+        canvas = SVGCanvas(DOMAIN)
+        canvas.add_point(Point(1.0, 1.0), label="p1")
+        root = parse(canvas.to_svg())
+        assert len(root.findall(f"{SVG_NS}circle")) == 1
+        assert [t.text for t in root.findall(f"{SVG_NS}text")] == ["p1"]
+
+    def test_polygon_vertices_are_mapped_onto_the_canvas(self):
+        canvas = SVGCanvas(Rect(0, 0, 100, 100), width=200, height=200, margin=10)
+        canvas.add_polygon(ConvexPolygon.from_rect(Rect(0, 0, 100, 100)), fill="red")
+        (polygon,) = parse(canvas.to_svg()).findall(f"{SVG_NS}polygon")
+        corners = {tuple(float(v) for v in pair.split(",")) for pair in polygon.get("points").split()}
+        assert corners == {(10.0, 190.0), (190.0, 190.0), (190.0, 10.0), (10.0, 10.0)}
+        assert polygon.get("fill") == "red"
 
     def test_empty_polygon_is_skipped(self):
         canvas = SVGCanvas(DOMAIN)
         canvas.add_polygon(ConvexPolygon.empty())
-        assert canvas.element_count() == 0
-
-    def test_save_writes_file(self, tmp_path):
-        canvas = SVGCanvas(DOMAIN)
-        canvas.add_point(Point(1.0, 1.0), label="p1")
-        target = tmp_path / "out.svg"
-        canvas.save(target)
-        assert target.read_text(encoding="utf-8").startswith("<svg")
+        assert len(parse(canvas.to_svg())) == 1
 
 
 class TestRenderers:
-    def test_render_pointsets_draws_every_point(self):
-        points_p = uniform_points(25, seed=301)
-        points_q = uniform_points(15, seed=302)
-        svg = render_pointsets({"P": points_p, "Q": points_q}, DOMAIN)
-        root = parse(svg)
-        circles = root.findall(f"{SVG_NS}circle")
-        assert len(circles) == 40
-
     def test_render_voronoi_diagram_draws_cells_and_sites(self):
         points = uniform_points(20, seed=303)
         diagram = brute_force_diagram(points, DOMAIN)
@@ -69,6 +70,12 @@ class TestRenderers:
         assert len(root.findall(f"{SVG_NS}polygon")) == 20
         assert len(root.findall(f"{SVG_NS}circle")) == 20
         assert len(root.findall(f"{SVG_NS}text")) == 20
+
+    def test_render_voronoi_diagram_labels_are_optional(self):
+        diagram = brute_force_diagram(uniform_points(8, seed=308), DOMAIN)
+        root = parse(render_voronoi_diagram(diagram))
+        assert root.findall(f"{SVG_NS}text") == []
+        assert len(root.findall(f"{SVG_NS}circle")) == 8
 
     def test_render_cij_shades_a_region_per_pair(self):
         points_p = uniform_points(12, seed=304)

@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 from repro.datasets.synthetic import DOMAIN
 from repro.datasets.workload import build_indexed_pointset
 from repro.geometry.point import Point
+from repro.geometry.polygon import ConvexPolygon
 from repro.geometry.rect import Rect
 from repro.storage.disk import DiskManager
 from repro.voronoi.batch import compute_voronoi_cells
@@ -77,7 +78,9 @@ class TestCellInvariants:
         cell, although it skips the bisectors that cannot refine it."""
         points = data.draw(pointsets(min_size=3, max_size=9))
         site = points[0]
-        walked = _approximate_cell(site, list(enumerate(points[1:], 1)), DOMAIN)
+        walked = _approximate_cell(
+            site, list(enumerate(points[1:], 1)), ConvexPolygon.from_rect(DOMAIN)
+        )
         oracle = brute_force_cell(site, points, DOMAIN)
         assert walked.area() == pytest.approx(oracle.area(), rel=1e-6, abs=1e-3)
         assert walked.contains_point(site)
@@ -106,7 +109,9 @@ class TestCellInvariants:
         ids=["colinear-candidates", "equidistant-candidates"],
     )
     def test_pinned_walk_equals_brute_force(self, site, others, domain, area):
-        walked = _approximate_cell(site, list(enumerate(others, 1)), domain)
+        walked = _approximate_cell(
+            site, list(enumerate(others, 1)), ConvexPolygon.from_rect(domain)
+        )
         oracle = brute_force_cell(site, [site, *others], domain)
         assert walked.area() == pytest.approx(area, rel=1e-12)
         assert oracle.area() == pytest.approx(area, rel=1e-12)
@@ -121,7 +126,9 @@ class TestCellInvariants:
                 Point(rng.uniform(0, 100), rng.uniform(0, 100))
                 for _ in range(rng.randrange(1, 12))
             ]
-            walked = _approximate_cell(site, list(enumerate(others, 1)), domain)
+            walked = _approximate_cell(
+                site, list(enumerate(others, 1)), ConvexPolygon.from_rect(domain)
+            )
             oracle = brute_force_cell(site, [site, *others], domain)
             assert walked.area() == pytest.approx(oracle.area(), rel=1e-9)
             assert walked.contains_point(site)
