@@ -33,7 +33,7 @@ def main() -> None:
     print(f"input sizes      : |P| = {len(restaurants)}, |Q| = {len(cinemas)}")
     print(f"result pairs     : {len(result.pairs)}")
     print(f"page accesses    : {stats.total_page_accesses}")
-    print(f"CPU seconds      : {stats.total_cpu_seconds:.2f}")
+    print(f"wall seconds     : {stats.total_cpu_seconds:.2f}")
     print(f"false hit ratio  : {stats.false_hit_ratio:.3f}")
     print(f"first 5 pairs    : {result.pairs[:5]}")
     print()
@@ -46,7 +46,7 @@ def main() -> None:
             f"{s.algorithm:7s}  pairs={len(run.pairs):6d}  "
             f"pages={s.total_page_accesses:6d} "
             f"(MAT {s.mat_page_accesses} + JOIN {s.join_page_accesses})  "
-            f"cpu={s.total_cpu_seconds:5.2f}s"
+            f"wall={s.total_cpu_seconds:5.2f}s"
         )
     print()
 

@@ -24,26 +24,6 @@ from __future__ import annotations
 
 from typing import Optional, Sequence
 
-from repro.datasets import (
-    DOMAIN,
-    clustered_points,
-    gaussian_points,
-    real_like_dataset,
-    uniform_points,
-)
-from repro.datasets.workload import (
-    DynamicWorkloadConfig,
-    WorkloadConfig,
-    build_workload,
-    generate_update_batches,
-)
-from repro.dynamic import (
-    DynamicJoinSession,
-    PairDelta,
-    Update,
-    UpdateBatch,
-    load_update_stream,
-)
 from repro.engine import EngineConfig, JoinEngine, default_engine
 from repro.engine.config import resolve_config
 from repro.geometry import ConvexPolygon, Point, Rect
@@ -58,6 +38,32 @@ from repro.join import (
 from repro.voronoi import VoronoiCell, VoronoiDiagram, compute_voronoi_cell
 
 __version__ = "1.2.0"
+
+#: Exports loaded on first access (PEP 562): a node or page-server
+#: interpreter imports this package but runs no workload or dynamic code.
+_DATASETS_EXPORTS = ("DOMAIN", "clustered_points", "gaussian_points",
+                     "real_like_dataset", "uniform_points")
+_WORKLOAD_EXPORTS = ("DynamicWorkloadConfig", "WorkloadConfig", "build_workload",
+                     "generate_update_batches")
+_DYNAMIC_EXPORTS = ("DynamicJoinSession", "PairDelta", "Update", "UpdateBatch",
+                    "load_update_stream")
+
+
+def __getattr__(name):
+    if name in _DATASETS_EXPORTS:
+        from repro import datasets as module
+    elif name in _WORKLOAD_EXPORTS:
+        from repro.datasets import workload as module
+    elif name in _DYNAMIC_EXPORTS:
+        from repro import dynamic as module
+    else:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    return getattr(module, name)
+
+
+def __dir__():
+    return sorted(set(globals()) | set(__all__))
+
 
 __all__ = [
     "Point",
@@ -143,6 +149,8 @@ def common_influence_join(
         fails before any page is written.  Merged pairs and deterministic
         counters are byte-identical across executors.
     """
+    from repro.datasets import DOMAIN, WorkloadConfig, build_workload
+
     engine = default_engine()
     method_key = method.lower()
     if method_key not in engine.algorithm_names():

@@ -349,7 +349,7 @@ def _cmd_join(args: argparse.Namespace, config: EngineConfig) -> int:
         print(f"storage         : {storage}{where}")
     print(f"result pairs    : {len(result.pairs)}")
     print(f"page accesses   : {stats.total_page_accesses} (MAT {stats.mat_page_accesses} + JOIN {stats.join_page_accesses})")
-    print(f"CPU seconds     : {stats.total_cpu_seconds:.2f}")
+    print(f"wall seconds    : {stats.total_cpu_seconds:.2f}")
     if stats.filter_candidates:
         print(f"false hit ratio : {stats.false_hit_ratio:.3f}")
     return 0

@@ -50,9 +50,8 @@ from repro.engine.executors import (
 from repro.engine.faults import Fault, FaultPlan
 from repro.engine.units import WorkUnit
 
-#: Node failure taxonomy, exported lazily: :mod:`repro.engine.node` pulls
-#: in the service protocol, whose package import would recurse back into
-#: this module during ``repro.dynamic`` initialisation.
+#: Node failure taxonomy, exported lazily: only the distributed executor
+#: loads :mod:`repro.engine.node` and its subprocess and pipe plumbing.
 _NODE_EXPORTS = (
     "NodeFailure",
     "NodeCrashed",

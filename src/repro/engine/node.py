@@ -1,6 +1,6 @@
 """The node plane: worker subprocesses for the distributed executor.
 
-A *node* is a separate interpreter (``python -m repro.engine.node``) that
+A *node* is a separate interpreter (``python -S -m repro.engine.node``) that
 simulates one member of an elastic worker tier over shared storage.  The
 coordinating process sends it one ``init`` message describing the run —
 which backend file to reopen, the R-tree roots and fanouts, the resident
@@ -264,9 +264,9 @@ class NodeProcess:
     HEARTBEAT = 0.25
     #: Seconds a node may stay silent before its *first* message.  The
     #: child beats only once it has read ``init``, so interpreter start-up
-    #: and ``import repro`` (0.24–0.37 s on an idle 2-CPU host, up to
-    #: 0.94 s with three CPU-bound processes beside it) must not count
-    #: against the silence deadline meant for hung units.
+    #: and imports (0.07–0.09 s on an idle 2-CPU host, 0.15–0.27 s beside
+    #: three CPU-bound processes) must not count against the silence
+    #: deadline meant for hung units.
     STARTUP_TIMEOUT = 30.0
 
     def __init__(
@@ -287,8 +287,10 @@ class NodeProcess:
         # stderr goes to an unlinked temp file: an unread PIPE would
         # deadlock a chatty child, and the tail makes death diagnosable.
         self._stderr = tempfile.TemporaryFile()
+        # -S skips site-packages (.pth) processing: the package needs only
+        # the standard library, and PYTHONPATH above finds it.
         self.process = subprocess.Popen(
-            [sys.executable, "-u", "-m", "repro.engine.node"],
+            [sys.executable, "-S", "-u", "-m", "repro.engine.node"],
             stdin=subprocess.PIPE,
             stdout=subprocess.PIPE,
             stderr=self._stderr,

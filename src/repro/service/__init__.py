@@ -16,7 +16,6 @@ published snapshot — readers never wait on the writer, and every
 response is byte-reproducible from the request's recorded version.
 """
 
-from repro.service.client import ServiceClient
 from repro.service.protocol import (
     PROTOCOL_VERSION,
     ServiceError,
@@ -25,7 +24,26 @@ from repro.service.protocol import (
     encode_line,
     pairs_payload,
 )
-from repro.service.server import DatasetSpec, JoinService
+
+#: Exports loaded on first access (PEP 562): nodes and page servers import
+#: only the protocol, never the client (asyncio) or the server.
+_CLIENT_EXPORTS = ("ServiceClient",)
+_SERVER_EXPORTS = ("DatasetSpec", "JoinService")
+
+
+def __getattr__(name):
+    if name in _CLIENT_EXPORTS:
+        from repro.service import client as module
+    elif name in _SERVER_EXPORTS:
+        from repro.service import server as module
+    else:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    return getattr(module, name)
+
+
+def __dir__():
+    return sorted(set(globals()) | set(__all__))
+
 
 __all__ = [
     "PROTOCOL_VERSION",

@@ -287,7 +287,7 @@ def spawn_page_server(
     path: Optional[str] = None,
     host: str = "127.0.0.1",
 ) -> SpawnedPageServer:
-    """Start ``python -m repro.storage.pageserver`` and wait for its address.
+    """Start ``python -S -m repro.storage.pageserver`` and wait for its address.
 
     With ``path=None`` the server owns a temporary page file and deletes
     it when it exits cleanly.  The child announces ``{"type": "listening",
@@ -297,6 +297,7 @@ def spawn_page_server(
     """
     command = [
         sys.executable,
+        "-S",
         "-u",
         "-m",
         "repro.storage.pageserver",

@@ -140,9 +140,9 @@ def compute_voronoi_cells(
         raise ValueError("group oids must be unique")
     stats = stats if stats is not None else CellComputationStats()
 
+    domain_polygon = ConvexPolygon.from_rect(domain)
     states: Dict[int, _MemberState] = {
-        oid: _MemberState(oid, site, ConvexPolygon.from_rect(domain))
-        for oid, site in members
+        oid: _MemberState(oid, site, domain_polygon) for oid, site in members
     }
     if tree.is_empty():
         return {

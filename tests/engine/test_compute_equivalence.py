@@ -13,7 +13,9 @@ is what it does not check:
   pairs;
 * the removed compute tier stays removed: no ``compute=`` option, no
   ``$REPRO_COMPUTE`` switch, and importing the package and its entry points
-  never loads NumPy.
+  never loads NumPy;
+* a node or page-server interpreter imports only what it runs, and a join
+  still runs after a bare ``import repro``.
 """
 
 from __future__ import annotations
@@ -132,21 +134,66 @@ class TestComputeTierRemoved:
         assert work_fingerprint(result) == work_fingerprint(reference)
 
 
-def test_entry_points_do_not_import_numpy():
+def _run_fresh(code, *flags):
+    """Run ``code`` in a new interpreter with ``src/`` on its path."""
     src = os.path.dirname(os.path.dirname(os.path.abspath(repro.__file__)))
     env = dict(os.environ)
     env["PYTHONPATH"] = src + os.pathsep + env.get("PYTHONPATH", "")
-    code = (
-        "import sys\n"
-        "import repro, repro.engine, repro.cli, repro.service\n"
-        "loaded = sorted(m for m in sys.modules if m.split('.')[0] == 'numpy')\n"
-        "assert not loaded, loaded[:5]\n"
-    )
     completed = subprocess.run(
-        [sys.executable, "-c", code],
+        [sys.executable, *flags, "-c", code],
         env=env,
         capture_output=True,
         text=True,
         timeout=60,
     )
     assert completed.returncode == 0, completed.stderr
+
+
+def test_entry_points_do_not_import_numpy():
+    _run_fresh(
+        "import sys\n"
+        "import repro, repro.engine, repro.cli, repro.service\n"
+        "loaded = sorted(m for m in sys.modules if m.split('.')[0] == 'numpy')\n"
+        "assert not loaded, loaded[:5]\n"
+    )
+
+
+#: Modules a node or page server never runs: the service client (asyncio)
+#: and server, workload generation, incremental maintenance, the CLI and
+#: the experiment drivers.
+NOT_IN_A_SPAWNED_CHILD = (
+    "asyncio",
+    "repro.service.server",
+    "repro.service.client",
+    "repro.datasets",
+    "repro.dynamic",
+    "repro.cli",
+    "repro.experiments",
+)
+
+
+@pytest.mark.parametrize("entry", ["repro.engine.node", "repro.storage.pageserver"])
+def test_spawned_entry_points_import_only_what_they_run(entry):
+    """The interpreter a node or page server starts in (``python -S``).
+    A package is loaded whenever one of its submodules is."""
+    _run_fresh(
+        "import sys\n"
+        f"import {entry}\n"
+        f"unwanted = {NOT_IN_A_SPAWNED_CHILD!r}\n"
+        "loaded = sorted(set(unwanted) & set(sys.modules))\n"
+        "assert not loaded, loaded\n",
+        "-S",
+    )
+
+
+def test_common_influence_join_runs_after_a_bare_import():
+    _run_fresh(
+        "import sys\n"
+        "import repro\n"
+        "assert 'repro.datasets' not in sys.modules\n"
+        "p = [repro.Point(1000.0 * i + 500.0, 3000.0 + 700.0 * (i % 3)) for i in range(8)]\n"
+        "q = [repro.Point(800.0 * i + 300.0, 6000.0 - 500.0 * (i % 4)) for i in range(9)]\n"
+        "pairs = set(repro.common_influence_join(p, q).pairs)\n"
+        "assert pairs == set(repro.common_influence_join(p, q, method='brute').pairs)\n"
+        "assert len(pairs) == 29, len(pairs)\n"
+    )

@@ -84,7 +84,8 @@ class TestFlatSurface:
         def no_workload(*args, **kwargs):
             raise AssertionError("the workload was built before the config")
 
-        monkeypatch.setattr(repro, "build_workload", no_workload)
+        # The wrapper imports build_workload from repro.datasets on each call.
+        monkeypatch.setattr("repro.datasets.build_workload", no_workload)
         points = repro.uniform_points(10, seed=1)
         with pytest.raises(TypeError):
             repro.common_influence_join(points, points, cell_cache=True)

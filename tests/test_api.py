@@ -60,9 +60,14 @@ class TestCommonInfluenceJoin:
         assert result.pair_set() == {(0, 0), (0, 1)}
 
     def test_version_and_public_names_exported(self):
+        """Lazily exported names (PEP 562) resolve and are listed by dir()."""
+        import repro.service
+
         assert repro.__version__
-        for name in repro.__all__:
-            assert hasattr(repro, name), name
+        for package in (repro, repro.service):
+            for name in package.__all__:
+                assert hasattr(package, name), name
+            assert set(package.__all__) <= set(dir(package))
 
 
 PACKAGE_ROOT = pathlib.Path(repro.__file__).resolve().parent
