@@ -10,10 +10,10 @@ Two claims are measured and written to ``benchmarks/results/``:
   partitions were handed out once each), not from a wall clock: a join
   phase of a few tenths of a second loses to a loaded host.  The wall
   clocks are still recorded.
-* **NM-CIJ boundary handoff** — one in-process worker carries the REUSE
-  buffer across unit boundaries, which drops the P-cell recomputation
-  count of a sharded NM-CIJ to exactly the serial level; forked workers
-  run independent units and recompute the boundary cells.
+* **NM-CIJ boundary handoff** — two distributed nodes over a file store
+  chain the REUSE buffer across unit boundaries, which drops the P-cell
+  recomputation count of a parallel NM-CIJ to exactly the serial level;
+  forked workers run independent units and recompute the boundary cells.
 """
 
 from __future__ import annotations
@@ -38,8 +38,8 @@ WORKERS = 4
 ROUNDS = 2
 
 
-def timed_run(algorithm, points_p, points_q, engine=None, **overrides):
-    workload = fresh_workload(points_p, points_q)
+def timed_run(algorithm, points_p, points_q, engine=None, storage=None, **overrides):
+    workload = fresh_workload(points_p, points_q, storage=storage)
     try:
         start = time.perf_counter()
         result = (engine or default_engine()).run(
@@ -148,7 +148,7 @@ def test_nm_boundary_handoff_closes_work_gap(benchmark, bench_record):
     handoff, _ = benchmark.pedantic(
         timed_run,
         args=("nm", points_p, points_q),
-        kwargs={"executor": "sharded", "workers": 1},
+        kwargs={"storage": "file", "executor": "distributed", "nodes": 2},
         rounds=1,
         iterations=1,
     )
@@ -164,7 +164,7 @@ def test_nm_boundary_handoff_closes_work_gap(benchmark, bench_record):
         "sharded_nm_handoff.txt",
         [
             f"NM-CIJ shard-boundary REUSE ({N_POINTS} x {N_POINTS} points; "
-            "no-handoff: 2 forked workers, handoff: 1 in-process worker)",
+            "no-handoff: 2 forked workers, handoff: 2 nodes over a file store)",
             f"{'config':12s} {'P computed':>10s} {'P reused':>10s} {'pairs':>8s}",
             row("serial", serial),
             row("no-handoff", independent),

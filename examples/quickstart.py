@@ -67,8 +67,10 @@ def main() -> None:
     # The sharded executor partitions the algorithm's shard units across
     # worker processes: Q's Hilbert-ordered leaves for NM/PM, top-level
     # R'_P partitions of the synchronous traversal for FM.  workers=4 forks
-    # four processes; workers=1 runs the same units in this process.  The
-    # pair list is byte-identical to the serial run in every case.
+    # four processes; workers=1 is the serial run.  The pair list is
+    # byte-identical to the serial run in every case.  Forked units are
+    # independent, so NM recomputes the P-cells the REUSE buffer would have
+    # carried across unit boundaries.
     config = EngineConfig(executor="sharded", workers=4)
     workload = build_workload(WorkloadConfig(), points_p=restaurants, points_q=cinemas)
     sharded = engine.run(
@@ -86,22 +88,6 @@ def main() -> None:
           f"(the synchronous traversal shards by top-level R'_P entries)")
     print()
 
-    print("=== Shard-boundary REUSE handoff ===")
-    # Forked shards are independent, so NM recomputes the P-cells the REUSE
-    # buffer would have carried across shard boundaries.  With workers=1
-    # the shards run in-process one after another, and shard k's final
-    # buffer seeds shard k+1, restoring the exact serial reuse accounting.
-    config = EngineConfig(executor="sharded", workers=1)
-    workload = build_workload(WorkloadConfig(), points_p=restaurants, points_q=cinemas)
-    handoff = engine.run(
-        "nm", workload.tree_p, workload.tree_q, config, domain=workload.domain
-    )
-    print(f"handoff NM-CIJ pairs  : {len(handoff.pairs)} "
-          f"(identical to serial: {handoff.pairs == result.pairs})")
-    print(f"P-cells recomputed    : serial {result.stats.cells_computed_p}, "
-          f"handoff {handoff.stats.cells_computed_p} (equal again)")
-    print()
-
     print("=== Distributed quickstart: coordinator + node subprocesses ===")
     # executor="distributed" runs the same work units on separate node
     # interpreters (python -m repro.engine.node): the coordinator hands
@@ -112,7 +98,8 @@ def main() -> None:
     # rejected).  The engine reads the backend from the trees' disk.
     # Results merge in unit order: pairs, JoinStats and the deterministic
     # counters are byte-identical to the serial run, REUSE accounting
-    # included (the distributed NM chains the handoff by default).
+    # included: the distributed NM chains the shard-boundary REUSE handoff,
+    # seeding unit k+1 with unit k's final buffer.
     dist_workload = build_workload(
         WorkloadConfig(storage="file"), points_p=restaurants, points_q=cinemas
     )
@@ -128,7 +115,8 @@ def main() -> None:
     print(f"distributed NM pairs  : {len(distributed.pairs)} "
           f"(identical to serial: {distributed.pairs == result.pairs})")
     print(f"P-cells recomputed    : serial {result.stats.cells_computed_p}, "
-          f"distributed {distributed.stats.cells_computed_p} (equal)")
+          f"sharded {sharded.stats.cells_computed_p}, "
+          f"distributed {distributed.stats.cells_computed_p} (chained: equal)")
     print(f"units per node        : "
           + ", ".join(f"{node} -> {len(ids)}" for node, ids in sorted(trace.items())))
     # NM's chained handoff makes unit k+1 wait for unit k's REUSE carry

@@ -22,25 +22,22 @@ and the simulated storage / R-tree substrate in :mod:`repro.storage` and
 
 from __future__ import annotations
 
-from typing import Optional, Sequence
+from typing import TYPE_CHECKING, Optional, Sequence
 
-from repro.engine import EngineConfig, JoinEngine, default_engine
-from repro.engine.config import resolve_config
-from repro.geometry import ConvexPolygon, Point, Rect
-from repro.join import (
-    CIJResult,
-    brute_force_cij,
-    epsilon_distance_join,
-    fm_cij,
-    nm_cij,
-    pm_cij,
-)
-from repro.voronoi import VoronoiCell, VoronoiDiagram, compute_voronoi_cell
+if TYPE_CHECKING:
+    from repro.engine import EngineConfig
+    from repro.geometry import Point, Rect
+    from repro.join import CIJResult
 
 __version__ = "1.2.0"
 
 #: Exports loaded on first access (PEP 562): a node or page-server
-#: interpreter imports this package but runs no workload or dynamic code.
+#: interpreter imports this package but runs only part of it.
+_ENGINE_EXPORTS = ("EngineConfig", "JoinEngine", "default_engine")
+_GEOMETRY_EXPORTS = ("ConvexPolygon", "Point", "Rect")
+_JOIN_EXPORTS = ("CIJResult", "brute_force_cij", "epsilon_distance_join",
+                 "fm_cij", "nm_cij", "pm_cij")
+_VORONOI_EXPORTS = ("VoronoiCell", "VoronoiDiagram", "compute_voronoi_cell")
 _DATASETS_EXPORTS = ("DOMAIN", "clustered_points", "gaussian_points",
                      "real_like_dataset", "uniform_points")
 _WORKLOAD_EXPORTS = ("DynamicWorkloadConfig", "WorkloadConfig", "build_workload",
@@ -50,7 +47,15 @@ _DYNAMIC_EXPORTS = ("DynamicJoinSession", "PairDelta", "Update", "UpdateBatch",
 
 
 def __getattr__(name):
-    if name in _DATASETS_EXPORTS:
+    if name in _ENGINE_EXPORTS:
+        from repro import engine as module
+    elif name in _GEOMETRY_EXPORTS:
+        from repro import geometry as module
+    elif name in _JOIN_EXPORTS:
+        from repro import join as module
+    elif name in _VORONOI_EXPORTS:
+        from repro import voronoi as module
+    elif name in _DATASETS_EXPORTS:
         from repro import datasets as module
     elif name in _WORKLOAD_EXPORTS:
         from repro.datasets import workload as module
@@ -150,6 +155,9 @@ def common_influence_join(
         counters are byte-identical across executors.
     """
     from repro.datasets import DOMAIN, WorkloadConfig, build_workload
+    from repro.engine import default_engine
+    from repro.engine.config import resolve_config
+    from repro.geometry import Rect
 
     engine = default_engine()
     method_key = method.lower()

@@ -24,15 +24,11 @@ variant shards: NM/PM by R_Q leaves, FM by top-level R'_P join partitions)::
     python -m repro.cli join --n-p 500 --n-q 500 --executor sharded --workers 4
     python -m repro.cli join --n-p 500 --n-q 500 --method fm --executor sharded --workers 4
 
-Sharded NM on one worker runs its units in-process and hands the REUSE
-buffer from unit to unit, so its P-cell counts equal the serial run's
-(forked workers run independent units; a distributed NM always chains)::
-
-    python -m repro.cli join --executor sharded --workers 1
-
 Distributed join: the same work units pulled over NDJSON by two node
 subprocesses that reopen the shared backend read-only (needs --storage
-file, sqlite or remote; merged output is byte-identical to serial)::
+file, sqlite or remote; merged output is byte-identical to serial).  A
+distributed NM hands the REUSE buffer from unit to unit, so its P-cell
+counts equal the serial run's; forked workers run independent units::
 
     python -m repro.cli join --n-p 500 --n-q 500 --storage file --executor distributed --nodes 2
 

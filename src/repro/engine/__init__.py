@@ -13,19 +13,18 @@ The serial executor preserves the paper's single-threaded semantics.  The
 sharded and distributed executors enumerate the algorithm's
 :class:`~repro.engine.units.WorkUnit` descriptors — ``R_Q``'s
 Hilbert-ordered leaves for NM/PM, top-level ``R'_P`` partitions of the
-synchronous traversal for FM — and hand them out through the pull-based
-:class:`~repro.engine.coordinator.UnitCoordinator`: local
-``multiprocessing`` workers for ``"sharded"``, node subprocesses speaking
-the NDJSON unit protocol over a shared on-disk backend for
-``"distributed"`` (:mod:`repro.engine.node`).  Results are merged in unit
-index order, so pairs and statistics are deterministic and byte-identical
-to serial whatever the assignment (see :mod:`repro.engine.executors` for
-the correctness argument).  Where the units run decides whether NM-CIJ
-hands its REUSE buffer across unit boundaries, restoring the serial
-cell-reuse chain: a sharded run with ``workers=1`` and every distributed
-run chain it, a fork pool's units stay independent.  Every page fetch,
-whatever the executor, is the page store's synchronous read — the paper's
-cost model.  :func:`default_engine` is the shared process-wide engine.
+synchronous traversal for FM — and run them on a local fork pool
+(``"sharded"``) or on node subprocesses speaking the NDJSON unit protocol
+over a shared on-disk backend (``"distributed"``, :mod:`repro.engine.node`).
+The :class:`~repro.engine.coordinator.UnitCoordinator` merges the results
+in unit index order, so pairs and statistics are deterministic and
+byte-identical to serial whatever the assignment (see
+:mod:`repro.engine.executors` for the correctness argument).  A sharded
+run with ``workers=1`` is the serial run.  A distributed NM-CIJ hands its
+REUSE buffer across unit boundaries, restoring the serial cell-reuse
+chain; a fork pool's units stay independent.  Every page fetch, whatever
+the executor, is the page store's synchronous read — the paper's cost
+model.  :func:`default_engine` is the shared process-wide engine.
 """
 
 from repro.engine.algorithms import (

@@ -44,11 +44,10 @@ class EngineConfig:
         counters are byte-identical to serial for every executor.
     workers:
         Number of local worker processes for the sharded executor.
-        ``1`` runs the units sequentially in this process (same unit/merge
-        path), chaining NM-CIJ's REUSE buffer from unit to unit; more fork
-        ``min(workers, units)`` processes running independent units,
-        falling back to (still unchained) in-process execution when a fork
-        pool cannot be created.
+        ``1`` is the serial run; more fork ``min(workers, units)``
+        processes running independent units (NM-CIJ's REUSE buffer does
+        not cross a unit boundary).  A platform without the ``fork`` start
+        method rejects more than one worker.
     nodes:
         Number of worker subprocesses for the distributed executor.  Each
         node is a separate interpreter (``python -m repro.engine.node``)

@@ -1,13 +1,12 @@
 """The coordinator: pull-based unit scheduling + deterministic merge.
 
-The sharded executor used to split the unit sequence into ``workers``
-contiguous chunks up front.  Static chunking is fragile under skew — one
-dense cluster of ``R_Q`` leaves makes one chunk arbitrarily more expensive
-than the rest and every other worker goes idle.  The
-:class:`UnitCoordinator` replaces it with *pull* scheduling: workers ask
-for the next unit when they finish the previous one, so a worker stuck on
-an expensive unit simply stops pulling while the others drain the queue —
-which is work stealing without a stealing protocol.
+Static chunking of the unit sequence into ``workers`` contiguous runs is
+fragile under skew — one dense cluster of ``R_Q`` leaves makes one chunk
+arbitrarily more expensive than the rest and every other worker goes
+idle.  The :class:`UnitCoordinator` schedules by *pull* instead: workers
+ask for the next unit when they finish the previous one, so a worker stuck
+on an expensive unit simply stops pulling while the others drain the
+queue — which is work stealing without a stealing protocol.
 
 Assignment is *lease*-based, not consuming: a pulled unit stays owned by
 the queue until its result is recorded.  When a worker dies mid-unit the
@@ -27,12 +26,12 @@ unit the queue already reassigned — are idempotently ignored: the first
 recorded result wins, and since units are pure the loser was identical
 anyway.
 
-In a chained run (NM-CIJ on the sharded executor's single inline worker,
-or on nodes) unit ``k``'s inbound carry is unit ``k-1``'s outbound REUSE
-buffer, so the carry is decoupled from the lease.  Units are still leased
-in index order, one per pulling worker, but a chained unit may be leased
-while its predecessor still runs: the worker starts the carry-free part of
-the unit (NM's leaf cells and ConditionalFilter) and calls
+In a chained run (NM-CIJ on nodes) unit ``k``'s inbound carry is unit
+``k-1``'s outbound REUSE buffer, so the carry is decoupled from the lease.
+Units are still leased in index order, one per pulling worker, but a
+chained unit may be leased while its predecessor still runs: the worker
+starts the carry-free part of the unit (NM's leaf cells and
+ConditionalFilter) and calls
 :meth:`UnitCoordinator.await_carry` only when it needs the carry, which
 blocks until unit ``k-1``'s result is recorded.  The carry is always read
 from the *recorded* predecessor result, so a retried unit gets exactly the
@@ -48,10 +47,10 @@ the worker is free to pull the released predecessor, lowest index first.
 So the lowest unrecorded unit is always either running or next in line,
 down to a single live worker.
 
-The same coordinator instance serves every worker plane: the inline loop,
-fork-pool dispatcher threads, and the per-node driver threads of the
-distributed executor all call :meth:`next_assignment` /
-:meth:`record_result` / :meth:`release` under one lock.
+The per-node driver threads of the distributed executor call
+:meth:`next_assignment` / :meth:`record_result` / :meth:`release` under one
+lock.  The sharded executor's fork pool does its own pull scheduling and
+only records each unit's result here for the ordered :meth:`merge`.
 """
 
 from __future__ import annotations
@@ -72,13 +71,14 @@ GIVE_WAY = object()
 
 @dataclass(frozen=True)
 class Assignment:
-    """One unit handed to one worker, with its inbound carry (if chained)."""
+    """One unit leased to one worker.
+
+    A chained unit's inbound carry comes from
+    :meth:`UnitCoordinator.await_carry`, not from the lease.
+    """
 
     index: int
     unit: WorkUnit
-    #: The inbound carry, if already recorded at lease time (otherwise
-    #: :meth:`UnitCoordinator.await_carry` waits for it).
-    carry: Optional[object] = None
     #: 1 for the first handout of the unit, 2 for its first retry, ...
     attempt: int = 1
 
@@ -148,11 +148,9 @@ class UnitCoordinator:
                 self._attempts[index] = self._attempts.get(index, 0) + 1
                 self._leases[index] = worker_id
                 self.assignments.setdefault(worker_id, []).append(index)
-                predecessor = self._results.get(index - 1) if self._chained else None
                 return Assignment(
                     index=index,
                     unit=self._units[index],
-                    carry=predecessor.carry if predecessor is not None else None,
                     attempt=self._attempts[index],
                 )
 
@@ -267,23 +265,18 @@ class UnitCoordinator:
                 )
             return [self._results[index] for index in range(len(self._units))]
 
-    def merge(
-        self,
-        ctx: JoinContext,
-        base_accesses: int,
-        absorb_counters: bool,
-    ) -> List[Tuple[int, int]]:
+    def merge(self, ctx: JoinContext, base_accesses: int) -> List[Tuple[int, int]]:
         """Fold unit results into the parent context, in unit order.
 
         Pairs are concatenated; scalar statistics are summed; each unit's
         progress curve is replayed at the offset of everything that ran
         before it, which keeps the merged curve monotone and identical
-        across worker planes.  When the workers charged their own counter
-        copies (fork, node subprocess) their deltas — page counters and
-        store bytes — are absorbed into the parent disk so its view stays
-        complete.  Only
-        *recorded* results are merged — the partial work of a worker that
-        died mid-unit was never recorded, so retries cannot double-charge.
+        across worker planes.  Every worker (fork or node subprocess)
+        charged its own counter copy, so each unit's deltas — page
+        counters and store bytes — are absorbed into the parent disk to
+        keep its view complete.  Only *recorded* results are merged — the
+        partial work of a worker that died mid-unit was never recorded, so
+        retries cannot double-charge.
         """
         pairs: List[Tuple[int, int]] = []
         pair_base = 0
@@ -296,10 +289,9 @@ class UnitCoordinator:
                     base_accesses + sample.page_accesses,
                     pair_base + sample.pairs_reported,
                 )
-            if absorb_counters:
-                ctx.disk.counters.absorb(shard.counters)
-                ctx.disk.store.bytes_read += shard.bytes_read
-                ctx.disk.store.bytes_written += shard.bytes_written
+            ctx.disk.counters.absorb(shard.counters)
+            ctx.disk.store.bytes_read += shard.bytes_read
+            ctx.disk.store.bytes_written += shard.bytes_written
             base_accesses += shard.counters.page_accesses
             pair_base += len(shard.pairs)
             pairs.extend(shard.pairs)

@@ -2,24 +2,22 @@
 
 * :class:`SerialExecutor` calls the algorithm's ``run_join`` directly and
   reproduces the paper's single-threaded semantics bit for bit.
-* :class:`ShardedExecutor` enumerates the algorithm's ordered
+* :class:`ShardedExecutor` with one worker is the serial run.  With more it
+  enumerates the algorithm's ordered
   :class:`~repro.engine.units.WorkUnit` descriptors — Hilbert-ordered
   ``R_Q`` leaves for NM-CIJ/PM-CIJ, top-level ``R'_P`` join partitions for
-  FM-CIJ — and schedules them through a pull-based
-  :class:`~repro.engine.coordinator.UnitCoordinator` over
-  ``min(workers, units)`` local ``fork`` workers — or in this process,
-  sequentially, through the very same unit/merge path when ``workers`` is
-  1, there is one unit, or the platform cannot fork.  Each unit runs
-  against its own counter snapshot and the dispatch-time buffer state;
-  the coordinator merges result pairs and every statistics record
-  deterministically, in unit order, so the merged pair list is
-  byte-identical to the serial one and the merged counters are the exact
-  sum of the per-unit deltas.
-* :class:`DistributedExecutor` runs the same coordinator over ``nodes``
-  worker *subprocesses* (:mod:`repro.engine.node`) that reopen the shared
-  file, sqlite or remote backend read-only and exchange units and results
-  over an NDJSON pipe protocol — the process-simulated form of an elastic
-  worker tier over shared storage.
+  FM-CIJ — and maps them over a pool of ``min(workers, units)`` local
+  ``fork`` workers, each idle worker pulling the next unit.  Each unit
+  runs against its own counter copy and the dispatch-time buffer state;
+  the :class:`~repro.engine.coordinator.UnitCoordinator` merges result
+  pairs and every statistics record deterministically, in unit order, so
+  the merged pair list is byte-identical to the serial one and the merged
+  counters are the exact sum of the per-unit deltas.
+* :class:`DistributedExecutor` runs the coordinator's pull API over
+  ``nodes`` worker *subprocesses* (:mod:`repro.engine.node`) that reopen
+  the shared file, sqlite or remote backend read-only and exchange units
+  and results over an NDJSON pipe protocol — the process-simulated form of
+  an elastic worker tier over shared storage.
 
 Parallel-correctness argument: the pairs a unit reports depend only on the
 unit itself, the two source trees and the domain — never on buffer state,
@@ -29,23 +27,15 @@ assignment of units to workers was.  What *can* differ is cost: NM-CIJ's
 REUSE buffer crosses a unit boundary only when the coordinator chains the
 units, seeding each with its predecessor's final buffer
 (``JoinContext.carry``), so recomputation drops to exactly serial levels.
-Where the units run decides it: the sharded executor chains exactly when
-``workers == 1`` (its units then run one after another in this process
-anyway), and a fork pool's units are independent; the distributed
-executor always chains, and a node waits for the carry only where NM
-reads it (see :class:`DistributedExecutor`).  The cost is reported
-honestly through the merged statistics either way.
-
-In-process (inline) execution also isolates the shared LRU buffer: every
-unit starts from the dispatch-time buffer state a forked worker would
-inherit, and the parent's buffer is rewound afterwards — so inline, forked
-and node-based executions produce identical counters, not just identical
-pairs.
+The distributed executor always chains, and a node waits for the carry
+only where NM reads it (see :class:`DistributedExecutor`); a fork pool's
+units are independent.  The cost is reported honestly through the merged
+statistics either way.
 """
 
 from __future__ import annotations
 
-import multiprocessing
+import os
 import threading
 import time
 from dataclasses import dataclass
@@ -112,20 +102,20 @@ def _worker_init(algorithm, ctx, units) -> None:
     ctx.disk.reopen_for_worker()
 
 
-def _worker_run_shard(index: int) -> ShardResult:
+def _worker_run_shard(index: int) -> Tuple[str, ShardResult]:
     algorithm = _WORKER_STATE["algorithm"]
     ctx = _WORKER_STATE["ctx"]
     units = _WORKER_STATE["units"]
     # Rewind to the dispatch-time buffer before every unit: a worker that
     # wins the queue race for another unit must not leak the previous
-    # unit's warm pages into it (inline execution rewinds identically,
-    # keeping counters byte-equal across worker planes).
+    # unit's warm pages into it (a node rewinds identically, keeping
+    # counters byte-equal across worker planes).
     ctx.disk.restore_buffer_state(_WORKER_STATE["dispatch_buffer"])
     result = _execute_shard(algorithm, ctx, units[index], index)
     # Forked units are never chained: keep the (potentially large) REUSE
     # buffer nobody consumes off the result pipe.
     result.carry = None
-    return result
+    return f"fork-{os.getpid()}", result
 
 
 def _execute_shard(
@@ -139,13 +129,12 @@ def _execute_shard(
 
     In a forked worker or a node subprocess the disk object is the
     worker's own copy, so the snapshot/diff pair measures exactly this
-    unit's traffic; inline, the same snapshot/diff isolates the delta on
-    the shared counters.  The store's byte counters are diffed the same
-    way.  ``carry`` seeds the inbound boundary state (the
-    previous unit's REUSE buffer) when the units are chained.  The
-    :class:`~repro.engine.units.WorkUnit` descriptor is resolved back to a
-    runnable object without charging I/O (the dispatcher already charged
-    the enumeration).
+    unit's traffic, and the store's byte counters are diffed the same
+    way.  ``carry`` seeds the inbound boundary state (the previous unit's
+    REUSE buffer, or a node's callable that fetches it) when the units are
+    chained.  The :class:`~repro.engine.units.WorkUnit` descriptor is
+    resolved back to a runnable object without charging I/O (the
+    dispatcher already charged the enumeration).
     """
     runnable = algorithm.resolve_unit(parent_ctx, unit)
     disk = parent_ctx.disk
@@ -182,12 +171,13 @@ def _execute_shard(
 
 
 class ShardedExecutor:
-    """Schedule the algorithm's work units across local workers and merge.
+    """Map the algorithm's work units over a local fork pool and merge.
 
     Built from the :class:`EngineConfig` it serves: ``workers`` is read
-    from there (and range-checked there), and NM's REUSE carry is chained
-    exactly when it is 1 — a rule on the configuration, never on the
-    runtime fork fallback, so counters stay machine-independent.
+    from there (and range-checked there).  One worker is the serial run
+    itself; more fork a :class:`~concurrent.futures.ProcessPoolExecutor`
+    of ``min(workers, units)`` processes whose units never chain NM's
+    REUSE carry.
     """
 
     name = "sharded"
@@ -199,131 +189,47 @@ class ShardedExecutor:
         self.last_assignments: Optional[Dict[str, List[int]]] = None
 
     def execute(self, algorithm: JoinAlgorithm, ctx: JoinContext) -> List[Tuple[int, int]]:
+        self.last_assignments = None
+        if self.config.workers == 1:
+            return algorithm.run_join(ctx)
         # Enumerating the units is part of the join and is charged to the
         # parent, once, before any worker starts.
         units = algorithm.work_units(ctx)
         if not units:
             return []
-        chained = algorithm.supports_handoff and self.config.workers == 1
-        coordinator = UnitCoordinator(units, chained=chained)
-        base_accesses = ctx.disk.counters.diff(ctx.start_counters).page_accesses
-        forked = False
-        if self.config.workers > 1 and len(units) > 1:
-            forked = self._run_units_fork(algorithm, ctx, coordinator, units)
-        if not forked:
-            self._run_units_inline(algorithm, ctx, coordinator, len(units))
-        self.last_assignments = dict(coordinator.assignments)
-        return coordinator.merge(ctx, base_accesses, absorb_counters=forked)
+        # Imported here: a node imports this module for _execute_shard and
+        # never forks.
+        import multiprocessing
+        from concurrent.futures import ProcessPoolExecutor
 
-    def _run_units_fork(
-        self,
-        algorithm: JoinAlgorithm,
-        ctx: JoinContext,
-        coordinator: UnitCoordinator,
-        units: Sequence[WorkUnit],
-    ) -> bool:
-        """Drain the coordinator through a fork pool; False = unavailable.
-
-        One dispatcher thread per pool worker pulls assignments and blocks
-        in ``pool.apply`` while its unit runs, so a worker stuck on an
-        expensive unit stops pulling and the others drain the queue — the
-        pull scheduling is identical to the inline and node planes.  Only
-        pool *creation* falls back to inline; an error raised by the join
-        itself inside a worker propagates unchanged.
-        """
-        size = min(self.config.workers, len(units))
-        pool = self._make_fork_pool(algorithm, ctx, units, size)
-        if pool is None:
-            return False
-        errors: List[BaseException] = []
-
-        def drive(worker_id: str) -> None:
-            while True:
-                assignment = coordinator.next_assignment(worker_id)
-                if assignment is None:
-                    return
-                try:
-                    result = pool.apply(_worker_run_shard, (assignment.index,))
-                except BaseException as error:  # noqa: BLE001 - reraised below
-                    errors.append(error)
-                    coordinator.abort(error)
-                    return
-                coordinator.record_result(assignment.index, result)
-
-        with pool:
-            threads = [
-                threading.Thread(target=drive, args=(f"fork-{i}",))
-                for i in range(size)
-            ]
-            for thread in threads:
-                thread.start()
-            for thread in threads:
-                thread.join()
-        if errors:
-            raise errors[0]
-        return True
-
-    def _run_units_inline(
-        self,
-        algorithm: JoinAlgorithm,
-        ctx: JoinContext,
-        coordinator: UnitCoordinator,
-        unit_count: int,
-    ) -> None:
-        """Sequential in-process drain through the same unit/merge path.
-
-        Every unit is rewound to the dispatch-time buffer state a forked
-        worker would inherit, so inline and forked runs charge identical
-        counters; the parent's buffer is likewise rewound afterwards (a
-        fork parent's buffer never sees the workers' traffic either).
-        """
-        isolate = unit_count > 1
-        dispatch_state = ctx.disk.buffer_state() if isolate else None
-        first = True
-        try:
-            while True:
-                assignment = coordinator.next_assignment("inline-0")
-                if assignment is None:
-                    return
-                if dispatch_state is not None and not first:
-                    ctx.disk.restore_buffer_state(dispatch_state)
-                first = False
-                try:
-                    result = _execute_shard(
-                        algorithm,
-                        ctx,
-                        assignment.unit,
-                        assignment.index,
-                        carry=assignment.carry,
-                    )
-                except BaseException as error:  # noqa: BLE001 - reraised
-                    coordinator.abort(error)
-                    raise
-                coordinator.record_result(assignment.index, result)
-        finally:
-            # Rewind even when a unit raises: a follow-up run on the same
-            # disk then starts from the dispatch-time buffer, not a
-            # half-executed unit's.
-            if dispatch_state is not None:
-                ctx.disk.restore_buffer_state(dispatch_state)
-
-    def _make_fork_pool(
-        self,
-        algorithm: JoinAlgorithm,
-        ctx: JoinContext,
-        units: Sequence[WorkUnit],
-        size: int,
-    ):
-        """A fork worker pool, or ``None`` when the platform cannot fork."""
         try:
             context = multiprocessing.get_context("fork")
-            return context.Pool(
-                size,
-                initializer=_worker_init,
-                initargs=(algorithm, ctx, list(units)),
-            )
-        except (OSError, ValueError, ImportError):
-            return None
+        except ValueError as error:
+            raise ValueError(
+                "executor='sharded' with more than one worker needs the "
+                "'fork' start method, which this platform lacks; use "
+                "executor='serial'"
+            ) from error
+        coordinator = UnitCoordinator(units)
+        base_accesses = ctx.disk.counters.diff(ctx.start_counters).page_accesses
+        assignments: Dict[str, List[int]] = {}
+        # Chunksize 1: an idle worker pulls the next unit, so one stuck on
+        # an expensive unit stops pulling while the others drain the queue.
+        # A worker that dies, or whose initializer raises, breaks the pool
+        # (BrokenProcessPool) instead of being replaced.
+        with ProcessPoolExecutor(
+            min(self.config.workers, len(units)),
+            mp_context=context,
+            initializer=_worker_init,
+            initargs=(algorithm, ctx, units),
+        ) as pool:
+            for worker, result in pool.map(
+                _worker_run_shard, range(len(units)), chunksize=1
+            ):
+                assignments.setdefault(worker, []).append(result.index)
+                coordinator.record_result(result.index, result)
+        self.last_assignments = assignments
+        return coordinator.merge(ctx, base_accesses)
 
 
 class DistributedExecutor:
@@ -337,8 +243,8 @@ class DistributedExecutor:
     statistics and deterministic counters are byte-identical to the serial
     run no matter how units were assigned.
 
-    NM-CIJ's REUSE carry is always chained here (the sharded executor
-    chains it only at ``workers == 1``): a distributed run's output must
+    NM-CIJ's REUSE carry is always chained here (a fork pool's units never
+    chain it): a distributed run's output must
     match serial counters exactly, and the chain is what restores the
     serial recomputation counts.  The chain still runs the nodes in
     parallel: a free node leases the next unit while its predecessor runs
@@ -555,7 +461,7 @@ class DistributedExecutor:
             raise errors[0]
         if coordinator.error is not None:
             raise coordinator.error
-        return coordinator.merge(ctx, base_accesses, absorb_counters=True)
+        return coordinator.merge(ctx, base_accesses)
 
 
 def executor_for(config: EngineConfig):

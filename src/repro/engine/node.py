@@ -400,17 +400,16 @@ class NodeProcess:
     def run_unit(
         self,
         assignment,
+        await_carry: Callable[[Any], object],
         timeout: Optional[float] = None,
-        await_carry: Optional[Callable[[Any], object]] = None,
     ) -> Optional["ShardResult"]:
         """Execute one assignment on the node; blocks until its result.
 
         In a chained run (``handoff`` in the init spec) the unit goes out
         first, so the node computes its carry-free part while
         ``await_carry`` (the coordinator's
-        :meth:`~repro.engine.coordinator.UnitCoordinator.await_carry`;
-        default: the assignment's own carry) blocks; the carry follows as
-        its own message.  If the lease gave way instead, the node is told
+        :meth:`~repro.engine.coordinator.UnitCoordinator.await_carry`)
+        blocks; the carry follows as its own message.  If the lease gave way instead, the node is told
         to drop the unit and ``None`` is returned.
         """
         from repro.engine.coordinator import GIVE_WAY
@@ -419,7 +418,7 @@ class NodeProcess:
         index = assignment.index
         self._send({"type": "unit", "index": index, "unit": assignment.unit.to_wire()})
         if self._handoff:
-            carry = await_carry(assignment) if await_carry else assignment.carry
+            carry = await_carry(assignment)
             if carry is GIVE_WAY:
                 try:
                     self._send({"type": "yield", "index": index})

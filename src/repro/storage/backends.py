@@ -202,10 +202,6 @@ class PageStore(abc.ABC):
         """Number of stored pages, optionally restricted to one tag."""
 
     @abc.abstractmethod
-    def data_size_bytes(self, tag: Optional[str] = None) -> int:
-        """Sum of the *logical* page sizes, optionally restricted to a tag."""
-
-    @abc.abstractmethod
     def stats(self) -> StorageStats:
         """Physical byte-movement statistics."""
 
@@ -261,13 +257,6 @@ class MemoryPageStore(PageStore):
         if tag is None:
             return len(self._pages)
         return sum(1 for record in self._pages.values() if record.tag == tag)
-
-    def data_size_bytes(self, tag: Optional[str] = None) -> int:
-        return sum(
-            record.size_bytes
-            for record in self._pages.values()
-            if tag is None or record.tag == tag
-        )
 
     def stats(self) -> StorageStats:
         return StorageStats(backend=self.name, pages=len(self._pages))
@@ -409,11 +398,6 @@ class FilePageStore(PageStore):
         if tag is None:
             return len(self._dir)
         return sum(1 for entry in self._dir.values() if entry[1] == tag)
-
-    def data_size_bytes(self, tag: Optional[str] = None) -> int:
-        return sum(
-            entry[2] for entry in self._dir.values() if tag is None or entry[1] == tag
-        )
 
     def stats(self) -> StorageStats:
         return StorageStats(
@@ -738,15 +722,6 @@ class SQLitePageStore(PageStore):
         else:
             row = self._conn.execute(
                 "SELECT COUNT(*) FROM pages WHERE tag = ?", (tag,)
-            ).fetchone()
-        return int(row[0])
-
-    def data_size_bytes(self, tag: Optional[str] = None) -> int:
-        if tag is None:
-            row = self._conn.execute("SELECT COALESCE(SUM(size_bytes), 0) FROM pages").fetchone()
-        else:
-            row = self._conn.execute(
-                "SELECT COALESCE(SUM(size_bytes), 0) FROM pages WHERE tag = ?", (tag,)
             ).fetchone()
         return int(row[0])
 

@@ -92,10 +92,10 @@ class LRUBuffer:
     def restore(self, pages: list) -> None:
         """Replace the resident set with ``pages`` (LRU to MRU order).
 
-        Used to rewind the buffer to a previously captured state (e.g. the
-        sharded executor's inline fallback, which gives every shard the
-        same starting buffer a forked worker would inherit).  No eviction
-        callbacks fire: the caller restores any dependent caches itself.
+        Used to rewind the buffer to a previously captured state (a fork
+        worker or a node starts every unit from the dispatch-time buffer).
+        No eviction callbacks fire: the caller restores any dependent
+        caches itself.
         """
         if len(pages) > self._capacity:
             raise ValueError("cannot restore more pages than the capacity holds")

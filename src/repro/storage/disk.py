@@ -163,10 +163,6 @@ class DiskManager:
         """Number of allocated pages, optionally restricted to one tag."""
         return self.store.page_count(tag)
 
-    def data_size_bytes(self, tag: Optional[str] = None) -> int:
-        """Total bytes stored, optionally restricted to one tag."""
-        return self.store.data_size_bytes(tag)
-
     @property
     def storage_backend(self) -> str:
         """Name of the page-store backend (``memory``/``file``/``sqlite``/``remote``)."""
@@ -185,7 +181,7 @@ class DiskManager:
         """Resize the LRU buffer (contents are kept up to the new capacity)."""
         self.buffer.resize(buffer_pages)
 
-    def set_buffer_fraction(self, fraction: float, tag: Optional[str] = None) -> None:
+    def set_buffer_fraction(self, fraction: float) -> None:
         """Size the buffer as a fraction of the currently stored data size.
 
         This mirrors the paper's "buffer size set to x% of the data size on
@@ -193,7 +189,7 @@ class DiskManager:
         """
         if fraction < 0.0:
             raise ValueError("buffer fraction must be non-negative")
-        pages = int(round(self.page_count(tag) * fraction))
+        pages = int(round(self.page_count() * fraction))
         self.buffer.resize(pages)
         self.buffer.clear()
 
@@ -212,10 +208,10 @@ class DiskManager:
     def buffer_state(self):
         """Opaque snapshot of buffer residency plus the decoded-page cache.
 
-        Together with :meth:`restore_buffer_state` this lets the sharded
-        executor's inline fallback give every shard the exact buffer a
-        forked worker would inherit (the parent's state at dispatch time),
-        instead of leaking one shard's warm pages into the next.
+        Together with :meth:`restore_buffer_state` this lets a fork worker
+        start every unit it pulls from the buffer it inherited (the
+        parent's state at dispatch time), instead of leaking one unit's
+        warm pages into the next.
         """
         return (self.buffer.contents(), dict(self._cache))
 

@@ -20,7 +20,7 @@ Wire format (one request line, one response line)::
      "blob": "<base64 of the codec-encoded payload>"}}
 
 Ops: ``read_page``, ``write_page``, ``free_page``, ``page_meta``,
-``page_ids``, ``page_count``, ``data_size``, ``stats``, ``shutdown``.
+``page_ids``, ``page_count``, ``stats``, ``shutdown``.
 Unknown pages answer the structured error code ``unknown_page``, which
 the client re-raises as the ``KeyError`` every backend contract promises.
 
@@ -223,10 +223,6 @@ class PageServer:
             tag = request.get("tag")
             with self._lock:
                 return {"count": store.page_count(tag)}
-        if op == "data_size":
-            tag = request.get("tag")
-            with self._lock:
-                return {"bytes": store.data_size_bytes(tag)}
         if op == "stats":
             with self._lock:
                 stats = store.stats()
@@ -514,12 +510,6 @@ class RemotePageStore(PageStore):
         if tag is not None:
             payload["tag"] = tag
         return int(self._rpc(payload)["count"])
-
-    def data_size_bytes(self, tag: Optional[str] = None) -> int:
-        payload: Dict[str, Any] = {"op": "data_size"}
-        if tag is not None:
-            payload["tag"] = tag
-        return int(self._rpc(payload)["bytes"])
 
     def stats(self) -> StorageStats:
         remote = self._rpc({"op": "stats"})

@@ -14,8 +14,9 @@ is what it does not check:
 * the removed compute tier stays removed: no ``compute=`` option, no
   ``$REPRO_COMPUTE`` switch, and importing the package and its entry points
   never loads NumPy;
-* a node or page-server interpreter imports only what it runs, and a join
-  still runs after a bare ``import repro``.
+* a node or page-server interpreter imports only what it runs (a page
+  server no join code, a node no process pool), and a join still runs
+  after a bare ``import repro``.
 """
 
 from __future__ import annotations
@@ -79,19 +80,25 @@ class TestScalarMatchesOracle:
 
     @pytest.mark.parametrize("algorithm", ["nm", "pm", "fm"])
     def test_sharded_runs_match_oracle(self, oracle_pairs, memory_runs, algorithm):
-        """One worker chains the unit-boundary REUSE handoff, so the
-        sharded executor repeats the serial run's cell work exactly, not
-        just its pairs."""
+        """Forked units match the oracle.  PM and FM repeat the serial
+        run's cell and filter work exactly; NM's forked units run the same
+        ConditionalFilter but do not chain the REUSE buffer, so they
+        recompute P-cells."""
         result = run_cij(
             algorithm,
             POINTS_P,
             POINTS_Q,
             storage="memory",
             executor="sharded",
-            workers=1,
+            workers=3,
         )
         assert set(result.pairs) == oracle_pairs
-        assert work_fingerprint(result) == work_fingerprint(memory_runs(algorithm))
+        serial = memory_runs(algorithm)
+        if algorithm == "nm":
+            assert vars(result.filter_stats) == vars(serial.filter_stats)
+            assert result.cell_stats.refinements > serial.cell_stats.refinements
+        else:
+            assert work_fingerprint(result) == work_fingerprint(serial)
 
 
 class TestAblationsMatchOracle:
@@ -181,6 +188,31 @@ def test_spawned_entry_points_import_only_what_they_run(entry):
         f"import {entry}\n"
         f"unwanted = {NOT_IN_A_SPAWNED_CHILD!r}\n"
         "loaded = sorted(set(unwanted) & set(sys.modules))\n"
+        "assert not loaded, loaded\n",
+        "-S",
+    )
+
+
+def test_page_server_loads_no_join_code():
+    """A page server stores and serves pages; it never runs a join."""
+    _run_fresh(
+        "import sys\n"
+        "import repro.storage.pageserver\n"
+        "join_code = ('repro.engine', 'repro.join', 'repro.voronoi', 'repro.index')\n"
+        "loaded = sorted(set(join_code) & set(sys.modules))\n"
+        "assert not loaded, loaded\n",
+        "-S",
+    )
+
+
+def test_node_loads_no_process_pool():
+    """A node runs units itself; only the sharded executor's fork pool
+    needs ``multiprocessing`` and ``concurrent.futures``."""
+    _run_fresh(
+        "import sys\n"
+        "import repro.engine.node\n"
+        "pools = ('multiprocessing', 'concurrent.futures')\n"
+        "loaded = sorted(set(pools) & set(sys.modules))\n"
         "assert not loaded, loaded\n",
         "-S",
     )

@@ -9,7 +9,8 @@ Covers the three planes the tier is built from —
 * the node plane (:mod:`repro.engine.node`): wire codecs that round-trip
   statistics and the REUSE carry bit-for-bit, and real node subprocesses
   driven through the NDJSON protocol, including a forced steal where a
-  deliberately slowed node cedes the queue to the fast one.
+  deliberately slowed node cedes the queue to the fast one, and the REUSE
+  chain they run, checked against serial and the fork pool.
 """
 
 from __future__ import annotations
@@ -109,12 +110,11 @@ class TestUnitCoordinator:
     def test_chained_mode_is_a_pipeline(self):
         coordinator = UnitCoordinator(make_units(3), chained=True)
         first = coordinator.next_assignment("a")
-        assert first.carry is None
         assert coordinator.await_carry(first) is None
 
         # Unit 1 is leased at once, while unit 0 is still outstanding ...
         second = coordinator.next_assignment("b")
-        assert (second.index, second.carry) == (1, None)
+        assert second.index == 1
         assert coordinator.outstanding() == 2
 
         handed = []
@@ -244,14 +244,15 @@ class TestUnitCoordinator:
         first = coordinator.next_assignment("a")
         coordinator.record_result(0, FakeResult(0, carry={"cells": 1}))
         second = coordinator.next_assignment("a")
-        assert (second.index, second.carry) == (1, {"cells": 1})
+        assert second.index == 1
+        assert coordinator.await_carry(second) == {"cells": 1}
         # Unit 1's worker dies mid-compute; the retry must re-run from the
         # recorded carry of unit 0, not from whatever was live.
         coordinator.release(1, error=RuntimeError("node died"))
         retry = coordinator.next_assignment("b")
         assert (retry.index, retry.attempt) == (1, 2)
-        assert retry.carry == {"cells": 1}
-        assert first.carry is None
+        assert coordinator.await_carry(retry) == {"cells": 1}
+        assert coordinator.await_carry(first) is None
 
     def test_chained_release_of_first_unit_rewinds_to_none(self):
         coordinator = UnitCoordinator(
@@ -260,7 +261,8 @@ class TestUnitCoordinator:
         coordinator.next_assignment("a")
         coordinator.release(0, error=RuntimeError("node died"))
         retry = coordinator.next_assignment("b")
-        assert (retry.index, retry.carry) == (0, None)
+        assert retry.index == 0
+        assert coordinator.await_carry(retry) is None
 
     @pytest.mark.parametrize("released", [0, 1])
     def test_release_rewinds_successor_carry(self, released):
@@ -284,10 +286,11 @@ class TestUnitCoordinator:
         assert coordinator.await_carry(retry) == expected
         coordinator.record_result(released, FakeResult(released, carry={"cells": 9}))
         again = coordinator.next_assignment("b")
-        assert (again.index, again.carry) == (released + 1, {"cells": 9})
+        assert again.index == released + 1
+        assert coordinator.await_carry(again) == {"cells": 9}
         assert coordinator.gave_way == {released + 1: 1}
         if released == 1:
-            assert zero.carry is None
+            assert coordinator.await_carry(zero) is None
 
     def test_last_worker_gives_way_and_finishes_in_order(self):
         """Node A dies holding unit 0 while node B waits for its carry: B
@@ -344,7 +347,8 @@ class TestUnitCoordinator:
         assert (zero.index, zero.attempt) == (0, 2)
         # Unit 1's re-lease is still its first attempt, so one real
         # failure of it is retried instead of aborting the run.
-        assert (one.index, one.attempt, one.carry) == (1, 1, {"cells": 3})
+        assert (one.index, one.attempt) == (1, 1)
+        assert coordinator.await_carry(one) == {"cells": 3}
         coordinator.release(1, error=RuntimeError("node died"))
         assert coordinator.error is None
         retry = coordinator.next_assignment("b")
@@ -578,6 +582,60 @@ class TestDistributedExecutor:
             EngineConfig(nodes=0)
 
 
+class TestReuseChainOnNodes:
+    """A distributed NM chains the REUSE carry: unit k's final buffer seeds
+    unit k+1 on whichever node runs it, so every counter equals the serial
+    run's except the progress curve, which a parallel run offsets by the
+    unit enumeration it charges first.  A fork pool's units stay
+    independent and recompute the boundary cells."""
+
+    FIELDS = (
+        "mat_page_accesses",
+        "join_page_accesses",
+        "cells_computed_p",
+        "cells_computed_q",
+        "cells_reused_p",
+        "filter_candidates",
+        "filter_true_hits",
+    )
+
+    @staticmethod
+    def run(**overrides):
+        workload = fresh_workload(POINTS_P, POINTS_Q, storage="file")
+        try:
+            return JoinEngine().run(
+                "nm",
+                workload.tree_p,
+                workload.tree_q,
+                domain=workload.domain,
+                **overrides,
+            )
+        finally:
+            workload.close()
+
+    def test_chain_matches_serial_except_progress(self):
+        serial = self.run()
+        chained = self.run(executor="distributed", nodes=2)
+        assert chained.pairs == serial.pairs
+        for counter in self.FIELDS:
+            assert getattr(chained.stats, counter) == getattr(serial.stats, counter)
+        assert vars(chained.cell_stats) == vars(serial.cell_stats)
+        assert vars(chained.filter_stats) == vars(serial.filter_stats)
+        assert [s.pairs_reported for s in chained.stats.progress] == [
+            s.pairs_reported for s in serial.stats.progress
+        ]
+        first_pair = chained.stats.progress[0].page_accesses
+        assert first_pair > serial.stats.progress[0].page_accesses
+
+    def test_chain_closes_the_fork_recomputation_gap(self):
+        serial = self.run()
+        chained = self.run(executor="distributed", nodes=2)
+        forked = self.run(executor="sharded", workers=3)
+        assert forked.pairs == chained.pairs == serial.pairs
+        assert chained.stats.cells_computed_p == serial.stats.cells_computed_p
+        assert forked.stats.cells_computed_p > chained.stats.cells_computed_p
+
+
 class TestNodeProtocol:
     def test_bad_init_spec_surfaces_as_runtime_error(self):
         spec = {"version": 999, "algorithm": "nm"}
@@ -615,7 +673,8 @@ class TestNodeProtocol:
                 results = []
                 for unit in units:
                     result = node.run_unit(
-                        Assignment(index=unit.index, unit=unit, carry=carry)
+                        Assignment(index=unit.index, unit=unit),
+                        await_carry=lambda _assignment: carry,
                     )
                     carry = result.carry
                     results.append(result)

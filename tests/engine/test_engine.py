@@ -37,16 +37,6 @@ def run(algorithm, **overrides):
     return workload, result
 
 
-def run_without_fork(monkeypatch, algorithm, **overrides):
-    """``run`` where no fork pool can be created: the sharded executor then
-    drains its units in this process (the monkeypatch lasts for the rest
-    of the test, so run any forked comparison first)."""
-    monkeypatch.setattr(ShardedExecutor, "_make_fork_pool", lambda *args: None)
-    workload, result = run(algorithm, **overrides)
-    assert list(default_engine().last_executor.last_assignments) == ["inline-0"]
-    return workload, result
-
-
 class TestEngineAPI:
     def test_registered_algorithms(self):
         assert JoinEngine().algorithm_names() == ["brute", "fm", "nm", "pm"]
@@ -114,20 +104,6 @@ class TestShardedExecution:
         _, serial = run(algorithm)
         _, sharded = run(algorithm, executor="sharded", workers=workers)
         assert sharded.pairs == serial.pairs  # list equality: order included
-
-    def test_single_shard_reproduces_serial_costs(self):
-        """One worker never forks: the in-process drain pulls every unit and
-        chains the REUSE buffer through them, so even the REUSE-dependent cost
-        counters match the serial run exactly."""
-        _, serial = run("nm")
-        _, sharded = run("nm", executor="sharded", workers=1)
-        assert list(default_engine().last_executor.last_assignments) == ["inline-0"]
-        assert sharded.pairs == serial.pairs
-        assert sharded.stats.cells_computed_p == serial.stats.cells_computed_p
-        assert sharded.stats.cells_reused_p == serial.stats.cells_reused_p
-        assert (
-            sharded.stats.total_page_accesses == serial.stats.total_page_accesses
-        )
 
     @pytest.mark.parametrize("workers", [3, 1])
     def test_merged_counters_match_disk_counters(self, workers):
@@ -208,9 +184,11 @@ class TestShardedFM:
 
 
 class TestReuseHandoff:
-    """The unit-boundary REUSE handoff: a single inline worker seeds unit
-    k+1 with unit k's final cell buffer, restoring the serial reuse chain;
-    forked units stay independent."""
+    """The REUSE buffer crosses unit boundaries only where nothing forks:
+    ``workers=1`` runs the algorithm's serial join, which carries it across
+    every leaf as in the paper.  More workers fork independent units, which
+    recompute the cells REUSE would have carried (the distributed executor
+    chains them instead; see ``test_distributed.py``)."""
 
     def test_handoff_restores_serial_reuse_accounting(self):
         _, serial = run("nm")
@@ -218,68 +196,14 @@ class TestReuseHandoff:
         assert sharded.pairs == serial.pairs
         assert sharded.stats.cells_computed_p == serial.stats.cells_computed_p
         assert sharded.stats.cells_reused_p == serial.stats.cells_reused_p
-
-    def test_handoff_reduces_boundary_recomputation(self, monkeypatch):
-        """The chained run recomputes fewer P cells than the independent
-        units of the same in-process drain — down to exactly serial
-        levels."""
-        _, serial = run("nm")
-        _, handoff = run("nm", executor="sharded", workers=1)
-        _, independent = run_without_fork(
-            monkeypatch, "nm", executor="sharded", workers=3
-        )
-        assert handoff.stats.cells_computed_p == serial.stats.cells_computed_p
-        assert independent.stats.cells_computed_p > handoff.stats.cells_computed_p
-        assert independent.pairs == handoff.pairs == serial.pairs
+        assert default_engine().last_executor.last_assignments is None
 
     def test_handoff_applies_to_single_worker_only(self):
-        """The chain follows the configured worker count, not the runtime
-        fork fallback, so results stay machine-independent: workers=1 gets
-        the free sequential handoff, more workers keep independent
-        parallel shards."""
         _, serial = run("nm")
-        _, inline = run("nm", executor="sharded", workers=1)
-        assert inline.stats.cells_computed_p == serial.stats.cells_computed_p
         _, forked = run("nm", executor="sharded", workers=3)
         trace = default_engine().last_executor.last_assignments
         assert trace and all(worker.startswith("fork-") for worker in trace)
-        assert forked.stats.cells_computed_p >= serial.stats.cells_computed_p
-
-    def test_distributed_chain_matches_the_inline_chain(self):
-        """Every distributed NM run chains its units, so it charges the
-        same counters as the single-worker sharded chain — both are the
-        serial REUSE chain run unit by unit."""
-        results = {}
-        planes = (("sharded", {"workers": 1}), ("distributed", {"nodes": 2}))
-        for executor, knobs in planes:
-            workload = build_workload(
-                WorkloadConfig(buffer_fraction=0.05, storage="file"),
-                points_p=POINTS_P,
-                points_q=POINTS_Q,
-            )
-            try:
-                results[executor] = default_engine().run(
-                    "nm",
-                    workload.tree_p,
-                    workload.tree_q,
-                    domain=workload.domain,
-                    executor=executor,
-                    **knobs,
-                )
-            finally:
-                workload.close()
-        inline, distributed = results["sharded"], results["distributed"]
-        assert distributed.pairs == inline.pairs
-        for counter in (
-            "mat_page_accesses",
-            "join_page_accesses",
-            "cells_computed_p",
-            "cells_computed_q",
-            "cells_reused_p",
-            "filter_candidates",
-            "filter_true_hits",
-        ):
-            assert getattr(distributed.stats, counter) == getattr(inline.stats, counter)
+        assert forked.stats.cells_computed_p > serial.stats.cells_computed_p
 
     def test_handoff_noop_without_reuse(self):
         _, serial = run("nm", reuse_cells=False)
@@ -288,49 +212,49 @@ class TestReuseHandoff:
         assert sharded.stats.cells_reused_p == 0
 
 
-class TestInlineShardIsolation:
-    """The fork-less inline fallback must charge the same counters a forked
-    execution would: every shard starts from the dispatch-time buffer state
-    instead of inheriting the previous shard's warm pages."""
+class TestForkCountersIndependentOfWorkerCount:
+    """Every forked unit starts from the dispatch-time buffer and charges
+    its own counter copy, so how many workers pulled the units changes no
+    counter: pages, cell and filter work, the progress curve, and the
+    parent's buffer, which no worker's traffic reaches."""
 
-    def fingerprint(self, result):
-        stats = result.stats
-        return (
-            stats.mat_page_accesses,
-            stats.join_page_accesses,
-            stats.cells_computed_p,
-            stats.cells_computed_q,
-            stats.cells_reused_p,
-            stats.filter_candidates,
-            stats.filter_true_hits,
-            [(s.page_accesses, s.pairs_reported) for s in stats.progress],
+    POINTS_P = uniform_points(600, seed=205)
+    POINTS_Q = uniform_points(600, seed=206)
+
+    def fingerprint(self, algorithm, workers):
+        workload = make_workload(self.POINTS_P, self.POINTS_Q)
+        result = default_engine().run(
+            algorithm,
+            workload.tree_p,
+            workload.tree_q,
+            domain=workload.domain,
+            executor="sharded",
+            workers=workers,
         )
+        stats = result.stats
+        return {
+            "pairs": result.pairs,
+            "mat_page_accesses": stats.mat_page_accesses,
+            "join_page_accesses": stats.join_page_accesses,
+            "cells_computed_p": stats.cells_computed_p,
+            "cells_computed_q": stats.cells_computed_q,
+            "cells_reused_p": stats.cells_reused_p,
+            "filter_candidates": stats.filter_candidates,
+            "filter_true_hits": stats.filter_true_hits,
+            "progress": [(s.page_accesses, s.pairs_reported) for s in stats.progress],
+            "cell_stats": vars(result.cell_stats),
+            "filter_stats": vars(result.filter_stats),
+            "disk_page_accesses": workload.disk.counters.page_accesses,
+            "parent_buffer": workload.disk.buffer.contents(),
+        }
 
     @pytest.mark.parametrize("algorithm", ["nm", "pm", "fm"])
-    def test_inline_counters_identical_to_fork(self, monkeypatch, algorithm):
-        _, forked = run(algorithm, executor="sharded", workers=3)
-        _, inline = run_without_fork(
-            monkeypatch, algorithm, executor="sharded", workers=3
-        )
-        assert inline.pairs == forked.pairs
-        assert self.fingerprint(inline) == self.fingerprint(forked)
+    def test_counters_identical_at_2_3_and_7_workers(self, algorithm):
+        two = self.fingerprint(algorithm, 2)
+        assert self.fingerprint(algorithm, 3) == two
+        assert self.fingerprint(algorithm, 7) == two
 
-    def test_parent_buffer_state_identical_to_fork(self, monkeypatch):
-        """A fork parent's buffer never sees worker traffic; after the fix
-        the inline fallback leaves the shared buffer in the same
-        dispatch-time state instead of whatever the last shard warmed it
-        to — so the post-run buffer contents agree across worker planes."""
-        forked, _ = run("nm", executor="sharded", workers=3)
-        inline, _ = run_without_fork(monkeypatch, "nm", executor="sharded", workers=3)
-        assert inline.disk.buffer.contents() == forked.disk.buffer.contents()
-
-
-class TestInProcessRule:
-    """Where sharded units run is derived from the inputs, never configured:
-    in-process for one worker, one unit or a platform without fork;
-    otherwise on ``min(workers, units)`` forks."""
-
-    def test_single_unit_never_forks(self):
+    def test_single_unit_runs_on_one_fork(self):
         workload = make_workload(POINTS_P, POINTS_Q[:5])
         assert workload.tree_q.leaf_count() == 1
         result = default_engine().run(
@@ -341,19 +265,10 @@ class TestInProcessRule:
             executor="sharded",
             workers=4,
         )
-        assert list(default_engine().last_executor.last_assignments) == ["inline-0"]
+        trace = default_engine().last_executor.last_assignments
+        assert list(trace.values()) == [[0]]
         serial = nm_cij(workload.tree_p, workload.tree_q, domain=workload.domain)
         assert result.pairs == serial.pairs
-
-    def test_fork_fallback_keeps_the_configured_handoff(self, monkeypatch):
-        """A platform that cannot fork runs the units in-process, but the
-        chain rule still reads workers=3: no handoff, so the counters equal
-        those of a real forked run."""
-        _, forked = run("nm", executor="sharded", workers=3)
-        _, fallback = run_without_fork(monkeypatch, "nm", executor="sharded", workers=3)
-        assert fallback.pairs == forked.pairs
-        assert fallback.stats.cells_computed_p == forked.stats.cells_computed_p
-        assert fallback.stats.cells_reused_p == forked.stats.cells_reused_p
 
 
 class TestReuseBufferRegression:
@@ -370,9 +285,9 @@ class TestReuseBufferRegression:
         )
 
     def test_reuse_works_within_shards(self):
-        """Hilbert-contiguous shards keep consecutive leaves spatially close,
-        so the REUSE buffer still hits inside every shard (each shard spans
-        several leaves on a workload this size)."""
+        """A one-worker sharded run is the serial join, whose
+        Hilbert-ordered leaves stay spatially close, so the REUSE buffer
+        hits from leaf to leaf."""
         workload = make_workload(
             uniform_points(400, seed=203), uniform_points(400, seed=204)
         )

@@ -57,9 +57,9 @@ class TestEngineMatchesOracles:
     )
     @settings(max_examples=15, deadline=None)
     def test_sharded_executor_is_byte_identical(self, points_p, points_q):
-        """The acceptance property: on every seed the sharded executor
-        returns the identical pair *list* (order included) and the same
-        aggregate filter/cell accounting as the serial executor."""
+        """The acceptance property: on every seed the fork pool returns
+        the identical pair *list* (order included) and the same aggregate
+        Q-cell and filter accounting as the serial executor."""
         for algorithm in ("nm", "pm"):
             serial = run_engine(points_p, points_q, algorithm)
             sharded = run_engine(
@@ -67,7 +67,7 @@ class TestEngineMatchesOracles:
                 points_q,
                 algorithm,
                 executor="sharded",
-                workers=1,
+                workers=2,
             )
             assert sharded.pairs == serial.pairs, algorithm
             assert (
@@ -75,7 +75,7 @@ class TestEngineMatchesOracles:
             ), algorithm
         nm_serial = run_engine(points_p, points_q, "nm")
         nm_sharded = run_engine(
-            points_p, points_q, "nm", executor="sharded", workers=1
+            points_p, points_q, "nm", executor="sharded", workers=2
         )
         assert (
             nm_sharded.stats.filter_candidates == nm_serial.stats.filter_candidates

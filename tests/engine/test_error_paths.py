@@ -1,10 +1,10 @@
 """A join that dies mid-flight leaves the disk as a finished run would.
 
-An exception in the MAT phase or inside a shard must not leave residue
-that a later run on the same disk can observe: the inline shard loop
-rewinds the buffer to its dispatch-time state, a measured follow-up run
-matches one on a fresh workload bit for bit, and closing the workload
-still releases the backend's handles.  Regressions here only surface as
+An exception in the MAT phase or inside a forked unit must not leave
+residue that a later run on the same disk can observe: the error reaches
+the caller with its type and message, a measured follow-up run matches
+one on a fresh workload bit for bit, and closing the workload still
+releases the backend's handles.  Regressions here only surface as
 cross-run counter corruption and descriptor leaks in a long-running
 server.
 """
@@ -39,7 +39,8 @@ class _FailingPrepare(JoinAlgorithm):
 
 def _make_failing_nm(fail_on_call):
     class _FailingNM(NMJoin):
-        """NM whose unit pipeline dies on its ``fail_on_call``-th shard."""
+        """NM whose unit pipeline dies on its ``fail_on_call``-th unit in a
+    process (each fork worker counts its own calls)."""
 
         calls = 0
 
@@ -82,18 +83,20 @@ class TestErrorPathCleanup:
             _assert_follow_up_run_is_clean(engine, workload, tmp_path, storage)
 
     @pytest.mark.parametrize("storage", list(STORAGE_BACKENDS))
-    def test_shard_failure_rewinds_and_next_run_is_clean(self, storage, tmp_path):
+    def test_fork_worker_failure_propagates_and_next_run_is_clean(
+        self, storage, tmp_path
+    ):
         with _workload(tmp_path, storage) as workload:
             engine = JoinEngine()
-            # In-process shards: the second unit dies mid-stream, after the
-            # first has already warmed the buffer.
-            with pytest.raises(RuntimeError, match="injected shard"):
+            # A fork worker's second unit dies mid-stream, after its first
+            # has already warmed the worker's buffer.
+            with pytest.raises(RuntimeError, match="^injected shard failure$"):
                 engine.run(
                     _make_failing_nm(fail_on_call=2),
                     workload.tree_p,
                     workload.tree_q,
                     executor="sharded",
-                    workers=1,
+                    workers=2,
                 )
             _assert_follow_up_run_is_clean(engine, workload, tmp_path, storage)
 
@@ -107,7 +110,7 @@ class TestErrorPathCleanup:
                     workload.tree_p,
                     workload.tree_q,
                     executor="sharded",
-                    workers=1,
+                    workers=2,
                 )
         assert store._file.closed
 
@@ -121,7 +124,7 @@ class TestErrorPathCleanup:
                     workload.tree_p,
                     workload.tree_q,
                     executor="sharded",
-                    workers=1,
+                    workers=2,
                 )
         with pytest.raises(sqlite3.ProgrammingError):
             store._conn.execute("SELECT 1")

@@ -153,7 +153,7 @@ class _RecordingNode:
     def wait_ready(self, timeout):
         self.log.append(("ready", self.worker_id, timeout))
 
-    def run_unit(self, assignment, timeout, await_carry=None):
+    def run_unit(self, assignment, await_carry, timeout=None):
         from repro.engine.coordinator import GIVE_WAY
         from repro.engine.node import NodeCrashed
         from repro.join.conditional_filter import FilterStats
@@ -162,7 +162,7 @@ class _RecordingNode:
         from repro.voronoi.single import CellComputationStats
 
         # Like a node: a chained unit waits for its carry (or gives way).
-        if await_carry is not None and await_carry(assignment) is GIVE_WAY:
+        if await_carry(assignment) is GIVE_WAY:
             return None
         self.log.append(("unit", self.worker_id, timeout))
         if self.crash:
@@ -201,29 +201,12 @@ class TestExecutorWiring:
         assert isinstance(executor, cls)
         assert getattr(executor, "config", config) is config
 
-    @pytest.mark.parametrize(
-        "executor, workers, method, chained",
-        [
-            ("sharded", 1, "nm", True),
-            ("sharded", 3, "nm", False),
-            ("sharded", 3, "pm", False),
-            ("sharded", 3, "fm", False),
-            ("sharded", 1, "pm", False),
-            ("sharded", 1, "fm", False),
-            ("distributed", 2, "nm", True),
-            ("distributed", 2, "pm", False),
-            ("distributed", 2, "fm", False),
-        ],
-    )
-    def test_where_units_run_decides_the_chain(
-        self, monkeypatch, executor, workers, method, chained
-    ):
-        """The REUSE carry is chained from unit to unit exactly where that
-        is free or needed: a sharded run with ``workers == 1``, and every
-        distributed run of an algorithm that carries state (NM).  The
-        sharded rule is on the configuration: ``workers=3`` whose fork
-        pool cannot be created runs inline, still unchained.  ``workers``
-        sizes the pool request either way."""
+    @pytest.mark.parametrize("method, chained", [("nm", True), ("pm", False), ("fm", False)])
+    def test_distributed_chains_the_carry_of_nm_only(self, monkeypatch, method, chained):
+        """Nodes chain the REUSE carry from unit to unit for the algorithm
+        that carries state (NM), and the node wire spec tells both ends
+        the same rule.  A fork pool never chains: it records its results
+        into an unchained coordinator."""
         from repro.engine import JoinEngine
         from repro.engine import executors as executors_module
         from repro.engine import node as node_plane
@@ -235,33 +218,60 @@ class TestExecutorWiring:
                 coordinators.append(chained)
                 super().__init__(units, chained=chained, max_attempts=max_attempts)
 
-        pool_requests = []
         log = []
         monkeypatch.setattr(executors_module, "UnitCoordinator", RecordingCoordinator)
-        monkeypatch.setattr(
-            ShardedExecutor,
-            "_make_fork_pool",
-            lambda self, algorithm, ctx, units, size: pool_requests.append(size),
-        )
         monkeypatch.setattr(
             node_plane,
             "NodeProcess",
             lambda *args, **kwargs: _RecordingNode(log, False, *args, **kwargs),
         )
         with _file_workload() as workload:
+            for executor in ("distributed", "sharded"):
+                JoinEngine().run(
+                    method, workload.tree_p, workload.tree_q, executor=executor
+                )
+        assert coordinators == [chained, False]
+        assert {entry[2] for entry in log if entry[0] == "spawn"} == {chained}
+
+    @pytest.mark.parametrize("workers", [1, 2, 3, 10_000])
+    def test_sharded_pool_holds_min_of_workers_and_units(self, monkeypatch, workers):
+        """``workers`` sizes the fork pool, capped by the unit count; one
+        worker is the serial run and starts no pool."""
+        import concurrent.futures
+
+        from repro.engine import JoinEngine
+
+        sizes = []
+
+        class RecordingPool(concurrent.futures.ProcessPoolExecutor):
+            def __init__(self, max_workers, **kwargs):
+                sizes.append(max_workers)
+                super().__init__(max_workers, **kwargs)
+
+        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", RecordingPool)
+        with _file_workload() as workload:
+            units = workload.tree_q.leaf_count()
             JoinEngine().run(
-                method,
-                workload.tree_p,
-                workload.tree_q,
-                executor=executor,
-                workers=workers,
+                "pm", workload.tree_p, workload.tree_q, executor="sharded", workers=workers
             )
-        assert coordinators == [chained]
-        if executor == "sharded":
-            assert pool_requests == ([workers] if workers > 1 else [])
-        else:
-            # The node wire spec tells both ends the same rule.
-            assert {entry[2] for entry in log if entry[0] == "spawn"} == {chained}
+        assert sizes == ([min(workers, units)] if workers > 1 else [])
+
+    def test_platform_without_fork_is_told_to_run_serial(self, monkeypatch):
+        """More than one worker needs the ``fork`` start method; where it is
+        missing the run fails and names the executor that needs no fork."""
+        import multiprocessing
+
+        from repro.engine import JoinEngine
+
+        def no_fork(method=None):
+            raise ValueError(f"cannot find context for {method!r}")
+
+        monkeypatch.setattr(multiprocessing, "get_context", no_fork)
+        with _file_workload() as workload:
+            with pytest.raises(ValueError, match="executor='serial'"):
+                JoinEngine().run(
+                    "nm", workload.tree_p, workload.tree_q, executor="sharded", workers=2
+                )
 
     def test_distributed_reads_every_node_knob(self, monkeypatch):
         from repro.engine import JoinEngine
@@ -345,8 +355,7 @@ class TestUnitByteDeltas:
             bytes_written=bytes_written,
         )
 
-    @pytest.mark.parametrize("absorb", [True, False])
-    def test_merge_adds_each_recorded_delta_once(self, absorb):
+    def test_merge_adds_each_recorded_delta_once(self):
         from repro.engine.coordinator import UnitCoordinator
         from repro.engine.units import WorkUnit
 
@@ -363,11 +372,9 @@ class TestUnitByteDeltas:
                 cell_stats=CellComputationStats(),
                 filter_stats=FilterStats(),
             )
-            coordinator.merge(ctx, 0, absorb_counters=absorb)
+            coordinator.merge(ctx, 0)
             after = disk.storage_stats()
-        # Inline units counted their bytes on this very store already.
-        expected = (140, 7) if absorb else (0, 0)
         assert (
             after.bytes_read - before.bytes_read,
             after.bytes_written - before.bytes_written,
-        ) == expected
+        ) == (140, 7)

@@ -17,6 +17,7 @@ from repro.engine import default_engine
 from repro.experiments.drivers.common import run_cij
 from repro.join.result import CIJResult
 from repro.storage.backends import STORAGE_BACKENDS
+from tests.oracles import units_in_process
 
 POINTS_P = uniform_points(240, seed=3)
 POINTS_Q = uniform_points(210, seed=11)
@@ -80,44 +81,56 @@ class TestBackendEquivalence:
         assert sharded.pairs == serial.pairs
         assert stats_fingerprint(sharded) == stats_fingerprint(serial)
 
-    @pytest.mark.parametrize("backend", list(STORAGE_BACKENDS))
-    def test_cache_enabled_sharded_nm_matches_serial_accounting(self, backend):
-        """One worker chains the unit-boundary REUSE handoff, which
-        restores the serial reuse chain: every scalar JoinStats counter
-        equals the serial run's (progress samples keep the same pair
-        milestones but different access offsets, because the executor
-        enumerates the leaves up front while the serial run interleaves
-        them)."""
-        serial = run_on(backend, "nm")
-        sharded = run_on(backend, "nm", executor="sharded", workers=1)
-        assert sharded.pairs == serial.pairs
-        serial_fp = stats_fingerprint(serial)
-        sharded_fp = stats_fingerprint(sharded)
-        serial_fp.pop("progress"), sharded_fp.pop("progress")
-        assert sharded_fp == serial_fp
-        assert [s.pairs_reported for s in sharded.stats.progress] == [
-            s.pairs_reported for s in serial.stats.progress
-        ]
-
     @pytest.mark.parametrize("algorithm", ["nm", "pm", "fm"])
     @pytest.mark.parametrize("backend", list(STORAGE_BACKENDS))
-    def test_inline_shards_match_serial_accounting(self, backend, algorithm):
-        """One worker runs every unit in this process, chaining the REUSE
-        handoff, so each scalar counter matches the serial run on every
-        backend; FM's progress curve matches too, and NM/PM keep the
-        serial pair milestones at different access offsets."""
+    def test_one_worker_is_the_serial_run(self, backend, algorithm):
+        """``workers=1`` runs the serial join itself, so every JoinStats
+        field matches on every backend, the progress curve included."""
         serial = run_on(backend, algorithm)
         sharded = run_on(backend, algorithm, executor="sharded", workers=1)
         assert sharded.pairs == serial.pairs
+        assert stats_fingerprint(sharded) == stats_fingerprint(serial)
+
+    @pytest.mark.parametrize("algorithm", ["nm", "pm", "fm"])
+    @pytest.mark.parametrize("backend", list(STORAGE_BACKENDS))
+    def test_fork_pool_matches_units_in_process(self, backend, algorithm):
+        """A fork worker runs each unit it pulls from the dispatch-time
+        buffer, so the merged fork output — progress curve included —
+        equals the same units run one after another in this process.  The
+        buffer holds 30% of the pages (the default here holds none), so a
+        worker that kept one unit's warm pages for the next would read
+        fewer pages than the reference."""
+        forked = run_on(
+            backend, algorithm, buffer_fraction=0.3, executor="sharded", workers=2
+        )
+        with units_in_process():
+            reference = run_on(backend, algorithm, buffer_fraction=0.3)
+        assert forked.pairs == reference.pairs
+        assert stats_fingerprint(forked) == stats_fingerprint(reference)
+        assert forked.storage.bytes_read == reference.storage.bytes_read
+
+    @pytest.mark.parametrize("backend", list(STORAGE_BACKENDS))
+    def test_chained_units_match_serial_accounting(self, backend):
+        """Passing NM's REUSE carry from unit to unit, as the nodes do,
+        restores the serial reuse chain: every scalar JoinStats counter
+        equals the serial run's, and the progress samples keep the serial
+        pair milestones, never at earlier access offsets (the units are
+        enumerated up front, serial interleaves them)."""
+        serial = run_on(backend, "nm")
+        with units_in_process(chained=True):
+            chained = run_on(backend, "nm")
+        assert chained.pairs == serial.pairs
         serial_fp = stats_fingerprint(serial)
-        sharded_fp = stats_fingerprint(sharded)
-        if algorithm == "fm":
-            assert sharded_fp == serial_fp
-        serial_fp.pop("progress"), sharded_fp.pop("progress")
-        assert sharded_fp == serial_fp
-        assert [s.pairs_reported for s in sharded.stats.progress] == [
+        chained_fp = stats_fingerprint(chained)
+        serial_fp.pop("progress"), chained_fp.pop("progress")
+        assert chained_fp == serial_fp
+        assert [s.pairs_reported for s in chained.stats.progress] == [
             s.pairs_reported for s in serial.stats.progress
         ]
+        assert all(
+            c.page_accesses >= s.page_accesses
+            for c, s in zip(chained.stats.progress, serial.stats.progress)
+        )
 
     def test_results_agree_with_brute_oracle(self):
         oracle = set(run_on("memory", "brute").pairs)
@@ -156,9 +169,9 @@ class TestDistributedEquivalence:
 
         For NM that relies on the distributed executor chaining the
         REUSE handoff, which restores the serial recomputation counts
-        exactly.  Progress samples keep the
-        serial pair milestones at different access offsets (the executor
-        enumerates the leaf units up front; serial interleaves them).
+        exactly.  Progress samples keep the serial pair milestones, never
+        at earlier access offsets: the executor enumerates the leaf units
+        up front, while serial interleaves them with the first pairs.
         """
         serial = run_on(backend, algorithm)
         distributed = run_on(backend, algorithm, executor="distributed", nodes=2)
@@ -170,15 +183,21 @@ class TestDistributedEquivalence:
         assert [s.pairs_reported for s in distributed.stats.progress] == [
             s.pairs_reported for s in serial.stats.progress
         ]
+        assert (
+            distributed.stats.progress[0].page_accesses
+            >= serial.stats.progress[0].page_accesses
+        )
 
     @pytest.mark.parametrize("backend", SHARED_BACKENDS)
-    def test_distributed_nm_matches_sharded_pipeline_bytes(self, backend):
-        """Node subprocesses and in-process sharding run the same chained
-        unit pipeline, so the full merged fingerprint agrees between them."""
-        sharded = run_on(backend, "nm", executor="sharded", workers=1)
+    def test_distributed_nm_matches_the_in_process_chain(self, backend):
+        """Nodes run the chained unit pipeline over the wire, leasing
+        ahead of the carry; the merged fingerprint — progress curve
+        included — equals the same chain run in this process."""
+        with units_in_process(chained=True):
+            chained = run_on(backend, "nm")
         distributed = run_on(backend, "nm", executor="distributed", nodes=2)
-        assert distributed.pairs == sharded.pairs
-        assert stats_fingerprint(distributed) == stats_fingerprint(sharded)
+        assert distributed.pairs == chained.pairs
+        assert stats_fingerprint(distributed) == stats_fingerprint(chained)
 
     def test_distributed_rejects_memory_backend(self):
         with pytest.raises(ValueError, match="shared backend"):
@@ -221,10 +240,10 @@ class TestByteAccountingAcrossPlanes:
     A buffer miss moves the same page bytes in the parent, a forked worker
     or a node subprocess, and each unit reports its own delta, so the
     disk's ``storage_stats().bytes_read`` grows by the same amount over a
-    join on every executor that reads the same pages as serial.  That is
-    every plane for PM and FM.  For NM it excludes the fork pool: forked
-    units never chain the REUSE carry, so they recompute cells and read
-    other pages.
+    join on every executor that reads the same pages as serial
+    (``sharded-1`` is the serial run itself).  That is every plane for PM
+    and FM.  For NM it excludes the fork pool: forked units never chain
+    the REUSE carry, so they recompute cells and read other pages.
     """
 
     POINTS_P = uniform_points(300, seed=21)
@@ -331,7 +350,9 @@ class TestSkewedWorkloadScheduling:
         assert sorted(i for indices in trace.values() for i in indices) == list(
             range(total)
         )
-        if len(counts) >= 2:  # no fork support falls back to inline
+        # A fork slow to start can find the queue already drained; when
+        # both pulled, neither took the whole queue.
+        if len(counts) >= 2:
             assert min(counts.values()) >= 1
             assert max(counts.values()) < total
 

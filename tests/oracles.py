@@ -10,7 +10,10 @@ in the most literal form of the paper's definitions:
 * :func:`definitional_cij_pairs`, a second CIJ oracle built on the
   *definition* of the join rather than on cell intersection;
 * :func:`synchronous_join`, the classic single-stack synchronous traversal
-  that FM-CIJ's partitioned traversal must reproduce.
+  that FM-CIJ's partitioned traversal must reproduce;
+* :func:`units_in_process`, the unit pipeline of the fork pool and the
+  nodes, run in the calling process, against which the read path of one
+  unit and the merged output of the process planes are checked.
 
 The Φ(L, p) influence region
 ----------------------------
@@ -44,9 +47,13 @@ against a bug shared by the polygon machinery.
 from __future__ import annotations
 
 import math
+from contextlib import contextmanager
 from dataclasses import dataclass
 from typing import Iterator, List, Optional, Sequence, Set, Tuple
+from unittest import mock
 
+from repro.engine.coordinator import UnitCoordinator
+from repro.engine.executors import _execute_shard
 from repro.geometry.point import Point, dist
 from repro.geometry.polygon import ConvexPolygon
 from repro.geometry.rect import Rect
@@ -280,3 +287,57 @@ def synchronous_join(
     yield from join_from_seeds(
         tree_a, tree_b, ((tree_a.root_page, tree_b.root_page),), refine=refine
     )
+
+
+# ----------------------------------------------------------------------
+# the unit pipeline, in this process
+# ----------------------------------------------------------------------
+class InProcessUnits:
+    """The unit pipeline of the fork pool and the nodes, in this process.
+
+    ``execute`` does to every work unit what a fork worker does to a unit
+    it pulls (rewind to the dispatch-time buffer, ``_execute_shard``), and
+    with ``chained`` it also passes NM's REUSE carry on, as a node does.
+    It then rewinds the parent's counters and byte totals to dispatch
+    time, as if each unit had charged a worker's copy of the disk, and
+    merges with :meth:`UnitCoordinator.merge` like both process planes.
+    """
+
+    name = "in-process-units"
+
+    def __init__(self, chained: bool):
+        self.chained = chained
+
+    def execute(self, algorithm, ctx) -> List[Tuple[int, int]]:
+        disk = ctx.disk
+        units = algorithm.work_units(ctx)
+        coordinator = UnitCoordinator(
+            units, chained=self.chained and algorithm.supports_handoff
+        )
+        base_accesses = disk.counters.diff(ctx.start_counters).page_accesses
+        counters = disk.counters.snapshot()
+        bytes_read, bytes_written = disk.store.bytes_read, disk.store.bytes_written
+        dispatch = disk.buffer_state()
+        while (assignment := coordinator.next_assignment("in-process")) is not None:
+            disk.restore_buffer_state(dispatch)
+            result = _execute_shard(
+                algorithm,
+                ctx,
+                assignment.unit,
+                assignment.index,
+                carry=coordinator.await_carry(assignment),
+            )
+            coordinator.record_result(assignment.index, result)
+        disk.restore_buffer_state(dispatch)
+        disk.counters = counters
+        disk.store.bytes_read, disk.store.bytes_written = bytes_read, bytes_written
+        return coordinator.merge(ctx, base_accesses)
+
+
+@contextmanager
+def units_in_process(chained: bool = False):
+    """Run every engine join in the block on :class:`InProcessUnits`."""
+    with mock.patch(
+        "repro.engine.core.executor_for", lambda config: InProcessUnits(chained)
+    ):
+        yield

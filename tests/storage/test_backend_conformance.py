@@ -111,7 +111,7 @@ class TestRoundTrips:
     def test_write_preserves_tag_and_size(self, disk):
         page = disk.allocate("RQ", "x", size_bytes=77)
         disk.write(page, "y")
-        assert disk.data_size_bytes("RQ") == 77
+        assert disk.store.page_meta(page) == ("RQ", 77)
         disk.reset_counters()
         disk.buffer.clear()
         disk.read(page)
@@ -132,14 +132,12 @@ class TestRoundTrips:
             disk.read(page)
         assert disk.page_count() == 0
 
-    def test_page_count_and_data_size_by_tag(self, disk):
+    def test_page_count_by_tag(self, disk):
         disk.allocate("RP", 1)
         disk.allocate("RP", 2, size_bytes=100)
         disk.allocate("RQ", 3)
         assert disk.page_count() == 3
         assert disk.page_count("RP") == 2
-        assert disk.data_size_bytes("RP") == disk.page_size + 100
-        assert disk.data_size_bytes("RQ") == disk.page_size
 
 
 class TestAccountingParity:
@@ -407,9 +405,7 @@ class TestCapabilityContract:
         finally:
             store.close()
 
-    @pytest.mark.parametrize(
-        "missing", ["page_meta", "page_count", "data_size_bytes"]
-    )
+    @pytest.mark.parametrize("missing", ["page_meta", "page_count"])
     def test_metadata_methods_are_abstract(self, missing):
         """A store must define its own page metadata: the PageStore ABC
         has no default body for these methods."""

@@ -64,14 +64,13 @@ class TestDiskManager:
         with pytest.raises(KeyError):
             disk.read(page)
 
-    def test_page_count_and_data_size_by_tag(self):
+    def test_page_count_by_tag(self):
         disk = DiskManager(page_size=512)
         disk.allocate("RP", payload=1)
         disk.allocate("RP", payload=2, size_bytes=100)
         disk.allocate("RQ", payload=3)
         assert disk.page_count() == 3
         assert disk.page_count("RP") == 2
-        assert disk.data_size_bytes("RP") == 512 + 100
 
     def test_set_buffer_fraction_sizes_relative_to_pages(self):
         disk = DiskManager()

@@ -5,10 +5,11 @@ storage layer honours that literally: a buffer miss in
 :meth:`~repro.storage.disk.DiskManager.read` is exactly one counted
 ``read_page`` call on the backend, made by the calling thread, and a
 buffer hit never reaches the backend.  These tests wrap each backend's
-``read_page`` and drive every consumer of the disk — the three CIJ
-algorithms serially and through in-process shards, window queries and
-nearest-neighbour search — checking that the counted calls and the
-paper's physical reads agree one for one, on every backend.
+``read_page`` and drive every consumer of the disk in this process — the
+three CIJ algorithms, serially and unit by unit as a fork worker or a node
+runs them, window queries and nearest-neighbour search — checking that the
+counted calls and the paper's physical reads agree one for one, on every
+backend.
 """
 
 from __future__ import annotations
@@ -26,6 +27,7 @@ from repro.experiments.drivers.common import fresh_workload
 from repro.geometry.rect import Rect
 from repro.query.nearest import incremental_nearest
 from repro.storage.backends import STORAGE_BACKENDS
+from tests.oracles import units_in_process
 
 POINTS_P = uniform_points(240, seed=3)
 POINTS_Q = uniform_points(210, seed=11)
@@ -47,6 +49,18 @@ def _join(algorithm, **overrides):
     return run
 
 
+def _units(algorithm, chained=False):
+    """The join's units run in this process, as a fork worker (or, with
+    ``chained``, a node) runs them, so their fetches are observable here."""
+    join = _join(algorithm)
+
+    def run(workload):
+        with units_in_process(chained=chained):
+            join(workload)
+
+    return run
+
+
 def _windows(workload):
     for step in range(5):
         low = 1000.0 * step
@@ -58,16 +72,16 @@ def _nearest(workload):
         list(islice(incremental_nearest(workload.tree_p, point), 3))
 
 
-#: Every disk consumer, by name: joins serial and through in-process
-#: shards (one worker runs each unit in this process, so its fetches are
-#: observable here), plus the query layer.
+#: Every disk consumer, by name: the joins serial (a one-worker sharded
+#: run is the same serial join) and unit by unit, plus the query layer.
 OPERATIONS = {
     "nm": _join("nm"),
     "pm": _join("pm"),
     "fm": _join("fm"),
-    "nm-inline-shards": _join("nm", executor="sharded", workers=1),
-    "pm-inline-shards": _join("pm", executor="sharded", workers=1),
-    "fm-inline-shards": _join("fm", executor="sharded", workers=1),
+    "nm-units": _units("nm"),
+    "pm-units": _units("pm"),
+    "fm-units": _units("fm"),
+    "nm-chained-units": _units("nm", chained=True),
     "window": _windows,
     "nearest": _nearest,
 }
